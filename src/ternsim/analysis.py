@@ -17,10 +17,10 @@ from dataclasses import asdict, dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from .core import (INDETERMINATE, LEVELS, TernaryLevel, VoltageBands,
-                   encode_2bit)
+                   decode_2bit, encode_2bit)
 from .digital import build_dag, eval_circuit, or_reduce_segment
-from .engine import (NotSettled, SolverConfig, Stimulus, Waveform,
-                     steady_output)
+from .engine import (NonConvergence, NotSettled, SingularSystem, SolverConfig,
+                     Stimulus, Waveform, steady_output)
 from .netlist.cells import (GateNetwork, SEGMENT_TERMS, builtin_network,
                             elaborate)
 from .netlist.model import Circuit
@@ -93,6 +93,7 @@ class VectorResult:
     observed: dict
     settled: bool
     settle_time: Optional[float]
+    error: Optional[str] = None  # why it did not settle
 
     @property
     def ok(self) -> bool:
@@ -123,7 +124,8 @@ class TruthTableReport:
             mark = "ok" if v.ok else "MISMATCH"
             settle = (f" settle={v.settle_time * 1e9:.2f}ns"
                       if v.settle_time is not None else "")
-            lines.append(f"  [{mark}] {ins} -> {obs}{settle}")
+            error = f" error: {v.error}" if v.error else ""
+            lines.append(f"  [{mark}] {ins} -> {obs}{settle}{error}")
         lines += [f"  note: {n}" for n in self.notes]
         return "\n".join(lines)
 
@@ -139,6 +141,7 @@ class TruthTableReport:
                 "observed": {k: _fmt_level(lv) for k, lv in v.observed.items()},
                 "settled": v.settled,
                 "settle_time_s": v.settle_time,
+                "error": v.error,
                 "ok": v.ok,
             } for v in self.vectors],
         }
@@ -175,7 +178,7 @@ def verify(backend: str, decoder: str, *,
         for vec in vectors:
             encoded = {k: encode_2bit(lv) for k, lv in vec.items()}
             out = eval_circuit(dag, encoded)
-            observed = {port: _decoded_level(bp) for port, bp in out.items()}
+            observed = {port: decode_2bit(bp) for port, bp in out.items()}
             results.append(VectorResult(inputs=dict(vec),
                                         expected=expected_outputs(decoder, vec),
                                         observed=observed,
@@ -190,24 +193,20 @@ def verify(backend: str, decoder: str, *,
     return TruthTableReport(decoder, backend, results, notes)
 
 
-def _decoded_level(bp):
-    from .core import decode_2bit
-    return decode_2bit(bp)
-
-
 def _analog_vector(circuit: Circuit, decoder: str, vec: Mapping,
                    bands, cfg) -> VectorResult:
     expected = expected_outputs(decoder, vec)
     try:
         observed, info = steady_output(circuit, vec, bands=bands, cfg=cfg,
                                        return_info=True)
-        settled, settle_time = True, info["settle_time"]
-    except NotSettled:
-        observed = {p: INDETERMINATE for p in expected}
-        settled, settle_time = False, None
+    except (NotSettled, NonConvergence, SingularSystem) as exc:
+        return VectorResult(inputs=dict(vec), expected=expected,
+                            observed={p: INDETERMINATE for p in expected},
+                            settled=False, settle_time=None,
+                            error=f"{type(exc).__name__}: {exc}")
     return VectorResult(inputs=dict(vec), expected=expected,
-                        observed=observed, settled=settled,
-                        settle_time=settle_time)
+                        observed=observed, settled=True,
+                        settle_time=info["settle_time"])
 
 
 def _parallel_worker(args):
@@ -433,7 +432,8 @@ def resource_report(ternary: Circuit, baseline_kind: str = "BCD") -> ResourceRep
         "gate_count": sum(ternary.cells.values()),
         "cells": dict(sorted(ternary.cells.items())),
     }
-    io_ratio = 14.0 / 2.0
+    quoted = {c.key: c.value for c in REFERENCE_CONSTANTS}
+    io_ratio = quoted["baseline_io_power_mw"] / quoted["ternary_io_power_mw"]
     derived = {
         "io_power_ratio_measured": io_ratio,
         "io_power_ratio_note": ("x7 measured I/O-pin-power model vs the "

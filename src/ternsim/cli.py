@@ -16,10 +16,10 @@ import tempfile
 from pathlib import Path
 
 from . import analysis
-from .core import TernaryLevel, VoltageBands, encode_2bit
+from .core import TernaryLevel, VoltageBands, decode_2bit, encode_2bit
 from .digital import build_dag, eval_circuit
 from .engine import (NotSettled, SolverConfig, Stimulus, TransientError,
-                     run_transient)
+                     run_transient, supply_voltage)
 from .netlist import (NetlistError, builtin_network, elaborate,
                       mutate_network, parse, serialize)
 from .netlist.cells import BUILTIN_NETWORKS
@@ -101,10 +101,11 @@ def cmd_simulate(args) -> int:
         vectors = [None]  # netlist drives itself (PWL sources)
     out_dir = _out_dir(args)
     formats = [f.strip() for f in args.formats.split(",")]
-    bands = VoltageBands.default()
+    supply = supply_voltage(circuit)
+    bands = VoltageBands.default(supply)
     status = EXIT_OK
     for vec in vectors:
-        stim = Stimulus.hold(vec, vdd=args.vdd) if vec else None
+        stim = Stimulus.hold(vec, vdd=supply) if vec else None
         tag = "_".join(f"{k}{int(v)}" for k, v in (vec or {}).items()) or "run"
         try:
             wave = run_transient(circuit, stim, cfg)
@@ -168,7 +169,6 @@ def cmd_decode(args) -> int:
     dag = build_dag(builtin_network("display"))
     encoded = {k: encode_2bit(v) for k, v in levels.items()}
     outs = eval_circuit(dag, encoded)
-    from .core import decode_2bit
     out_levels = {port: decode_2bit(bp) for port, bp in outs.items()}
     segments = analysis.segments_from_levels(out_levels)
     glyph, digit = analysis.seven_segment_render(segments)
@@ -222,7 +222,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--t-stop", type=float, dest="t_stop",
                      help="simulation length in seconds")
     sim.add_argument("--dt", type=float, help="timestep in seconds")
-    sim.add_argument("--vdd", type=float, default=1.0)
     sim.add_argument("--formats", default="csv", help="csv,vcd")
     sim.add_argument("--out", help="output directory")
     sim.set_defaults(func=cmd_simulate)

@@ -24,8 +24,7 @@ class MemristorParams:
 
     Defaults follow the reference device: 500 ohm / 10 kohm on/off
     resistance, symmetric 0.27 V set/reset thresholds, 500 ps state time
-    constant, 300 K, initially fully off.  ``temperature`` is stored for
-    completeness but unused by the simplified threshold dynamics.
+    constant, initially fully off.
     """
 
     r_on: float = 500.0
@@ -33,7 +32,6 @@ class MemristorParams:
     v_on: float = 0.27
     v_off: float = 0.27
     tau: float = 500e-12
-    temperature: float = 300.0
     x0: float = 0.0
 
     def __post_init__(self):

@@ -44,13 +44,9 @@ def build_dag(network: GateNetwork) -> GateDag:
                    outputs=network.outputs, gates=network.gates)
 
 
-def _levels_in(kind: CellKind, inputs) -> list:
-    return [decode_2bit(b) for b in inputs]
-
-
 def eval_gate(kind: CellKind, inputs) -> BitPair:
     """Evaluate one gate on encoded inputs via the reference semantics."""
-    levels = _levels_in(kind, inputs)
+    levels = [decode_2bit(b) for b in inputs]
     n = len(levels)
     if kind in (CellKind.STI, CellKind.NTI, CellKind.PTI, CellKind.SFBUF):
         if n != 1:

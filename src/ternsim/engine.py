@@ -311,6 +311,31 @@ class _System:
             # One retry with heavier damping before surfacing the failure.
             return self.newton(g_lin, fixed_vals, v0, cfg, 0.3)
 
+    def pin(self, fixed: Mapping) -> np.ndarray:
+        """Pinned voltages in ``fixed_idx_names`` order."""
+        return np.array([fixed[n] for n in self.fixed_idx_names], dtype=float)
+
+    def advance(self, states: dict, v: np.ndarray, dt: float) -> dict:
+        """Integrate every memristor state from its branch voltage."""
+        out = dict(states)
+        for name, i, j, params in self.memristors:
+            out[name] = update_state(MemristorState(states[name]),
+                                     v[i] - v[j], dt, params).x
+        return out
+
+    def march(self, cfg: SolverConfig, pinned, states: dict, v: np.ndarray):
+        """Semi-implicit transient over [0, t_stop]: yields (k, t, v, states).
+
+        ``pinned(t)`` gives the pinned voltages at time t.  Each step solves
+        the network with frozen states, yields, then advances the states, so
+        a consumer that stops early holds the states its last solve used.
+        """
+        for k in range(int(round(cfg.t_stop / cfg.dt)) + 1):
+            t = k * cfg.dt
+            v = self.solve(states, pinned(t), v, cfg)
+            yield k, t, v, states
+            states = self.advance(states, v, cfg.dt)
+
 
 def _stamp(matrix: np.ndarray, g: float, i: int, j: int) -> None:
     matrix[i, i] += g
@@ -319,18 +344,10 @@ def _stamp(matrix: np.ndarray, g: float, i: int, j: int) -> None:
     matrix[j, i] -= g
 
 
-def _initial_states(circuit: Circuit) -> dict:
-    return {d.name: d.params.x0 for d in circuit.devices
-            if isinstance(d, Memristor)}
-
-
 def _normalize_states(circuit: Circuit, states: Optional[Mapping]) -> dict:
-    if states is None:
-        return _initial_states(circuit)
+    states = states or {}
     out = {}
-    for d in circuit.devices:
-        if not isinstance(d, Memristor):
-            continue
+    for d in circuit.memristors():
         x = states.get(d.name, d.params.x0)
         out[d.name] = x.x if isinstance(x, MemristorState) else float(x)
     return out
@@ -352,9 +369,31 @@ def _fixed_map(circuit: Circuit, stim: Optional[Stimulus], t: float) -> dict:
     return fixed
 
 
-def _supply_voltage(circuit: Circuit) -> float:
+def supply_voltage(circuit: Circuit) -> float:
+    """The circuit's supply: its highest DC source, else 1 V."""
     dc = [s.dc for s in circuit.sources() if s.dc is not None]
     return max(dc) if dc else 1.0
+
+
+def _check_stimulus(circuit: Circuit, stim: Stimulus) -> None:
+    input_names = {p.name for p in circuit.input_ports()}
+    for port in stim.ports():
+        if port not in input_names:
+            raise ValueError(f"stimulus port {port!r} is not an input port "
+                             f"of {circuit.name!r}")
+
+
+def _dc_system(circuit: Circuit, fixed: Mapping,
+               v_init: Optional[Mapping] = None):
+    """System pinning ``fixed``, its pinned values and a start guess."""
+    fixed = {n: v for n, v in fixed.items() if n != GND}
+    system = _System(circuit, tuple(fixed))
+    v0 = np.full(system.n, 0.5 * max([*fixed.values(), 0.0]))
+    if v_init is not None:
+        for node, val in v_init.items():
+            if node in system.index:
+                v0[system.index[node]] = val
+    return system, system.pin(fixed), v0
 
 
 def solve_dc(circuit: Circuit, fixed: Mapping, states: Optional[Mapping] = None,
@@ -367,14 +406,7 @@ def solve_dc(circuit: Circuit, fixed: Mapping, states: Optional[Mapping] = None,
     """
     cfg = cfg or SolverConfig()
     state_map = _normalize_states(circuit, states)
-    fixed = {n: v for n, v in fixed.items() if n != GND}
-    system = _System(circuit, tuple(fixed))
-    v0 = np.full(system.n, 0.5 * max([*fixed.values(), 0.0]))
-    if v_init is not None:
-        for node, val in v_init.items():
-            if node in system.index:
-                v0[system.index[node]] = val
-    fixed_vals = np.array([fixed[n] for n in system.fixed_idx_names], dtype=float)
+    system, fixed_vals, v0 = _dc_system(circuit, fixed, v_init)
     v = system.solve(state_map, fixed_vals, v0, cfg)
     return {node: float(v[i]) for node, i in system.index.items()}
 
@@ -412,20 +444,10 @@ def step(circuit: Circuit, states: Mapping, voltages: Mapping, fixed: Mapping,
     cfg = cfg or SolverConfig()
     state_map = _normalize_states(circuit, states)
     _warn_if_coarse(circuit, dt)
-    volts = solve_dc(circuit, fixed, state_map, cfg, v_init=voltages)
-    new_states = _advance_states(circuit, state_map, volts, dt)
-    return volts, new_states
-
-
-def _advance_states(circuit: Circuit, states: dict, volts: Mapping,
-                    dt: float) -> dict:
-    out = dict(states)
-    for dev in circuit.devices:
-        if isinstance(dev, Memristor):
-            v = volts[dev.anode] - volts[dev.cathode]
-            out[dev.name] = update_state(MemristorState(states[dev.name]),
-                                         v, dt, dev.params).x
-    return out
+    system, fixed_vals, v0 = _dc_system(circuit, fixed, voltages)
+    v = system.solve(state_map, fixed_vals, v0, cfg)
+    volts = {node: float(v[i]) for node, i in system.index.items()}
+    return volts, system.advance(state_map, v, dt)
 
 
 def _warn_if_coarse(circuit: Circuit, dt: float) -> None:
@@ -451,39 +473,35 @@ def run_transient(circuit: Circuit, stim: Optional[Stimulus] = None,
     """
     cfg = cfg or SolverConfig()
     if stim is not None:
-        input_names = {p.name for p in circuit.input_ports()}
-        for port in stim.ports():
-            if port not in input_names:
-                raise ValueError(f"stimulus port {port!r} is not an input port "
-                                 f"of {circuit.name!r}")
+        _check_stimulus(circuit, stim)
     state_map = _normalize_states(circuit, states)
     _warn_if_coarse(circuit, cfg.dt)
     n_steps = int(round(cfg.t_stop / cfg.dt))
     times = np.arange(n_steps + 1) * cfg.dt
     system = _System(circuit, tuple(_fixed_map(circuit, stim, 0.0)))
-    supply = _supply_voltage(circuit)
-    v = np.full(system.n, supply / 2.0)
-    probe_order = _probe_order(circuit, system)
-    probes = {node: np.empty(len(times)) for node in probe_order}
+    v = np.full(system.n, supply_voltage(circuit) / 2.0)
+    probes = {node: np.empty(len(times)) for node in _probe_order(circuit, system)}
     state_series = {name: np.empty(len(times)) for name in state_map}
-    for k, t in enumerate(times):
-        fixed = _fixed_map(circuit, stim, float(t))
-        fixed_vals = np.array([fixed[n] for n in system.fixed_idx_names], dtype=float)
-        try:
-            v = system.solve(state_map, fixed_vals, v, cfg)
-        except (NonConvergence, SingularSystem) as exc:
-            partial = _partial_waveform(cfg, times[:k], probes, state_series,
-                                        circuit)
-            raise TransientError(exc, float(t), partial) from exc
-        for node in probe_order:
-            probes[node][k] = v[system.index[node]]
-        for name in state_map:
-            state_series[name][k] = state_map[name]
-        volts = {node: v[i] for node, i in system.index.items()}
-        state_map = _advance_states(circuit, state_map, volts, cfg.dt)
-    port_nodes = {p.name: p.node for p in circuit.ports}
-    return Waveform(dt=cfg.dt, times=times, probes=probes, states=state_series,
-                    port_nodes=port_nodes)
+
+    def recorded(n: int) -> Waveform:
+        return Waveform(dt=cfg.dt, times=times[:n],
+                        probes={node: s[:n] for node, s in probes.items()},
+                        states={name: s[:n] for name, s in state_series.items()},
+                        port_nodes={p.name: p.node for p in circuit.ports})
+
+    done = 0
+    try:
+        for k, _, v, state_map in system.march(
+                cfg, lambda t: system.pin(_fixed_map(circuit, stim, t)),
+                state_map, v):
+            for node, series in probes.items():
+                series[k] = v[system.index[node]]
+            for name in state_map:
+                state_series[name][k] = state_map[name]
+            done = k + 1
+    except (NonConvergence, SingularSystem) as exc:
+        raise TransientError(exc, float(times[done]), recorded(done)) from exc
+    return recorded(done)
 
 
 def _probe_order(circuit: Circuit, system: _System) -> list:
@@ -495,14 +513,6 @@ def _probe_order(circuit: Circuit, system: _System) -> list:
         if node not in ordered:
             ordered.append(node)
     return ordered
-
-
-def _partial_waveform(cfg, times, probes, state_series, circuit) -> Waveform:
-    k = len(times)
-    return Waveform(dt=cfg.dt, times=times,
-                    probes={n: s[:k] for n, s in probes.items()},
-                    states={n: s[:k] for n, s in state_series.items()},
-                    port_nodes={p.name: p.node for p in circuit.ports})
 
 
 def relax_states(circuit: Circuit, fixed: Mapping,
@@ -518,18 +528,16 @@ def relax_states(circuit: Circuit, fixed: Mapping,
     """
     cfg = cfg or SolverConfig()
     state_map = _normalize_states(circuit, states)
-    mems = circuit.memristors()
-    v_init = None
-    for _ in range(max(8, len(mems) + 2)):
-        volts = solve_dc(circuit, fixed, state_map, cfg, v_init=v_init)
-        v_init = volts
+    system, fixed_vals, v = _dc_system(circuit, fixed)
+    for _ in range(max(8, len(system.memristors) + 2)):
+        v = system.solve(state_map, fixed_vals, v, cfg)
         new_map = dict(state_map)
-        for dev in mems:
-            bias = volts[dev.anode] - volts[dev.cathode]
+        for name, i, j, _params in system.memristors:
+            bias = v[i] - v[j]
             if bias > 1e-9:
-                new_map[dev.name] = 1.0
+                new_map[name] = 1.0
             elif bias < -1e-9:
-                new_map[dev.name] = 0.0
+                new_map[name] = 0.0
         if new_map == state_map:
             break
         state_map = new_map
@@ -549,46 +557,37 @@ def steady_output(circuit: Circuit, inputs: Mapping,
     time and final voltages.
     """
     cfg = cfg or SolverConfig()
-    supply = _supply_voltage(circuit)
+    supply = supply_voltage(circuit)
     bands = bands or VoltageBands.default(supply)
     stim = Stimulus.hold(dict(inputs), vdd=supply)
-    input_names = {p.name for p in circuit.input_ports()}
-    for port in stim.ports():
-        if port not in input_names:
-            raise ValueError(f"{port!r} is not an input port of {circuit.name!r}")
+    _check_stimulus(circuit, stim)
     fixed = _fixed_map(circuit, stim, 0.0)
     state_map = relax_states(circuit, fixed, cfg=cfg)
     system = _System(circuit, tuple(fixed))
-    fixed_vals = np.array([fixed[n] for n in system.fixed_idx_names], dtype=float)
-    out_nodes = {p.name: p.node for p in circuit.output_ports()}
+    fixed_vals = system.pin(fixed)
+    out_idx = {p.name: system.index[p.node] for p in circuit.output_ports()}
     window = max(2, int(round(20.0 * min_tau(circuit) / cfg.dt)))
-    n_steps = int(round(cfg.t_stop / cfg.dt))
-    v = np.full(system.n, supply / 2.0)
     run_len = 0
     regions = None
     settle_time = 0.0
-    volts_out = None
-    for k in range(n_steps + 1):
-        v = system.solve(state_map, fixed_vals, v, cfg)
-        now = {p: bands.region(float(v[system.index[node]]))
-               for p, node in out_nodes.items()}
+    for _, t, v, state_map in system.march(
+            cfg, lambda _t: fixed_vals, state_map,
+            np.full(system.n, supply / 2.0)):
+        now = {p: bands.region(float(v[i])) for p, i in out_idx.items()}
         if now == regions:
             run_len += 1
         else:
             regions = now
             run_len = 1
-            settle_time = k * cfg.dt
+            settle_time = t
         if run_len >= window:
-            volts_out = {p: float(v[system.index[node]])
-                         for p, node in out_nodes.items()}
             break
-        volts = {node: v[i] for node, i in system.index.items()}
-        state_map = _advance_states(circuit, state_map, volts, cfg.dt)
-    if volts_out is None:
+    else:
         raise NotSettled(cfg.t_stop)
-    levels = {p: voltage_to_level(volts_out[p], bands) for p in out_nodes}
+    volts_out = {p: float(v[i]) for p, i in out_idx.items()}
+    levels = {p: voltage_to_level(volts_out[p], bands) for p in out_idx}
     if not return_info:
         return levels
     info = {"settle_time": settle_time, "voltages": volts_out,
-            "states": state_map, "t_run": k * cfg.dt}
+            "states": state_map, "t_run": t}
     return levels, info

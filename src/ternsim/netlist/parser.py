@@ -27,7 +27,7 @@ _SUFFIXES = {"k": 1e3, "m": 1e-3, "u": 1e-6, "n": 1e-9, "p": 1e-12}
 _VALUE_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)([kmunp]?)$")
 
 _MEM_KEYS = {"RON": "r_on", "ROFF": "r_off", "VON": "v_on", "VOFF": "v_off",
-             "TAU": "tau", "X0": "x0", "T": "temperature"}
+             "TAU": "tau", "X0": "x0"}
 _FET_KEYS = {"VTH": "vth", "K": "k", "LAMBDA": "channel_mod"}
 
 

@@ -69,6 +69,17 @@ class TestVerify:
         assert report.passed
         assert all(v.settle_time is not None for v in report.vectors)
 
+    def test_solver_failure_reported_per_vector(self):
+        report = verify("analog", "d13", cfg=SolverConfig(newton_max_iter=1))
+        assert not report.passed
+        failed = [v for v in report.vectors if v.error]
+        assert failed and all(not v.settled for v in failed)
+        assert all("NonConvergence" in v.error for v in failed)
+        assert "error: NonConvergence" in report.to_text()
+        doc = json.loads(report.to_json())
+        assert any("NonConvergence" in (v["error"] or "")
+                   for v in doc["vectors"])
+
     def test_fault_fails_expected_vectors(self):
         net = mutate_network(builtin_network("d29"), "swap:Y7,Y5")
         report = verify("digital", "d29", network=net)

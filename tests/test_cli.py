@@ -118,6 +118,24 @@ class TestSimulate:
                            "--t-stop", "20e-9", "--out", str(tmp_path))
         assert code == 0
 
+    def test_inputs_driven_at_netlist_supply(self, capsys, tmp_path):
+        net = tmp_path / "d13_12.net"
+        code, _, _ = run(capsys, "emit-netlist", "--builtin", "d13",
+                         "--out-file", str(net))
+        assert code == 0
+        text = net.read_text()
+        assert "Vvdd vdd 0 DC 1.0\n" in text
+        net.write_text(text.replace("Vvdd vdd 0 DC 1.0\n", "Vvdd vdd 0 DC 1.2\n"))
+        run(capsys, "simulate", "--netlist", str(net), "--inputs", "2",
+            "--t-stop", "2e-9", "--out", str(tmp_path))
+        rows = (tmp_path / "d13_X2.csv").read_text().splitlines()
+        header = rows[0].split(",")
+        x, vdd = header.index("X"), header.index("vdd")
+        for row in rows[1:]:
+            cols = row.split(",")
+            assert float(cols[vdd]) == 1.2
+            assert cols[x] == cols[vdd]
+
     def test_parse_error_exit_1(self, capsys, tmp_path):
         bad = tmp_path / "bad.net"
         bad.write_text("M1 a\n")

@@ -109,6 +109,22 @@ class TestStep:
         volts, states = step(d13, None, None, fixed, dt=1e-12)
         assert all(x == 0.0 for x in states.values())
 
+    def test_iterated_step_reproduces_run_transient(self, d13):
+        from ternsim.engine import _fixed_map
+        stim = Stimulus.hold({"X": L2})
+        cfg = SolverConfig(t_stop=2e-9)
+        w = run_transient(d13, stim, cfg)
+        assert len(w.times) == 41
+        x0 = {m.name: m.params.x0 for m in d13.memristors()}
+        states, volts = None, None
+        for k, t in enumerate(w.times):
+            for name, series in w.states.items():
+                assert series[k] == (states or x0)[name], (k, name)
+            fixed = _fixed_map(d13, stim, float(t))
+            volts, states = step(d13, states, volts, fixed, cfg.dt, cfg)
+            for node, series in w.probes.items():
+                assert series[k] == volts[node], (k, node)
+
     def test_finite_branch_power(self):
         c = divider_circuit()
         volts, states = step(c, None, None, {"top": 1.0}, dt=1e-12)

@@ -102,6 +102,13 @@ class TestParseErrors:
             parse("M1 a b RON=500 BOGUS=1\n")
         assert self._line_of(e) == 1
 
+    def test_memristor_temperature_key_rejected(self):
+        # T= is not part of the grammar; serialize could never emit it.
+        with pytest.raises(NetlistSyntaxError) as e:
+            parse("V1 a 0 DC 1\nM1 a 0 RON=500 T=350\n")
+        assert self._line_of(e) == 2
+        assert "unknown parameter" in str(e.value)
+
     def test_dangling_node(self):
         with pytest.raises(UnboundNodeError) as e:
             parse("V1 a 0 DC 1\nR1 a 0 1k\nR2 a floater 1k\n")

@@ -160,12 +160,10 @@ _D29_ERRATUM = ("2-9 expected values follow the product equations "
 def verify(backend: str, decoder: str, *,
            network: Optional[GateNetwork] = None,
            bands: Optional[VoltageBands] = None,
-           cfg: Optional[SolverConfig] = None,
-           jobs: int = 1) -> TruthTableReport:
+           cfg: Optional[SolverConfig] = None) -> TruthTableReport:
     """Exhaustive truth-table check of one decoder on one backend.
 
     ``network`` overrides the builtin topology (used for fault injection).
-    Analog vectors may run in parallel with ``jobs``.
     """
     if backend not in BACKENDS:
         raise KeyError(f"unknown backend {backend!r}")
@@ -185,11 +183,8 @@ def verify(backend: str, decoder: str, *,
                                         settled=True, settle_time=None))
         return TruthTableReport(decoder, backend, results, notes)
     circuit = elaborate(net)
-    if jobs > 1:
-        results = _verify_analog_parallel(decoder, net, vectors, bands, cfg, jobs)
-    else:
-        results = [_analog_vector(circuit, decoder, vec, bands, cfg)
-                   for vec in vectors]
+    results = [_analog_vector(circuit, decoder, vec, bands, cfg)
+               for vec in vectors]
     return TruthTableReport(decoder, backend, results, notes)
 
 
@@ -207,19 +202,6 @@ def _analog_vector(circuit: Circuit, decoder: str, vec: Mapping,
     return VectorResult(inputs=dict(vec), expected=expected,
                         observed=observed, settled=True,
                         settle_time=info["settle_time"])
-
-
-def _parallel_worker(args):
-    decoder, net, vec, bands, cfg = args
-    circuit = elaborate(net)
-    return _analog_vector(circuit, decoder, vec, bands, cfg)
-
-
-def _verify_analog_parallel(decoder, net, vectors, bands, cfg, jobs):
-    from concurrent.futures import ProcessPoolExecutor
-    work = [(decoder, net, vec, bands, cfg) for vec in vectors]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_parallel_worker, work))
 
 
 @dataclass(frozen=True)

@@ -141,6 +141,7 @@ def cmd_verify(args) -> int:
     backends = list(analysis.BACKENDS) if args.backend == "both" else [args.backend]
     out_dir = _out_dir(args)
     ok = True
+    solver_failed = False
     for decoder in decoders:
         network = builtin_network(decoder)
         if args.fault:
@@ -150,13 +151,15 @@ def cmd_verify(args) -> int:
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_INPUT
         for backend in backends:
-            report = analysis.verify(backend, decoder, network=network,
-                                     jobs=args.jobs)
+            report = analysis.verify(backend, decoder, network=network)
             print(report.summary())
             base = out_dir / f"verify_{decoder}_{backend}"
             _atomic_write(base.with_suffix(".txt"), report.to_text() + "\n")
             _atomic_write(base.with_suffix(".json"), report.to_json() + "\n")
             ok &= report.passed
+            solver_failed |= any(v.error for v in report.vectors)
+    if solver_failed:
+        return EXIT_SOLVER
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -232,8 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--backend", choices=[*analysis.BACKENDS, "both"],
                      default="both")
     ver.add_argument("--fault", help="inject a wiring fault, e.g. swap:Y7,Y5")
-    ver.add_argument("--jobs", type=int, default=1,
-                     help="parallel analog vectors")
     ver.add_argument("--out", help="output directory")
     ver.set_defaults(func=cmd_verify)
 

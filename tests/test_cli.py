@@ -49,11 +49,19 @@ class TestVerify:
         assert code == 0
         assert "d13/analog: 3/3" in out
 
-    def test_analog_parallel_jobs(self, capsys, tmp_path):
-        code, out, _ = run(capsys, "verify", "--decoder", "d13", "--backend",
-                           "analog", "--jobs", "2", "--out", str(tmp_path))
-        assert code == 0
-        assert "d13/analog: 3/3" in out
+    def test_solver_failure_exits_2(self, capsys, tmp_path, monkeypatch):
+        from ternsim import analysis
+        from ternsim.engine import NonConvergence
+
+        def fail(*args, **kwargs):
+            raise NonConvergence(1, "Y2")
+
+        monkeypatch.setattr(analysis, "steady_output", fail)
+        code, _, _ = run(capsys, "verify", "--decoder", "d13", "--backend",
+                         "analog", "--out", str(tmp_path))
+        assert code == 2
+        doc = json.loads((tmp_path / "verify_d13_analog.json").read_text())
+        assert all("NonConvergence" in v["error"] for v in doc["vectors"])
 
     def test_bad_fault_spec(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", "--decoder", "d13", "--backend",

@@ -4,15 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ternsim.core import (LEVELS, VoltageBands, ref_nti, ref_pti, ref_sti,
                           ref_tand, ref_tor)
-from ternsim.devices import MemristorParams
+from ternsim.devices import (MemristorParams, MemristorState, MosfetParams,
+                             memristance, mosfet_small_signal)
 from ternsim.engine import (NonConvergence, NotSettled, SingularSystem,
-                            SolverConfig, Stimulus, TransientError,
-                            kcl_residual, relax_states, run_transient,
-                            solve_dc, steady_output, step)
-from ternsim.netlist import CellKind, build_cell
+                            SolverConfig, Stimulus, TransientError, _System,
+                            _mosfet_companion, kcl_residual, relax_states,
+                            run_transient, solve_dc, steady_output, step)
+from ternsim.netlist import CellKind, build_cell, builtin_network, parse
+from ternsim.netlist.cells import elaborate
 from ternsim.netlist.model import (Circuit, Memristor, Mosfet, Port, Resistor,
                                    VSource)
 
@@ -90,6 +94,14 @@ class TestSolveDC:
         with pytest.raises(SingularSystem) as e:
             solve_dc(c, {"a": 1.0})
         assert e.value.node == "g1"
+
+    def test_floating_island_is_singular(self):
+        # a and b conduct to each other but to no pinned node
+        c = parse("V1 top 0 DC 1\nR0 top mid 1k\nR1 mid 0 1k\n"
+                  "R2 a b 1k\nR3 a b 1k\n.end\n")
+        with pytest.raises(SingularSystem) as e:
+            solve_dc(c, {"top": 1.0})
+        assert e.value.node == "a"
 
 
 class TestStep:
@@ -189,6 +201,21 @@ class TestTransient:
         assert e.value.cause.iterations == 1
         assert len(e.value.waveform.times) == 0
 
+    def test_input_slewing_through_pti_threshold_completes(self):
+        # At 70.3 ns A passes 0.7 V, where the A-side PTI NMOS sits at
+        # threshold: the undamped close-in Newton step two-cycles on a_pout,
+        # so only a retry that damps every step converges.
+        seq = [(0, 2), (2, 2), (2, 0), (1, 2), (1, 1),
+               (2, 0), (2, 1), (1, 1), (2, 1), (1, 0)]
+        stim = Stimulus({"A": tuple((i * 10e-9, LEVELS[a])
+                                    for i, (a, _) in enumerate(seq)),
+                         "B": tuple((i * 10e-9, LEVELS[b])
+                                    for i, (_, b) in enumerate(seq))},
+                        slew=0.5e-9)
+        circuit = elaborate(builtin_network("display"))
+        w = run_transient(circuit, stim, SolverConfig(t_stop=71e-9))
+        assert len(w.times) == 1421
+
 
 class TestSteadyOutput:
     def test_d29_one_hot_example(self, d29):
@@ -209,10 +236,89 @@ class TestSteadyOutput:
         with pytest.raises(NotSettled):
             steady_output(d13, {"X": L0}, cfg=SolverConfig(t_stop=1e-9))
 
+    def test_settle_skips_quiescent_steps(self, d13, monkeypatch):
+        # A settle step whose pinned voltages and states repeat the last
+        # solved step reuses its voltages: few solves, not one per step.
+        solve = np.linalg.solve
+        calls = []
+
+        def counting(a, b):
+            calls.append(1)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        for x in LEVELS:
+            calls.clear()
+            _, info = steady_output(d13, {"X": x}, return_info=True)
+            assert info["t_run"] >= 199 * SolverConfig().dt
+            assert 0 < len(calls) <= 40, x
+
     def test_settle_info(self, d13):
         out, info = steady_output(d13, {"X": L1}, return_info=True)
         assert info["settle_time"] < 20e-9
         assert set(info["voltages"]) == {"Y0", "Y1", "Y2"}
+
+
+def _fet_reference(polarity, lam, biases):
+    p = MosfetParams(polarity, vth=0.3, k=2e-3, channel_mod=lam)
+    return np.array([mosfet_small_signal(p, *b) for b in biases]).T
+
+
+def _fet_compiled(polarity, lam, biases):
+    n = len(biases)
+    vg, vd, vs = np.array(biases, dtype=float).T
+    sign = np.full(n, 1.0 if polarity == "NMOS" else -1.0)
+    return np.array(_mosfet_companion(sign, np.full(n, 0.3), np.full(n, 2e-3),
+                                      np.full(n, lam), vg, vd, vs))
+
+
+class TestCompiledKernels:
+    """The engine's array kernels against the scalar device models."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(("NMOS", "PMOS")),
+           st.sampled_from((0.0, 0.02, 0.3)),
+           st.lists(st.tuples(*[st.floats(-1.5, 1.5)] * 3),
+                    min_size=1, max_size=16))
+    def test_mosfet_companion_matches_scalar(self, polarity, lam, biases):
+        np.testing.assert_allclose(_fet_compiled(polarity, lam, biases),
+                                   _fet_reference(polarity, lam, biases),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("polarity", ["NMOS", "PMOS"])
+    @pytest.mark.parametrize("lam", [0.0, 0.05])
+    def test_mosfet_companion_every_region(self, polarity, lam):
+        grid = (-1.0, -0.6, -0.2, 0.0, 0.1, 0.35, 0.5, 0.8, 1.0)
+        biases = list(itertools.product(grid, repeat=3))
+        # Same arithmetic in the same order: equal, not merely close.
+        assert np.array_equal(_fet_compiled(polarity, lam, biases),
+                              _fet_reference(polarity, lam, biases))
+        sign = 1.0 if polarity == "NMOS" else -1.0
+        regions = set()
+        for vg, vd, vs in biases:
+            vg, vd, vs = sign * vg, sign * vd, sign * vs
+            lo, hi = min(vd, vs), max(vd, vs)
+            u = vg - lo - 0.3
+            region = ("cutoff" if u <= 0 else
+                      "triode" if hi - lo < u else "saturation")
+            regions.add((vd >= vs, region))
+        assert regions == {(fwd, r) for fwd in (True, False)
+                           for r in ("cutoff", "triode", "saturation")}
+
+    def test_memristor_conductance_is_reciprocal_memristance(self):
+        params = [MemristorParams(), MemristorParams(r_on=120.0, r_off=7e4),
+                  MemristorParams(r_on=1e3, r_off=1.5e3)]
+        xs = np.linspace(0.0, 1.0, 11)
+        devices = [VSource("V1", "top", "0", dc=1.0)]
+        states = {}
+        for i, (p, x) in enumerate(itertools.product(params, xs)):
+            devices.append(Memristor(f"M{i}", "top", "0", p))
+            states[f"M{i}"] = float(x)
+        system = _System(Circuit(name="m", devices=devices), ("top",))
+        got = system.mem_conductance(system.state_vector(states))
+        want = [1.0 / memristance(MemristorState(x), p)
+                for p, x in itertools.product(params, xs)]
+        assert got.tolist() == want
 
 
 class TestRelaxation:

@@ -82,7 +82,16 @@ def cmd_simulate(args) -> int:
     except (NetlistError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    cfg = _solver_config(args)
+    try:
+        cfg = _solver_config(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    formats = [f.strip() for f in args.formats.split(",")]
+    unknown = [f for f in formats if f not in ("csv", "vcd")]
+    if unknown:
+        print(f"error: unknown format {unknown[0]!r}", file=sys.stderr)
+        return EXIT_INPUT
     input_names = [p.name for p in circuit.input_ports() if p.name != "vdd"]
     if args.sweep_inputs:
         if not args.builtin:
@@ -100,7 +109,6 @@ def cmd_simulate(args) -> int:
     else:
         vectors = [None]  # netlist drives itself (PWL sources)
     out_dir = _out_dir(args)
-    formats = [f.strip() for f in args.formats.split(",")]
     supply = supply_voltage(circuit)
     bands = VoltageBands.default(supply)
     status = EXIT_OK
@@ -117,11 +125,8 @@ def cmd_simulate(args) -> int:
             buf = io.StringIO()
             if fmt == "csv":
                 wave.to_csv(buf)
-            elif fmt == "vcd":
-                wave.to_vcd(buf, bands)
             else:
-                print(f"error: unknown format {fmt!r}", file=sys.stderr)
-                return EXIT_INPUT
+                wave.to_vcd(buf, bands)
             _atomic_write(path, buf.getvalue())
             print(f"wrote {path}")
         for port in circuit.output_ports():

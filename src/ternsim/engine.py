@@ -12,6 +12,8 @@ from its branch voltage.
 from __future__ import annotations
 
 import csv
+import functools
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
@@ -261,14 +263,9 @@ class _System:
 
     def __init__(self, circuit: Circuit, fixed_nodes):
         self.fixed_idx_names = [n for n in dict.fromkeys(fixed_nodes) if n != GND]
-        order = [GND] + self.fixed_idx_names
-        seen = set(order)
-        for dev in circuit.devices:
-            for n in dev.nodes:
-                if n not in seen:
-                    order.append(n)
-                    seen.add(n)
-        self.nodes = order
+        self.nodes = order = list(dict.fromkeys(
+            [GND, *self.fixed_idx_names,
+             *(n for dev in circuit.devices for n in dev.nodes)]))
         self.index = {n: i for i, n in enumerate(order)}
         self.n = n = len(order)
         self.nfix = 1 + len(self.fixed_idx_names)
@@ -330,8 +327,10 @@ class _System:
             if find(i) not in pinned:
                 raise SingularSystem(self.nodes[i])
 
-    def state_vector(self, states: Mapping) -> np.ndarray:
-        return np.array([states[name] for name in self.mem_names], dtype=float)
+    def state_vector(self, states: Optional[Mapping]) -> np.ndarray:
+        """States in circuit order; a device missing from ``states`` has x0."""
+        return np.array([_state(states, name, p) for name, p
+                         in zip(self.mem_names, self.mem_params)], dtype=float)
 
     def state_dict(self, x: np.ndarray) -> dict:
         return dict(zip(self.mem_names, x.tolist()))
@@ -422,10 +421,6 @@ class _System:
         except NonConvergence:
             return self.newton(self._g_lin, fixed_vals, v0, cfg, retry=True)
 
-    def pin(self, fixed: Mapping) -> np.ndarray:
-        """Pinned voltages in ``fixed_idx_names`` order."""
-        return np.array([fixed[n] for n in self.fixed_idx_names], dtype=float)
-
     def advance(self, x: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
         """Integrate every memristor state from its branch voltage."""
         bias = (v[self.mem_a] - v[self.mem_c]).tolist()
@@ -457,30 +452,48 @@ class _System:
             yield k, t, v, x
             x = self.advance(x, v, cfg.dt)
 
+    def relax(self, x: np.ndarray, fixed_vals: np.ndarray, v: np.ndarray,
+              cfg: SolverConfig):
+        """Iterate the polarity rule to a fixed point; returns (x, v).
 
-def _normalize_states(circuit: Circuit, states: Optional[Mapping]) -> dict:
-    states = states or {}
-    out = {}
-    for d in circuit.memristors():
-        x = states.get(d.name, d.params.x0)
-        out[d.name] = x.x if isinstance(x, MemristorState) else float(x)
-    return out
+        A forward-biased memristor goes to 1, a reverse-biased one to 0.  At
+        a fixed point ``v`` is the network solved with the returned ``x``.
+        """
+        for _ in range(max(8, len(x) + 2)):
+            v = self.solve(x, fixed_vals, v, cfg)
+            bias = v[self.mem_a] - v[self.mem_c]
+            new = np.where(bias > 1e-9, 1.0, np.where(bias < -1e-9, 0.0, x))
+            if np.array_equal(new, x):
+                break
+            x = new
+        return x, v
 
 
-def _fixed_map(circuit: Circuit, stim: Optional[Stimulus], t: float) -> dict:
-    """Node voltages pinned by sources and by the stimulus at time t."""
-    fixed = {}
-    for src in circuit.sources():
-        if src.pos != GND:
-            fixed[src.pos] = src.value_at(t)
+def _state(states: Optional[Mapping], name: str, params) -> float:
+    """A memristor's state from ``states`` (float or MemristorState), else x0."""
+    x = (states or {}).get(name, params.x0)
+    return x.x if isinstance(x, MemristorState) else float(x)
+
+
+def _drivers(circuit: Circuit, stim: Optional[Stimulus]) -> dict:
+    """Pinned nodes, sources first, each mapped to its voltage over time.
+
+    Raises ValueError for a stimulus port that is not an input port, or
+    whose node a source (or an earlier port) already drives.
+    """
+    drivers = {s.pos: s.value_at for s in circuit.sources() if s.pos != GND}
     if stim is not None:
+        inputs = {p.name for p in circuit.input_ports()}
         for port in stim.ports():
+            if port not in inputs:
+                raise ValueError(f"stimulus port {port!r} is not an input "
+                                 f"port of {circuit.name!r}")
             node = circuit.port(port).node
-            if node in fixed:
+            if node in drivers:
                 raise ValueError(f"port {port!r} node {node!r} is already "
                                  f"driven by a source")
-            fixed[node] = stim.voltage_at(port, t)
-    return fixed
+            drivers[node] = functools.partial(stim.voltage_at, port)
+    return drivers
 
 
 def supply_voltage(circuit: Circuit) -> float:
@@ -489,25 +502,21 @@ def supply_voltage(circuit: Circuit) -> float:
     return max(dc) if dc else 1.0
 
 
-def _check_stimulus(circuit: Circuit, stim: Stimulus) -> None:
-    input_names = {p.name for p in circuit.input_ports()}
-    for port in stim.ports():
-        if port not in input_names:
-            raise ValueError(f"stimulus port {port!r} is not an input port "
-                             f"of {circuit.name!r}")
-
-
 def _dc_system(circuit: Circuit, fixed: Mapping,
+               states: Optional[Mapping] = None,
                v_init: Optional[Mapping] = None):
-    """System pinning ``fixed``, its pinned values and a start guess."""
-    fixed = {n: v for n, v in fixed.items() if n != GND}
-    system = _System(circuit, tuple(fixed))
-    v0 = np.full(system.n, 0.5 * max([*fixed.values(), 0.0]))
-    if v_init is not None:
-        for node, val in v_init.items():
-            if node in system.index:
-                v0[system.index[node]] = val
-    return system, system.pin(fixed), v0
+    """System pinning ``fixed``: (system, pinned values, states, start guess).
+
+    The guess is half the highest pinned voltage, overlaid with ``v_init``.
+    """
+    system = _System(circuit, fixed)
+    fixed_vals = [fixed[n] for n in system.fixed_idx_names]
+    v0 = np.full(system.n, 0.5 * max([*fixed_vals, 0.0]))
+    for node, val in (v_init or {}).items():
+        if node in system.index:
+            v0[system.index[node]] = val
+    return (system, np.array(fixed_vals, dtype=float),
+            system.state_vector(states), v0)
 
 
 def solve_dc(circuit: Circuit, fixed: Mapping, states: Optional[Mapping] = None,
@@ -519,16 +528,13 @@ def solve_dc(circuit: Circuit, fixed: Mapping, states: Optional[Mapping] = None,
     is always pinned at 0.  Returns a voltage for every node.
     """
     cfg = cfg or SolverConfig()
-    state_map = _normalize_states(circuit, states)
-    system, fixed_vals, v0 = _dc_system(circuit, fixed, v_init)
-    v = system.solve(system.state_vector(state_map), fixed_vals, v0, cfg)
-    return dict(zip(system.nodes, v.tolist()))
+    system, fixed_vals, x, v0 = _dc_system(circuit, fixed, states, v_init)
+    return dict(zip(system.nodes, system.solve(x, fixed_vals, v0, cfg).tolist()))
 
 
 def kcl_residual(circuit: Circuit, voltages: Mapping,
                  states: Optional[Mapping] = None) -> dict:
     """True KCL current residual at every node (for verification)."""
-    state_map = _normalize_states(circuit, states)
     residual = {n: 0.0 for n in circuit.nodes}
     for dev in circuit.devices:
         if isinstance(dev, Resistor):
@@ -536,7 +542,8 @@ def kcl_residual(circuit: Circuit, voltages: Mapping,
             residual[dev.n1] += i
             residual[dev.n2] -= i
         elif isinstance(dev, Memristor):
-            r = memristance(MemristorState(state_map[dev.name]), dev.params)
+            x = _state(states, dev.name, dev.params)
+            r = memristance(MemristorState(x), dev.params)
             i = (voltages[dev.anode] - voltages[dev.cathode]) / r
             residual[dev.anode] += i
             residual[dev.cathode] -= i
@@ -556,25 +563,22 @@ def step(circuit: Circuit, states: Mapping, voltages: Mapping, fixed: Mapping,
     for this instant.
     """
     cfg = cfg or SolverConfig()
-    state_map = _normalize_states(circuit, states)
     _warn_if_coarse(circuit, dt)
-    system, fixed_vals, v0 = _dc_system(circuit, fixed, voltages)
-    x = system.state_vector(state_map)
+    system, fixed_vals, x, v0 = _dc_system(circuit, fixed, states, voltages)
     v = system.solve(x, fixed_vals, v0, cfg)
     return (dict(zip(system.nodes, v.tolist())),
             system.state_dict(system.advance(x, v, dt)))
 
 
 def _warn_if_coarse(circuit: Circuit, dt: float) -> None:
-    taus = [d.params.tau for d in circuit.devices if isinstance(d, Memristor)]
-    if taus and dt > min(taus) / 2:
-        warnings.warn(f"dt={dt:.2e} exceeds tau/2={min(taus) / 2:.2e}; "
+    tau = min_tau(circuit, default=math.inf)
+    if dt > tau / 2:
+        warnings.warn(f"dt={dt:.2e} exceeds tau/2={tau / 2:.2e}; "
                       f"state integration may be inaccurate", stacklevel=3)
 
 
 def min_tau(circuit: Circuit, default: float = 500e-12) -> float:
-    taus = [d.params.tau for d in circuit.devices if isinstance(d, Memristor)]
-    return min(taus) if taus else default
+    return min((d.params.tau for d in circuit.memristors()), default=default)
 
 
 def run_transient(circuit: Circuit, stim: Optional[Stimulus] = None,
@@ -587,15 +591,14 @@ def run_transient(circuit: Circuit, stim: Optional[Stimulus] = None,
     each device's x0 unless overridden.
     """
     cfg = cfg or SolverConfig()
-    if stim is not None:
-        _check_stimulus(circuit, stim)
-    state_map = _normalize_states(circuit, states)
+    drivers = _drivers(circuit, stim)
     _warn_if_coarse(circuit, cfg.dt)
     n_steps = int(round(cfg.t_stop / cfg.dt))
     times = np.arange(n_steps + 1) * cfg.dt
-    system = _System(circuit, tuple(_fixed_map(circuit, stim, 0.0)))
-    v = np.full(system.n, supply_voltage(circuit) / 2.0)
-    probe_nodes = _probe_order(circuit, system)
+    system = _System(circuit, drivers)
+    pinned = [drivers[n] for n in system.fixed_idx_names]
+    probe_nodes = list(dict.fromkeys([p.node for p in circuit.ports]
+                                     + sorted(system.nodes)))
     probe_idx = np.array([system.index[n] for n in probe_nodes], dtype=np.intp)
     volts = np.empty((len(probe_nodes), len(times)))
     xs = np.empty((len(system.mem_names), len(times)))
@@ -609,25 +612,15 @@ def run_transient(circuit: Circuit, stim: Optional[Stimulus] = None,
     done = 0
     try:
         for k, _, v, x in system.march(
-                cfg, lambda t: system.pin(_fixed_map(circuit, stim, t)),
-                system.state_vector(state_map), v):
+                cfg, lambda t: np.array([f(t) for f in pinned], dtype=float),
+                system.state_vector(states),
+                np.full(system.n, supply_voltage(circuit) / 2.0)):
             volts[:, k] = v[probe_idx]
             xs[:, k] = x
             done = k + 1
     except (NonConvergence, SingularSystem) as exc:
         raise TransientError(exc, float(times[done]), recorded(done)) from exc
     return recorded(done)
-
-
-def _probe_order(circuit: Circuit, system: _System) -> list:
-    ordered = []
-    for p in circuit.ports:
-        if p.node not in ordered:
-            ordered.append(p.node)
-    for node in sorted(system.nodes):
-        if node not in ordered:
-            ordered.append(node)
-    return ordered
 
 
 def relax_states(circuit: Circuit, fixed: Mapping,
@@ -642,17 +635,8 @@ def relax_states(circuit: Circuit, fixed: Mapping,
     always reach within a hard-threshold model.
     """
     cfg = cfg or SolverConfig()
-    state_map = _normalize_states(circuit, states)
-    system, fixed_vals, v = _dc_system(circuit, fixed)
-    x = system.state_vector(state_map)
-    for _ in range(max(8, len(x) + 2)):
-        v = system.solve(x, fixed_vals, v, cfg)
-        bias = v[system.mem_a] - v[system.mem_c]
-        new = np.where(bias > 1e-9, 1.0, np.where(bias < -1e-9, 0.0, x))
-        if np.array_equal(new, x):
-            break
-        x = new
-    return system.state_dict(x)
+    system, fixed_vals, x, v = _dc_system(circuit, fixed, states)
+    return system.state_dict(system.relax(x, fixed_vals, v, cfg)[0])
 
 
 def steady_output(circuit: Circuit, inputs: Mapping,
@@ -662,28 +646,25 @@ def steady_output(circuit: Circuit, inputs: Mapping,
     """Quantized settled output levels under constant input levels.
 
     Memristor states are first relaxed to their constant-bias steady state,
-    then the transient runs until every output port holds one quantization
-    region for a 20-tau window.  Raises NotSettled if no window is found by
-    t_stop.  With ``return_info`` also returns a dict carrying the settle
-    time and final voltages.
+    then the transient runs from the relaxed states and voltages until every
+    output port holds one quantization region for a 20-tau window.  Raises
+    NotSettled if no window is found by t_stop.  With ``return_info`` also
+    returns a dict carrying the settle time and final voltages.
     """
     cfg = cfg or SolverConfig()
     supply = supply_voltage(circuit)
     bands = bands or VoltageBands.default(supply)
-    stim = Stimulus.hold(dict(inputs), vdd=supply)
-    _check_stimulus(circuit, stim)
-    fixed = _fixed_map(circuit, stim, 0.0)
-    state_map = relax_states(circuit, fixed, cfg=cfg)
-    system = _System(circuit, tuple(fixed))
-    fixed_vals = system.pin(fixed)
+    drivers = _drivers(circuit, Stimulus.hold(dict(inputs), vdd=supply))
+    system, fixed_vals, x, v = _dc_system(
+        circuit, {n: f(0.0) for n, f in drivers.items()})
+    x, v = system.relax(x, fixed_vals, v, cfg)
     out_idx = {p.name: system.index[p.node] for p in circuit.output_ports()}
     window = max(2, int(round(20.0 * min_tau(circuit) / cfg.dt)))
     run_len = 0
     regions = v_seen = None
     settle_time = 0.0
-    for _, t, v, x in system.march(
-            cfg, lambda _t: fixed_vals, system.state_vector(state_map),
-            np.full(system.n, supply / 2.0), bypass=True):
+    for _, t, v, x in system.march(cfg, lambda _t: fixed_vals, x, v,
+                                   bypass=True):
         if v is not v_seen:  # a bypassed step yields the same voltages
             now = {p: bands.region(float(v[i])) for p, i in out_idx.items()}
             v_seen = v

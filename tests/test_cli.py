@@ -152,6 +152,20 @@ class TestSimulate:
         assert code == 1
         assert "line 1" in err
 
+    def test_bad_solver_setting_exit_1(self, capsys, tmp_path):
+        code, _, err = run(capsys, "simulate", "--builtin", "d13", "--dt",
+                           "-1", "--out", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error: dt must be positive")
+
+    def test_unknown_format_rejected_before_simulating(self, capsys, tmp_path):
+        code, _, err = run(capsys, "simulate", "--builtin", "d13", "--inputs",
+                           "2", "--t-stop", "1e-9", "--formats", "csv,bogus",
+                           "--out", str(tmp_path))
+        assert code == 1
+        assert "unknown format 'bogus'" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_inputs_count(self, capsys, tmp_path):
         code, _, err = run(capsys, "simulate", "--builtin", "d29", "--inputs",
                            "2", "--out", str(tmp_path))

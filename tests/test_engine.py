@@ -11,10 +11,12 @@ from ternsim.core import (LEVELS, VoltageBands, ref_nti, ref_pti, ref_sti,
                           ref_tand, ref_tor)
 from ternsim.devices import (MemristorParams, MemristorState, MosfetParams,
                              memristance, mosfet_small_signal)
+from ternsim import engine
 from ternsim.engine import (NonConvergence, NotSettled, SingularSystem,
                             SolverConfig, Stimulus, TransientError, _System,
-                            _mosfet_companion, kcl_residual, relax_states,
-                            run_transient, solve_dc, steady_output, step)
+                            _drivers, _mosfet_companion, kcl_residual,
+                            relax_states, run_transient, solve_dc,
+                            steady_output, step)
 from ternsim.netlist import CellKind, build_cell, builtin_network, parse
 from ternsim.netlist.cells import elaborate
 from ternsim.netlist.model import (Circuit, Memristor, Mosfet, Port, Resistor,
@@ -23,6 +25,23 @@ from ternsim.netlist.model import (Circuit, Memristor, Mosfet, Port, Resistor,
 L0, L1, L2 = LEVELS
 P = MemristorParams()
 BANDS = VoltageBands.default(1.0)
+
+
+def pinned_at(circuit, stim, t):
+    """Node voltages pinned by the sources and ``stim`` at time t."""
+    return {n: f(t) for n, f in _drivers(circuit, stim).items()}
+
+
+def count_linear_solves(monkeypatch):
+    solve = np.linalg.solve
+    calls = []
+
+    def counting(a, b):
+        calls.append(1)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    return calls
 
 
 def divider_circuit():
@@ -67,10 +86,9 @@ class TestSolveDC:
             assert v["mid"] == pytest.approx(expected, abs=1e-9)
 
     def test_kcl_residual_bound(self, d13):
-        from ternsim.engine import _fixed_map
         cfg = SolverConfig()
         for x in LEVELS:
-            fixed = _fixed_map(d13, Stimulus.hold({"X": x}), 0.0)
+            fixed = pinned_at(d13, Stimulus.hold({"X": x}), 0.0)
             states = relax_states(d13, fixed)
             v = solve_dc(d13, fixed, states, cfg)
             res = kcl_residual(d13, v, states)
@@ -116,13 +134,11 @@ class TestStep:
         assert volts["a"] == 1.0
 
     def test_subthreshold_states_unchanged(self, d13):
-        from ternsim.engine import _fixed_map
         fixed = {"vdd": 0.0, "X": 0.0}
         volts, states = step(d13, None, None, fixed, dt=1e-12)
         assert all(x == 0.0 for x in states.values())
 
     def test_iterated_step_reproduces_run_transient(self, d13):
-        from ternsim.engine import _fixed_map
         stim = Stimulus.hold({"X": L2})
         cfg = SolverConfig(t_stop=2e-9)
         w = run_transient(d13, stim, cfg)
@@ -132,7 +148,7 @@ class TestStep:
         for k, t in enumerate(w.times):
             for name, series in w.states.items():
                 assert series[k] == (states or x0)[name], (k, name)
-            fixed = _fixed_map(d13, stim, float(t))
+            fixed = pinned_at(d13, stim, float(t))
             volts, states = step(d13, states, volts, fixed, cfg.dt, cfg)
             for node, series in w.probes.items():
                 assert series[k] == volts[node], (k, node)
@@ -183,9 +199,29 @@ class TestTransient:
             assert (diffs >= -1e-12).all() or (diffs <= 1e-12).all(), name
 
     def test_unknown_stimulus_port_rejected(self, d13):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'nope' is not an input port"):
             run_transient(d13, Stimulus.hold({"nope": L0}),
                           SolverConfig(t_stop=1e-9))
+
+    def test_stimulus_on_source_driven_port_rejected(self, d13):
+        # the vdd port is an input whose node the supply source drives
+        with pytest.raises(ValueError, match="already driven by a source"):
+            run_transient(d13, Stimulus.hold({"X": L0, "vdd": L2}),
+                          SolverConfig(t_stop=1e-9))
+
+    def test_sources_resolved_once_per_run(self, display, monkeypatch):
+        sources = Circuit.sources
+        calls = []
+
+        def counting(circuit):
+            calls.append(1)
+            return sources(circuit)
+
+        monkeypatch.setattr(Circuit, "sources", counting)
+        w = run_transient(display, Stimulus.hold({"A": L2, "B": L1}),
+                          SolverConfig(t_stop=2e-9))
+        assert len(w.times) == 41
+        assert len(calls) <= 3
 
     def test_states_bounded(self, d29):
         w = run_transient(d29, Stimulus.hold({"A": L1, "B": L1}),
@@ -239,19 +275,33 @@ class TestSteadyOutput:
     def test_settle_skips_quiescent_steps(self, d13, monkeypatch):
         # A settle step whose pinned voltages and states repeat the last
         # solved step reuses its voltages: few solves, not one per step.
-        solve = np.linalg.solve
-        calls = []
-
-        def counting(a, b):
-            calls.append(1)
-            return solve(a, b)
-
-        monkeypatch.setattr(np.linalg, "solve", counting)
+        calls = count_linear_solves(monkeypatch)
         for x in LEVELS:
             calls.clear()
             _, info = steady_output(d13, {"X": x}, return_info=True)
             assert info["t_run"] >= 199 * SolverConfig().dt
             assert 0 < len(calls) <= 40, x
+
+    def test_settle_starts_from_relaxed_voltages(self, d13, monkeypatch):
+        # The settle march starts where relaxation ended, not from a cold
+        # supply/2 guess: each vector needs fewer linear solves.
+        calls = count_linear_solves(monkeypatch)
+        for x in LEVELS:
+            calls.clear()
+            steady_output(d13, {"X": x})
+            assert len(calls) <= 24, x
+
+    def test_one_system_per_call(self, d29, monkeypatch):
+        builds = []
+
+        class Counting(_System):
+            def __init__(self, *args):
+                builds.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(engine, "_System", Counting)
+        assert steady_output(d29, {"A": L2, "B": L1})["Y7"] == L2
+        assert len(builds) == 1
 
     def test_settle_info(self, d13):
         out, info = steady_output(d13, {"X": L1}, return_info=True)

@@ -14,9 +14,8 @@ from .devices import (MemristorParams, MemristorState, MosfetParams,
                       NonpositiveTimestep, digital_memristance, memristance,
                       mosfet_current, update_state)
 from .netlist import (CellKind, Circuit, GateNetwork, build_cell,
-                      build_decoder_1_3, build_decoder_2_9,
-                      build_decoder_display, builtin_network, elaborate,
-                      mutate_network, parse, serialize)
+                      builtin_network, elaborate, mutate_network, parse,
+                      serialize)
 from .engine import (NonConvergence, NotSettled, SingularSystem, SolverConfig,
                      Stimulus, TransientError, Waveform, kcl_residual,
                      run_transient, solve_dc, steady_output, step)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .core import (INDETERMINATE, LEVELS, TernaryLevel, VoltageBands,
                    decode_2bit, encode_2bit)
@@ -43,6 +43,7 @@ DIGIT_SEGMENTS = {
     7: "abc",
     8: "abcdefg",
 }
+_DIGIT_OF = {segs: digit for digit, segs in DIGIT_SEGMENTS.items()}
 
 
 def input_vectors(decoder: str) -> list:
@@ -80,10 +81,10 @@ def displayed_digit(decoder_inputs: Mapping) -> int:
     """Digit shown for a display-decoder input pair (active-low segments)."""
     outs = expected_outputs("display", decoder_inputs)
     lit = "".join(s for s in SEGMENTS if outs[f"Y{s}"] == TernaryLevel.L0)
-    for digit, segs in DIGIT_SEGMENTS.items():
-        if segs == lit:
-            return digit
-    raise ValueError(f"no digit renders segments {lit!r}")  # pragma: no cover
+    try:
+        return _DIGIT_OF[lit]
+    except KeyError:  # pragma: no cover
+        raise ValueError(f"no digit renders segments {lit!r}") from None
 
 
 @dataclass
@@ -159,7 +160,6 @@ _D29_ERRATUM = ("2-9 expected values follow the product equations "
 
 def verify(backend: str, decoder: str, *,
            network: Optional[GateNetwork] = None,
-           bands: Optional[VoltageBands] = None,
            cfg: Optional[SolverConfig] = None) -> TruthTableReport:
     """Exhaustive truth-table check of one decoder on one backend.
 
@@ -183,17 +183,15 @@ def verify(backend: str, decoder: str, *,
                                         settled=True, settle_time=None))
         return TruthTableReport(decoder, backend, results, notes)
     circuit = elaborate(net)
-    results = [_analog_vector(circuit, decoder, vec, bands, cfg)
-               for vec in vectors]
+    results = [_analog_vector(circuit, decoder, vec, cfg) for vec in vectors]
     return TruthTableReport(decoder, backend, results, notes)
 
 
 def _analog_vector(circuit: Circuit, decoder: str, vec: Mapping,
-                   bands, cfg) -> VectorResult:
+                   cfg) -> VectorResult:
     expected = expected_outputs(decoder, vec)
     try:
-        observed, info = steady_output(circuit, vec, bands=bands, cfg=cfg,
-                                       return_info=True)
+        observed, info = steady_output(circuit, vec, cfg=cfg, return_info=True)
     except (NotSettled, NonConvergence, SingularSystem) as exc:
         return VectorResult(inputs=dict(vec), expected=expected,
                             observed={p: INDETERMINATE for p in expected},
@@ -218,19 +216,14 @@ class GlitchEvent:
             raise ValueError("glitch must have t_end > t_start")
 
 
-def detect_glitches(w: Waveform, stim: Stimulus, bands: VoltageBands,
-                    nodes: Optional[Sequence[str]] = None,
-                    min_samples: int = 2) -> list:
-    """Find band excursions that leave and re-enter a node's settled band.
+def detect_glitches(w: Waveform, stim: Stimulus, bands: VoltageBands) -> list:
+    """Find band excursions that leave and re-enter a port node's settled band.
 
     Windows run from each stimulus event to the next; within a window a node
-    must first reach its final band, and any later run of at least
-    ``min_samples`` samples outside that band that returns to it is reported.
-    The minimum width suppresses single-sample solver jitter.
+    must first reach its final band, and any later run of at least two
+    samples outside that band that returns to it is reported.  The minimum
+    width suppresses single-sample solver jitter.
     """
-    if nodes is None:
-        nodes = [n for n in w.port_nodes.values() if n in w.probes]
-        nodes = list(dict.fromkeys(nodes)) or list(w.probes)
     events = [t for t in stim.event_times() if t <= w.times[-1]]
     if not events or events[0] > 0.0:
         events = [0.0] + events
@@ -242,7 +235,7 @@ def detect_glitches(w: Waveform, stim: Stimulus, bands: VoltageBands,
         if i1 - i0 >= 2:
             bounds.append((i0, i1))
     glitches = []
-    for node in nodes:
+    for node in dict.fromkeys(w.port_nodes.values()):
         series = w.probes[node]
         for i0, i1 in bounds:
             final = bands.region(float(series[i1 - 1]))
@@ -256,7 +249,7 @@ def detect_glitches(w: Waveform, stim: Stimulus, bands: VoltageBands,
                     if run_start is None:
                         run_start = i
                 else:
-                    if run_start is not None and i - run_start >= min_samples:
+                    if run_start is not None and i - run_start >= 2:
                         glitches.append(GlitchEvent(
                             node=node,
                             t_start=float(w.times[run_start]),
@@ -268,10 +261,11 @@ def detect_glitches(w: Waveform, stim: Stimulus, bands: VoltageBands,
 
 def measure_settling(w: Waveform, node: str, bands: VoltageBands,
                      stim: Optional[Stimulus] = None,
-                     min_hold: float = 10e-9) -> float:
+                     min_hold: Optional[float] = None) -> float:
     """Seconds from the last stimulus event to the final entry into the
     settled band.  Raises NotSettled when the trailing stable run is shorter
-    than ``min_hold``."""
+    than ``min_hold``, by default the lesser of 10 ns and half the run, but
+    at least one step."""
     if node in w.port_nodes:
         node = w.port_nodes[node]
     series = w.probes[node]
@@ -280,6 +274,8 @@ def measure_settling(w: Waveform, node: str, bands: VoltageBands,
     while entry > 0 and bands.region(float(series[entry - 1])) == final:
         entry -= 1
     hold = float(w.times[-1] - w.times[entry])
+    if min_hold is None:
+        min_hold = max(w.dt, min(10e-9, 0.5 * float(w.times[-1])))
     if hold < min_hold:
         raise NotSettled(float(w.times[-1]))
     last_event = 0.0
@@ -391,14 +387,12 @@ class ResourceReport:
         }, indent=2)
 
 
-def resource_report(ternary: Circuit, baseline_kind: str = "BCD") -> ResourceReport:
+def resource_report(ternary: Circuit) -> ResourceReport:
     """Compare measured circuit resources against the quoted baseline figures.
 
     The baseline is the conventional binary BCD-to-seven-segment decoder;
     it exists in this report only through its published figures.
     """
-    if baseline_kind.upper() != "BCD":
-        raise KeyError(f"unknown baseline {baseline_kind!r}")
     pins_in = len(ternary.input_ports())
     if any(p.name == "vdd" for p in ternary.ports):
         pins_in -= 1  # supply pin is not a signal pin
@@ -443,10 +437,7 @@ def seven_segment_render(segments: Mapping, polarity: str = "common_anode"):
         " {} ".format(bar if lit["d"] else " "),
     ]
     text = "\n".join(rows)
-    lit_set = "".join(s for s in SEGMENTS if lit[s])
-    digit = next((d for d, segs in DIGIT_SEGMENTS.items() if segs == lit_set),
-                 None)
-    return text, digit
+    return text, _DIGIT_OF.get("".join(s for s in SEGMENTS if lit[s]))
 
 
 def segments_from_levels(levels: Mapping) -> dict:

@@ -187,7 +187,7 @@ def cmd_decode(args) -> int:
 
 def cmd_compare(args) -> int:
     circuit = elaborate(builtin_network("display"))
-    report = analysis.resource_report(circuit, baseline_kind="BCD")
+    report = analysis.resource_report(circuit)
     text = report.to_json() if args.format == "json" else report.to_text()
     print(text)
     out_dir = _out_dir(args)

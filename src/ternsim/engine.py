@@ -63,23 +63,26 @@ class TransientError(RuntimeError):
         super().__init__(f"transient aborted at t={t:.3e} s: {cause}")
 
 
+# Newton converges once max|dv| < NEWTON_TOL volts.  A step is damped by
+# DAMPING and clipped to MAX_STEP_VOLTS.  GMIN siemens tie every free node
+# to ground, as in SPICE.
+NEWTON_TOL = 1e-6
+DAMPING = 0.7
+GMIN = 1e-15
+MAX_STEP_VOLTS = 0.5
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     dt: float = 50e-12
     t_stop: float = 100e-9
-    newton_tol: float = 1e-6
     newton_max_iter: int = 200
-    damping: float = 0.7
-    gmin: float = 1e-15
-    max_step_volts: float = 0.5
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_stop < 0:
             raise ValueError("dt must be positive and t_stop non-negative")
-        if self.newton_tol <= 0 or self.newton_max_iter < 1:
-            raise ValueError("newton_tol must be positive, max_iter >= 1")
-        if not 0 < self.damping <= 1:
-            raise ValueError("damping must lie in (0, 1]")
+        if self.newton_max_iter < 1:
+            raise ValueError("newton_max_iter must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -153,9 +156,6 @@ class Waveform:
                 raise ValueError(f"series {name!r} length {len(series)} != {n}")
             if n and (series.min() < 0.0 or series.max() > 1.0):
                 raise ValueError(f"state series {name!r} leaves [0, 1]")
-
-    def voltage(self, node: str) -> np.ndarray:
-        return self.probes[node]
 
     def port_voltage(self, port: str) -> np.ndarray:
         return self.probes[self.port_nodes[port]]
@@ -354,11 +354,11 @@ class _System:
                retry: bool = False) -> np.ndarray:
         """Damped Newton on the nonlinear KCL system; returns all node voltages.
 
-        The first attempt damps by ``cfg.damping`` but takes the full step
-        once max|dv| < 0.05 V: there it is safe, lands linear subnetworks
-        exactly, and damping would stall a residual of order
-        (1 - damping) * tol.  A retry damps every step by 0.3, which breaks
-        the two-cycles a full step can fall into at a device's threshold.
+        The first attempt damps by ``DAMPING`` but takes the full step once
+        max|dv| < 0.05 V: there it is safe, lands linear subnetworks exactly,
+        and damping would stall a residual of order (1 - DAMPING) * tol.  A
+        retry damps every step by 0.3, which breaks the two-cycles a full
+        step can fall into at a device's threshold.
         """
         nf, n = self.nfix, self.n
         v = v0.copy()
@@ -372,10 +372,10 @@ class _System:
         nb, nw = at.size, 6 * d.size
         weights = np.empty(bins.size)
         weights[:nb] = g_lin.reshape(-1)[at]
-        weights[nb + nw:] = cfg.gmin
+        weights[nb + nw:] = GMIN
         stamps = weights[nb:nb + nw].reshape(-1, 6)
         currents = np.empty((d.size, 2))
-        damping = 0.3 if retry else cfg.damping
+        damping = 0.3 if retry else DAMPING
         worst = nf
         for _ in range(cfg.newton_max_iter):
             vg, vd, vs = v[g], v[d], v[s]
@@ -406,8 +406,8 @@ class _System:
                 v[nf:] += delta
             else:
                 v[nf:] += np.clip(damping * delta,
-                                  -cfg.max_step_volts, cfg.max_step_volts)
-            if dmax < cfg.newton_tol:
+                                  -MAX_STEP_VOLTS, MAX_STEP_VOLTS)
+            if dmax < NEWTON_TOL:
                 return v
         raise NonConvergence(cfg.newton_max_iter, self.nodes[worst])
 
@@ -520,15 +520,14 @@ def _dc_system(circuit: Circuit, fixed: Mapping,
 
 
 def solve_dc(circuit: Circuit, fixed: Mapping, states: Optional[Mapping] = None,
-             cfg: Optional[SolverConfig] = None,
-             v_init: Optional[Mapping] = None) -> dict:
+             cfg: Optional[SolverConfig] = None) -> dict:
     """DC operating point with frozen memristor states.
 
     ``fixed`` maps node names to pinned voltages (sources and inputs); ground
     is always pinned at 0.  Returns a voltage for every node.
     """
     cfg = cfg or SolverConfig()
-    system, fixed_vals, x, v0 = _dc_system(circuit, fixed, states, v_init)
+    system, fixed_vals, x, v0 = _dc_system(circuit, fixed, states)
     return dict(zip(system.nodes, system.solve(x, fixed_vals, v0, cfg).tolist()))
 
 
@@ -582,13 +581,11 @@ def min_tau(circuit: Circuit, default: float = 500e-12) -> float:
 
 
 def run_transient(circuit: Circuit, stim: Optional[Stimulus] = None,
-                  cfg: Optional[SolverConfig] = None,
-                  states: Optional[Mapping] = None) -> Waveform:
+                  cfg: Optional[SolverConfig] = None) -> Waveform:
     """Transient run over [0, t_stop], sampling every node each dt.
 
     Input ports named by the stimulus are pinned to its levels; all other
-    sources follow their own waveforms.  Initial memristor states come from
-    each device's x0 unless overridden.
+    sources follow their own waveforms.  Every memristor starts from its x0.
     """
     cfg = cfg or SolverConfig()
     drivers = _drivers(circuit, stim)
@@ -613,7 +610,7 @@ def run_transient(circuit: Circuit, stim: Optional[Stimulus] = None,
     try:
         for k, _, v, x in system.march(
                 cfg, lambda t: np.array([f(t) for f in pinned], dtype=float),
-                system.state_vector(states),
+                system.state_vector(None),
                 np.full(system.n, supply_voltage(circuit) / 2.0)):
             volts[:, k] = v[probe_idx]
             xs[:, k] = x

@@ -5,9 +5,7 @@ from .model import (GND, Circuit, Device, DuplicateNameError, Memristor,
                     UnboundNodeError, UnknownDeviceError, VSource)
 from .parser import parse, serialize
 from .cells import (BUILTIN_NETWORKS, CellKind, GateNetwork, GateSpec,
-                    InvalidArity, SEGMENT_TERMS, build_cell,
-                    build_decoder_1_3, build_decoder_2_9,
-                    build_decoder_display, builtin_network,
+                    InvalidArity, SEGMENT_TERMS, build_cell, builtin_network,
                     decoder_1_3_network, decoder_2_9_network,
                     decoder_display_network, elaborate, mutate_network)
 
@@ -18,6 +16,5 @@ __all__ = [
     "CellKind", "GateSpec", "GateNetwork", "InvalidArity", "SEGMENT_TERMS",
     "build_cell", "elaborate", "builtin_network", "mutate_network",
     "BUILTIN_NETWORKS", "decoder_1_3_network", "decoder_2_9_network",
-    "decoder_display_network", "build_decoder_1_3", "build_decoder_2_9",
-    "build_decoder_display",
+    "decoder_display_network",
 ]

@@ -169,18 +169,18 @@ def _expand_sti(name: str, inp: str, out: str, devices: list, vdd_net: str):
     devices.append(Resistor(f"R{name}_b", out, GND, STI_RAIL_OHMS))
 
 
-def elaborate(network: GateNetwork, vdd: float = 1.0) -> Circuit:
+def elaborate(network: GateNetwork) -> Circuit:
     """Expand a gate network into a flat device-level circuit.
 
-    A DC supply is attached when any cell needs one.  Input ports are left
-    undriven; the engine pins them from a stimulus.
+    A 1 V DC supply is attached when any cell needs one.  Input ports are
+    left undriven; the engine pins them from a stimulus.
     """
     devices: list = []
     for gate in network.gates:
         _expand_gate(gate, devices, "vdd")
     uses_vdd = any("vdd" in dev.nodes for dev in devices)
     if uses_vdd:
-        devices.insert(0, VSource("Vvdd", "vdd", GND, dc=vdd))
+        devices.insert(0, VSource("Vvdd", "vdd", GND, dc=1.0))
     ports = [Port(name, "in", name) for name in network.inputs]
     ports += [Port(port, "out", net) for port, net in network.outputs]
     if uses_vdd:
@@ -190,7 +190,7 @@ def elaborate(network: GateNetwork, vdd: float = 1.0) -> Circuit:
     return circuit.validate()
 
 
-def build_cell(kind: CellKind, n: Optional[int] = None, vdd: float = 1.0) -> Circuit:
+def build_cell(kind: CellKind, n: Optional[int] = None) -> Circuit:
     """Build one standalone cell as a circuit with conventional port names.
 
     ``n`` selects the arity of TORN; other kinds reject it.
@@ -206,7 +206,7 @@ def build_cell(kind: CellKind, n: Optional[int] = None, vdd: float = 1.0) -> Cir
     net = GateNetwork(name=kind.value.lower(), inputs=ins,
                       outputs=(("out", "out"),),
                       gates=(GateSpec(kind, "u1", ins, "out"),))
-    return elaborate(net, vdd=vdd)
+    return elaborate(net)
 
 
 def decoder_1_3_network(prefix: str = "", input_net: str = "X",
@@ -322,18 +322,3 @@ def mutate_network(network: GateNetwork, fault: str) -> GateNetwork:
     outputs = tuple((p, ports[p]) for p, _ in network.outputs)
     return GateNetwork(name=f"{network.name}~{fault}", inputs=network.inputs,
                        outputs=outputs, gates=network.gates)
-
-
-def build_decoder_1_3(vdd: float = 1.0) -> Circuit:
-    """Device-level 1-3 line decoder with ports X, Y0..Y2."""
-    return elaborate(decoder_1_3_network(), vdd=vdd)
-
-
-def build_decoder_2_9(vdd: float = 1.0) -> Circuit:
-    """Device-level 2-9 line decoder with ports A, B, Y0..Y8."""
-    return elaborate(decoder_2_9_network(), vdd=vdd)
-
-
-def build_decoder_display(vdd: float = 1.0) -> Circuit:
-    """Device-level seven-segment display decoder with ports A, B, Ya..Yg."""
-    return elaborate(decoder_display_network(), vdd=vdd)

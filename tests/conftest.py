@@ -1,22 +1,21 @@
 import pytest
 
-from ternsim.netlist import (build_decoder_1_3, build_decoder_2_9,
-                             build_decoder_display, builtin_network)
+from ternsim.netlist import builtin_network, elaborate
 
 
 @pytest.fixture(scope="session")
 def d13():
-    return build_decoder_1_3()
+    return elaborate(builtin_network("d13"))
 
 
 @pytest.fixture(scope="session")
 def d29():
-    return build_decoder_2_9()
+    return elaborate(builtin_network("d29"))
 
 
 @pytest.fixture(scope="session")
 def display():
-    return build_decoder_display()
+    return elaborate(builtin_network("display"))
 
 
 @pytest.fixture(scope="session")

@@ -118,7 +118,7 @@ def slewed_run(d13):
 
 @pytest.fixture(scope="module")
 def display_report(display):
-    return resource_report(display, baseline_kind="BCD")
+    return resource_report(display)
 
 
 class TestGlitches:
@@ -174,6 +174,12 @@ class TestSettling:
         with pytest.raises(NotSettled):
             measure_settling(w, "Y2", BANDS, stim)
 
+    def test_zero_length_run_not_settled(self, d13):
+        stim = Stimulus.hold({"X": L2})
+        w = run_transient(d13, stim, SolverConfig(t_stop=0.0))
+        with pytest.raises(NotSettled):
+            measure_settling(w, "Y1", BANDS, stim)
+
 
 class TestResourceReport:
     def test_display_pin_counts(self, display_report):
@@ -223,10 +229,6 @@ class TestResourceReport:
         assert "x7 measured I/O-pin-power model" in text
         doc = json.loads(display_report.to_json())
         assert doc["measured"]["pins_out"] == 7
-
-    def test_unknown_baseline_rejected(self, display):
-        with pytest.raises(KeyError):
-            resource_report(display, baseline_kind="GRAY")
 
 
 class TestSevenSegment:

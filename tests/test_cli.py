@@ -80,6 +80,13 @@ class TestSimulate:
         header = csvs[0].read_text().splitlines()[0]
         assert header.startswith("time,")
 
+    def test_run_shorter_than_10ns_settles(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "simulate", "--builtin", "d13", "--inputs",
+                           "2", "--t-stop", "5e-9", "--out", str(tmp_path))
+        assert code == 0
+        assert "NOT SETTLED" not in out
+        assert all(f"Y{i} settled" in out for i in range(3))
+
     def test_sweep_writes_one_file_per_vector(self, capsys, tmp_path):
         code, out, _ = run(capsys, "simulate", "--builtin", "d13",
                            "--sweep-inputs", "--t-stop", "30e-9",

@@ -86,16 +86,15 @@ class TestSolveDC:
             assert v["mid"] == pytest.approx(expected, abs=1e-9)
 
     def test_kcl_residual_bound(self, d13):
-        cfg = SolverConfig()
         for x in LEVELS:
             fixed = pinned_at(d13, Stimulus.hold({"X": x}), 0.0)
             states = relax_states(d13, fixed)
-            v = solve_dc(d13, fixed, states, cfg)
+            v = solve_dc(d13, fixed, states)
             res = kcl_residual(d13, v, states)
             g_max = 1.0 / 500.0
             for node, r in res.items():
                 if node not in fixed and node != "0":
-                    assert abs(r) < cfg.newton_tol * g_max
+                    assert abs(r) < engine.NEWTON_TOL * g_max
 
     def test_floating_node_is_singular(self):
         c = Circuit(name="bad", devices=[

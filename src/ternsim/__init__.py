@@ -10,9 +10,9 @@ from .core import (BitPair, INDETERMINATE, Indeterminate, InvalidEncoding,
                    TernaryLevel, VoltageBands, decode_2bit, encode_2bit,
                    level_to_voltage, ref_nti, ref_pti, ref_sti, ref_tand,
                    ref_tor, voltage_to_level)
-from .devices import (MemristorParams, MemristorState, MosfetParams,
-                      NonpositiveTimestep, digital_memristance, memristance,
-                      mosfet_current, update_state)
+from .devices import (MemristorParams, MosfetParams, NonpositiveTimestep,
+                      digital_memristance, memristance, mosfet_current,
+                      update_state)
 from .netlist import (CellKind, Circuit, GateNetwork, build_cell,
                       builtin_network, elaborate, mutate_network, parse,
                       serialize)

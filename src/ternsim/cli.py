@@ -18,8 +18,8 @@ from pathlib import Path
 from . import analysis
 from .core import TernaryLevel, VoltageBands, decode_2bit, encode_2bit
 from .digital import build_dag, eval_circuit
-from .engine import (NotSettled, SolverConfig, Stimulus, TransientError,
-                     run_transient, supply_voltage)
+from .engine import (NotSettled, SingularSystem, SolverConfig, Stimulus,
+                     TransientError, run_transient, supply_voltage)
 from .netlist import (NetlistError, builtin_network, elaborate,
                       mutate_network, parse, serialize)
 from .netlist.cells import BUILTIN_NETWORKS
@@ -117,7 +117,7 @@ def cmd_simulate(args) -> int:
         tag = "_".join(f"{k}{int(v)}" for k, v in (vec or {}).items()) or "run"
         try:
             wave = run_transient(circuit, stim, cfg)
-        except TransientError as exc:
+        except (TransientError, SingularSystem) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_SOLVER
         for fmt in formats:

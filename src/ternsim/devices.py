@@ -1,11 +1,12 @@
 """Device models: analog memristor, two-state digital memristor, MOSFET, resistor.
 
-The analog memristor is a bistable threshold device: its state variable
-x in [0, 1] mixes the on/off conductances, and relaxes exponentially toward
-1 (set) when forward-biased past ``v_on`` or toward 0 (reset) when
-reverse-biased past ``v_off``.  Sub-threshold bias holds the state.  The
-MOSFET is a piecewise square-law model with optional channel-length
-modulation; gate variants differ only in threshold voltage.
+The analog memristor is a bistable threshold device: its state is a plain
+float x in [0, 1] (1 fully on, 0 fully off) that mixes the on/off
+conductances, and relaxes exponentially toward 1 (set) when forward-biased
+past ``v_on`` or toward 0 (reset) when reverse-biased past ``v_off``.
+Sub-threshold bias holds the state.  The MOSFET is a piecewise square-law
+model with optional channel-length modulation; gate variants differ only in
+threshold voltage.
 """
 
 from __future__ import annotations
@@ -44,17 +45,6 @@ class MemristorParams:
 
 
 @dataclass(frozen=True)
-class MemristorState:
-    """State variable x in [0, 1]; x=1 is fully on (r_on), x=0 fully off."""
-
-    x: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.x <= 1.0:
-            raise ValueError(f"state must lie in [0, 1], got {self.x}")
-
-
-@dataclass(frozen=True)
 class MosfetParams:
     """Square-law MOSFET: polarity, threshold magnitude, transconductance factor.
 
@@ -75,19 +65,17 @@ class MosfetParams:
             raise ValueError("vth and k must be positive, channel_mod >= 0")
 
 
-def memristance(state: MemristorState, p: MemristorParams) -> float:
+def memristance(x: float, p: MemristorParams) -> float:
     """Resistance of the conductance mix G = x/r_on + (1-x)/r_off.
 
     Written as a product ratio so the endpoints are exact: x=1 -> r_on,
     x=0 -> r_off.  Strictly decreasing in x.
     """
-    x = state.x
     return (p.r_on * p.r_off) / (x * p.r_off + (1.0 - x) * p.r_on)
 
 
-def update_state(state: MemristorState, v: float, dt: float,
-                 p: MemristorParams) -> MemristorState:
-    """Advance the state by dt under branch voltage v (anode minus cathode).
+def update_state(x: float, v: float, dt: float, p: MemristorParams) -> float:
+    """Advance the state x by dt under branch voltage v (anode minus cathode).
 
     Threshold-gated exponential relaxation:
       v >= v_on   : x' = x + (1-x) * (1 - exp(-dt/tau))
@@ -99,12 +87,12 @@ def update_state(state: MemristorState, v: float, dt: float,
         raise NonpositiveTimestep(f"dt must be positive, got {dt}")
     decay = math.exp(-dt / p.tau)
     if v >= p.v_on:
-        x = state.x + (1.0 - state.x) * (1.0 - decay)
+        x = x + (1.0 - x) * (1.0 - decay)
     elif v <= -p.v_off:
-        x = state.x * decay
+        x = x * decay
     else:
-        return state
-    return MemristorState(x=min(1.0, max(0.0, x)))
+        return x
+    return min(1.0, max(0.0, x))
 
 
 DIGITAL_R_ON = 500

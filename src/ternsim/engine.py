@@ -22,8 +22,7 @@ import numpy as np
 
 from .core import (INDETERMINATE, VoltageBands, level_to_voltage,
                    voltage_to_level)
-from .devices import (MemristorState, memristance, mosfet_small_signal,
-                      update_state)
+from .devices import NonpositiveTimestep, memristance, mosfet_small_signal
 from .netlist.model import GND, Circuit, Memristor, Mosfet, Resistor
 
 
@@ -279,10 +278,10 @@ class _System:
 
         mem = [d for d in circuit.devices if isinstance(d, Memristor)]
         self.mem_names = [d.name for d in mem]
-        self.mem_params = [d.params for d in mem]
         self.mem_a, self.mem_c = _indices(self.index, mem, "anode", "cathode")
-        self.r_on = np.array([p.r_on for p in self.mem_params], dtype=float)
-        self.r_off = np.array([p.r_off for p in self.mem_params], dtype=float)
+        self.r_on, self.r_off, self.v_on, self.v_off, self.tau, self.x0 = (
+            np.array([getattr(d.params, a) for d in mem], dtype=float)
+            for a in ("r_on", "r_off", "v_on", "v_off", "tau", "x0"))
         self._mem_targets, self._mem_bins = _compress(
             _pair_index(n, self.mem_a, self.mem_c))
         self._lin_x = None
@@ -328,9 +327,21 @@ class _System:
                 raise SingularSystem(self.nodes[i])
 
     def state_vector(self, states: Optional[Mapping]) -> np.ndarray:
-        """States in circuit order; a device missing from ``states`` has x0."""
-        return np.array([_state(states, name, p) for name, p
-                         in zip(self.mem_names, self.mem_params)], dtype=float)
+        """States in circuit order; a device missing from ``states`` has x0.
+
+        Raises ValueError naming the device for a state outside [0, 1] or
+        not finite, and for a name that is not a memristor of the circuit.
+        """
+        x = self.x0.copy()
+        at = {name: i for i, name in enumerate(self.mem_names)}
+        for name, value in (states or {}).items():
+            if name not in at:
+                raise ValueError(f"{name!r} is not a memristor of the circuit")
+            if not 0.0 <= value <= 1.0:  # NaN fails too
+                raise ValueError(f"state of {name!r} must lie in [0, 1], "
+                                 f"got {value}")
+            x[at[name]] = value
+        return x
 
     def state_dict(self, x: np.ndarray) -> dict:
         return dict(zip(self.mem_names, x.tolist()))
@@ -422,11 +433,15 @@ class _System:
             return self.newton(self._g_lin, fixed_vals, v0, cfg, retry=True)
 
     def advance(self, x: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
-        """Integrate every memristor state from its branch voltage."""
-        bias = (v[self.mem_a] - v[self.mem_c]).tolist()
-        return np.array([update_state(MemristorState(xi), b, dt, p).x
-                         for xi, b, p in zip(x.tolist(), bias, self.mem_params)],
-                        dtype=float)
+        """``devices.update_state`` elementwise, with the same arithmetic.
+
+        ``math.exp`` per device rounds each decay as the scalar model does.
+        """
+        bias = v[self.mem_a] - v[self.mem_c]
+        decay = np.array([math.exp(-dt / tau) for tau in self.tau.tolist()])
+        x = np.where(bias >= self.v_on, x + (1.0 - x) * (1.0 - decay),
+                     np.where(bias <= -self.v_off, x * decay, x))
+        return np.minimum(1.0, np.maximum(0.0, x))
 
     def march(self, cfg: SolverConfig, pinned, x: np.ndarray, v: np.ndarray,
               bypass: bool = False):
@@ -467,12 +482,6 @@ class _System:
                 break
             x = new
         return x, v
-
-
-def _state(states: Optional[Mapping], name: str, params) -> float:
-    """A memristor's state from ``states`` (float or MemristorState), else x0."""
-    x = (states or {}).get(name, params.x0)
-    return x.x if isinstance(x, MemristorState) else float(x)
 
 
 def _drivers(circuit: Circuit, stim: Optional[Stimulus]) -> dict:
@@ -541,8 +550,8 @@ def kcl_residual(circuit: Circuit, voltages: Mapping,
             residual[dev.n1] += i
             residual[dev.n2] -= i
         elif isinstance(dev, Memristor):
-            x = _state(states, dev.name, dev.params)
-            r = memristance(MemristorState(x), dev.params)
+            r = memristance((states or {}).get(dev.name, dev.params.x0),
+                            dev.params)
             i = (voltages[dev.anode] - voltages[dev.cathode]) / r
             residual[dev.anode] += i
             residual[dev.cathode] -= i
@@ -559,8 +568,10 @@ def step(circuit: Circuit, states: Mapping, voltages: Mapping, fixed: Mapping,
     """One semi-implicit transient step: DC solve, then state integration.
 
     Returns (voltages', states').  ``fixed`` holds the pinned node voltages
-    for this instant.
+    for this instant.  Raises NonpositiveTimestep unless dt > 0.
     """
+    if not dt > 0:
+        raise NonpositiveTimestep(f"dt must be positive, got {dt}")
     cfg = cfg or SolverConfig()
     _warn_if_coarse(circuit, dt)
     system, fixed_vals, x, v0 = _dc_system(circuit, fixed, states, voltages)

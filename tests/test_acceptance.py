@@ -14,8 +14,8 @@ from ternsim.analysis import (detect_glitches, expected_outputs,
                               seven_segment_render, verify)
 from ternsim.core import (LEVELS, VoltageBands, ref_nti, ref_pti,
                           ref_sti, ref_tand, ref_tor)
-from ternsim.devices import (MemristorParams, MemristorState,
-                             digital_memristance, memristance, update_state)
+from ternsim.devices import (MemristorParams, digital_memristance,
+                             memristance, update_state)
 from ternsim.digital import divider_emulation
 from ternsim.engine import (SolverConfig, Stimulus, run_transient,
                             steady_output)
@@ -118,23 +118,20 @@ def test_criterion_04_gate_level_oracle():
 
 def test_criterion_05_device_properties():
     p = MemristorParams()
-    pinched = all(0.0 / memristance(MemristorState(x), p) == 0.0
+    pinched = all(0.0 / memristance(x, p) == 0.0
                   for x in (0.0, 0.25, 0.5, 0.75, 1.0))
-    set_done = all(update_state(MemristorState(x0), 2 * p.v_on,
-                                10 * p.tau, p).x > 0.9999
+    set_done = all(update_state(x0, 2 * p.v_on, 10 * p.tau, p) > 0.9999
                    for x0 in (0.0, 0.5, 1.0))
-    reset_done = all(update_state(MemristorState(x0), -2 * p.v_off,
-                                  10 * p.tau, p).x < 1e-4
+    reset_done = all(update_state(x0, -2 * p.v_off, 10 * p.tau, p) < 1e-4
                      for x0 in (0.0, 0.5, 1.0))
     sub_ok = True
     for x0 in (0.0, 0.3, 0.9):
         for v in (0.5, -0.5):
-            one = update_state(update_state(MemristorState(x0), v, p.tau, p),
-                               v, p.tau, p).x
-            two = update_state(MemristorState(x0), v, 2 * p.tau, p).x
+            one = update_state(update_state(x0, v, p.tau, p), v, p.tau, p)
+            two = update_state(x0, v, 2 * p.tau, p)
             sub_ok &= math.isclose(one, two, rel_tol=1e-12, abs_tol=1e-15)
-    endpoints = (memristance(MemristorState(1.0), p) == 500.0
-                 and memristance(MemristorState(0.0), p) == 10_000.0)
+    endpoints = (memristance(1.0, p) == 500.0
+                 and memristance(0.0, p) == 10_000.0)
     ok = pinched and set_done and reset_done and sub_ok and endpoints
     assert _report(5, ok, f"pinched={pinched} set10tau={set_done} "
                           f"reset10tau={reset_done} subdivision={sub_ok} "

@@ -151,6 +151,18 @@ class TestSimulate:
             assert float(cols[vdd]) == 1.2
             assert cols[x] == cols[vdd]
 
+    def test_floating_island_exits_2(self, capsys, tmp_path):
+        net = tmp_path / "d13_island.net"
+        run(capsys, "emit-netlist", "--builtin", "d13", "--out-file", str(net))
+        text = net.read_text()
+        assert text.endswith(".end\n")
+        net.write_text(text[:-len(".end\n")]
+                       + "R9 fl1 fl2 1k\nR10 fl1 fl2 1k\n.end\n")
+        code, _, err = run(capsys, "simulate", "--netlist", str(net),
+                           "--inputs", "2", "--out", str(tmp_path))
+        assert code == 2
+        assert err == "error: singular system: node 'fl1' has no DC path\n"
+
     def test_parse_error_exit_1(self, capsys, tmp_path):
         bad = tmp_path / "bad.net"
         bad.write_text("M1 a\n")

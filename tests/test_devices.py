@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from ternsim.devices import (MemristorParams, MemristorState, MosfetParams,
+from ternsim.devices import (MemristorParams, MosfetParams,
                              NonpositiveTimestep, digital_memristance,
                              memristance, mosfet_current, mosfet_small_signal,
                              update_state)
@@ -13,20 +13,20 @@ P = MemristorParams()
 
 class TestMemristance:
     def test_endpoints_exact(self):
-        assert memristance(MemristorState(1.0), P) == 500.0
-        assert memristance(MemristorState(0.0), P) == 10_000.0
+        assert memristance(1.0, P) == 500.0
+        assert memristance(0.0, P) == 10_000.0
 
     def test_midpoint(self):
         # parallel conductance mix: 1 / (0.5/500 + 0.5/10000)
         expected = 1.0 / (0.5 / 500.0 + 0.5 / 10_000.0)
-        assert memristance(MemristorState(0.5), P) == pytest.approx(expected)
+        assert memristance(0.5, P) == pytest.approx(expected)
         assert expected == pytest.approx(952.380952, abs=1e-5)
 
     @given(st.floats(min_value=0.0, max_value=1.0),
            st.floats(min_value=0.0, max_value=1.0))
     def test_monotone_decreasing(self, x1, x2):
-        r1 = memristance(MemristorState(x1), P)
-        r2 = memristance(MemristorState(x2), P)
+        r1 = memristance(x1, P)
+        r2 = memristance(x2, P)
         if x1 + 1e-9 < x2:
             assert r1 > r2
         assert 500.0 <= r1 <= 10_000.0
@@ -34,7 +34,7 @@ class TestMemristance:
     def test_zero_bias_current_is_zero(self):
         # pure resistance: pinched hysteresis at the origin
         for x in (0.0, 0.25, 0.5, 1.0):
-            r = memristance(MemristorState(x), P)
+            r = memristance(x, P)
             assert 0.0 / r == 0.0
 
     def test_param_validation(self):
@@ -46,37 +46,37 @@ class TestMemristance:
 
 class TestStateUpdate:
     def test_set_closed_form(self):
-        s = update_state(MemristorState(0.0), 0.5, P.tau, P)
-        assert s.x == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
+        s = update_state(0.0, 0.5, P.tau, P)
+        assert s == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
 
     def test_subthreshold_holds(self):
-        s = update_state(MemristorState(0.4), 0.1, P.tau, P)
-        assert s.x == 0.4
-        s = update_state(MemristorState(0.4), -0.1, P.tau, P)
-        assert s.x == 0.4
+        s = update_state(0.4, 0.1, P.tau, P)
+        assert s == 0.4
+        s = update_state(0.4, -0.1, P.tau, P)
+        assert s == 0.4
 
     def test_reset_closed_form(self):
-        s = update_state(MemristorState(1.0), -0.5, 5 * P.tau, P)
-        assert s.x == pytest.approx(math.exp(-5.0), rel=1e-12)
+        s = update_state(1.0, -0.5, 5 * P.tau, P)
+        assert s == pytest.approx(math.exp(-5.0), rel=1e-12)
 
     def test_bad_timestep(self):
         with pytest.raises(NonpositiveTimestep):
-            update_state(MemristorState(0.0), 1.0, 0.0, P)
+            update_state(0.0, 1.0, 0.0, P)
 
     @given(st.floats(min_value=0.0, max_value=1.0),
            st.floats(min_value=1e-13, max_value=5e-9),
            st.sampled_from([0.5, 1.0, -0.5, -1.0]))
     def test_subdivision_consistency(self, x0, dt, v):
-        one = update_state(update_state(MemristorState(x0), v, dt, P), v, dt, P)
-        two = update_state(MemristorState(x0), v, 2 * dt, P)
-        assert one.x == pytest.approx(two.x, rel=1e-12, abs=1e-15)
+        one = update_state(update_state(x0, v, dt, P), v, dt, P)
+        two = update_state(x0, v, 2 * dt, P)
+        assert one == pytest.approx(two, rel=1e-12, abs=1e-15)
 
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_set_completion_after_10_tau(self, x0):
-        s = update_state(MemristorState(x0), 2 * P.v_on, 10 * P.tau, P)
-        assert s.x > 0.9999
-        s = update_state(MemristorState(x0), -2 * P.v_off, 10 * P.tau, P)
-        assert s.x < 1.0 - 0.9999
+        s = update_state(x0, 2 * P.v_on, 10 * P.tau, P)
+        assert s > 0.9999
+        s = update_state(x0, -2 * P.v_off, 10 * P.tau, P)
+        assert s < 1.0 - 0.9999
 
 
 class TestDigitalMemristance:

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from ternsim.core import (LEVELS, VoltageBands, ref_nti, ref_pti, ref_sti,
                           ref_tand, ref_tor)
-from ternsim.devices import (MemristorParams, MemristorState, MosfetParams,
-                             memristance, mosfet_small_signal)
+from ternsim.devices import (MemristorParams, MosfetParams,
+                             NonpositiveTimestep, memristance,
+                             mosfet_small_signal, update_state)
 from ternsim import engine
 from ternsim.engine import (NonConvergence, NotSettled, SingularSystem,
                             SolverConfig, Stimulus, TransientError, _System,
@@ -121,7 +122,38 @@ class TestSolveDC:
         assert e.value.node == "a"
 
 
+class TestCallerStates:
+    """States given by the caller are checked once, at the boundary."""
+
+    @pytest.mark.parametrize("states,name", [
+        ({"Mu1_in1": 1.5, "Mu1_in2": -0.5}, "Mu1_in1"),
+        ({"Mu1_in2": -0.5}, "Mu1_in2"),
+        ({"Mu1_in1": 7.0}, "Mu1_in1"),
+        ({"Mu1_in1": math.nan}, "Mu1_in1"),
+        ({"Mu1_in2": math.inf}, "Mu1_in2"),
+        ({"Mx": 0.5}, "Mx"),
+    ])
+    def test_bad_state_names_device(self, states, name):
+        cell = build_cell(CellKind.TOR2)
+        fixed = {"a": 1.0, "b": 0.0}
+        for call in (lambda: solve_dc(cell, fixed, states),
+                     lambda: relax_states(cell, fixed, states),
+                     lambda: step(cell, states, None, fixed, 1e-12)):
+            with pytest.raises(ValueError, match=repr(name)):
+                call()
+
+
 class TestStep:
+    @pytest.mark.parametrize("dt", [0.0, -1e-9, math.nan])
+    def test_nonpositive_timestep_rejected_before_solve(self, dt, monkeypatch):
+        def no_compile(*args):
+            raise AssertionError("compiled a system")
+
+        monkeypatch.setattr(engine, "_System", no_compile)
+        c = parse("V1 top 0 DC 1\nR1 top mid 1k\nR2 mid 0 1k\n.end\n")
+        with pytest.raises(NonpositiveTimestep):
+            step(c, None, None, {"top": 1.0}, dt)
+
     def test_state_advance_matches_device_model(self):
         c = Circuit(name="m", devices=[
             VSource("V1", "a", "0", dc=1.0),
@@ -321,6 +353,11 @@ def _fet_compiled(polarity, lam, biases):
                                       np.full(n, lam), vg, vd, vs))
 
 
+MEM_PARAMS = (P, MemristorParams(v_on=0.1, v_off=0.45, tau=80e-12),
+              MemristorParams(r_on=1e3, r_off=5e4, v_on=0.6, v_off=0.2,
+                              tau=3e-9, x0=0.5))
+
+
 class TestCompiledKernels:
     """The engine's array kernels against the scalar device models."""
 
@@ -365,9 +402,35 @@ class TestCompiledKernels:
             states[f"M{i}"] = float(x)
         system = _System(Circuit(name="m", devices=devices), ("top",))
         got = system.mem_conductance(system.state_vector(states))
-        want = [1.0 / memristance(MemristorState(x), p)
+        want = [1.0 / memristance(x, p)
                 for p, x in itertools.product(params, xs)]
         assert got.tolist() == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(MEM_PARAMS),
+        st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)),
+        st.one_of(st.sampled_from(("v_on", "-v_off", "below v_on",
+                                   "above -v_off")),
+                  st.floats(-1.5, 1.5))), min_size=1, max_size=16),
+        st.floats(1e-13, 1e-8))
+    def test_state_advance_matches_scalar(self, draws, dt):
+        gates = {"v_on": lambda p: p.v_on,
+                 "-v_off": lambda p: -p.v_off,
+                 "below v_on": lambda p: math.nextafter(p.v_on, 0.0),
+                 "above -v_off": lambda p: math.nextafter(-p.v_off, 0.0)}
+        system = _System(Circuit(name="m", devices=[
+            Memristor(f"M{i}", f"n{i}", "0", p)
+            for i, (p, _, _) in enumerate(draws)]), ())
+        v = np.zeros(system.n)
+        biases = []
+        for i, (p, _, bias) in enumerate(draws):
+            biases.append(gates[bias](p) if isinstance(bias, str) else bias)
+            v[system.index[f"n{i}"]] = biases[-1]
+        x = np.array([x for _, x, _ in draws])
+        want = [update_state(xi, b, dt, p)
+                for (p, xi, _), b in zip(draws, biases)]
+        assert system.advance(x, v, dt).tolist() == want
 
 
 class TestRelaxation:

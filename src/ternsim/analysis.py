@@ -16,8 +16,10 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Mapping, Optional
 
-from .core import (INDETERMINATE, LEVELS, TernaryLevel, VoltageBands,
-                   decode_2bit, encode_2bit)
+import numpy as np
+
+from .core import (INDETERMINATE, LEVELS, REGIONS, TernaryLevel,
+                   VoltageBands, decode_2bit, encode_2bit)
 from .digital import build_dag, eval_circuit, or_reduce_segment
 from .engine import (NonConvergence, NotSettled, SingularSystem, SolverConfig,
                      Stimulus, Waveform, steady_output)
@@ -236,26 +238,20 @@ def detect_glitches(w: Waveform, stim: Stimulus, bands: VoltageBands) -> list:
             bounds.append((i0, i1))
     glitches = []
     for node in dict.fromkeys(w.port_nodes.values()):
-        series = w.probes[node]
+        codes = bands.codes(w.probes[node])
         for i0, i1 in bounds:
-            final = bands.region(float(series[i1 - 1]))
-            k = i0
-            while k < i1 and bands.region(float(series[k])) != final:
-                k += 1
-            run_start = None
-            for i in range(k, i1):
-                region = bands.region(float(series[i]))
-                if region != final:
-                    if run_start is None:
-                        run_start = i
-                else:
-                    if run_start is not None and i - run_start >= 2:
-                        glitches.append(GlitchEvent(
-                            node=node,
-                            t_start=float(w.times[run_start]),
-                            t_end=float(w.times[i]),
-                            excursion_band=bands.region(float(series[run_start]))))
-                    run_start = None
+            # Runs of samples off the final band, as [start, end) pairs
+            # relative to i0; the window's last sample is never off.
+            off = np.concatenate(([False], codes[i0:i1] != codes[i1 - 1]))
+            runs = np.flatnonzero(np.diff(off)).reshape(-1, 2).tolist()
+            for start, end in runs:
+                # A run from the window's start is the approach, not a glitch.
+                if start > 0 and end - start >= 2:
+                    glitches.append(GlitchEvent(
+                        node=node,
+                        t_start=float(w.times[i0 + start]),
+                        t_end=float(w.times[i0 + end]),
+                        excursion_band=REGIONS[codes[i0 + start]]))
     return glitches
 
 
@@ -268,11 +264,9 @@ def measure_settling(w: Waveform, node: str, bands: VoltageBands,
     at least one step."""
     if node in w.port_nodes:
         node = w.port_nodes[node]
-    series = w.probes[node]
-    final = bands.region(float(series[-1]))
-    entry = len(series) - 1
-    while entry > 0 and bands.region(float(series[entry - 1])) == final:
-        entry -= 1
+    codes = bands.codes(w.probes[node])
+    unsettled = np.flatnonzero(codes != codes[-1])
+    entry = int(unsettled[-1]) + 1 if unsettled.size else 0
     hold = float(w.times[-1] - w.times[entry])
     if min_hold is None:
         min_hold = max(w.dt, min(10e-9, 0.5 * float(w.times[-1])))

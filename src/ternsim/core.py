@@ -12,6 +12,8 @@ import enum
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 
 class TernaryLevel(enum.IntEnum):
     """One of the three logic levels, totally ordered L0 < L1 < L2."""
@@ -49,6 +51,9 @@ class Indeterminate:
 INDETERMINATE = Indeterminate()
 
 Quantized = Union[TernaryLevel, Indeterminate]
+
+# Quantization regions in voltage order; ``VoltageBands.codes`` indexes them.
+REGIONS = ("L0", "gap01", "L1", "gap12", "L2")
 
 
 class InvalidEncoding(ValueError):
@@ -94,17 +99,21 @@ class VoltageBands:
         return cls(vdd=vdd, lo_max=0.2 * vdd, mid_lo=0.4 * vdd,
                    mid_hi=0.6 * vdd, hi_min=0.8 * vdd)
 
+    def codes(self, v) -> np.ndarray:
+        """Region index of each voltage in ``v``: 0..4 into ``REGIONS``.
+
+        Band edges belong to their band; the guard gaps are open.  Raises
+        ValueError on a non-finite voltage, which reads as no level.
+        """
+        v = np.asarray(v, dtype=float)
+        if not np.all(np.isfinite(v)):
+            raise ValueError("cannot quantize a non-finite voltage")
+        return ((v > self.lo_max).astype(np.intp) + (v >= self.mid_lo)
+                + (v > self.mid_hi) + (v >= self.hi_min))
+
     def region(self, v: float) -> str:
         """Classify a voltage into one of five regions: L0|gap01|L1|gap12|L2."""
-        if v <= self.lo_max:
-            return "L0"
-        if v < self.mid_lo:
-            return "gap01"
-        if v <= self.mid_hi:
-            return "L1"
-        if v < self.hi_min:
-            return "gap12"
-        return "L2"
+        return REGIONS[int(self.codes(v))]
 
 
 def level_to_voltage(level: TernaryLevel, vdd: float) -> float:
@@ -116,14 +125,7 @@ def level_to_voltage(level: TernaryLevel, vdd: float) -> float:
 
 def voltage_to_level(v: float, bands: VoltageBands) -> Quantized:
     """Quantize a node voltage; values in the guard gaps are Indeterminate."""
-    region = bands.region(v)
-    if region == "L0":
-        return L0
-    if region == "L1":
-        return L1
-    if region == "L2":
-        return L2
-    return INDETERMINATE
+    return (L0, INDETERMINATE, L1, INDETERMINATE, L2)[int(bands.codes(v))]
 
 
 def encode_2bit(level: TernaryLevel) -> BitPair:

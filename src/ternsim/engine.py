@@ -20,8 +20,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .core import (INDETERMINATE, VoltageBands, level_to_voltage,
-                   voltage_to_level)
+from .core import VoltageBands, level_to_voltage, voltage_to_level
 from .devices import NonpositiveTimestep, memristance, mosfet_small_signal
 from .netlist.model import GND, Circuit, Memristor, Mosfet, Resistor
 
@@ -78,8 +77,9 @@ class SolverConfig:
     newton_max_iter: int = 200
 
     def __post_init__(self):
-        if self.dt <= 0 or self.t_stop < 0:
-            raise ValueError("dt must be positive and t_stop non-negative")
+        if not (0 < self.dt < math.inf and 0 <= self.t_stop < math.inf):
+            raise ValueError(f"dt must be positive and t_stop non-negative, "
+                             f"both finite (dt={self.dt}, t_stop={self.t_stop})")
         if self.newton_max_iter < 1:
             raise ValueError("newton_max_iter must be at least 1")
 
@@ -98,10 +98,13 @@ class Stimulus:
     vdd: float = 1.0
 
     def __post_init__(self):
-        if self.slew < 0:
-            raise ValueError("slew must be non-negative")
+        if not 0 <= self.slew < math.inf:
+            raise ValueError(f"slew must be finite and non-negative, "
+                             f"got {self.slew}")
         for port, events in self.schedules.items():
             times = [t for t, _ in events]
+            if not all(map(math.isfinite, times)):
+                raise ValueError(f"stimulus times for {port!r} must be finite")
             if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
                 raise ValueError(f"stimulus times for {port!r} must be increasing")
             dwells = [t1 - t0 for t0, t1 in zip(times, times[1:])]
@@ -173,30 +176,28 @@ class Waveform:
         bands = bands or VoltageBands.default()
         step_fs = max(1, round(self.dt / 1e-15))
         fh.write("$timescale 1fs $end\n$scope module ternsim $end\n")
-        ids = {}
-        for i, node in enumerate(self.probes):
-            rid, wid = f"r{i}", f"w{i}"
-            ids[node] = (rid, wid)
-            fh.write(f"$var real 64 {rid} V({node}) $end\n")
-            fh.write(f"$var wire 2 {wid} L({node}) $end\n")
+        for j, node in enumerate(self.probes):
+            fh.write(f"$var real 64 r{j} V({node}) $end\n")
+            fh.write(f"$var wire 2 w{j} L({node}) $end\n")
         fh.write("$upscope $end\n$enddefinitions $end\n")
-        prev: dict = {}
+        volts = np.empty((len(self.times), len(self.probes)))
+        for j, series in enumerate(self.probes.values()):
+            volts[:, j] = series
+        codes = bands.codes(volts)
+        # A sample's code depends only on its voltage, so a line is due
+        # exactly where the voltage differs from the sample before.
+        changed = np.ones(volts.shape, dtype=bool)
+        changed[1:] = volts[1:] != volts[:-1]
         for i in range(len(self.times)):
-            fh.write(f"#{i * step_fs}\n")
-            for node, (rid, wid) in ids.items():
-                v = float(self.probes[node][i])
-                code = _vcd_level_code(v, bands)
-                if prev.get(node) != (v, code):
-                    fh.write(f"r{v:.9g} {rid}\n")
-                    fh.write(f"b{code} {wid}\n")
-                    prev[node] = (v, code)
+            cols = np.flatnonzero(changed[i])
+            fh.write(f"#{i * step_fs}\n" + "".join([
+                f"r{v:.9g} r{j}\nb{_VCD_CODES[c]} w{j}\n"
+                for j, v, c in zip(cols.tolist(), volts[i, cols].tolist(),
+                                   codes[i, cols].tolist())]))
 
 
-def _vcd_level_code(v: float, bands: VoltageBands) -> str:
-    level = voltage_to_level(v, bands)
-    if level is INDETERMINATE:
-        return "xx"
-    return format(int(level), "02b")
+# Two-bit VCD code of each quantization region; the gaps read as xx.
+_VCD_CODES = ("00", "xx", "01", "xx", "10")
 
 
 def _mosfet_companion(sign, vth, k, lam, vg, vd, vs):
@@ -666,7 +667,8 @@ def steady_output(circuit: Circuit, inputs: Mapping,
     system, fixed_vals, x, v = _dc_system(
         circuit, {n: f(0.0) for n, f in drivers.items()})
     x, v = system.relax(x, fixed_vals, v, cfg)
-    out_idx = {p.name: system.index[p.node] for p in circuit.output_ports()}
+    outs = {p.name: system.index[p.node] for p in circuit.output_ports()}
+    out_rows = np.array(list(outs.values()), dtype=np.intp)
     window = max(2, int(round(20.0 * min_tau(circuit) / cfg.dt)))
     run_len = 0
     regions = v_seen = None
@@ -674,7 +676,7 @@ def steady_output(circuit: Circuit, inputs: Mapping,
     for _, t, v, x in system.march(cfg, lambda _t: fixed_vals, x, v,
                                    bypass=True):
         if v is not v_seen:  # a bypassed step yields the same voltages
-            now = {p: bands.region(float(v[i])) for p, i in out_idx.items()}
+            now = bands.codes(v[out_rows]).tolist()
             v_seen = v
         if now == regions:
             run_len += 1
@@ -686,8 +688,8 @@ def steady_output(circuit: Circuit, inputs: Mapping,
             break
     else:
         raise NotSettled(cfg.t_stop)
-    volts_out = {p: float(v[i]) for p, i in out_idx.items()}
-    levels = {p: voltage_to_level(volts_out[p], bands) for p in out_idx}
+    volts_out = dict(zip(outs, v[out_rows].tolist()))
+    levels = {p: voltage_to_level(volts_out[p], bands) for p in outs}
     if not return_info:
         return levels
     info = {"settle_time": settle_time, "voltages": volts_out,

@@ -1,6 +1,7 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 from ternsim.analysis import (DIGIT_SEGMENTS, GlitchEvent, SEGMENTS,
@@ -10,7 +11,8 @@ from ternsim.analysis import (DIGIT_SEGMENTS, GlitchEvent, SEGMENTS,
                               segments_from_levels, seven_segment_render,
                               verify)
 from ternsim.core import LEVELS, TernaryLevel, VoltageBands
-from ternsim.engine import NotSettled, SolverConfig, Stimulus, run_transient
+from ternsim.engine import (NotSettled, SolverConfig, Stimulus, Waveform,
+                            run_transient)
 from ternsim.netlist import builtin_network, mutate_network
 
 L0, L1, L2 = LEVELS
@@ -119,6 +121,53 @@ def slewed_run(d13):
 @pytest.fixture(scope="module")
 def display_report(display):
     return resource_report(display)
+
+
+@pytest.fixture
+def scan_run():
+    """A hand-built 24 ns run, 1 ns steps, with an event at 0 and at 10 ns.
+
+    Port Y on node y, window [0, 10 ns): a two-sample approach from L1, a
+    one-sample L1 blip at 4 ns and a two-sample gap01 excursion at 6-7 ns,
+    ending in L0.  Window [10, 24 ns): a one-sample approach, then L1 at
+    13-15 ns and gap12 at 17-18 ns, ending in L2 from 19 ns on.
+    """
+    y = [0.5, 0.5, 0.0, 0.0, 0.5, 0.0, 0.3, 0.3, 0.0, 0.0,
+         0.0, 0.9, 0.9, 0.5, 0.5, 0.5, 0.9, 0.7, 0.7, 0.9,
+         0.9, 0.9, 0.9, 0.9]
+    x = [0.0] * 10 + [1.0] * 14
+    times = np.arange(24) * 1e-9
+    w = Waveform(dt=1e-9, times=times,
+                 probes={"x": np.array(x), "y": np.array(y)}, states={},
+                 port_nodes={"X": "x", "Y": "y"})
+    return w, Stimulus({"X": ((0.0, L0), (10e-9, L2))})
+
+
+class TestGlitchScan:
+    def test_exact_events(self, scan_run):
+        w, stim = scan_run
+        t = w.times
+        assert detect_glitches(w, stim, BANDS) == [
+            GlitchEvent("y", t[6], t[8], "gap01"),
+            GlitchEvent("y", t[13], t[16], "L1"),
+            GlitchEvent("y", t[17], t[19], "gap12"),
+        ]
+
+    def test_blip_and_approach_ignored(self, scan_run):
+        w, stim = scan_run
+        starts = [g.t_start for g in detect_glitches(w, stim, BANDS)]
+        assert w.times[0] not in starts  # the approach from L1
+        assert w.times[4] not in starts  # one sample only
+        assert w.times[10] not in starts  # the approach to L2
+
+    def test_exact_settling(self, scan_run):
+        w, stim = scan_run
+        # Last sample off L2 is at 18 ns, so Y enters its final band at 19.
+        assert measure_settling(w, "Y", BANDS, stim, min_hold=3e-9) == (
+            w.times[19] - 10e-9)
+        assert measure_settling(w, "X", BANDS, stim, min_hold=3e-9) == 0.0
+        with pytest.raises(NotSettled):
+            measure_settling(w, "Y", BANDS, stim, min_hold=5e-9)
 
 
 class TestGlitches:

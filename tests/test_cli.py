@@ -177,6 +177,18 @@ class TestSimulate:
         assert code == 1
         assert err.startswith("error: dt must be positive")
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--dt", "nan"), ("--t-stop", "nan"), ("--t-stop", "inf"),
+    ])
+    def test_non_finite_setting_exit_1(self, capsys, tmp_path, flag, value):
+        code, out, err = run(capsys, "simulate", "--builtin", "d13",
+                             "--inputs", "2", flag, value,
+                             "--out", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "finite" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_format_rejected_before_simulating(self, capsys, tmp_path):
         code, _, err = run(capsys, "simulate", "--builtin", "d13", "--inputs",
                            "2", "--t-stop", "1e-9", "--formats", "csv,bogus",

@@ -1,10 +1,11 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from ternsim.core import (BitPair, INDETERMINATE, InvalidEncoding, LEVELS,
-                          VoltageBands, decode_2bit, encode_2bit,
+                          REGIONS, VoltageBands, decode_2bit, encode_2bit,
                           level_to_voltage, ref_nti, ref_pti, ref_sti,
                           ref_tand, ref_tor, voltage_to_level)
 
@@ -40,6 +41,46 @@ class TestBands:
     def test_bad_ordering_rejected(self):
         with pytest.raises(ValueError):
             VoltageBands(vdd=1.0, lo_max=0.5, mid_lo=0.4, mid_hi=0.6, hi_min=0.8)
+
+    # Each band edge, and one ulp past it, with the region it reads as.
+    # Edges belong to their band; the guard gaps are open.
+    EDGES = [
+        ("lo_max", 0.0, "L0"), ("lo_max", 1.0, "gap01"),
+        ("mid_lo", 0.0, "L1"), ("mid_lo", -1.0, "gap01"),
+        ("mid_hi", 0.0, "L1"), ("mid_hi", 1.0, "gap12"),
+        ("hi_min", 0.0, "L2"), ("hi_min", -1.0, "gap12"),
+    ]
+
+    @staticmethod
+    def edge_voltage(bands, edge, direction):
+        v = getattr(bands, edge)
+        return v if direction == 0.0 else float(np.nextafter(v, direction))
+
+    @pytest.mark.parametrize("edge,direction,region", EDGES)
+    def test_band_edges(self, edge, direction, region):
+        b = VoltageBands.default(1.0)
+        v = self.edge_voltage(b, edge, direction)
+        assert b.region(v) == region
+        want = {"L0": L0, "L1": L1, "L2": L2}.get(region, INDETERMINATE)
+        assert voltage_to_level(v, b) is want
+
+    def test_codes_index_regions(self):
+        b = VoltageBands.default(1.0)
+        volts = [self.edge_voltage(b, e, d) for e, d, _ in self.EDGES]
+        codes = b.codes(np.array(volts).reshape(2, 4))
+        assert codes.shape == (2, 4)
+        assert [REGIONS[c] for c in codes.ravel()] == [r for *_, r in self.EDGES]
+        assert [b.region(v) for v in volts] == [r for *_, r in self.EDGES]
+
+    @pytest.mark.parametrize("v", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_voltage_has_no_level(self, v):
+        b = VoltageBands.default(1.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            b.region(v)
+        with pytest.raises(ValueError, match="non-finite"):
+            voltage_to_level(v, b)
+        with pytest.raises(ValueError, match="non-finite"):
+            b.codes(np.array([0.5, v]))
 
     @given(st.floats(min_value=0.05, max_value=20.0))
     def test_voltage_roundtrip_any_vdd(self, vdd):

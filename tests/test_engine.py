@@ -14,7 +14,8 @@ from ternsim.devices import (MemristorParams, MosfetParams,
                              mosfet_small_signal, update_state)
 from ternsim import engine
 from ternsim.engine import (NonConvergence, NotSettled, SingularSystem,
-                            SolverConfig, Stimulus, TransientError, _System,
+                            SolverConfig, Stimulus, TransientError, Waveform,
+                            _System,
                             _drivers, _mosfet_companion, kcl_residual,
                             relax_states, run_transient, solve_dc,
                             steady_output, step)
@@ -445,6 +446,19 @@ class TestRelaxation:
         assert states == {"Mu1_in1": 0.0, "Mu1_in2": 0.0}
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize("kwargs", [
+        {"dt": 0.0}, {"dt": -1e-9}, {"dt": math.nan}, {"dt": math.inf},
+        {"t_stop": -1e-9}, {"t_stop": math.nan}, {"t_stop": math.inf},
+    ])
+    def test_bad_settings_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            SolverConfig(**kwargs)
+
+    def test_zero_length_run_allowed(self):
+        assert SolverConfig(t_stop=0.0).t_stop == 0.0
+
+
 class TestStimulus:
     def test_slew_interpolation(self):
         stim = Stimulus({"X": ((0.0, L0), (10e-9, L2))}, slew=2e-9)
@@ -458,6 +472,17 @@ class TestStimulus:
             Stimulus({"X": ((0.0, L0), (0.0, L2))})
         with pytest.raises(ValueError):
             Stimulus({"X": ((0.0, L0), (1e-9, L2))}, slew=2e-9)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"slew": math.nan}, {"slew": math.inf},
+        {"schedules": {"X": ((0.0, L0), (math.nan, L2))}},
+        {"schedules": {"X": ((math.nan, L0),)}},
+        {"schedules": {"X": ((0.0, L0), (math.inf, L2))}},
+    ])
+    def test_non_finite_settings_rejected(self, kwargs):
+        args = {"schedules": {"X": ((0.0, L0), (10e-9, L2))}, **kwargs}
+        with pytest.raises(ValueError, match="finite"):
+            Stimulus(**args)
 
     def test_event_times_merged(self):
         stim = Stimulus({"A": ((0.0, L0), (5e-9, L2)),
@@ -525,3 +550,37 @@ class TestExports:
         assert "#0\n" in text
         # ternary codes are two bits; indeterminate renders as xx
         assert "b10 " in text or "b00 " in text
+
+    def test_vcd_bytes_at_band_edges(self):
+        # Probe a visits each band edge and one ulp past it, a gap value,
+        # a repeat (no line) and a same-code change (a line); b steps once.
+        b = BANDS
+        up, down = math.inf, -math.inf
+        a = [b.lo_max, np.nextafter(b.lo_max, up),
+             b.mid_lo, np.nextafter(b.mid_lo, down),
+             b.mid_hi, np.nextafter(b.mid_hi, up),
+             b.hi_min, np.nextafter(b.hi_min, down),
+             0.3, 0.3, 0.5, 0.55]
+        w = Waveform(dt=1e-12, times=np.arange(12) * 1e-12,
+                     probes={"a": np.array(a),
+                             "b": np.array([1.0] * 6 + [0.0] * 6)},
+                     states={})
+        buf = io.StringIO()
+        w.to_vcd(buf, BANDS)
+        assert buf.getvalue() == (
+            "$timescale 1fs $end\n$scope module ternsim $end\n"
+            "$var real 64 r0 V(a) $end\n$var wire 2 w0 L(a) $end\n"
+            "$var real 64 r1 V(b) $end\n$var wire 2 w1 L(b) $end\n"
+            "$upscope $end\n$enddefinitions $end\n"
+            "#0\nr0.2 r0\nb00 w0\nr1 r1\nb10 w1\n"
+            "#1000\nr0.2 r0\nbxx w0\n"
+            "#2000\nr0.4 r0\nb01 w0\n"
+            "#3000\nr0.4 r0\nbxx w0\n"
+            "#4000\nr0.6 r0\nb01 w0\n"
+            "#5000\nr0.6 r0\nbxx w0\n"
+            "#6000\nr0.8 r0\nb10 w0\nr0 r1\nb00 w1\n"
+            "#7000\nr0.8 r0\nbxx w0\n"
+            "#8000\nr0.3 r0\nbxx w0\n"
+            "#9000\n"
+            "#10000\nr0.5 r0\nb01 w0\n"
+            "#11000\nr0.55 r0\nb01 w0\n")

@@ -1,40 +1,65 @@
 """Two-bit-encoded gate-level backend.
 
 Mirrors the FPGA realization of the logic family: ternary values travel as
-two-bit codes ((0, 1, 2) = (00, 01, 10); 11 is reserved), gates evaluate in
-one zero-delay topological pass, and the memristor divider gates can also be
-emulated with the integer two-state memristance model (500 forward / 1500
-reverse) to show both routes agree.
+two-bit codes ((0, 1, 2) = (00, 01, 10); 11 is reserved), each gate is a
+lookup table, like an FPGA LUT, and the gates evaluate in one zero-delay
+topological pass.  The tables are built from ``eval_gate``, which states the
+gate semantics.  The memristor divider gates can also be emulated with the
+integer two-state memristance model (500 forward / 1500 reverse) to show
+both routes agree.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import functools
+import itertools
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .core import (BitPair, InvalidEncoding, TernaryLevel, decode_2bit,
-                   encode_2bit, ref_nti, ref_pti, ref_sti, ref_tand, ref_tor)
+from .core import (BitPair, InvalidEncoding, LEVELS, TernaryLevel,
+                   decode_2bit, encode_2bit, ref_nti, ref_pti, ref_sti,
+                   ref_tand, ref_tor)
 from .devices import digital_memristance
 from .netlist.cells import CellKind, GateNetwork
+
+# The canonical code of each level, indexed by level.
+_CODES = tuple(encode_2bit(lv) for lv in LEVELS)
 
 
 @dataclass(frozen=True)
 class GateDag:
-    """Topologically ordered combinational gate graph."""
+    """Topologically ordered combinational gate graph, compiled to lookups.
+
+    Every net gets an integer slot, primary inputs first and then gate
+    outputs in gate order, and every gate becomes ``(table, input_slots,
+    output_slot)`` with ``table`` from :func:`truth_table`.
+    """
 
     name: str
     inputs: tuple
     outputs: tuple  # ((port, net), ...)
     gates: tuple
+    _program: tuple = field(init=False, repr=False, compare=False)
+    _output_slots: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        defined = set(self.inputs)
-        for g in self.gates:
-            missing = [n for n in g.inputs if n not in defined]
+        slots = {net: i for i, net in enumerate(self.inputs)}
+        program = []
+        for out_slot, g in enumerate(self.gates, start=len(self.inputs)):
+            missing = [n for n in g.inputs if n not in slots]
             if missing:
                 raise ValueError(f"gate {g.name!r} uses undefined nets {missing}")
-            defined.add(g.output)
+            program.append((truth_table(g.kind, len(g.inputs)),
+                            tuple(slots[n] for n in g.inputs), out_slot))
+            slots[g.output] = out_slot
+        for port, net in self.outputs:
+            if net not in slots:
+                raise ValueError(f"output port {port!r} bound to undefined "
+                                 f"net {net!r}")
+        object.__setattr__(self, "_program", tuple(program))
+        object.__setattr__(self, "_output_slots", tuple(
+            (port, slots[net]) for port, net in self.outputs))
 
 
 def build_dag(network: GateNetwork) -> GateDag:
@@ -69,17 +94,40 @@ def eval_gate(kind: CellKind, inputs) -> BitPair:
     raise ValueError(f"unknown cell kind {kind}")  # pragma: no cover
 
 
+@functools.cache
+def truth_table(kind: CellKind, arity: int) -> tuple:
+    """Output level (0..2) of a gate for every input combination.
+
+    Entry ``sum(level_i * 3 ** (arity - 1 - i))`` holds the output for input
+    levels ``level_0 .. level_{arity-1}``, as :func:`eval_gate` gives it.
+    """
+    if kind is CellKind.TORN and arity > 2:
+        # TORN is max, so fold in one input at a time; its 3**arity
+        # eval_gate calls would dominate compiling the display.
+        pair, rest = truth_table(kind, 2), truth_table(kind, arity - 1)
+        return tuple(pair[3 * r + c] for r in rest for c in range(3))
+    return tuple(int(decode_2bit(eval_gate(kind, [_CODES[c] for c in combo])))
+                 for combo in itertools.product(range(3), repeat=arity))
+
+
 def eval_circuit(dag: GateDag, inputs: Mapping) -> dict:
-    """Single topological pass over the DAG; zero-delay semantics."""
-    values = {}
-    for name in dag.inputs:
+    """Single topological pass over the DAG; zero-delay semantics.
+
+    Raises InvalidEncoding if a primary input carries the reserved code 11.
+    """
+    vals = [0] * (len(dag.inputs) + len(dag.gates))
+    for slot, name in enumerate(dag.inputs):
         try:
-            values[name] = inputs[name]
+            code = inputs[name]
         except KeyError:
             raise KeyError(f"missing value for primary input {name!r}") from None
-    for gate in dag.gates:
-        values[gate.output] = eval_gate(gate.kind, [values[n] for n in gate.inputs])
-    return {port: values[net] for port, net in dag.outputs}
+        vals[slot] = decode_2bit(code)
+    for table, ins, out in dag._program:
+        idx = 0
+        for s in ins:
+            idx = 3 * idx + vals[s]
+        vals[out] = table[idx]
+    return {port: _CODES[vals[slot]] for port, slot in dag._output_slots}
 
 
 # Integer divider emulation: voltages scaled to {0, 500, 1000} millivolt

@@ -68,6 +68,10 @@ NEWTON_TOL = 1e-6
 DAMPING = 0.7
 GMIN = 1e-15
 MAX_STEP_VOLTS = 0.5
+# A transient keeps every probe at every step, 8 bytes a sample, so a run
+# is capped at MAX_STEPS steps (8 MB per probe).  That is 500 times the
+# longest run the tests and the benchmark make (2000 steps).
+MAX_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -80,8 +84,16 @@ class SolverConfig:
         if not (0 < self.dt < math.inf and 0 <= self.t_stop < math.inf):
             raise ValueError(f"dt must be positive and t_stop non-negative, "
                              f"both finite (dt={self.dt}, t_stop={self.t_stop})")
+        if self.t_stop / self.dt > MAX_STEPS:
+            raise ValueError(f"t_stop/dt = {self.t_stop / self.dt:.3g} steps "
+                             f"exceeds the limit of {MAX_STEPS}")
         if self.newton_max_iter < 1:
             raise ValueError("newton_max_iter must be at least 1")
+
+    @property
+    def steps(self) -> int:
+        """Time steps in [0, t_stop]; a run samples ``steps + 1`` instants."""
+        return int(round(self.t_stop / self.dt))
 
 
 @dataclass(frozen=True)
@@ -164,12 +176,16 @@ class Waveform:
 
     def to_csv(self, fh) -> None:
         """Write ``time,<probe>...`` rows; column order is the probe order."""
-        writer = csv.writer(fh)
         names = list(self.probes)
-        writer.writerow(["time"] + names)
-        cols = [self.probes[n] for n in names]
-        for i, t in enumerate(self.times):
-            writer.writerow([f"{t:.12e}"] + [f"{c[i]:.9f}" for c in cols])
+        csv.writer(fh).writerow(["time"] + names)  # quotes names if needed
+        times = np.asarray(self.times)
+        series = [np.asarray(self.probes[n]) for n in names]
+        for lo in range(0, len(times), _CSV_BLOCK):
+            cols = [[f"{t:.12e}" for t in times[lo:lo + _CSV_BLOCK].tolist()]]
+            cols += [[f"{v:.9f}" for v in s[lo:lo + _CSV_BLOCK].tolist()]
+                     for s in series]
+            # Numbers never need quoting; "\r\n" is csv's row terminator.
+            fh.write("".join([",".join(row) + "\r\n" for row in zip(*cols)]))
 
     def to_vcd(self, fh, bands: Optional[VoltageBands] = None) -> None:
         """Write a VCD dump: per node a real voltage and a 2-bit level code."""
@@ -195,6 +211,10 @@ class Waveform:
                 for j, v, c in zip(cols.tolist(), volts[i, cols].tolist(),
                                    codes[i, cols].tolist())]))
 
+
+# to_csv formats this many rows at a time.  Formatting a whole 2001-step
+# display run at once held about 10 MB of cell strings; a block holds 1.
+_CSV_BLOCK = 256
 
 # Two-bit VCD code of each quantization region; the gaps read as xx.
 _VCD_CODES = ("00", "xx", "01", "xx", "10")
@@ -456,7 +476,7 @@ class _System:
         device bypass): it yields that step's voltages and skips both.
         """
         last_p = last_x = None
-        for k in range(int(round(cfg.t_stop / cfg.dt)) + 1):
+        for k in range(cfg.steps + 1):
             t = k * cfg.dt
             p = pinned(t)
             quiet = bypass and _unchanged(x, last_x) and _unchanged(p, last_p)
@@ -602,8 +622,7 @@ def run_transient(circuit: Circuit, stim: Optional[Stimulus] = None,
     cfg = cfg or SolverConfig()
     drivers = _drivers(circuit, stim)
     _warn_if_coarse(circuit, cfg.dt)
-    n_steps = int(round(cfg.t_stop / cfg.dt))
-    times = np.arange(n_steps + 1) * cfg.dt
+    times = np.arange(cfg.steps + 1) * cfg.dt
     system = _System(circuit, drivers)
     pinned = [drivers[n] for n in system.fixed_idx_names]
     probe_nodes = list(dict.fromkeys([p.node for p in circuit.ports]

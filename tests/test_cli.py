@@ -189,6 +189,15 @@ class TestSimulate:
         assert err.startswith("error: ") and "finite" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_too_many_steps_exit_1(self, capsys, tmp_path):
+        code, out, err = run(capsys, "simulate", "--builtin", "d13",
+                             "--inputs", "2", "--t-stop", "1e300",
+                             "--out", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: t_stop/dt = inf steps exceeds")
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_format_rejected_before_simulating(self, capsys, tmp_path):
         code, _, err = run(capsys, "simulate", "--builtin", "d13", "--inputs",
                            "2", "--t-stop", "1e-9", "--formats", "csv,bogus",

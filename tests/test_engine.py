@@ -1,3 +1,4 @@
+import csv
 import io
 import itertools
 import math
@@ -458,6 +459,13 @@ class TestSolverConfig:
     def test_zero_length_run_allowed(self):
         assert SolverConfig(t_stop=0.0).t_stop == 0.0
 
+    def test_step_count_capped(self):
+        limit = engine.MAX_STEPS
+        assert SolverConfig(t_stop=50e-12 * limit).steps == limit
+        for t_stop in (50e-12 * (limit + 1), 1e300):
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                SolverConfig(t_stop=t_stop)
+
 
 class TestStimulus:
     def test_slew_interpolation(self):
@@ -538,6 +546,48 @@ class TestExports:
         assert header[0] == "time"
         assert {"X", "Y0", "Y1", "Y2"} <= set(header)
         assert len(buf.getvalue().splitlines()) == len(w.times) + 1
+
+    @staticmethod
+    def csv_reference(w) -> str:
+        """The row-by-row ``csv.writer`` export, as the byte reference."""
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        names = list(w.probes)
+        writer.writerow(["time"] + names)
+        cols = [w.probes[n] for n in names]
+        for i, t in enumerate(w.times):
+            writer.writerow([f"{t:.12e}"] + [f"{c[i]:.9f}" for c in cols])
+        return buf.getvalue()
+
+    def test_csv_bytes_match_csv_writer(self, d13):
+        # 401 rows: more than one of to_csv's row blocks
+        w = run_transient(d13, Stimulus({"X": ((0.0, L0), (10e-9, L2))},
+                                        slew=0.5e-9),
+                          SolverConfig(t_stop=20e-9))
+        assert len(w.times) > engine._CSV_BLOCK
+        buf = io.StringIO()
+        w.to_csv(buf)
+        assert buf.getvalue() == self.csv_reference(w)
+
+    def test_csv_bytes_by_hand(self):
+        w = Waveform(dt=1e-12, times=np.arange(4) * 1e-12,
+                     probes={"a": np.array([0.0, -0.0, 1e-10, 0.123456789012]),
+                             "b,c": np.array([1.0, 0.5, -2.5e-7, 123.4]),
+                             'q"d': np.array([0.3, 0.3, 0.3, 0.3])},
+                     states={})
+        buf = io.StringIO()
+        w.to_csv(buf)
+        assert buf.getvalue() == self.csv_reference(w) == (
+            'time,a,"b,c","q""d"\r\n'
+            "0.000000000000e+00,0.000000000,1.000000000,0.300000000\r\n"
+            "1.000000000000e-12,-0.000000000,0.500000000,0.300000000\r\n"
+            "2.000000000000e-12,0.000000000,-0.000000250,0.300000000\r\n"
+            "3.000000000000e-12,0.123456789,123.400000000,0.300000000\r\n")
+        empty = Waveform(dt=1e-12, times=np.arange(0) * 1e-12,
+                         probes={"a": np.array([])}, states={})
+        buf = io.StringIO()
+        empty.to_csv(buf)
+        assert buf.getvalue() == self.csv_reference(empty) == "time,a\r\n"
 
     def test_vcd_structure(self, d13):
         w = run_transient(d13, Stimulus.hold({"X": L2}),

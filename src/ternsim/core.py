@@ -128,14 +128,18 @@ def voltage_to_level(v: float, bands: VoltageBands) -> Quantized:
     return (L0, INDETERMINATE, L1, INDETERMINATE, L2)[int(bands.codes(v))]
 
 
+# The canonical code of each level, indexed by level.
+BIT_CODES = (BitPair(0, 0), BitPair(0, 1), BitPair(1, 0))
+
+
 def encode_2bit(level: TernaryLevel) -> BitPair:
-    return (BitPair(0, 0), BitPair(0, 1), BitPair(1, 0))[int(level)]
+    return BIT_CODES[int(level)]
 
 
 def decode_2bit(b: BitPair) -> TernaryLevel:
     if b.hi and b.lo:
         raise InvalidEncoding("two-bit code 11 is reserved")
-    return TernaryLevel(2 * b.hi + b.lo)
+    return LEVELS[2 * b.hi + b.lo]
 
 
 # Reference (functional) gate semantics.  The three inverters differ only in

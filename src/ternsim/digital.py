@@ -17,15 +17,11 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .core import (BitPair, InvalidEncoding, LEVELS, TernaryLevel,
+from .core import (BIT_CODES, BitPair, InvalidEncoding, TernaryLevel,
                    decode_2bit, encode_2bit, ref_nti, ref_pti, ref_sti,
                    ref_tand, ref_tor)
 from .devices import digital_memristance
 from .netlist.cells import CellKind, GateNetwork
-
-# The canonical code of each level, indexed by level.
-_CODES = tuple(encode_2bit(lv) for lv in LEVELS)
-
 
 @dataclass(frozen=True)
 class GateDag:
@@ -106,8 +102,9 @@ def truth_table(kind: CellKind, arity: int) -> tuple:
         # eval_gate calls would dominate compiling the display.
         pair, rest = truth_table(kind, 2), truth_table(kind, arity - 1)
         return tuple(pair[3 * r + c] for r in rest for c in range(3))
-    return tuple(int(decode_2bit(eval_gate(kind, [_CODES[c] for c in combo])))
-                 for combo in itertools.product(range(3), repeat=arity))
+    return tuple(
+        int(decode_2bit(eval_gate(kind, [BIT_CODES[c] for c in combo])))
+        for combo in itertools.product(range(3), repeat=arity))
 
 
 def eval_circuit(dag: GateDag, inputs: Mapping) -> dict:
@@ -127,7 +124,7 @@ def eval_circuit(dag: GateDag, inputs: Mapping) -> dict:
         for s in ins:
             idx = 3 * idx + vals[s]
         vals[out] = table[idx]
-    return {port: _CODES[vals[slot]] for port, slot in dag._output_slots}
+    return {port: BIT_CODES[vals[slot]] for port, slot in dag._output_slots}
 
 
 # Integer divider emulation: voltages scaled to {0, 500, 1000} millivolt

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -244,9 +245,10 @@ def _mosfet_companion(sign, vth, k, lam, vg, vd, vs):
             np.where(fwd, dd, dgd), np.where(fwd, -dgd, -dd))
 
 
-def _pair_index(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Flat (ii, ij, jj, ji) targets of two-terminal stamps, device by device."""
-    return np.stack((i * n + i, i * n + j, j * n + j, j * n + i), axis=1).ravel()
+def _pair_entries(i: np.ndarray, j: np.ndarray):
+    """Rows and columns of two-terminal stamps (ii, ij, jj, ji), per device."""
+    return (np.stack((i, i, j, j), axis=1).ravel(),
+            np.stack((i, j, j, i), axis=1).ravel())
 
 
 def _pair_weights(g: np.ndarray) -> np.ndarray:
@@ -268,84 +270,155 @@ def _unchanged(a: np.ndarray, b: Optional[np.ndarray]) -> bool:
     return a is b or np.array_equal(a, b)
 
 
-def _indices(index: Mapping, devs, *attrs):
-    return [np.array([index[getattr(d, a)] for d in devs], dtype=np.intp)
-            for a in attrs]
+def _terminals(index: Mapping, devs, count: int) -> np.ndarray:
+    """Node indices of the devices' ``count`` terminals, a row per terminal."""
+    return np.array([index[n] for d in devs for n in d.nodes],
+                    dtype=np.intp).reshape(-1, count).T
+
+
+def _blocks(nodes: list, nfix: int, branches, links):
+    """Order the free nodes into independent blocks, by union-find.
+
+    ``branches`` are conducting (i, j) index arrays: resistors, memristors
+    and drain-source channels.  A free node needs a branch path to a
+    pinned node, else it floats and SingularSystem names the first such
+    node.  ``links`` join a gate to its channel: they couple equations but
+    conduct nothing.  The blocks are the free nodes joined by either.
+
+    Returns the node order -- ground and pinned nodes, then the blocks from
+    smallest to largest, each keeping its nodes' order -- and the
+    (size, count) of each block size.
+    """
+    parent = list(range(len(nodes)))
+
+    def union(pairs):
+        # A set's root is its smallest index, so every parent index is at
+        # most its child's and one ascending pass points each node at its
+        # root.
+        i, j = pairs
+        both = (i >= nfix) & (j >= nfix)
+        for a, b in zip(i[both].tolist(), j[both].tolist()):
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a < b:
+                parent[b] = a
+            else:
+                parent[a] = b
+        for k in range(len(parent)):
+            parent[k] = parent[parent[k]]
+
+    union(branches)
+    i, j = branches
+    grounded = {parent[k] for k in
+                np.maximum(i, j)[np.minimum(i, j) < nfix].tolist()}
+    free = range(nfix, len(nodes))
+    for k in free:
+        if parent[k] not in grounded:
+            raise SingularSystem(nodes[k])
+    union(links)
+    blocks = {}
+    for k in free:
+        blocks.setdefault(parent[k], []).append(k)
+    blocks = sorted(blocks.values(), key=len)  # stable: equal sizes keep order
+    order = [*range(nfix), *itertools.chain.from_iterable(blocks)]
+    return order, [(size, len(list(same)))
+                   for size, same in itertools.groupby(map(len, blocks))]
 
 
 class _System:
     """A circuit compiled into index and parameter arrays for repeated solves.
 
-    Nodes are ordered ground, pinned nodes, then the rest, so the unknowns
-    are the slice ``[nfix:]``.  Memristor states travel as one array in
-    circuit order; the engine never modifies a state array in place.
+    Nodes are ordered ground, pinned nodes, then the free nodes, which are
+    the unknowns ``[nfix:]``.  No stamp couples two blocks of free nodes
+    (``_blocks``), so each block's equations solve alone: the block-diagonal
+    step of KLU's block triangular form (Davis & Palamadai Natarajan, ACM
+    TOMS 37(3), 2010).  A matrix is one flat array of the free rows: a
+    row holds the pinned columns, then its block's, so the blocks of one
+    size form a stack of (size, nfix + size) matrices.  The stamps on
+    pinned rows, which no equation reads, sum into a spare row at the end.
+    Memristor states travel as one array in circuit order; the engine
+    never modifies a state array in place.
     """
 
     def __init__(self, circuit: Circuit, fixed_nodes):
         self.fixed_idx_names = [n for n in dict.fromkeys(fixed_nodes) if n != GND]
-        self.nodes = order = list(dict.fromkeys(
-            [GND, *self.fixed_idx_names,
-             *(n for dev in circuit.devices for n in dev.nodes)]))
-        self.index = {n: i for i, n in enumerate(order)}
+        order = list(dict.fromkeys(itertools.chain(
+            (GND, *self.fixed_idx_names),
+            *[d.nodes for d in circuit.devices])))
         self.n = n = len(order)
-        self.nfix = 1 + len(self.fixed_idx_names)
+        self.nfix = nf = 1 + len(self.fixed_idx_names)
 
         res = [d for d in circuit.devices if isinstance(d, Resistor)]
-        r1, r2 = _indices(self.index, res, "n1", "n2")
-        g_res = 1.0 / np.array([d.ohms for d in res], dtype=float)
-        # bincount of no weights returns integers
-        self.g_res = np.bincount(_pair_index(n, r1, r2), _pair_weights(g_res),
-                                 minlength=n * n).astype(float).reshape(n, n)
-
         mem = [d for d in circuit.devices if isinstance(d, Memristor)]
-        self.mem_names = [d.name for d in mem]
-        self.mem_a, self.mem_c = _indices(self.index, mem, "anode", "cathode")
+        fets = [d for d in circuit.devices if isinstance(d, Mosfet)]
+        index = {name: i for i, name in enumerate(order)}
+        r1, r2 = _terminals(index, res, 2)
+        a, c = _terminals(index, mem, 2)
+        d, g, s = _terminals(index, fets, 3)
+        perm, classes = _blocks(order, nf, (np.concatenate((r1, a, d)),
+                                            np.concatenate((r2, c, s))),
+                                (np.concatenate((g, g)), np.concatenate((d, s))))
+        self.nodes = [order[i] for i in perm]
+        self.index = {name: i for i, name in enumerate(self.nodes)}
+        rank = np.empty(n, dtype=np.intp)
+        rank[perm] = np.arange(n)
+        r1, r2, a, c, d, g, s = (rank[t] for t in (r1, r2, a, c, d, g, s))
+
+        # Entry (i, j) sits at row[i] + col[j] of a flat matrix: row[i] is
+        # where row i starts, col[j] is j for a pinned column and nfix plus
+        # j's place in its block for a free one.  Every pinned row starts
+        # at the spare row.
+        spare = sum(size * count * (nf + size) for size, count in classes)
+        self._jac = np.empty(spare + nf + max([0, *(z for z, _ in classes)]))
+        row, col = np.full(n, spare), np.arange(n)
+        # Per block size: the square blocks, their pinned columns and their
+        # rows among the free nodes, as views of the Jacobian.
+        self._stacks = []
+        lo = off = 0
+        for size, count in classes:
+            k = np.arange(size * count)
+            row[nf + lo:nf + lo + k.size] = off + k * (nf + size)
+            col[nf + lo:nf + lo + k.size] = nf + k % size
+            stack = self._jac[off:off + k.size * (nf + size)].reshape(
+                count, size, nf + size)
+            self._stacks.append((stack[:, :, nf:], stack[:, :, :nf],
+                                 slice(lo, lo + k.size)))
+            lo, off = lo + k.size, off + k.size * (nf + size)
+
+        def slot(i, j):
+            return row[i] + col[j]
+
+        g_res = 1.0 / np.array([r.ohms for r in res], dtype=float)
+        # bincount of no weights returns integers
+        self.g_res = np.bincount(slot(*_pair_entries(r1, r2)),
+                                 _pair_weights(g_res),
+                                 minlength=self._jac.size).astype(float)
+
+        self.mem_names = [m.name for m in mem]
+        self.mem_a, self.mem_c = a, c
         self.r_on, self.r_off, self.v_on, self.v_off, self.tau, self.x0 = (
-            np.array([getattr(d.params, a) for d in mem], dtype=float)
-            for a in ("r_on", "r_off", "v_on", "v_off", "tau", "x0"))
+            np.array([(p.r_on, p.r_off, p.v_on, p.v_off, p.tau, p.x0)
+                      for p in (m.params for m in mem)],
+                     dtype=float).reshape(-1, 6).T.copy())
         self._mem_targets, self._mem_bins = _compress(
-            _pair_index(n, self.mem_a, self.mem_c))
+            slot(*_pair_entries(a, c)))
         self._lin_x = None
         self._g_lin = None
 
-        fets = [d for d in circuit.devices if isinstance(d, Mosfet)]
-        d, g, s = self.fet_d, self.fet_g, self.fet_s = _indices(
-            self.index, fets, "drain", "gate", "source")
-        self.fet_sign = np.array([1.0 if f.params.polarity == "NMOS" else -1.0
-                                  for f in fets])
-        self.vth, self.k, self.lam = (
-            np.array([getattr(f.params, a) for f in fets], dtype=float)
-            for a in ("vth", "k", "channel_mod"))
+        self.fet_d, self.fet_g, self.fet_s = d, g, s
+        self.fet_sign, self.vth, self.k, self.lam = (
+            np.array([(1.0 if p.polarity == "NMOS" else -1.0, p.vth, p.k,
+                       p.channel_mod) for p in (f.params for f in fets)],
+                     dtype=float).reshape(-1, 4).T.copy())
         # Jacobian stamps per FET (rows d, s; columns g, d, s), then gmin on
         # the free diagonal.
-        self._fet_targets, self._fet_bins = _compress(np.concatenate((np.stack(
-            (d * n + g, d * n + d, d * n + s, s * n + g, s * n + d, s * n + s),
-            axis=1).ravel(), np.arange(self.nfix, n) * (n + 1))))
+        free = np.arange(nf, n)
+        self._fet_targets, self._fet_bins = _compress(slot(
+            np.concatenate((np.stack((d, d, d, s, s, s), 1).ravel(), free)),
+            np.concatenate((np.stack((g, d, s, g, d, s), 1).ravel(), free))))
         self._rhs_idx = np.stack((d, s), axis=1).ravel()
-
-        self._check_structure(zip(np.concatenate((r1, self.mem_a, d)).tolist(),
-                                  np.concatenate((r2, self.mem_c, s)).tolist()))
-
-    def _check_structure(self, branches) -> None:
-        """Every free node needs a conducting path to a pinned node.
-
-        Union-find over resistor, memristor and FET drain-source branches;
-        the first free node outside the pinned nodes' sets is floating.
-        """
-        parent = list(range(self.n))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for i, j in branches:
-            parent[find(i)] = find(j)
-        pinned = {find(i) for i in range(self.nfix)}
-        for i in range(self.nfix, self.n):
-            if find(i) not in pinned:
-                raise SingularSystem(self.nodes[i])
 
     def state_vector(self, states: Optional[Mapping]) -> np.ndarray:
         """States in circuit order; a device missing from ``states`` has x0.
@@ -375,10 +448,9 @@ class _System:
     def linear_matrix(self, x: np.ndarray) -> np.ndarray:
         """Conductance stamps of resistors and (frozen-state) memristors."""
         g_lin = self.g_res.copy()
-        flat = g_lin.reshape(-1)
         at = self._mem_targets
-        flat[at] = np.bincount(self._mem_bins, np.concatenate((
-            flat[at], _pair_weights(self.mem_conductance(x)))))
+        g_lin[at] = np.bincount(self._mem_bins, np.concatenate((
+            g_lin[at], _pair_weights(self.mem_conductance(x)))))
         return g_lin
 
     def newton(self, g_lin: np.ndarray, fixed_vals: np.ndarray,
@@ -403,10 +475,14 @@ class _System:
         at, bins = self._fet_targets, self._fet_bins
         nb, nw = at.size, 6 * d.size
         weights = np.empty(bins.size)
-        weights[:nb] = g_lin.reshape(-1)[at]
+        weights[:nb] = g_lin[at]
         weights[nb + nw:] = GMIN
         stamps = weights[nb:nb + nw].reshape(-1, 6)
         currents = np.empty((d.size, 2))
+        # Only the FET targets change from one iteration to the next.
+        jac = self._jac
+        jac[:] = g_lin
+        x = np.empty(n - nf)
         damping = 0.3 if retry else DAMPING
         worst = nf
         for _ in range(cfg.newton_max_iter):
@@ -414,25 +490,25 @@ class _System:
             i_d, stamps[:, 0], stamps[:, 1], stamps[:, 2] = _mosfet_companion(
                 self.fet_sign, self.vth, self.k, self.lam, vg, vd, vs)
             np.negative(stamps[:, :3], out=stamps[:, 3:])
-            jac = g_lin.copy()
-            flat = jac.reshape(-1)
-            flat[at] = np.bincount(bins, weights)
+            jac[at] = np.bincount(bins, weights)
             currents[:, 0] = (stamps[:, 0] * vg + stamps[:, 1] * vd
                               + stamps[:, 2] * vs - i_d)
             np.negative(currents[:, 0], out=currents[:, 1])
-            rhs = np.bincount(self._rhs_idx, currents.ravel(), minlength=n)
-            a = jac[nf:, nf:]
-            b = rhs[nf:] - jac[nf:, :nf] @ pinned
-            try:
-                x = np.linalg.solve(a, b)
-            except np.linalg.LinAlgError as exc:
-                bad = int(np.argmin(np.abs(np.diag(a))))
-                raise SingularSystem(self.nodes[nf + bad]) from exc
-            if not np.all(np.isfinite(x)):
+            rhs = np.bincount(self._rhs_idx, currents.ravel(),
+                              minlength=n)[nf:]
+            for a, coupling, rows in self._stacks:
+                b = rhs[rows].reshape(len(a), -1) - coupling @ pinned
+                try:
+                    x[rows] = np.linalg.solve(a, b[:, :, None]).reshape(-1)
+                except np.linalg.LinAlgError as exc:
+                    diag = np.abs(np.diagonal(a, axis1=1, axis2=2))
+                    bad = rows.start + int(np.argmin(diag))
+                    raise SingularSystem(self.nodes[nf + bad]) from exc
+            if not np.isfinite(x).all():
                 raise NonConvergence(cfg.newton_max_iter, self.nodes[worst])
             delta = x - v[nf:]
             size = np.abs(delta)
-            worst = nf + int(np.argmax(size))
+            worst = nf + int(size.argmax())
             dmax = float(size[worst - nf])
             if dmax < 0.05 and not retry:
                 v[nf:] += delta

@@ -1,6 +1,7 @@
 import pytest
 
 from ternsim.netlist import builtin_network, elaborate
+from ternsim.netlist.cells import GateNetwork, GateSpec
 
 
 @pytest.fixture(scope="session")
@@ -31,3 +32,18 @@ def d29_network():
 @pytest.fixture(scope="session")
 def display_network():
     return builtin_network("display")
+
+
+def tiled_display(k):
+    """k prefixed copies of the display decoder sharing A and B."""
+    base = builtin_network("display")
+
+    def net(i, n):
+        return n if n in base.inputs else f"t{i}_{n}"
+
+    gates = tuple(GateSpec(g.kind, f"t{i}_{g.name}",
+                           tuple(net(i, n) for n in g.inputs), net(i, g.output))
+                  for i in range(k) for g in base.gates)
+    outputs = tuple((f"t{i}_{p}", net(i, n))
+                    for i in range(k) for p, n in base.outputs)
+    return GateNetwork(f"display_x{k}", base.inputs, outputs, gates)

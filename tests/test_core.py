@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ternsim.core import (BitPair, INDETERMINATE, InvalidEncoding, LEVELS,
-                          REGIONS, VoltageBands, decode_2bit, encode_2bit,
-                          level_to_voltage, ref_nti, ref_pti, ref_sti,
-                          ref_tand, ref_tor, voltage_to_level)
+from ternsim.core import (BIT_CODES, BitPair, INDETERMINATE, InvalidEncoding,
+                          LEVELS, REGIONS, VoltageBands, decode_2bit,
+                          encode_2bit, level_to_voltage, ref_nti, ref_pti,
+                          ref_sti, ref_tand, ref_tor, voltage_to_level)
 
 L0, L1, L2 = LEVELS
 
@@ -100,7 +100,14 @@ class TestTwoBitEncoding:
 
     def test_roundtrip(self):
         for lv in LEVELS:
-            assert decode_2bit(encode_2bit(lv)) == lv
+            assert decode_2bit(encode_2bit(lv)) is lv
+            code = encode_2bit(lv)
+            assert decode_2bit(BitPair(code.hi, code.lo)) is lv
+
+    def test_encode_returns_canonical_instance(self):
+        for lv in LEVELS:
+            assert encode_2bit(lv) is encode_2bit(lv) is BIT_CODES[lv]
+            assert encode_2bit(int(lv)) is BIT_CODES[lv]
 
     def test_bitpair_validates_bits(self):
         with pytest.raises(ValueError):

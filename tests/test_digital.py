@@ -14,6 +14,8 @@ from ternsim.digital import (EncodedTrace, GateDag, build_dag,
 from ternsim.netlist import CellKind, builtin_network, mutate_network
 from ternsim.netlist.cells import GateNetwork, GateSpec
 
+from conftest import tiled_display
+
 L0, L1, L2 = LEVELS
 BITS = [encode_2bit(lv) for lv in LEVELS]
 TWO_INPUT = (CellKind.TAND2, CellKind.TOR2, CellKind.TNOR)
@@ -201,21 +203,6 @@ def assert_matches_reference(network):
     dag = build_dag(network)
     for vec in all_vectors(network):
         assert eval_circuit(dag, vec) == reference_walk(network, vec), vec
-
-
-def tiled_display(k):
-    """k prefixed copies of the display decoder sharing A and B."""
-    base = builtin_network("display")
-
-    def net(i, n):
-        return n if n in base.inputs else f"t{i}_{n}"
-
-    gates = tuple(GateSpec(g.kind, f"t{i}_{g.name}",
-                           tuple(net(i, n) for n in g.inputs), net(i, g.output))
-                  for i in range(k) for g in base.gates)
-    outputs = tuple((f"t{i}_{p}", net(i, n))
-                    for i in range(k) for p, n in base.outputs)
-    return GateNetwork(f"display_x{k}", base.inputs, outputs, gates)
 
 
 @st.composite

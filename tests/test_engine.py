@@ -2,6 +2,10 @@ import csv
 import io
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from ternsim.devices import (MemristorParams, MosfetParams,
                              NonpositiveTimestep, memristance,
                              mosfet_small_signal, update_state)
 from ternsim import engine
+from ternsim.analysis import expected_outputs, input_vectors
 from ternsim.engine import (NonConvergence, NotSettled, SingularSystem,
                             SolverConfig, Stimulus, TransientError, Waveform,
                             _System,
@@ -21,9 +26,11 @@ from ternsim.engine import (NonConvergence, NotSettled, SingularSystem,
                             relax_states, run_transient, solve_dc,
                             steady_output, step)
 from ternsim.netlist import CellKind, build_cell, builtin_network, parse
-from ternsim.netlist.cells import elaborate
+from ternsim.netlist.cells import GateNetwork, GateSpec, elaborate
 from ternsim.netlist.model import (Circuit, Memristor, Mosfet, Port, Resistor,
                                    VSource)
+
+from conftest import tiled_display
 
 L0, L1, L2 = LEVELS
 P = MemristorParams()
@@ -340,6 +347,125 @@ class TestSteadyOutput:
         out, info = steady_output(d13, {"X": L1}, return_info=True)
         assert info["settle_time"] < 20e-9
         assert set(info["voltages"]) == {"Y0", "Y1", "Y2"}
+
+
+
+def side_by_side(*names):
+    """Builtin decoders in one network, each on its own inputs.
+
+    Every net but an input, and every gate and output port, is prefixed
+    with its decoder's name.
+    """
+    parts = [(name, builtin_network(name)) for name in names]
+
+    def net(name, base, n):
+        return n if n in base.inputs else f"{name}_{n}"
+
+    gates = tuple(GateSpec(g.kind, f"{name}_{g.name}",
+                           tuple(net(name, base, n) for n in g.inputs),
+                           net(name, base, g.output))
+                  for name, base in parts for g in base.gates)
+    outputs = tuple((f"{name}_{p}", net(name, base, n))
+                    for name, base in parts for p, n in base.outputs)
+    return GateNetwork("_".join(names),
+                       tuple(i for _, base in parts for i in base.inputs),
+                       outputs, gates)
+
+
+@pytest.fixture(scope="module")
+def d13_d29():
+    return elaborate(side_by_side("d13", "d29"))
+
+
+class TestBlocks:
+    """Independent blocks of free nodes, solved one block size at a time."""
+
+    def test_one_block_keeps_circuit_order(self, display):
+        system = _System(display, ["vdd", "A", "B"])
+        assert [a.shape for a, _, _ in system._stacks] == [(1, 57, 57)]
+        assert system.nodes == list(dict.fromkeys(
+            ["0", "vdd", "A", "B", *(n for d in display.devices
+                                     for n in d.nodes)]))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_tiled_copies_equal_single_display(self, display, k):
+        tiled = elaborate(tiled_display(k))
+        assert [a.shape for a, _, _ in _System(tiled, ["vdd", "A", "B"])
+                ._stacks] == [(k, 57, 57)]
+        for vec in input_vectors("display"):
+            _, one = steady_output(display, vec, return_info=True)
+            _, many = steady_output(tiled, vec, return_info=True)
+            # == on floats: equal to the last bit (no NaN can get here).
+            assert many["settle_time"] == one["settle_time"]
+            for i in range(k):
+                assert {p: many["voltages"][f"t{i}_{p}"]
+                        for p in one["voltages"]} == one["voltages"], (vec, i)
+                assert {m: many["states"][f"Mt{i}_{m[1:]}"]
+                        for m in one["states"]} == one["states"], (vec, i)
+
+    def test_blocks_of_two_sizes(self, d13, d29, d13_d29):
+        system = _System(d13_d29, ["vdd", "X", "A", "B"])
+        assert [a.shape for a, _, _ in system._stacks] == [(1, 7, 7),
+                                                           (1, 29, 29)]
+        # Newton stops when the slower block converges, so the other block
+        # may take one more, smaller step than it takes alone.
+        for i, ab in enumerate(input_vectors("d29")):
+            x = {"X": LEVELS[i % 3]}
+            vec = {**x, **ab}
+            levels, info = steady_output(d13_d29, vec, return_info=True)
+            for name, alone, own in (("d13", d13, x), ("d29", d29, ab)):
+                want = expected_outputs(name, own)
+                assert {p: levels[f"{name}_{p}"] for p in want} == want
+                _, single = steady_output(alone, own, return_info=True)
+                for p, v in single["voltages"].items():
+                    assert info["voltages"][f"{name}_{p}"] == pytest.approx(
+                        v, rel=0, abs=1e-9)
+            # Largest KCL residual at a free node: below NEWTON_TOL volts
+            # across the largest conductance (1/500 S), as for d13 alone.
+            fixed = pinned_at(d13_d29, Stimulus.hold(vec), 0.0)
+            volts = solve_dc(d13_d29, fixed, info["states"])
+            res = kcl_residual(d13_d29, volts, info["states"])
+            assert max(abs(r) for node, r in res.items()
+                       if node not in fixed and node != "0") < (
+                engine.NEWTON_TOL / 500.0)
+
+    @pytest.mark.parametrize("size,part", [(7, "d13_"), (29, "d29_")])
+    def test_singular_block_names_its_node(self, d13_d29, monkeypatch,
+                                           size, part):
+        solve = np.linalg.solve
+
+        def singular_at_size(a, b):
+            if a.shape[-1] == size:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_at_size)
+        fixed = pinned_at(d13_d29, Stimulus.hold({"X": L1, "A": L0, "B": L2}),
+                          0.0)
+        with pytest.raises(SingularSystem) as e:
+            solve_dc(d13_d29, fixed)
+        assert e.value.node in d13_d29.nodes
+        assert e.value.node.startswith(part) and e.value.node not in fixed
+
+    def test_numpy_only(self):
+        # scipy.sparse.linalg would add about 30 MB and 0.4 s to a run.
+        script = (
+            "import sys\n"
+            "from conftest import tiled_display\n"
+            "from ternsim import steady_output\n"
+            "from ternsim.core import LEVELS\n"
+            "from ternsim.netlist import elaborate\n"
+            "steady_output(elaborate(tiled_display(2)),\n"
+            "              {'A': LEVELS[1], 'B': LEVELS[2]})\n"
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n")
+        tests = Path(__file__).parent
+        path = [str(tests.parent / "src"), str(tests),
+                os.environ.get("PYTHONPATH", "")]
+        out = subprocess.run([sys.executable, "-c", script], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ,
+                                  "PYTHONPATH": os.pathsep.join(path)})
+        assert out.stdout.strip() == "[]"
 
 
 def _fet_reference(polarity, lam, biases):

@@ -9,6 +9,7 @@ backends are verified against these functions.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -118,8 +119,10 @@ class VoltageBands:
 
 def level_to_voltage(level: TernaryLevel, vdd: float) -> float:
     """Map a logic level onto its nominal rail: L0=0, L1=vdd/2, L2=vdd."""
-    if vdd <= 0:
-        raise ValueError(f"vdd must be positive, got {vdd}")
+    if not 0 < vdd < math.inf:
+        raise ValueError(f"vdd must be finite and positive, got {vdd}")
+    if level not in LEVELS:
+        raise ValueError(f"{level!r} is not a ternary level")
     return (0.0, vdd / 2.0, vdd)[int(level)]
 
 

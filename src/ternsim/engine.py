@@ -21,7 +21,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .core import VoltageBands, level_to_voltage, voltage_to_level
+from .core import LEVELS, VoltageBands, level_to_voltage, voltage_to_level
 from .devices import NonpositiveTimestep, memristance, mosfet_small_signal
 from .netlist.model import GND, Circuit, Memristor, Mosfet, Resistor
 
@@ -114,14 +114,24 @@ class Stimulus:
         if not 0 <= self.slew < math.inf:
             raise ValueError(f"slew must be finite and non-negative, "
                              f"got {self.slew}")
+        if not 0 < self.vdd < math.inf:
+            raise ValueError(f"vdd must be finite and positive, got {self.vdd}")
         for port, events in self.schedules.items():
+            if not events:
+                raise ValueError(f"stimulus schedule for {port!r} is empty")
+            for _, level in events:
+                if level not in LEVELS:
+                    raise ValueError(f"stimulus level {level!r} for {port!r} "
+                                     f"is not a ternary level")
             times = [t for t, _ in events]
             if not all(map(math.isfinite, times)):
                 raise ValueError(f"stimulus times for {port!r} must be finite")
             if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
                 raise ValueError(f"stimulus times for {port!r} must be increasing")
-            dwells = [t1 - t0 for t0, t1 in zip(times, times[1:])]
-            if dwells and self.slew >= min(dwells):
+            # Each ramp, with when + slew rounded as voltage_at rounds it,
+            # ends before the next event: voltages relies on it.
+            if self.slew > 0 and any(t0 + self.slew >= t1
+                                     for t0, t1 in zip(times, times[1:])):
                 raise ValueError("slew must be shorter than the minimum dwell")
 
     @classmethod
@@ -147,6 +157,22 @@ class Stimulus:
                 return prev_v + (v - prev_v) * (t - when) / self.slew
             prev_v = v
         return prev_v
+
+    def voltages(self, port: str, times: np.ndarray) -> np.ndarray:
+        """``voltage_at`` at each of ``times``, with the same arithmetic."""
+        events = self.schedules[port]
+        whens = np.array([when for when, _ in events], dtype=float)
+        rails = np.array([level_to_voltage(lv, self.vdd) for _, lv in events])
+        # Index of the last event at or before t; -1 before the first.
+        i = np.searchsorted(whens, times, side="right") - 1
+        held = rails[np.maximum(i, 0)]
+        if self.slew == 0:
+            return held
+        prev, when = rails[np.maximum(i - 1, 0)], whens[np.maximum(i, 0)]
+        # __post_init__ keeps each ramp inside its own dwell.
+        return np.where((i >= 0) & (times < when + self.slew),
+                        prev + (held - prev) * (times - when) / self.slew,
+                        held)
 
 
 @dataclass
@@ -197,52 +223,67 @@ class Waveform:
             fh.write(f"$var real 64 r{j} V({node}) $end\n")
             fh.write(f"$var wire 2 w{j} L({node}) $end\n")
         fh.write("$upscope $end\n$enddefinitions $end\n")
-        volts = np.empty((len(self.times), len(self.probes)))
+        width = len(self.probes)
+        volts = np.empty((len(self.times), width))
         for j, series in enumerate(self.probes.values()):
             volts[:, j] = series
-        codes = bands.codes(volts)
         # A sample's code depends only on its voltage, so a line is due
         # exactly where the voltage differs from the sample before.
         changed = np.ones(volts.shape, dtype=bool)
         changed[1:] = volts[1:] != volts[:-1]
-        for i in range(len(self.times)):
-            cols = np.flatnonzero(changed[i])
-            fh.write(f"#{i * step_fs}\n" + "".join([
-                f"r{v:.9g} r{j}\nb{_VCD_CODES[c]} w{j}\n"
-                for j, v, c in zip(cols.tolist(), volts[i, cols].tolist(),
-                                   codes[i, cols].tolist())]))
+        # An entry's text after its value, by code * width + probe.
+        tails = [f" r{j}\nb{code} w{j}\n"
+                 for code in _VCD_CODES for j in range(width)]
+        for lo in range(0, len(volts), _VCD_BLOCK):
+            block = volts[lo:lo + _VCD_BLOCK]
+            rows, cols = np.nonzero(changed[lo:lo + _VCD_BLOCK])
+            vals = block[rows, cols]
+            keys = bands.codes(vals) * width + cols
+            cells = [f"r{v:.9g}{tails[key]}"
+                     for v, key in zip(vals.tolist(), keys.tolist())]
+            ends = np.searchsorted(rows, np.arange(1, len(block) + 1))
+            out, start = [], 0
+            for i, end in enumerate(ends.tolist(), lo):
+                out.append(f"#{i * step_fs}\n")
+                out += cells[start:end]
+                start = end
+            fh.write("".join(out))
 
 
-# to_csv formats this many rows at a time.  Formatting a whole 2001-step
-# display run at once held about 10 MB of cell strings; a block holds 1.
+# to_csv and to_vcd format this many rows at a time.  Formatting a whole
+# 2001-step display run at once held about 10 MB of cell strings; a CSV
+# block holds 1.  A VCD entry is about three times as long as a CSV cell,
+# and 256-row VCD blocks raised transient_switching's peak RSS by 8%.
 _CSV_BLOCK = 256
+_VCD_BLOCK = 64
 
 # Two-bit VCD code of each quantization region; the gaps read as xx.
 _VCD_CODES = ("00", "xx", "01", "xx", "10")
 
 
-def _mosfet_companion(sign, vth, k, lam, vg, vd, vs):
+def _mosfet_companion(sign, vth, k, lam, vgds):
     """``devices.mosfet_small_signal`` elementwise over arrays of devices.
 
+    ``vgds`` holds the gate, drain and source voltages, a row each.
     ``sign`` is +1 for NMOS and -1 for PMOS (the NMOS mirror under sign
     inversion of all voltages).  The arithmetic is the scalar model's, in
     the same order, so each element equals the scalar result.
     """
-    vg, vd, vs = sign * vg, sign * vd, sign * vs
+    vg, vd, vs = sign * vgds
     fwd = vd >= vs  # else the channel conducts the other way
-    lo = np.where(fwd, vs, vd)
-    vds = np.where(fwd, vd, vs) - lo
-    u = vg - lo - vth
+    lo = np.minimum(vd, vs)
+    vds = np.abs(vd - vs)  # exact: a - b is -(b - a)
+    # Cut off at u <= 0: u = 0 makes every term below exactly 0.
+    u = np.maximum(vg - lo - vth, 0.0)
     m = 1.0 + lam * vds
     tri = vds < u
     kq = k * np.where(tri, u * vds - 0.5 * vds * vds, 0.5 * u * u)
-    off = u <= 0.0
-    i = np.where(off, 0.0, kq * m)
-    dg = np.where(off, 0.0, k * np.where(tri, vds, u) * m)
-    dd = np.where(off, 0.0, np.where(tri, k * (u - vds) * m, 0.0) + kq * lam)
+    dg = k * np.where(tri, vds, u) * m
+    dd = np.where(tri, k * (u - vds) * m, 0.0) + kq * lam
     dgd = dg + dd
-    return (sign * np.where(fwd, i, -i), np.where(fwd, dg, -dg),
-            np.where(fwd, dd, dgd), np.where(fwd, -dgd, -dd))
+    flip = np.where(fwd, 1.0, -1.0)  # times +-1 is exact
+    return (sign * flip * (kq * m), flip * dg, np.where(fwd, dd, dgd),
+            -np.where(fwd, dgd, dd))
 
 
 def _pair_entries(i: np.ndarray, j: np.ndarray):
@@ -251,8 +292,8 @@ def _pair_entries(i: np.ndarray, j: np.ndarray):
             np.stack((i, j, j, i), axis=1).ravel())
 
 
-def _pair_weights(g: np.ndarray) -> np.ndarray:
-    return np.stack((g, -g, g, -g), axis=1).ravel()
+# Signs of a conductance's four two-terminal stamps, in _pair_entries order.
+_PAIR_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
 
 
 def _compress(flat: np.ndarray):
@@ -393,21 +434,30 @@ class _System:
         g_res = 1.0 / np.array([r.ohms for r in res], dtype=float)
         # bincount of no weights returns integers
         self.g_res = np.bincount(slot(*_pair_entries(r1, r2)),
-                                 _pair_weights(g_res),
+                                 np.multiply.outer(g_res, _PAIR_SIGNS).ravel(),
                                  minlength=self._jac.size).astype(float)
 
         self.mem_names = [m.name for m in mem]
-        self.mem_a, self.mem_c = a, c
+        self._mem_ac = np.stack((a, c))
         self.r_on, self.r_off, self.v_on, self.v_off, self.tau, self.x0 = (
             np.array([(p.r_on, p.r_off, p.v_on, p.v_off, p.tau, p.x0)
                       for p in (m.params for m in mem)],
                      dtype=float).reshape(-1, 6).T.copy())
+        self._r_on_off = self.r_on * self.r_off
+        self._neg_v_off = -self.v_off
+        self._decay_dt = self._decay = None
         self._mem_targets, self._mem_bins = _compress(
             slot(*_pair_entries(a, c)))
+        # Bincount weights of linear_matrix: the targets' resistor values,
+        # then the memristor stamps.
+        nt = self._mem_targets.size
+        self._mem_weights = np.empty(self._mem_bins.size)
+        self._mem_weights[:nt] = self.g_res[self._mem_targets]
+        self._mem_stamps = self._mem_weights[nt:].reshape(-1, 4)
         self._lin_x = None
         self._g_lin = None
 
-        self.fet_d, self.fet_g, self.fet_s = d, g, s
+        self._gds = np.stack((g, d, s))
         self.fet_sign, self.vth, self.k, self.lam = (
             np.array([(1.0 if p.polarity == "NMOS" else -1.0, p.vth, p.k,
                        p.channel_mod) for p in (f.params for f in fets)],
@@ -419,6 +469,15 @@ class _System:
             np.concatenate((np.stack((d, d, d, s, s, s), 1).ravel(), free)),
             np.concatenate((np.stack((g, d, s, g, d, s), 1).ravel(), free))))
         self._rhs_idx = np.stack((d, s), axis=1).ravel()
+        # Newton's scratch arrays, reused by every call: the Jacobian's
+        # bincount weights (the targets' linear values, the FET stamps,
+        # gmin), the FET currents and the new free voltages.
+        nb = self._fet_targets.size
+        self._weights = np.empty(self._fet_bins.size)
+        self._weights[nb + 6 * d.size:] = GMIN
+        self._stamps = self._weights[nb:nb + 6 * d.size].reshape(-1, 6)
+        self._currents = np.empty((d.size, 2))
+        self._x = np.empty(n - nf)
 
     def state_vector(self, states: Optional[Mapping]) -> np.ndarray:
         """States in circuit order; a device missing from ``states`` has x0.
@@ -442,15 +501,16 @@ class _System:
 
     def mem_conductance(self, x: np.ndarray) -> np.ndarray:
         """``1 / devices.memristance`` elementwise, with the same arithmetic."""
-        return 1.0 / ((self.r_on * self.r_off)
+        return 1.0 / (self._r_on_off
                       / (x * self.r_off + (1.0 - x) * self.r_on))
 
     def linear_matrix(self, x: np.ndarray) -> np.ndarray:
         """Conductance stamps of resistors and (frozen-state) memristors."""
         g_lin = self.g_res.copy()
-        at = self._mem_targets
-        g_lin[at] = np.bincount(self._mem_bins, np.concatenate((
-            g_lin[at], _pair_weights(self.mem_conductance(x)))))
+        np.multiply.outer(self.mem_conductance(x), _PAIR_SIGNS,
+                          out=self._mem_stamps)
+        g_lin[self._mem_targets] = np.bincount(self._mem_bins,
+                                               self._mem_weights)
         return g_lin
 
     def newton(self, g_lin: np.ndarray, fixed_vals: np.ndarray,
@@ -470,29 +530,24 @@ class _System:
         v[1:nf] = fixed_vals
         if nf == n:
             return v
-        pinned = v[:nf]  # never written below
-        d, g, s = self.fet_d, self.fet_g, self.fet_s
-        at, bins = self._fet_targets, self._fet_bins
-        nb, nw = at.size, 6 * d.size
-        weights = np.empty(bins.size)
-        weights[:nb] = g_lin[at]
-        weights[nb + nw:] = GMIN
-        stamps = weights[nb:nb + nw].reshape(-1, 6)
-        currents = np.empty((d.size, 2))
+        pinned, free = v[:nf], v[nf:]  # pinned is never written below
+        at, weights, stamps = self._fet_targets, self._weights, self._stamps
+        currents, x = self._currents, self._x
+        weights[:at.size] = g_lin[at]
         # Only the FET targets change from one iteration to the next.
         jac = self._jac
         jac[:] = g_lin
-        x = np.empty(n - nf)
         damping = 0.3 if retry else DAMPING
-        worst = nf
+        delta = None
         for _ in range(cfg.newton_max_iter):
-            vg, vd, vs = v[g], v[d], v[s]
-            i_d, stamps[:, 0], stamps[:, 1], stamps[:, 2] = _mosfet_companion(
-                self.fet_sign, self.vth, self.k, self.lam, vg, vd, vs)
+            vgds = v[self._gds]
+            i_d, dg, dd, ds = _mosfet_companion(
+                self.fet_sign, self.vth, self.k, self.lam, vgds)
+            stamps[:, 0], stamps[:, 1], stamps[:, 2] = dg, dd, ds
             np.negative(stamps[:, :3], out=stamps[:, 3:])
-            jac[at] = np.bincount(bins, weights)
-            currents[:, 0] = (stamps[:, 0] * vg + stamps[:, 1] * vd
-                              + stamps[:, 2] * vs - i_d)
+            jac[at] = np.bincount(self._fet_bins, weights)
+            vg, vd, vs = vgds
+            np.subtract(dg * vg + dd * vd + ds * vs, i_d, out=currents[:, 0])
             np.negative(currents[:, 0], out=currents[:, 1])
             rhs = np.bincount(self._rhs_idx, currents.ravel(),
                               minlength=n)[nf:]
@@ -504,20 +559,24 @@ class _System:
                     diag = np.abs(np.diagonal(a, axis1=1, axis2=2))
                     bad = rows.start + int(np.argmin(diag))
                     raise SingularSystem(self.nodes[nf + bad]) from exc
-            if not np.isfinite(x).all():
-                raise NonConvergence(cfg.newton_max_iter, self.nodes[worst])
-            delta = x - v[nf:]
-            size = np.abs(delta)
-            worst = nf + int(size.argmax())
-            dmax = float(size[worst - nf])
+            step = x - free
+            dmax = np.abs(step).max()
+            if not math.isfinite(dmax):  # x holds a NaN or an inf
+                raise NonConvergence(cfg.newton_max_iter, self._worst(delta))
+            delta = step
             if dmax < 0.05 and not retry:
-                v[nf:] += delta
+                free += delta
             else:
-                v[nf:] += np.clip(damping * delta,
-                                  -MAX_STEP_VOLTS, MAX_STEP_VOLTS)
+                free += np.clip(damping * delta,
+                                -MAX_STEP_VOLTS, MAX_STEP_VOLTS)
             if dmax < NEWTON_TOL:
                 return v
-        raise NonConvergence(cfg.newton_max_iter, self.nodes[worst])
+        raise NonConvergence(cfg.newton_max_iter, self._worst(delta))
+
+    def _worst(self, delta: Optional[np.ndarray]) -> str:
+        """The free node of largest |delta|; the first one before any step."""
+        return self.nodes[self.nfix + (0 if delta is None else
+                                       int(np.abs(delta).argmax()))]
 
     def solve(self, x: np.ndarray, fixed_vals: np.ndarray,
               v0: np.ndarray, cfg: SolverConfig) -> np.ndarray:
@@ -532,19 +591,25 @@ class _System:
     def advance(self, x: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
         """``devices.update_state`` elementwise, with the same arithmetic.
 
-        ``math.exp`` per device rounds each decay as the scalar model does.
+        ``math.exp`` per device rounds each decay as the scalar model does;
+        the decays are kept for the last ``dt``.
         """
-        bias = v[self.mem_a] - v[self.mem_c]
-        decay = np.array([math.exp(-dt / tau) for tau in self.tau.tolist()])
-        x = np.where(bias >= self.v_on, x + (1.0 - x) * (1.0 - decay),
-                     np.where(bias <= -self.v_off, x * decay, x))
+        if dt != self._decay_dt:
+            decay = np.array([math.exp(-dt / tau) for tau in self.tau.tolist()])
+            self._decay, self._decay_dt = (decay, 1.0 - decay), dt
+        decay, grow = self._decay
+        va, vc = v[self._mem_ac]
+        bias = va - vc
+        x = np.where(bias >= self.v_on, x + (1.0 - x) * grow,
+                     np.where(bias <= self._neg_v_off, x * decay, x))
         return np.minimum(1.0, np.maximum(0.0, x))
 
     def march(self, cfg: SolverConfig, pinned, x: np.ndarray, v: np.ndarray,
               bypass: bool = False):
         """Semi-implicit transient over [0, t_stop]: yields (k, t, v, x).
 
-        ``pinned(t)`` gives the pinned voltages at time t.  Each step solves
+        ``pinned`` gives the pinned voltages of each step in turn, for
+        example the rows of a schedule table.  Each step solves
         the network with frozen states, yields, then advances the states, so
         a consumer that stops early holds the states its last solve used.
         With ``bypass``, a step whose pinned voltages and states equal those
@@ -552,9 +617,8 @@ class _System:
         device bypass): it yields that step's voltages and skips both.
         """
         last_p = last_x = None
-        for k in range(cfg.steps + 1):
+        for k, p in zip(range(cfg.steps + 1), pinned):
             t = k * cfg.dt
-            p = pinned(t)
             quiet = bypass and _unchanged(x, last_x) and _unchanged(p, last_p)
             last_p, last_x = p, x
             if quiet:
@@ -573,7 +637,8 @@ class _System:
         """
         for _ in range(max(8, len(x) + 2)):
             v = self.solve(x, fixed_vals, v, cfg)
-            bias = v[self.mem_a] - v[self.mem_c]
+            va, vc = v[self._mem_ac]
+            bias = va - vc
             new = np.where(bias > 1e-9, 1.0, np.where(bias < -1e-9, 0.0, x))
             if np.array_equal(new, x):
                 break
@@ -581,13 +646,19 @@ class _System:
         return x, v
 
 
+def _sampled(value_at, times: np.ndarray) -> np.ndarray:
+    """``value_at`` at each of ``times``."""
+    return np.array([value_at(t) for t in times.tolist()], dtype=float)
+
+
 def _drivers(circuit: Circuit, stim: Optional[Stimulus]) -> dict:
     """Pinned nodes, sources first, each mapped to its voltage over time.
 
-    Raises ValueError for a stimulus port that is not an input port, or
+    A driver maps an array of times to the node's voltages at them.  Raises ValueError for a stimulus port that is not an input port, or
     whose node a source (or an earlier port) already drives.
     """
-    drivers = {s.pos: s.value_at for s in circuit.sources() if s.pos != GND}
+    drivers = {s.pos: functools.partial(_sampled, s.value_at)
+               for s in circuit.sources() if s.pos != GND}
     if stim is not None:
         inputs = {p.name for p in circuit.input_ports()}
         for port in stim.ports():
@@ -598,8 +669,16 @@ def _drivers(circuit: Circuit, stim: Optional[Stimulus]) -> dict:
             if node in drivers:
                 raise ValueError(f"port {port!r} node {node!r} is already "
                                  f"driven by a source")
-            drivers[node] = functools.partial(stim.voltage_at, port)
+            drivers[node] = functools.partial(stim.voltages, port)
     return drivers
+
+
+def _schedule(drivers: Mapping, nodes, times: np.ndarray) -> np.ndarray:
+    """Voltages of the pinned ``nodes`` at ``times``, a row per time."""
+    table = np.empty((len(times), len(nodes)))
+    for j, node in enumerate(nodes):
+        table[:, j] = drivers[node](times)
+    return table
 
 
 def supply_voltage(circuit: Circuit) -> float:
@@ -700,7 +779,6 @@ def run_transient(circuit: Circuit, stim: Optional[Stimulus] = None,
     _warn_if_coarse(circuit, cfg.dt)
     times = np.arange(cfg.steps + 1) * cfg.dt
     system = _System(circuit, drivers)
-    pinned = [drivers[n] for n in system.fixed_idx_names]
     probe_nodes = list(dict.fromkeys([p.node for p in circuit.ports]
                                      + sorted(system.nodes)))
     probe_idx = np.array([system.index[n] for n in probe_nodes], dtype=np.intp)
@@ -716,7 +794,7 @@ def run_transient(circuit: Circuit, stim: Optional[Stimulus] = None,
     done = 0
     try:
         for k, _, v, x in system.march(
-                cfg, lambda t: np.array([f(t) for f in pinned], dtype=float),
+                cfg, _schedule(drivers, system.fixed_idx_names, times),
                 system.state_vector(None),
                 np.full(system.n, supply_voltage(circuit) / 2.0)):
             volts[:, k] = v[probe_idx]
@@ -760,7 +838,7 @@ def steady_output(circuit: Circuit, inputs: Mapping,
     bands = bands or VoltageBands.default(supply)
     drivers = _drivers(circuit, Stimulus.hold(dict(inputs), vdd=supply))
     system, fixed_vals, x, v = _dc_system(
-        circuit, {n: f(0.0) for n, f in drivers.items()})
+        circuit, {n: f(np.zeros(1)).item() for n, f in drivers.items()})
     x, v = system.relax(x, fixed_vals, v, cfg)
     outs = {p.name: system.index[p.node] for p in circuit.output_ports()}
     out_rows = np.array(list(outs.values()), dtype=np.intp)
@@ -768,7 +846,7 @@ def steady_output(circuit: Circuit, inputs: Mapping,
     run_len = 0
     regions = v_seen = None
     settle_time = 0.0
-    for _, t, v, x in system.march(cfg, lambda _t: fixed_vals, x, v,
+    for _, t, v, x in system.march(cfg, itertools.repeat(fixed_vals), x, v,
                                    bypass=True):
         if v is not v_seen:  # a bypassed step yields the same voltages
             now = bands.codes(v[out_rows]).tolist()

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -22,9 +23,15 @@ class TestLevels:
         assert level_to_voltage(L0, 1.0) == 0.0
         assert level_to_voltage(L2, 1.2) == 1.2
 
-    def test_level_to_voltage_rejects_bad_vdd(self):
-        with pytest.raises(ValueError):
-            level_to_voltage(L0, 0.0)
+    @pytest.mark.parametrize("vdd", [0.0, -1.0, math.nan, math.inf])
+    def test_level_to_voltage_rejects_bad_vdd(self, vdd):
+        with pytest.raises(ValueError, match="vdd must be finite"):
+            level_to_voltage(L0, vdd)
+
+    @pytest.mark.parametrize("level", [-1, 3, 7, 2.9, 0.5, "L1", None])
+    def test_level_to_voltage_rejects_non_levels(self, level):
+        with pytest.raises(ValueError, match="not a ternary level"):
+            level_to_voltage(level, 1.0)
 
 
 class TestBands:

@@ -22,7 +22,8 @@ from ternsim.analysis import expected_outputs, input_vectors
 from ternsim.engine import (NonConvergence, NotSettled, SingularSystem,
                             SolverConfig, Stimulus, TransientError, Waveform,
                             _System,
-                            _drivers, _mosfet_companion, kcl_residual,
+                            _drivers, _mosfet_companion, _schedule,
+                            kcl_residual,
                             relax_states, run_transient, solve_dc,
                             steady_output, step)
 from ternsim.netlist import CellKind, build_cell, builtin_network, parse
@@ -39,7 +40,8 @@ BANDS = VoltageBands.default(1.0)
 
 def pinned_at(circuit, stim, t):
     """Node voltages pinned by the sources and ``stim`` at time t."""
-    return {n: f(t) for n, f in _drivers(circuit, stim).items()}
+    return {n: f(np.array([t])).item()
+            for n, f in _drivers(circuit, stim).items()}
 
 
 def count_linear_solves(monkeypatch):
@@ -275,6 +277,7 @@ class TestTransient:
             run_transient(d13, Stimulus.hold({"X": L1}), cfg)
         assert isinstance(e.value.cause, NonConvergence)
         assert e.value.cause.iterations == 1
+        assert e.value.cause.worst_node == "Y2"
         assert len(e.value.waveform.times) == 0
 
     def test_input_slewing_through_pti_threshold_completes(self):
@@ -291,6 +294,30 @@ class TestTransient:
         circuit = elaborate(builtin_network("display"))
         w = run_transient(circuit, stim, SolverConfig(t_stop=71e-9))
         assert len(w.times) == 1421
+
+    def test_kcl_holds_along_a_switching_run(self, display):
+        # The display switching run of the benchmark (its sequence 3): a
+        # new (A, B) every 10 ns with a 0.5 ns slew.  Each sample's voltages
+        # solve KCL under the states that sample's solve used, as checked
+        # by the scalar device models.
+        seq = [(0, 2), (2, 0), (1, 2), (2, 0), (1, 1),
+               (2, 0), (0, 2), (1, 2), (2, 1), (1, 2)]
+        stim = Stimulus({"A": tuple((i * 10e-9, LEVELS[a])
+                                    for i, (a, _) in enumerate(seq)),
+                         "B": tuple((i * 10e-9, LEVELS[b])
+                                    for i, (_, b) in enumerate(seq))},
+                        slew=0.5e-9)
+        w = run_transient(display, stim)
+        assert len(w.times) == 2001
+        pinned = {"0", "vdd", display.port("A").node, display.port("B").node}
+        worst = 0.0
+        for k in range(0, len(w.times), 10):
+            volts = {n: float(s[k]) for n, s in w.probes.items()}
+            states = {m: float(s[k]) for m, s in w.states.items()}
+            res = kcl_residual(display, volts, states)
+            worst = max(worst, max(abs(r) for n, r in res.items()
+                                   if n not in pinned))
+        assert worst < 2e-9
 
 
 class TestSteadyOutput:
@@ -475,10 +502,10 @@ def _fet_reference(polarity, lam, biases):
 
 def _fet_compiled(polarity, lam, biases):
     n = len(biases)
-    vg, vd, vs = np.array(biases, dtype=float).T
     sign = np.full(n, 1.0 if polarity == "NMOS" else -1.0)
     return np.array(_mosfet_companion(sign, np.full(n, 0.3), np.full(n, 2e-3),
-                                      np.full(n, lam), vg, vd, vs))
+                                      np.full(n, lam),
+                                      np.array(biases, dtype=float).T))
 
 
 MEM_PARAMS = (P, MemristorParams(v_on=0.1, v_off=0.45, tau=80e-12),
@@ -495,9 +522,32 @@ class TestCompiledKernels:
            st.lists(st.tuples(*[st.floats(-1.5, 1.5)] * 3),
                     min_size=1, max_size=16))
     def test_mosfet_companion_matches_scalar(self, polarity, lam, biases):
-        np.testing.assert_allclose(_fet_compiled(polarity, lam, biases),
-                                   _fet_reference(polarity, lam, biases),
-                                   rtol=0, atol=1e-12)
+        # Same arithmetic in the same order: equal, not merely close.
+        assert np.array_equal(_fet_compiled(polarity, lam, biases),
+                              _fet_reference(polarity, lam, biases))
+
+    @pytest.mark.parametrize("polarity", ["NMOS", "PMOS"])
+    @pytest.mark.parametrize("lam", [0.0, 0.05])
+    def test_mosfet_companion_at_threshold_and_ties(self, polarity, lam):
+        sign = 1.0 if polarity == "NMOS" else -1.0
+        lows = (-0.7, -0.2, 0.0, 0.1, 0.2, 0.45, 0.7)
+        biases = []
+        for lo, hi in itertools.product(lows, repeat=2):
+            if lo > hi:
+                continue
+            vg = lo + 0.3  # overdrive 0 when the low terminal is lo
+            if vg - lo - 0.3 == 0.0:
+                biases += [(vg, hi, lo), (vg, lo, hi)]
+            biases += [(vg, lo, lo), (vg + 0.1, lo, lo), (vg - 0.1, lo, lo)]
+        biases += [(0.5, 0.0, -0.0), (0.5, -0.0, 0.0), (-0.0, 0.0, 0.0)]
+        biases = [tuple(sign * b for b in bias) for bias in biases]
+        at_threshold = [b for b in biases
+                        if sign * b[0] - min(sign * b[1], sign * b[2]) - 0.3
+                        == 0.0]
+        assert len(at_threshold) > 10
+        assert sum(b[1] == b[2] for b in biases) > 10
+        assert np.array_equal(_fet_compiled(polarity, lam, biases),
+                              _fet_reference(polarity, lam, biases))
 
     @pytest.mark.parametrize("polarity", ["NMOS", "PMOS"])
     @pytest.mark.parametrize("lam", [0.0, 0.05])
@@ -618,10 +668,94 @@ class TestStimulus:
         with pytest.raises(ValueError, match="finite"):
             Stimulus(**args)
 
+    @pytest.mark.parametrize("schedule,match", [
+        ((), "'X' is empty"),
+        (((0.0, -1),), "level -1 for 'X'"),
+        (((0.0, L0), (1e-9, 2.9)), "level 2.9 for 'X'"),
+        (((0.0, 7),), "level 7 for 'X'"),
+        (((0.0, "L1"),), "level 'L1' for 'X'"),
+    ])
+    def test_bad_schedule_rejected(self, schedule, match):
+        with pytest.raises(ValueError, match=match):
+            Stimulus({"X": schedule})
+
+    @pytest.mark.parametrize("vdd", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_vdd_rejected(self, vdd):
+        with pytest.raises(ValueError, match="vdd must be finite and positive"):
+            Stimulus.hold({"X": L1}, vdd=vdd)
+
+    def test_integer_levels_accepted(self):
+        stim = Stimulus({"X": ((0.0, 0), (1e-9, 2), (2e-9, 1))})
+        assert [stim.voltage_at("X", t) for t in (0.0, 1e-9, 2e-9)] == [
+            0.0, 1.0, 0.5]
+
     def test_event_times_merged(self):
         stim = Stimulus({"A": ((0.0, L0), (5e-9, L2)),
                          "B": ((0.0, L1), (7e-9, L0))})
         assert stim.event_times() == (0.0, 5e-9, 7e-9)
+
+
+class TestSchedule:
+    """The pinned-voltage table against the scalar drivers, bit for bit."""
+
+    @staticmethod
+    def circuit():
+        return Circuit(name="sched", devices=[
+            VSource("V1", "vdd", "0", dc=1.2),
+            VSource("V2", "p", "0", pwl=((1e-9, 0.0), (2e-9, 0.3),
+                                         (2e-9, 1.0), (3.5e-9, 0.25))),
+            Memristor("M1", "x", "0", P), Memristor("M2", "y", "0", P),
+            Memristor("M3", "p", "0", P), Memristor("M4", "vdd", "0", P),
+        ], ports=[Port("X", "in", "x"), Port("Y", "in", "y")]).validate()
+
+    @staticmethod
+    def instants(stim):
+        """A grid, plus each event and ramp end and their neighbours."""
+        marks = [0.0, 1e-9, 2e-9, 3.5e-9]
+        for t in stim.event_times():
+            marks += [t, t + stim.slew]
+        times = [*(k * 0.05e-9 for k in range(121)), -1e-9, 9e-9]
+        for t in marks:
+            times += [t, math.nextafter(t, -math.inf),
+                      math.nextafter(t, math.inf)]
+        return np.array(times)
+
+    @pytest.mark.parametrize("slew", [0.0, 0.3e-9])
+    def test_drivers_match_scalar(self, slew):
+        circuit = self.circuit()
+        stim = Stimulus({"X": ((0.5e-9, L1), (1.5e-9, L2), (2.5e-9, L0)),
+                         "Y": ((0.0, L2), (2e-9, L2), (3e-9, 1))},
+                        slew=slew, vdd=1.2)
+        times = self.instants(stim)
+        sources = {s.pos: s for s in circuit.sources()}
+        drivers = _drivers(circuit, stim)
+        assert list(drivers) == ["vdd", "p", "x", "y"]
+        table = _schedule(drivers, list(drivers), times)
+        for j, node in enumerate(drivers):
+            if node in sources:
+                want = [sources[node].value_at(t) for t in times.tolist()]
+            else:
+                port = {"x": "X", "y": "Y"}[node]
+                want = [stim.voltage_at(port, t) for t in times.tolist()]
+            assert table[:, j].tobytes() == np.array(want).tobytes(), node
+        # before the first event, on the PWL's vertical step and mid-ramp
+        at = dict(zip(times.tolist(), table.tolist()))
+        assert at[0.0][2] == 0.6 and at[2e-9][1] == 0.3
+        ramp = table[(times > 1.5e-9) & (times < 1.5e-9 + slew), 2]
+        assert ((0.6 < ramp) & (ramp < 1.2)).all() and (ramp.size > 0) == (
+            slew > 0)
+
+    def test_run_transient_pins_the_schedule(self):
+        circuit = self.circuit()
+        stim = Stimulus({"X": ((0.0, L0), (1e-9, L2)), "Y": ((0.0, L1),)},
+                        slew=0.5e-9, vdd=1.2)
+        w = run_transient(circuit, stim, SolverConfig(t_stop=4e-9))
+        for node, port in (("x", "X"), ("y", "Y")):
+            assert w.probes[node].tolist() == [
+                stim.voltage_at(port, t) for t in w.times.tolist()]
+        source = circuit.sources()[1]
+        assert w.probes["p"].tolist() == [source.value_at(t)
+                                          for t in w.times.tolist()]
 
 
 class TestGateOracle:
@@ -726,6 +860,30 @@ class TestExports:
         assert "#0\n" in text
         # ternary codes are two bits; indeterminate renders as xx
         assert "b10 " in text or "b00 " in text
+
+    def test_vcd_bytes_match_row_by_row(self):
+        # Several of to_vcd's row blocks; each probe changes at a third of
+        # the samples, so many samples write no entry.
+        rng = np.random.default_rng(5)
+        n = 5 * engine._VCD_BLOCK + 3
+        volts = rng.choice([0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0], (n, 3))
+        for i in range(1, n):
+            volts[i] = np.where(rng.random(3) < 0.3, volts[i], volts[i - 1])
+        w = Waveform(dt=1e-12, times=np.arange(n) * 1e-12,
+                     probes={name: volts[:, j].copy()
+                             for j, name in enumerate("abc")}, states={})
+        body = []
+        for i in range(n):
+            body.append(f"#{i * 1000}\n")
+            for j, s in enumerate(w.probes.values()):
+                if i == 0 or s[i] != s[i - 1]:
+                    code = engine._VCD_CODES[int(BANDS.codes(s[i]))]
+                    body.append(f"r{s[i]:.9g} r{j}\nb{code} w{j}\n")
+        assert sum(a[0] == b[0] == "#" for a, b in zip(body, body[1:])) > 50
+        buf = io.StringIO()
+        w.to_vcd(buf, BANDS)
+        _, sep, got = buf.getvalue().partition("$enddefinitions $end\n")
+        assert sep and got == "".join(body)
 
     def test_vcd_bytes_at_band_edges(self):
         # Probe a visits each band edge and one ulp past it, a gap value,

@@ -115,7 +115,8 @@ class Stimulus:
             raise ValueError(f"slew must be finite and non-negative, "
                              f"got {self.slew}")
         if not 0 < self.vdd < math.inf:
-            raise ValueError(f"vdd must be finite and positive, got {self.vdd}")
+            raise ValueError(f"vdd must be finite and positive, "
+                             f"got {self.vdd}")
         for port, events in self.schedules.items():
             if not events:
                 raise ValueError(f"stimulus schedule for {port!r} is empty")
@@ -595,7 +596,8 @@ class _System:
         the decays are kept for the last ``dt``.
         """
         if dt != self._decay_dt:
-            decay = np.array([math.exp(-dt / tau) for tau in self.tau.tolist()])
+            decay = np.array([math.exp(-dt / tau)
+                              for tau in self.tau.tolist()])
             self._decay, self._decay_dt = (decay, 1.0 - decay), dt
         decay, grow = self._decay
         va, vc = v[self._mem_ac]
@@ -654,7 +656,8 @@ def _sampled(value_at, times: np.ndarray) -> np.ndarray:
 def _drivers(circuit: Circuit, stim: Optional[Stimulus]) -> dict:
     """Pinned nodes, sources first, each mapped to its voltage over time.
 
-    A driver maps an array of times to the node's voltages at them.  Raises ValueError for a stimulus port that is not an input port, or
+    A driver maps an array of times to the node's voltages at them.
+    Raises ValueError for a stimulus port that is not an input port, or
     whose node a source (or an earlier port) already drives.
     """
     drivers = {s.pos: functools.partial(_sampled, s.value_at)

@@ -23,8 +23,12 @@ class TestLevels:
         assert level_to_voltage(L0, 1.0) == 0.0
         assert level_to_voltage(L2, 1.2) == 1.2
 
-    @pytest.mark.parametrize("vdd", [0.0, -1.0, math.nan, math.inf])
-    def test_level_to_voltage_rejects_bad_vdd(self, vdd):
+    def test_level_to_voltage_rejects_bad_vdd(self):
+        with pytest.raises(ValueError):
+            level_to_voltage(L0, 0.0)
+
+    @pytest.mark.parametrize("vdd", [-1.0, math.nan, math.inf])
+    def test_level_to_voltage_rejects_negative_or_non_finite_vdd(self, vdd):
         with pytest.raises(ValueError, match="vdd must be finite"):
             level_to_voltage(L0, vdd)
 

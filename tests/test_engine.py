@@ -681,7 +681,7 @@ class TestStimulus:
 
     @pytest.mark.parametrize("vdd", [math.nan, math.inf, 0.0, -1.0])
     def test_bad_vdd_rejected(self, vdd):
-        with pytest.raises(ValueError, match="vdd must be finite and positive"):
+        with pytest.raises(ValueError, match="finite and positive"):
             Stimulus.hold({"X": L1}, vdd=vdd)
 
     def test_integer_levels_accepted(self):

@@ -108,8 +108,12 @@ def cmd_simulate(args) -> int:
         vectors = [{n: TernaryLevel.L0 for n in input_names}]
     else:
         vectors = [None]  # netlist drives itself (PWL sources)
-    out_dir = _out_dir(args)
     supply = supply_voltage(circuit)
+    if not supply > 0:
+        print(f"error: supply voltage (highest DC source) must be positive, "
+              f"got {supply}", file=sys.stderr)
+        return EXIT_INPUT
+    out_dir = _out_dir(args)
     bands = VoltageBands.default(supply)
     status = EXIT_OK
     for vec in vectors:
@@ -120,6 +124,9 @@ def cmd_simulate(args) -> int:
         except (TransientError, SingularSystem) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_SOLVER
+        except ValueError as exc:  # an input port on a source-driven node
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
         for fmt in formats:
             path = out_dir / f"{circuit.name}_{tag}.{fmt}"
             buf = io.StringIO()

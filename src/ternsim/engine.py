@@ -129,7 +129,7 @@ class Stimulus:
                 raise ValueError(f"stimulus times for {port!r} must be finite")
             if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
                 raise ValueError(f"stimulus times for {port!r} must be increasing")
-            # Each ramp, with when + slew rounded as voltage_at rounds it,
+            # Each ramp, with when + slew rounded as voltages rounds it,
             # ends before the next event: voltages relies on it.
             if self.slew > 0 and any(t0 + self.slew >= t1
                                      for t0, t1 in zip(times, times[1:])):
@@ -147,20 +147,14 @@ class Stimulus:
         times = {t for events in self.schedules.values() for t, _ in events}
         return tuple(sorted(times))
 
-    def voltage_at(self, port: str, t: float) -> float:
-        events = self.schedules[port]
-        prev_v = level_to_voltage(events[0][1], self.vdd)
-        for when, level in events:
-            v = level_to_voltage(level, self.vdd)
-            if t < when:
-                break
-            if self.slew > 0 and t < when + self.slew:
-                return prev_v + (v - prev_v) * (t - when) / self.slew
-            prev_v = v
-        return prev_v
-
     def voltages(self, port: str, times: np.ndarray) -> np.ndarray:
-        """``voltage_at`` at each of ``times``, with the same arithmetic."""
+        """The port's voltage at each of ``times``.
+
+        Before its first event a port holds its first level.  From an event
+        at ``when`` the voltage ramps linearly from the previous level,
+        ``prev + (new - prev) * (t - when) / slew``, until ``when + slew``,
+        then holds the new level.
+        """
         events = self.schedules[port]
         whens = np.array([when for when, _ in events], dtype=float)
         rails = np.array([level_to_voltage(lv, self.vdd) for _, lv in events])
@@ -298,14 +292,13 @@ _PAIR_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
 
 
 def _compress(flat: np.ndarray):
-    """Distinct flat stamp targets, and the bins that sum stamps into them.
+    """Distinct flat stamp targets, and each stamp's bin among them.
 
-    ``np.bincount(bins, w)`` with ``w`` the matrix values at the targets
-    followed by the stamps adds, per target, its value and then each stamp
-    in order: the order, and so the rounding, of a loop of ``+=``.
+    ``np.bincount(bins, w)`` with ``w`` the stamps adds, per target, each
+    of its stamps in order to 0.0: the order, and so the rounding, of a
+    loop of ``+=`` on a zeroed matrix.
     """
-    targets, inv = np.unique(flat, return_inverse=True)
-    return targets, np.concatenate((np.arange(targets.size), inv))
+    return np.unique(flat, return_inverse=True)
 
 
 def _unchanged(a: np.ndarray, b: Optional[np.ndarray]) -> bool:
@@ -380,8 +373,16 @@ class _System:
     row holds the pinned columns, then its block's, so the blocks of one
     size form a stack of (size, nfix + size) matrices.  The stamps on
     pinned rows, which no equation reads, sum into a spare row at the end.
-    Memristor states travel as one array in circuit order; the engine
-    never modifies a state array in place.
+
+    Every stamp is compiled into one program, as in modified nodal analysis
+    (Ho, Ruehli & Brennan, IEEE TCAS 22(6), 1975): the resistor and then
+    the memristor pair entries, the FET entries, gmin on the free diagonal,
+    then the FET companion currents on the right-hand side.  One
+    ``np.bincount`` per Newton iteration sums the weights into their
+    targets.  The resistor and gmin weights are written once, ``solve``
+    writes the memristor weights of its states and ``newton`` the FET
+    weights of its iterate.  Memristor states travel as one array in
+    circuit order; the engine never modifies a state array in place.
     """
 
     def __init__(self, circuit: Circuit, fixed_nodes):
@@ -411,19 +412,22 @@ class _System:
         # Entry (i, j) sits at row[i] + col[j] of a flat matrix: row[i] is
         # where row i starts, col[j] is j for a pinned column and nfix plus
         # j's place in its block for a free one.  Every pinned row starts
-        # at the spare row.
+        # at the spare row.  The right-hand side, by node, follows the
+        # matrix.  Only the stamp targets are ever written.
         spare = sum(size * count * (nf + size) for size, count in classes)
-        self._jac = np.empty(spare + nf + max([0, *(z for z, _ in classes)]))
+        end = spare + nf + max([0, *(z for z, _ in classes)])
+        self._mna = np.zeros(end + n)
+        self._rhs = self._mna[end + nf:]
         row, col = np.full(n, spare), np.arange(n)
         # Per block size: the square blocks, their pinned columns and their
-        # rows among the free nodes, as views of the Jacobian.
+        # rows among the free nodes, as views of the matrix.
         self._stacks = []
         lo = off = 0
         for size, count in classes:
             k = np.arange(size * count)
             row[nf + lo:nf + lo + k.size] = off + k * (nf + size)
             col[nf + lo:nf + lo + k.size] = nf + k % size
-            stack = self._jac[off:off + k.size * (nf + size)].reshape(
+            stack = self._mna[off:off + k.size * (nf + size)].reshape(
                 count, size, nf + size)
             self._stacks.append((stack[:, :, nf:], stack[:, :, :nf],
                                  slice(lo, lo + k.size)))
@@ -431,12 +435,6 @@ class _System:
 
         def slot(i, j):
             return row[i] + col[j]
-
-        g_res = 1.0 / np.array([r.ohms for r in res], dtype=float)
-        # bincount of no weights returns integers
-        self.g_res = np.bincount(slot(*_pair_entries(r1, r2)),
-                                 np.multiply.outer(g_res, _PAIR_SIGNS).ravel(),
-                                 minlength=self._jac.size).astype(float)
 
         self.mem_names = [m.name for m in mem]
         self._mem_ac = np.stack((a, c))
@@ -447,38 +445,36 @@ class _System:
         self._r_on_off = self.r_on * self.r_off
         self._neg_v_off = -self.v_off
         self._decay_dt = self._decay = None
-        self._mem_targets, self._mem_bins = _compress(
-            slot(*_pair_entries(a, c)))
-        # Bincount weights of linear_matrix: the targets' resistor values,
-        # then the memristor stamps.
-        nt = self._mem_targets.size
-        self._mem_weights = np.empty(self._mem_bins.size)
-        self._mem_weights[:nt] = self.g_res[self._mem_targets]
-        self._mem_stamps = self._mem_weights[nt:].reshape(-1, 4)
-        self._lin_x = None
-        self._g_lin = None
 
         self._gds = np.stack((g, d, s))
         self.fet_sign, self.vth, self.k, self.lam = (
             np.array([(1.0 if p.polarity == "NMOS" else -1.0, p.vth, p.k,
                        p.channel_mod) for p in (f.params for f in fets)],
                      dtype=float).reshape(-1, 4).T.copy())
-        # Jacobian stamps per FET (rows d, s; columns g, d, s), then gmin on
-        # the free diagonal.
+        # The stamp program: pair entries per resistor, then per memristor,
+        # entries per FET (rows d, s; columns g, d, s), gmin on the free
+        # diagonal, then each FET's companion current on right-hand side
+        # rows d and s.  The weights hold the values in the same order.
         free = np.arange(nf, n)
-        self._fet_targets, self._fet_bins = _compress(slot(
-            np.concatenate((np.stack((d, d, d, s, s, s), 1).ravel(), free)),
-            np.concatenate((np.stack((g, d, s, g, d, s), 1).ravel(), free))))
-        self._rhs_idx = np.stack((d, s), axis=1).ravel()
-        # Newton's scratch arrays, reused by every call: the Jacobian's
-        # bincount weights (the targets' linear values, the FET stamps,
-        # gmin), the FET currents and the new free voltages.
-        nb = self._fet_targets.size
-        self._weights = np.empty(self._fet_bins.size)
-        self._weights[nb + 6 * d.size:] = GMIN
-        self._stamps = self._weights[nb:nb + 6 * d.size].reshape(-1, 6)
-        self._currents = np.empty((d.size, 2))
-        self._x = np.empty(n - nf)
+        i, j = map(np.concatenate, zip(
+            _pair_entries(r1, r2), _pair_entries(a, c),
+            (np.stack((d, d, d, s, s, s), 1).ravel(),
+             np.stack((g, d, s, g, d, s), 1).ravel()),
+            (free, free)))
+        self._targets, self._bins = _compress(np.concatenate(
+            (slot(i, j), end + np.stack((d, s), 1).ravel())))
+        self._weights = np.empty(self._bins.size)
+        res_w, mem_w, fet_w, gmin_w, cur_w = np.split(  # views
+            self._weights, np.cumsum([4 * r1.size, 4 * a.size, 6 * d.size,
+                                      n - nf]))
+        res_w[:] = np.multiply.outer(
+            1.0 / np.array([r.ohms for r in res], dtype=float),
+            _PAIR_SIGNS).ravel()
+        gmin_w[:] = GMIN
+        self._mem_stamps = mem_w.reshape(-1, 4)
+        self._stamps = fet_w.reshape(-1, 6)
+        self._currents = cur_w.reshape(-1, 2)
+        self._x = np.empty(n - nf)  # Newton's new free voltages
 
     def state_vector(self, states: Optional[Mapping]) -> np.ndarray:
         """States in circuit order; a device missing from ``states`` has x0.
@@ -505,19 +501,11 @@ class _System:
         return 1.0 / (self._r_on_off
                       / (x * self.r_off + (1.0 - x) * self.r_on))
 
-    def linear_matrix(self, x: np.ndarray) -> np.ndarray:
-        """Conductance stamps of resistors and (frozen-state) memristors."""
-        g_lin = self.g_res.copy()
-        np.multiply.outer(self.mem_conductance(x), _PAIR_SIGNS,
-                          out=self._mem_stamps)
-        g_lin[self._mem_targets] = np.bincount(self._mem_bins,
-                                               self._mem_weights)
-        return g_lin
-
-    def newton(self, g_lin: np.ndarray, fixed_vals: np.ndarray,
-               v0: np.ndarray, cfg: SolverConfig,
-               retry: bool = False) -> np.ndarray:
+    def newton(self, fixed_vals: np.ndarray, v0: np.ndarray,
+               cfg: SolverConfig, retry: bool = False) -> np.ndarray:
         """Damped Newton on the nonlinear KCL system; returns all node voltages.
+
+        The memristor stamps are those ``solve`` last wrote.
 
         The first attempt damps by ``DAMPING`` but takes the full step once
         max|dv| < 0.05 V: there it is safe, lands linear subnetworks exactly,
@@ -532,12 +520,8 @@ class _System:
         if nf == n:
             return v
         pinned, free = v[:nf], v[nf:]  # pinned is never written below
-        at, weights, stamps = self._fet_targets, self._weights, self._stamps
-        currents, x = self._currents, self._x
-        weights[:at.size] = g_lin[at]
-        # Only the FET targets change from one iteration to the next.
-        jac = self._jac
-        jac[:] = g_lin
+        mna, at, rhs = self._mna, self._targets, self._rhs
+        stamps, currents, x = self._stamps, self._currents, self._x
         damping = 0.3 if retry else DAMPING
         delta = None
         for _ in range(cfg.newton_max_iter):
@@ -546,12 +530,10 @@ class _System:
                 self.fet_sign, self.vth, self.k, self.lam, vgds)
             stamps[:, 0], stamps[:, 1], stamps[:, 2] = dg, dd, ds
             np.negative(stamps[:, :3], out=stamps[:, 3:])
-            jac[at] = np.bincount(self._fet_bins, weights)
             vg, vd, vs = vgds
             np.subtract(dg * vg + dd * vd + ds * vs, i_d, out=currents[:, 0])
             np.negative(currents[:, 0], out=currents[:, 1])
-            rhs = np.bincount(self._rhs_idx, currents.ravel(),
-                              minlength=n)[nf:]
+            mna[at] = np.bincount(self._bins, self._weights)
             for a, coupling, rows in self._stacks:
                 b = rhs[rows].reshape(len(a), -1) - coupling @ pinned
                 try:
@@ -581,13 +563,12 @@ class _System:
 
     def solve(self, x: np.ndarray, fixed_vals: np.ndarray,
               v0: np.ndarray, cfg: SolverConfig) -> np.ndarray:
-        if not _unchanged(x, self._lin_x):
-            self._g_lin = self.linear_matrix(x)
-            self._lin_x = x
+        np.multiply.outer(self.mem_conductance(x), _PAIR_SIGNS,
+                          out=self._mem_stamps)
         try:
-            return self.newton(self._g_lin, fixed_vals, v0, cfg)
+            return self.newton(fixed_vals, v0, cfg)
         except NonConvergence:
-            return self.newton(self._g_lin, fixed_vals, v0, cfg, retry=True)
+            return self.newton(fixed_vals, v0, cfg, retry=True)
 
     def advance(self, x: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
         """``devices.update_state`` elementwise, with the same arithmetic.

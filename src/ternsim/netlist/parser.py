@@ -17,6 +17,7 @@ cell library needs.
 
 from __future__ import annotations
 
+import math
 import re
 
 from ..devices import MemristorParams, MosfetParams
@@ -32,11 +33,14 @@ _FET_KEYS = {"VTH": "vth", "K": "k", "LAMBDA": "channel_mod"}
 
 
 def parse_value(text: str, line: int) -> float:
-    """Parse a number with an optional SI suffix (case-insensitive)."""
+    """Parse a finite number with an optional SI suffix (case-insensitive)."""
     m = _VALUE_RE.match(text.strip().lower())
     if m is None:
         raise NetlistSyntaxError(line, f"bad numeric value {text!r}")
-    return float(m.group(1)) * _SUFFIXES.get(m.group(2), 1.0)
+    value = float(m.group(1)) * _SUFFIXES.get(m.group(2), 1.0)
+    if not math.isfinite(value):  # 1e400 overflows to inf
+        raise NetlistSyntaxError(line, f"numeric value {text!r} is not finite")
+    return value
 
 
 def _split_kv(tokens, keymap, line, what):
@@ -85,7 +89,11 @@ def _parse_mosfet(name, args, line):
 def _parse_resistor(name, args, line):
     if len(args) != 3:
         raise NetlistSyntaxError(line, "resistor requires 2 nodes and a value")
-    return Resistor(name, args[0], args[1], parse_value(args[2], line))
+    ohms = parse_value(args[2], line)
+    if not (ohms > 0 and math.isfinite(1.0 / ohms)):  # 1e-320 has 1/R inf
+        raise NetlistSyntaxError(line, f"resistance must be positive, "
+                                       f"got {args[2]!r}")
+    return Resistor(name, args[0], args[1], ohms)
 
 
 def _parse_source(name, args, line):

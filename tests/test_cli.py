@@ -171,6 +171,37 @@ class TestSimulate:
         assert code == 1
         assert "line 1" in err
 
+    @pytest.mark.parametrize("edit,match", [
+        (("Vvdd vdd 0 DC 1.0", "Vvdd vdd 0 DC 1e400"), "is not finite"),
+        (("Vvdd vdd 0 DC 1.0", "Vvdd vdd 0 DC -1"), "must be positive"),
+        ((".end", "R9 Y0 0 0\n.end"), "resistance must be positive"),
+        ((".end", "R9 Y0 0 -1k\n.end"), "resistance must be positive"),
+    ])
+    def test_bad_netlist_value_exit_1(self, capsys, tmp_path, edit, match):
+        net = tmp_path / "d13.net"
+        run(capsys, "emit-netlist", "--builtin", "d13", "--out-file", str(net))
+        net.write_text(net.read_text().replace(*edit))
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "simulate", "--netlist", str(net),
+                             "--inputs", "2", "--t-stop", "1e-9",
+                             "--out", str(out_dir))
+        assert code == 1
+        assert out == "" and err.startswith("error: ") and match in err
+        assert not out_dir.exists()
+
+    def test_input_port_on_source_node_exit_1(self, capsys, tmp_path):
+        net = tmp_path / "port.net"
+        net.write_text("V1 vdd 0 DC 1\nR1 vdd y 1k\nR2 y 0 1k\n"
+                       ".port in X vdd\n.port out Y y\n.end\n")
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "simulate", "--netlist", str(net),
+                             "--t-stop", "1e-9", "--out", str(out_dir))
+        assert code == 1
+        assert out == ""
+        assert err == ("error: port 'X' node 'vdd' is already driven by a "
+                       "source\n")
+        assert list(out_dir.iterdir()) == []
+
     def test_bad_solver_setting_exit_1(self, capsys, tmp_path):
         code, _, err = run(capsys, "simulate", "--builtin", "d13", "--dt",
                            "-1", "--out", str(tmp_path))

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ternsim.core import (LEVELS, VoltageBands, ref_nti, ref_pti, ref_sti,
-                          ref_tand, ref_tor)
+from ternsim.core import (LEVELS, VoltageBands, level_to_voltage, ref_nti,
+                          ref_pti, ref_sti, ref_tand, ref_tor)
 from ternsim.devices import (MemristorParams, MosfetParams,
                              NonpositiveTimestep, memristance,
                              mosfet_small_signal, update_state)
@@ -42,6 +42,20 @@ def pinned_at(circuit, stim, t):
     """Node voltages pinned by the sources and ``stim`` at time t."""
     return {n: f(np.array([t])).item()
             for n, f in _drivers(circuit, stim).items()}
+
+
+def voltage_at(stim, port, t):
+    """The scalar oracle of ``Stimulus.voltages``: one port at one time."""
+    events = stim.schedules[port]
+    prev_v = level_to_voltage(events[0][1], stim.vdd)
+    for when, level in events:
+        v = level_to_voltage(level, stim.vdd)
+        if t < when:
+            break
+        if stim.slew > 0 and t < when + stim.slew:
+            return prev_v + (v - prev_v) * (t - when) / stim.slew
+        prev_v = v
+    return prev_v
 
 
 def count_linear_solves(monkeypatch):
@@ -495,6 +509,92 @@ class TestBlocks:
         assert out.stdout.strip() == "[]"
 
 
+def dense_jacobian(circuit, system, x, v):
+    """The Jacobian at ``v`` and states ``x`` by a plain loop of ``+=``.
+
+    Rows and columns in the system's node order: resistors, memristors,
+    FETs, then gmin, each kind in circuit order.
+    """
+    at = system.index
+    jac = np.zeros((system.n, system.n))
+    states, volts = system.state_dict(x), v.tolist()
+
+    def pair(n1, n2, g):
+        i, j = at[n1], at[n2]
+        jac[i, i] += g
+        jac[i, j] -= g
+        jac[j, j] += g
+        jac[j, i] -= g
+
+    for dev in circuit.devices:
+        if isinstance(dev, Resistor):
+            pair(dev.n1, dev.n2, 1.0 / dev.ohms)
+    for dev in circuit.devices:
+        if isinstance(dev, Memristor):
+            pair(dev.anode, dev.cathode,
+                 1.0 / memristance(states[dev.name], dev.params))
+    for dev in circuit.devices:
+        if isinstance(dev, Mosfet):
+            d, g, s = (at[n] for n in dev.nodes)
+            _, *partials = mosfet_small_signal(dev.params, volts[g], volts[d],
+                                               volts[s])
+            for row, sign in ((d, 1.0), (s, -1.0)):
+                for col, p in zip((g, d, s), partials):
+                    jac[row, col] += sign * p
+    for k in range(system.nfix, system.n):
+        jac[k, k] += engine.GMIN
+    return jac
+
+
+PINS = {"d13": ["vdd", "X"], "d29": ["vdd", "A", "B"],
+        "display": ["vdd", "A", "B"], "d13_d29": ["vdd", "X", "A", "B"]}
+
+
+class TestJacobian:
+    """One stamp program against a dense loop, and reuse across states."""
+
+    @pytest.mark.parametrize("name", list(PINS))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_assembly_matches_dense_loop(self, request, name, seed):
+        circuit = request.getfixturevalue(name)
+        system = _System(circuit, PINS[name])
+        nf = system.nfix
+        rng = np.random.default_rng(seed)
+        x = rng.random(len(system.mem_names))
+        x[:2] = 0.0, 1.0
+        v = rng.uniform(-0.2, 1.2, system.n)
+        v[0] = 0.0
+        # One iteration assembles the Jacobian at v, then gives up.
+        with pytest.raises(NonConvergence):
+            system.solve(x, v[1:nf], v, SolverConfig(newton_max_iter=1))
+        want = dense_jacobian(circuit, system, x, v)
+        done = 0
+        for a, coupling, rows in system._stacks:
+            count, size = a.shape[:2]
+            for b in range(count):
+                block = nf + rows.start + b * size + np.arange(size)
+                assert np.array_equal(a[b], want[np.ix_(block, block)])
+                assert np.array_equal(coupling[b], want[block, :nf])
+                # Nothing couples the block to another one.
+                assert not np.delete(want[block], [*range(nf), *block],
+                                     axis=1).any()
+            done += rows.stop - rows.start
+        assert done == system.n - nf
+
+    def test_reused_system_matches_fresh_ones(self, d29):
+        rng = np.random.default_rng(7)
+        pins = np.array([1.0, 0.5, 0.0])
+        reused = _System(d29, PINS["d29"])
+        x1, x2 = (rng.random(len(reused.mem_names)) for _ in range(2))
+        v0 = np.full(reused.n, 0.5)
+        cfg = SolverConfig()
+        got = [reused.solve(x, pins, v0, cfg) for x in (x1, x2, x1)]
+        want = [_System(d29, PINS["d29"]).solve(x, pins, v0, cfg)
+                for x in (x1, x2, x1)]
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert not np.array_equal(got[0], got[1])
+
+
 def _fet_reference(polarity, lam, biases):
     p = MosfetParams(polarity, vth=0.3, k=2e-3, channel_mod=lam)
     return np.array([mosfet_small_signal(p, *b) for b in biases]).T
@@ -646,10 +746,11 @@ class TestSolverConfig:
 class TestStimulus:
     def test_slew_interpolation(self):
         stim = Stimulus({"X": ((0.0, L0), (10e-9, L2))}, slew=2e-9)
-        assert stim.voltage_at("X", 0.0) == 0.0
-        assert stim.voltage_at("X", 11e-9) == pytest.approx(0.5)
-        assert stim.voltage_at("X", 12e-9) == 1.0
-        assert stim.voltage_at("X", 50e-9) == 1.0
+        got = stim.voltages("X", np.array([0.0, 11e-9, 12e-9, 50e-9]))
+        assert got.tolist() == pytest.approx([0.0, 0.5, 1.0, 1.0])
+        assert got[[0, 2, 3]].tolist() == [0.0, 1.0, 1.0]
+        assert got.tolist() == [voltage_at(stim, "X", t)
+                                for t in (0.0, 11e-9, 12e-9, 50e-9)]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -686,7 +787,7 @@ class TestStimulus:
 
     def test_integer_levels_accepted(self):
         stim = Stimulus({"X": ((0.0, 0), (1e-9, 2), (2e-9, 1))})
-        assert [stim.voltage_at("X", t) for t in (0.0, 1e-9, 2e-9)] == [
+        assert stim.voltages("X", np.array([0.0, 1e-9, 2e-9])).tolist() == [
             0.0, 1.0, 0.5]
 
     def test_event_times_merged(self):
@@ -736,7 +837,7 @@ class TestSchedule:
                 want = [sources[node].value_at(t) for t in times.tolist()]
             else:
                 port = {"x": "X", "y": "Y"}[node]
-                want = [stim.voltage_at(port, t) for t in times.tolist()]
+                want = [voltage_at(stim, port, t) for t in times.tolist()]
             assert table[:, j].tobytes() == np.array(want).tobytes(), node
         # before the first event, on the PWL's vertical step and mid-ramp
         at = dict(zip(times.tolist(), table.tolist()))
@@ -752,7 +853,7 @@ class TestSchedule:
         w = run_transient(circuit, stim, SolverConfig(t_stop=4e-9))
         for node, port in (("x", "X"), ("y", "Y")):
             assert w.probes[node].tolist() == [
-                stim.voltage_at(port, t) for t in w.times.tolist()]
+                voltage_at(stim, port, t) for t in w.times.tolist()]
         source = circuit.sources()[1]
         assert w.probes["p"].tolist() == [source.value_at(t)
                                           for t in w.times.tolist()]

@@ -5,6 +5,7 @@ from ternsim.netlist import (CellKind, DuplicateNameError, NetlistSyntaxError,
                              UnknownDeviceError, build_cell, builtin_network,
                              elaborate, mutate_network, parse, serialize)
 from ternsim.netlist.cells import InvalidArity
+from ternsim.netlist.parser import parse_value
 from ternsim.netlist.model import Resistor
 
 MINIMAL = """\
@@ -122,6 +123,30 @@ class TestParseErrors:
         with pytest.raises(NetlistSyntaxError) as e:
             parse(MINIMAL + ".port inout x out\n")
         assert self._line_of(e) == 4
+
+    @pytest.mark.parametrize("text", ["1e400", "-1e400", "1e398k"])
+    def test_non_finite_value(self, text):
+        with pytest.raises(NetlistSyntaxError, match="not finite") as e:
+            parse_value(text, 7)
+        assert self._line_of(e) == 7
+
+    @pytest.mark.parametrize("line", [
+        "R1 a 0 1e400",
+        "T1 a a 0 NMOS VTH=1e400 K=1m",
+        "V2 a 0 PWL(0 0 1e400 1)",
+        "V2 b 0 DC 1e400",
+    ])
+    def test_non_finite_device_value(self, line):
+        with pytest.raises(NetlistSyntaxError, match="'1e400' is not finite"
+                           ) as e:
+            parse(f"V1 a 0 DC 1\n{line}\n")
+        assert self._line_of(e) == 2
+
+    @pytest.mark.parametrize("ohms", ["0", "-1k", "0.0", "1e-400", "1e-320"])
+    def test_nonpositive_resistance(self, ohms):
+        with pytest.raises(NetlistSyntaxError, match="must be positive") as e:
+            parse(f"V1 a 0 DC 1\nR1 a 0 1k\nR2 a 0 {ohms}\n")
+        assert self._line_of(e) == 3
 
 
 class TestSerialize:

@@ -19,8 +19,8 @@ from .netlist import (CellKind, Circuit, GateNetwork, build_cell,
 from .engine import (NonConvergence, NotSettled, SingularSystem, SolverConfig,
                      Stimulus, TransientError, Waveform, kcl_residual,
                      run_transient, solve_dc, steady_output, step)
-from .digital import (EncodedTrace, GateDag, build_dag, divider_emulation,
-                      eval_circuit, eval_gate, or_reduce_segment, run_trace)
+from .digital import (EncodedTrace, divider_emulation, eval_circuit,
+                      eval_gate, or_reduce_segment, run_trace)
 from .analysis import (GlitchEvent, ResourceReport, TruthTableReport,
                        detect_glitches, measure_settling, resource_report,
                        seven_segment_render, verify)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import (INDETERMINATE, LEVELS, REGIONS, TernaryLevel,
                    VoltageBands, decode_2bit, encode_2bit)
-from .digital import build_dag, eval_circuit, or_reduce_segment
+from .digital import eval_circuit, or_reduce_segment
 from .engine import (NonConvergence, NotSettled, SingularSystem, SolverConfig,
                      Stimulus, Waveform, steady_output)
 from .netlist.cells import (GateNetwork, SEGMENT_TERMS, builtin_network,
@@ -173,11 +173,10 @@ def verify(backend: str, decoder: str, *,
     vectors = input_vectors(decoder)
     notes = (_D29_ERRATUM,) if decoder in ("d29", "display") else ()
     if backend == "digital":
-        dag = build_dag(net)
         results = []
         for vec in vectors:
             encoded = {k: encode_2bit(lv) for k, lv in vec.items()}
-            out = eval_circuit(dag, encoded)
+            out = eval_circuit(net, encoded)
             observed = {port: decode_2bit(bp) for port, bp in out.items()}
             results.append(VectorResult(inputs=dict(vec),
                                         expected=expected_outputs(decoder, vec),

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import analysis
 from .core import TernaryLevel, VoltageBands, decode_2bit, encode_2bit
-from .digital import build_dag, eval_circuit
+from .digital import eval_circuit
 from .engine import (NotSettled, SingularSystem, SolverConfig, Stimulus,
                      TransientError, run_transient, supply_voltage)
 from .netlist import (NetlistError, builtin_network, elaborate,
@@ -152,16 +152,17 @@ def cmd_verify(args) -> int:
     decoders = list(analysis.DECODERS) if args.decoder == "all" else [args.decoder]
     backends = list(analysis.BACKENDS) if args.backend == "both" else [args.backend]
     out_dir = _out_dir(args)
+    networks = {d: builtin_network(d) for d in decoders}
+    if args.fault:
+        try:
+            networks = {d: mutate_network(net, args.fault)
+                        for d, net in networks.items()}
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
     ok = True
     solver_failed = False
-    for decoder in decoders:
-        network = builtin_network(decoder)
-        if args.fault:
-            try:
-                network = mutate_network(network, args.fault)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_INPUT
+    for decoder, network in networks.items():
         for backend in backends:
             report = analysis.verify(backend, decoder, network=network)
             print(report.summary())
@@ -181,9 +182,8 @@ def cmd_decode(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    dag = build_dag(builtin_network("display"))
     encoded = {k: encode_2bit(v) for k, v in levels.items()}
-    outs = eval_circuit(dag, encoded)
+    outs = eval_circuit(builtin_network("display"), encoded)
     out_levels = {port: decode_2bit(bp) for port, bp in outs.items()}
     segments = analysis.segments_from_levels(out_levels)
     glyph, digit = analysis.seven_segment_render(segments)

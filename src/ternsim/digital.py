@@ -3,8 +3,10 @@
 Mirrors the FPGA realization of the logic family: ternary values travel as
 two-bit codes ((0, 1, 2) = (00, 01, 10); 11 is reserved), each gate is a
 lookup table, like an FPGA LUT, and the gates evaluate in one zero-delay
-topological pass.  The tables are built from ``eval_gate``, which states the
-gate semantics.  The memristor divider gates can also be emulated with the
+topological pass.  A :class:`GateNetwork` compiles its gates to these tables
+when it is built.  The tables come from ``eval_gate``, which states the gate
+semantics; it and ``truth_table`` live in :mod:`.netlist.cells` and are
+re-exported here.  The memristor divider gates can also be emulated with the
 integer two-state memristance model (500 forward / 1500 reverse) to show
 both routes agree.
 """
@@ -12,119 +14,43 @@ both routes agree.
 from __future__ import annotations
 
 import csv
-import functools
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .core import (BIT_CODES, BitPair, InvalidEncoding, TernaryLevel,
-                   decode_2bit, encode_2bit, ref_nti, ref_pti, ref_sti,
-                   ref_tand, ref_tor)
+                   decode_2bit)
 from .devices import digital_memristance
-from .netlist.cells import CellKind, GateNetwork
+from .netlist.cells import GateNetwork, eval_gate, truth_table
 
-@dataclass(frozen=True)
-class GateDag:
-    """Topologically ordered combinational gate graph, compiled to lookups.
 
-    Every net gets an integer slot, primary inputs first and then gate
-    outputs in gate order, and every gate becomes ``(table, input_slots,
-    output_slot)`` with ``table`` from :func:`truth_table`.
+def build_dag(network: GateNetwork) -> GateNetwork:
+    """Return ``network``, which compiles its own lookups when built.
+
+    Only the benchmark workloads in ``perfbench/workloads.py`` still call
+    it; the next change to the benchmark drops those calls and this function.
     """
-
-    name: str
-    inputs: tuple
-    outputs: tuple  # ((port, net), ...)
-    gates: tuple
-    _program: tuple = field(init=False, repr=False, compare=False)
-    _output_slots: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        slots = {net: i for i, net in enumerate(self.inputs)}
-        program = []
-        for out_slot, g in enumerate(self.gates, start=len(self.inputs)):
-            missing = [n for n in g.inputs if n not in slots]
-            if missing:
-                raise ValueError(f"gate {g.name!r} uses undefined nets {missing}")
-            program.append((truth_table(g.kind, len(g.inputs)),
-                            tuple(slots[n] for n in g.inputs), out_slot))
-            slots[g.output] = out_slot
-        for port, net in self.outputs:
-            if net not in slots:
-                raise ValueError(f"output port {port!r} bound to undefined "
-                                 f"net {net!r}")
-        object.__setattr__(self, "_program", tuple(program))
-        object.__setattr__(self, "_output_slots", tuple(
-            (port, slots[net]) for port, net in self.outputs))
+    return network
 
 
-def build_dag(network: GateNetwork) -> GateDag:
-    """Compile a gate network into an evaluable DAG (same topology source
-    as the analog elaboration)."""
-    return GateDag(name=network.name, inputs=network.inputs,
-                   outputs=network.outputs, gates=network.gates)
-
-
-def eval_gate(kind: CellKind, inputs) -> BitPair:
-    """Evaluate one gate on encoded inputs via the reference semantics."""
-    levels = [decode_2bit(b) for b in inputs]
-    n = len(levels)
-    if kind in (CellKind.STI, CellKind.NTI, CellKind.PTI, CellKind.SFBUF):
-        if n != 1:
-            raise ValueError(f"{kind.value} takes one input, got {n}")
-        fn = {CellKind.STI: ref_sti, CellKind.NTI: ref_nti,
-              CellKind.PTI: ref_pti, CellKind.SFBUF: lambda a: a}[kind]
-        return encode_2bit(fn(levels[0]))
-    if kind in (CellKind.TAND2, CellKind.TOR2, CellKind.TNOR):
-        if n != 2:
-            raise ValueError(f"{kind.value} takes two inputs, got {n}")
-        if kind is CellKind.TAND2:
-            return encode_2bit(ref_tand(*levels))
-        if kind is CellKind.TOR2:
-            return encode_2bit(ref_tor(*levels))
-        return encode_2bit(ref_sti(ref_tor(*levels)))
-    if kind is CellKind.TORN:
-        if n < 2:
-            raise ValueError(f"TORN takes at least two inputs, got {n}")
-        return encode_2bit(max(levels))
-    raise ValueError(f"unknown cell kind {kind}")  # pragma: no cover
-
-
-@functools.cache
-def truth_table(kind: CellKind, arity: int) -> tuple:
-    """Output level (0..2) of a gate for every input combination.
-
-    Entry ``sum(level_i * 3 ** (arity - 1 - i))`` holds the output for input
-    levels ``level_0 .. level_{arity-1}``, as :func:`eval_gate` gives it.
-    """
-    if kind is CellKind.TORN and arity > 2:
-        # TORN is max, so fold in one input at a time; its 3**arity
-        # eval_gate calls would dominate compiling the display.
-        pair, rest = truth_table(kind, 2), truth_table(kind, arity - 1)
-        return tuple(pair[3 * r + c] for r in rest for c in range(3))
-    return tuple(
-        int(decode_2bit(eval_gate(kind, [BIT_CODES[c] for c in combo])))
-        for combo in itertools.product(range(3), repeat=arity))
-
-
-def eval_circuit(dag: GateDag, inputs: Mapping) -> dict:
-    """Single topological pass over the DAG; zero-delay semantics.
+def eval_circuit(network: GateNetwork, inputs: Mapping) -> dict:
+    """One zero-delay topological pass over the network's lookup tables.
 
     Raises InvalidEncoding if a primary input carries the reserved code 11.
     """
-    vals = [0] * (len(dag.inputs) + len(dag.gates))
-    for slot, name in enumerate(dag.inputs):
+    vals = [0] * (len(network.inputs) + len(network.gates))
+    for slot, name in enumerate(network.inputs):
         try:
             code = inputs[name]
         except KeyError:
             raise KeyError(f"missing value for primary input {name!r}") from None
         vals[slot] = decode_2bit(code)
-    for table, ins, out in dag._program:
+    for table, ins, out in network._program:
         idx = 0
         for s in ins:
             idx = 3 * idx + vals[s]
         vals[out] = table[idx]
-    return {port: BIT_CODES[vals[slot]] for port, slot in dag._output_slots}
+    return {port: BIT_CODES[vals[slot]]
+            for port, slot in network._output_slots}
 
 
 # Integer divider emulation: voltages scaled to {0, 500, 1000} millivolt
@@ -175,7 +101,7 @@ def or_reduce_segment(out: BitPair) -> int:
 
 @dataclass(frozen=True)
 class EncodedTrace:
-    """Per-step input and output codes from a DAG run."""
+    """Per-step input and output codes from a gate-level run."""
 
     inputs: tuple   # tuple of dicts, port -> BitPair
     outputs: tuple  # tuple of dicts, port -> BitPair
@@ -199,10 +125,10 @@ class EncodedTrace:
             writer.writerow([i] + row)
 
 
-def run_trace(dag: GateDag, vectors: Iterable) -> EncodedTrace:
-    """Evaluate the DAG over a sequence of encoded input vectors."""
+def run_trace(network: GateNetwork, vectors: Iterable) -> EncodedTrace:
+    """Evaluate the network over a sequence of encoded input vectors."""
     ins, outs = [], []
     for vec in vectors:
         ins.append(dict(vec))
-        outs.append(eval_circuit(dag, vec))
+        outs.append(eval_circuit(network, vec))
     return EncodedTrace(inputs=tuple(ins), outputs=tuple(outs))

@@ -2,8 +2,10 @@
 
 Topology is described once, at gate level (:class:`GateNetwork`), and consumed
 by both backends: :func:`elaborate` expands a network into a transistor/
-memristor :class:`Circuit` for the analog engine, and the digital backend
-compiles the same network into a zero-delay DAG.
+memristor :class:`Circuit` for the analog engine, and the network compiles
+itself into per-gate lookup tables for the digital backend.  This module
+defines each cell kind's arity, function (:func:`eval_gate`) and device
+expansion.
 
 Cell topologies:
 
@@ -28,10 +30,13 @@ Cell topologies:
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
+from ..core import (BIT_CODES, BitPair, decode_2bit, encode_2bit, ref_nti,
+                    ref_pti, ref_sti, ref_tand, ref_tor)
 from ..devices import MemristorParams, MosfetParams
 from .model import GND, Circuit, Memristor, Mosfet, Port, Resistor, VSource
 
@@ -51,8 +56,50 @@ class CellKind(enum.Enum):
     SFBUF = "SFBUF"
 
 
+# Input count of each kind; TORN takes any count from two up.
 _ARITY = {CellKind.STI: 1, CellKind.NTI: 1, CellKind.PTI: 1, CellKind.SFBUF: 1,
           CellKind.TAND2: 2, CellKind.TOR2: 2, CellKind.TNOR: 2}
+
+# Each kind's function on input levels: the gate semantics.
+_FUNCTION = {
+    CellKind.STI: ref_sti, CellKind.NTI: ref_nti, CellKind.PTI: ref_pti,
+    CellKind.SFBUF: lambda a: a, CellKind.TAND2: ref_tand,
+    CellKind.TOR2: ref_tor, CellKind.TNOR: lambda a, b: ref_sti(ref_tor(a, b)),
+    CellKind.TORN: lambda *levels: max(levels),
+}
+
+
+def _check_arity(kind: CellKind, n: int, who: str) -> None:
+    """Raise InvalidArity, naming ``who``, unless ``kind`` takes ``n`` inputs."""
+    want = _ARITY.get(kind)
+    if (n != want) if want else (n < 2):
+        raise InvalidArity(f"{who} takes {want or 'at least 2'} inputs, "
+                           f"got {n}")
+
+
+def eval_gate(kind: CellKind, inputs) -> BitPair:
+    """Evaluate one gate on encoded inputs via the reference semantics."""
+    levels = [decode_2bit(b) for b in inputs]
+    _check_arity(kind, len(levels), kind.value)
+    return encode_2bit(_FUNCTION[kind](*levels))
+
+
+@functools.cache
+def truth_table(kind: CellKind, arity: int) -> tuple:
+    """Output level (0..2) of a gate for every input combination.
+
+    Entry ``sum(level_i * 3 ** (arity - 1 - i))`` holds the output for input
+    levels ``level_0 .. level_{arity-1}``, as :func:`eval_gate` gives it.
+    """
+    if kind is CellKind.TORN and arity > 2:
+        # TORN is max, so fold in one input at a time; its 3**arity
+        # eval_gate calls would dominate compiling the display.
+        pair, rest = truth_table(kind, 2), truth_table(kind, arity - 1)
+        return tuple(pair[3 * r + c] for r in rest for c in range(3))
+    return tuple(
+        int(decode_2bit(eval_gate(kind, [BIT_CODES[c] for c in combo])))
+        for combo in itertools.product(range(3), repeat=arity))
+
 
 # Channel-length modulation keeps saturated devices from presenting an exactly
 # singular output node to the Newton solver.
@@ -85,13 +132,8 @@ class GateSpec:
     output: str
 
     def __post_init__(self):
-        want = _ARITY.get(self.kind)
-        if want is not None and len(self.inputs) != want:
-            raise InvalidArity(
-                f"{self.kind.value} {self.name!r} takes {want} inputs, "
-                f"got {len(self.inputs)}")
-        if self.kind is CellKind.TORN and len(self.inputs) < 2:
-            raise InvalidArity(f"TORN {self.name!r} needs at least 2 inputs")
+        _check_arity(self.kind, len(self.inputs),
+                     f"{self.kind.value} {self.name!r}")
 
 
 @dataclass(frozen=True)
@@ -99,26 +141,46 @@ class GateNetwork:
     """Gate-level description shared by the analog and digital backends.
 
     ``gates`` is topologically ordered: every gate's inputs are primary
-    inputs or outputs of earlier gates.
+    inputs or outputs of earlier gates.  Primary inputs are also port names,
+    so they and the output ports share one namespace.
+
+    Construction compiles the network to lookups, as an FPGA maps gates to
+    LUTs: every net gets an integer slot, primary inputs first and then gate
+    outputs in gate order, and every gate becomes ``(table, input_slots,
+    output_slot)`` with ``table`` from :func:`truth_table`.
     """
 
     name: str
     inputs: tuple
     outputs: tuple  # ((port name, net name), ...)
     gates: tuple
+    _program: tuple = field(init=False, repr=False, compare=False)
+    _output_slots: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        defined = set(self.inputs)
+        ports = [*self.inputs, *(port for port, _ in self.outputs)]
+        for what, names in (("port", ports),
+                            ("gate", [g.name for g in self.gates])):
+            if len(set(names)) < len(names):
+                dup = next(n for n in names if names.count(n) > 1)
+                raise ValueError(f"{what} name {dup!r} is used twice")
+        slots = {net: i for i, net in enumerate(self.inputs)}
+        program = []
         for g in self.gates:
             for net in g.inputs:
-                if net not in defined:
+                if net not in slots:
                     raise ValueError(f"gate {g.name!r} reads undefined net {net!r}")
-            if g.output in defined:
+            if g.output in slots:
                 raise ValueError(f"net {g.output!r} has multiple drivers")
-            defined.add(g.output)
+            slots[g.output] = len(slots)
+            program.append((truth_table(g.kind, len(g.inputs)),
+                            tuple(slots[n] for n in g.inputs), slots[g.output]))
         for port, net in self.outputs:
-            if net not in defined:
+            if net not in slots:
                 raise ValueError(f"output port {port!r} bound to undefined net {net!r}")
+        object.__setattr__(self, "_program", tuple(program))
+        object.__setattr__(self, "_output_slots", tuple(
+            (port, slots[net]) for port, net in self.outputs))
 
     def census(self) -> dict:
         out: dict = {}
@@ -193,16 +255,13 @@ def elaborate(network: GateNetwork) -> Circuit:
 def build_cell(kind: CellKind, n: Optional[int] = None) -> Circuit:
     """Build one standalone cell as a circuit with conventional port names.
 
-    ``n`` selects the arity of TORN; other kinds reject it.
+    ``n`` is the input count: required for TORN, optional for other kinds.
     """
-    if kind is CellKind.TORN:
-        if n is None or n < 2:
-            raise InvalidArity("TORN requires n >= 2")
-        ins = tuple(f"in{i}" for i in range(1, n + 1))
-    else:
-        if n is not None and n != _ARITY[kind]:
-            raise InvalidArity(f"{kind.value} has fixed arity {_ARITY[kind]}")
-        ins = {1: ("in",), 2: ("a", "b")}[_ARITY[kind]]
+    if n is None:
+        n = _ARITY.get(kind, 0)
+    _check_arity(kind, n, f"{kind.value} cell")
+    ins = (tuple(f"in{i}" for i in range(1, n + 1)) if kind is CellKind.TORN
+           else ("in",) if n == 1 else ("a", "b"))
     net = GateNetwork(name=kind.value.lower(), inputs=ins,
                       outputs=(("out", "out"),),
                       gates=(GateSpec(kind, "u1", ins, "out"),))
@@ -313,8 +372,8 @@ def mutate_network(network: GateNetwork, fault: str) -> GateNetwork:
     if op != "swap":
         raise ValueError(f"unknown fault {fault!r} (supported: swap:P1,P2)")
     names = [s.strip() for s in arg.split(",")]
-    if len(names) != 2:
-        raise ValueError("swap fault needs exactly two port names")
+    if len(names) != 2 or names[0] == names[1]:
+        raise ValueError("swap fault needs two different port names")
     ports = dict(network.outputs)
     if names[0] not in ports or names[1] not in ports:
         raise ValueError(f"fault ports must be outputs of {network.name!r}")

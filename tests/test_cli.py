@@ -69,6 +69,15 @@ class TestVerify:
                            "--out", str(tmp_path))
         assert code == 1
 
+    def test_fault_absent_from_one_decoder_fails_before_any_run(
+            self, capsys, tmp_path):
+        # d13 and d29 have Y1 and Y2; display's ports are Ya..Yg
+        code, out, err = run(capsys, "verify", "--decoder", "all",
+                             "--fault", "swap:Y1,Y2", "--out", str(tmp_path))
+        assert code == 1
+        assert "'display'" in err and out == ""
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSimulate:
     def test_builtin_with_inputs(self, capsys, tmp_path):

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from ternsim.core import (BitPair, InvalidEncoding, LEVELS, decode_2bit,
                           encode_2bit, ref_nti, ref_pti, ref_sti, ref_tand,
                           ref_tor)
-from ternsim.digital import (EncodedTrace, GateDag, build_dag,
-                             divider_emulation, eval_circuit, eval_gate,
-                             or_reduce_segment, run_trace, truth_table)
+from ternsim.digital import (EncodedTrace, divider_emulation, eval_circuit,
+                             eval_gate, or_reduce_segment, run_trace,
+                             truth_table)
 from ternsim.netlist import CellKind, builtin_network, mutate_network
 from ternsim.netlist.cells import GateNetwork, GateSpec
 
@@ -106,58 +106,56 @@ class TestOrReduce:
 
 class TestEvalCircuit:
     def test_d13_mid_input(self, d13_network):
-        dag = build_dag(d13_network)
-        out = eval_circuit(dag, {"X": encode_2bit(L1)})
+        out = eval_circuit(d13_network, {"X": encode_2bit(L1)})
         assert out == {"Y0": encode_2bit(L0), "Y1": encode_2bit(L2),
                        "Y2": encode_2bit(L0)}
 
     def test_d29_rail_pair(self, d29_network):
-        dag = build_dag(d29_network)
-        out = eval_circuit(dag, {"A": encode_2bit(L2), "B": encode_2bit(L2)})
+        out = eval_circuit(d29_network,
+                           {"A": encode_2bit(L2), "B": encode_2bit(L2)})
         assert out["Y8"] == encode_2bit(L2)
         assert all(out[f"Y{k}"] == encode_2bit(L0) for k in range(8))
 
     def test_display_digit_4(self, display_network):
-        dag = build_dag(display_network)
-        out = eval_circuit(dag, {"A": encode_2bit(L1), "B": encode_2bit(L1)})
+        out = eval_circuit(display_network,
+                           {"A": encode_2bit(L1), "B": encode_2bit(L1)})
         high = {p for p, b in out.items() if decode_2bit(b) == L2}
         assert high == {"Ya", "Yd", "Ye"}
 
     def test_d13_exhaustive(self, d13_network):
-        dag = build_dag(d13_network)
         for x in LEVELS:
-            out = eval_circuit(dag, {"X": encode_2bit(x)})
+            out = eval_circuit(d13_network, {"X": encode_2bit(x)})
             for i in range(3):
                 want = L2 if i == int(x) else L0
                 assert out[f"Y{i}"] == encode_2bit(want)
 
     def test_d29_exhaustive_product_equations(self, d29_network):
-        dag = build_dag(d29_network)
         for a, b in itertools.product(LEVELS, repeat=2):
-            out = eval_circuit(dag, {"A": encode_2bit(a), "B": encode_2bit(b)})
+            out = eval_circuit(d29_network,
+                               {"A": encode_2bit(a), "B": encode_2bit(b)})
             hot = 3 * int(a) + int(b)
             for k in range(9):
                 want = L2 if k == hot else L0
                 assert out[f"Y{k}"] == encode_2bit(want), (a, b, k)
 
     def test_no_output_carries_reserved_code(self, display_network):
-        dag = build_dag(display_network)
         for a, b in itertools.product(LEVELS, repeat=2):
-            out = eval_circuit(dag, {"A": encode_2bit(a), "B": encode_2bit(b)})
+            out = eval_circuit(display_network,
+                               {"A": encode_2bit(a), "B": encode_2bit(b)})
             for bp in out.values():
                 assert not (bp.hi and bp.lo)
 
     def test_missing_input_rejected(self, d29_network):
-        dag = build_dag(d29_network)
         with pytest.raises(KeyError,
                            match="missing value for primary input 'B'"):
-            eval_circuit(dag, {"A": encode_2bit(L0)})
+            eval_circuit(d29_network, {"A": encode_2bit(L0)})
 
     def test_fault_injection_fails_expected_vectors(self, d29_network):
-        dag = build_dag(mutate_network(d29_network, "swap:Y7,Y5"))
+        network = mutate_network(d29_network, "swap:Y7,Y5")
         bad = []
         for a, b in itertools.product(LEVELS, repeat=2):
-            out = eval_circuit(dag, {"A": encode_2bit(a), "B": encode_2bit(b)})
+            out = eval_circuit(network,
+                               {"A": encode_2bit(a), "B": encode_2bit(b)})
             hot = 3 * int(a) + int(b)
             ok = all(out[f"Y{k}"] == encode_2bit(L2 if k == hot else L0)
                      for k in range(9))
@@ -168,9 +166,8 @@ class TestEvalCircuit:
 
 class TestTrace:
     def test_run_trace_and_csv(self, d13_network):
-        dag = build_dag(d13_network)
         vectors = [{"X": encode_2bit(lv)} for lv in (L0, L1, L2)]
-        trace = run_trace(dag, vectors)
+        trace = run_trace(d13_network, vectors)
         assert len(trace.outputs) == 3
         buf = io.StringIO()
         trace.to_csv(buf)
@@ -200,9 +197,8 @@ def all_vectors(network):
 
 
 def assert_matches_reference(network):
-    dag = build_dag(network)
     for vec in all_vectors(network):
-        assert eval_circuit(dag, vec) == reference_walk(network, vec), vec
+        assert eval_circuit(network, vec) == reference_walk(network, vec), vec
 
 
 @st.composite
@@ -242,7 +238,7 @@ class TestCompiledPass:
     @given(gate_networks())
     def test_random_networks_match_reference(self, case):
         network, vec = case
-        assert eval_circuit(build_dag(network), vec) == reference_walk(network, vec)
+        assert eval_circuit(network, vec) == reference_walk(network, vec)
 
     @pytest.mark.parametrize("kind,arity", [
         *((k, 1) for k in (CellKind.STI, CellKind.NTI, CellKind.PTI,
@@ -257,12 +253,12 @@ class TestCompiledPass:
             assert BITS[table[idx]] == eval_gate(kind, list(combo)), combo
 
     def test_compiled_fields_stay_out_of_eq_and_repr(self, d13_network):
-        dag = build_dag(d13_network)
-        twin = GateDag(name=dag.name, inputs=dag.inputs, outputs=dag.outputs,
-                       gates=dag.gates)
-        assert dag == twin and hash(dag) == hash(twin)
-        assert repr(dag).startswith("GateDag(name='d13', inputs=('X',), ")
-        assert "_program" not in repr(dag)
+        net = d13_network
+        twin = GateNetwork(name=net.name, inputs=net.inputs,
+                           outputs=net.outputs, gates=net.gates)
+        assert net == twin and hash(net) == hash(twin)
+        assert repr(net).startswith("GateNetwork(name='d13', inputs=('X',), ")
+        assert "_program" not in repr(net)
 
 
 class TestEvalCircuitErrors:
@@ -273,15 +269,40 @@ class TestEvalCircuitErrors:
                               (GateSpec(CellKind.STI, "u1", ("X",), "y"),))
         vec = {"X": encode_2bit(L0), "U": encode_2bit(L0), port: BitPair(1, 1)}
         with pytest.raises(InvalidEncoding):
-            eval_circuit(build_dag(network), vec)
+            eval_circuit(network, vec)
 
     def test_undefined_net_rejected(self):
         gate = GateSpec(CellKind.TAND2, "g1", ("X", "zz"), "y")
         with pytest.raises(ValueError) as exc:
-            GateDag(name="n", inputs=("X",), outputs=(("Y", "y"),),
-                    gates=(gate,))
-        assert str(exc.value) == "gate 'g1' uses undefined nets ['zz']"
+            GateNetwork(name="n", inputs=("X",), outputs=(("Y", "y"),),
+                        gates=(gate,))
+        assert str(exc.value) == "gate 'g1' reads undefined net 'zz'"
 
     def test_undefined_output_net_rejected(self):
-        with pytest.raises(ValueError, match="output port 'Y'"):
-            GateDag(name="n", inputs=("X",), outputs=(("Y", "zz"),), gates=())
+        with pytest.raises(ValueError) as exc:
+            GateNetwork(name="n", inputs=("X",), outputs=(("Y", "zz"),),
+                        gates=())
+        assert str(exc.value) == "output port 'Y' bound to undefined net 'zz'"
+
+    @pytest.mark.parametrize("driven", ["X", "y"])
+    def test_multiple_drivers_rejected(self, driven):
+        # X is a primary input; y is driven by the first gate
+        gates = (GateSpec(CellKind.STI, "g1", ("X",), "y"),
+                 GateSpec(CellKind.NTI, "g2", ("X",), driven))
+        with pytest.raises(ValueError) as exc:
+            GateNetwork(name="n", inputs=("X",), outputs=(("Y", "y"),),
+                        gates=gates)
+        assert str(exc.value) == f"net {driven!r} has multiple drivers"
+
+    @pytest.mark.parametrize("inputs,outputs,names,dup", [
+        (("X", "X"), (("Y", "y"),), ("g1", "g2"), "port name 'X'"),
+        (("X",), (("X", "y"),), ("g1", "g2"), "port name 'X'"),
+        (("X",), (("Y", "y"), ("Y", "z")), ("g1", "g2"), "port name 'Y'"),
+        (("X",), (("Y", "y"), ("Z", "z")), ("g1", "g1"), "gate name 'g1'"),
+    ], ids=["input", "input-and-output", "output", "gate"])
+    def test_repeated_name_rejected(self, inputs, outputs, names, dup):
+        gates = (GateSpec(CellKind.STI, names[0], ("X",), "y"),
+                 GateSpec(CellKind.NTI, names[1], ("X",), "z"))
+        with pytest.raises(ValueError) as exc:
+            GateNetwork(name="n", inputs=inputs, outputs=outputs, gates=gates)
+        assert str(exc.value) == f"{dup} is used twice"

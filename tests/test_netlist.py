@@ -283,3 +283,7 @@ class TestBuilders:
             mutate_network(d29_network, "swap:Y7")
         with pytest.raises(ValueError):
             mutate_network(d29_network, "drop:Y7,Y5")
+
+    def test_mutate_network_rejects_swap_with_itself(self, d29_network):
+        with pytest.raises(ValueError, match="two different port names"):
+            mutate_network(d29_network, "swap:Y1,Y1")

@@ -1,9 +1,10 @@
 """Command-line front end: simulate | verify | decode | compare | emit-netlist.
 
 Exit codes: 0 success, 1 input/parse error, 2 solver failure,
-3 verification failure.  Output files are written atomically; the default
-output directory comes from $TERNSIM_OUT (falling back to the working
-directory).
+3 verification failure.  Commands raise; ``main`` alone decides the code, so
+a usage error and a file that cannot be read or written also exit 1.  Output
+files are written atomically; the default output directory comes from
+$TERNSIM_OUT (falling back to the working directory).
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .core import TernaryLevel, VoltageBands, decode_2bit, encode_2bit
 from .digital import eval_circuit
 from .engine import (NotSettled, SingularSystem, SolverConfig, Stimulus,
                      TransientError, run_transient, supply_voltage)
-from .netlist import (NetlistError, builtin_network, elaborate,
-                      mutate_network, parse, serialize)
+from .netlist import (builtin_network, elaborate, mutate_network, parse,
+                      serialize)
 from .netlist.cells import BUILTIN_NETWORKS
 
 EXIT_OK = 0
@@ -62,71 +63,39 @@ def _parse_levels(text: str, names) -> dict:
 
 def _load_circuit(args):
     if args.netlist:
-        text = Path(args.netlist).read_text()
-        return parse(text)
+        return parse(Path(args.netlist).read_text(encoding="utf-8"))
     return elaborate(builtin_network(args.builtin))
 
 
-def _solver_config(args) -> SolverConfig:
-    kwargs = {}
-    if getattr(args, "dt", None) is not None:
-        kwargs["dt"] = args.dt
-    if getattr(args, "t_stop", None) is not None:
-        kwargs["t_stop"] = args.t_stop
-    return SolverConfig(**kwargs)
-
-
 def cmd_simulate(args) -> int:
-    try:
-        circuit = _load_circuit(args)
-    except (NetlistError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        cfg = _solver_config(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    circuit = _load_circuit(args)
+    cfg = SolverConfig(dt=args.dt, t_stop=args.t_stop)
     formats = [f.strip() for f in args.formats.split(",")]
     unknown = [f for f in formats if f not in ("csv", "vcd")]
     if unknown:
-        print(f"error: unknown format {unknown[0]!r}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"unknown format {unknown[0]!r}")
     input_names = [p.name for p in circuit.input_ports() if p.name != "vdd"]
     if args.sweep_inputs:
         if not args.builtin:
-            print("error: --sweep-inputs requires --builtin", file=sys.stderr)
-            return EXIT_INPUT
+            raise ValueError("--sweep-inputs requires --builtin")
         vectors = analysis.input_vectors(args.builtin)
     elif args.inputs:
-        try:
-            vectors = [_parse_levels(args.inputs, input_names)]
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        vectors = [_parse_levels(args.inputs, input_names)]
     elif input_names:
         vectors = [{n: TernaryLevel.L0 for n in input_names}]
     else:
         vectors = [None]  # netlist drives itself (PWL sources)
     supply = supply_voltage(circuit)
     if not supply > 0:
-        print(f"error: supply voltage (highest DC source) must be positive, "
-              f"got {supply}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"supply voltage (highest DC source) must be "
+                         f"positive, got {supply}")
     out_dir = _out_dir(args)
     bands = VoltageBands.default(supply)
     status = EXIT_OK
     for vec in vectors:
         stim = Stimulus.hold(vec, vdd=supply) if vec else None
         tag = "_".join(f"{k}{int(v)}" for k, v in (vec or {}).items()) or "run"
-        try:
-            wave = run_transient(circuit, stim, cfg)
-        except (TransientError, SingularSystem) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_SOLVER
-        except ValueError as exc:  # an input port on a source-driven node
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        wave = run_transient(circuit, stim, cfg)
         for fmt in formats:
             path = out_dir / f"{circuit.name}_{tag}.{fmt}"
             buf = io.StringIO()
@@ -151,15 +120,11 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     decoders = list(analysis.DECODERS) if args.decoder == "all" else [args.decoder]
     backends = list(analysis.BACKENDS) if args.backend == "both" else [args.backend]
-    out_dir = _out_dir(args)
     networks = {d: builtin_network(d) for d in decoders}
     if args.fault:
-        try:
-            networks = {d: mutate_network(net, args.fault)
-                        for d, net in networks.items()}
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        networks = {d: mutate_network(net, args.fault)
+                    for d, net in networks.items()}
+    out_dir = _out_dir(args)
     ok = True
     solver_failed = False
     for decoder, network in networks.items():
@@ -177,11 +142,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_decode(args) -> int:
-    try:
-        levels = _parse_levels(f"{args.a},{args.b}", ["A", "B"])
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    levels = _parse_levels(f"{args.a},{args.b}", ["A", "B"])
     encoded = {k: encode_2bit(v) for k, v in levels.items()}
     outs = eval_circuit(builtin_network("display"), encoded)
     out_levels = {port: decode_2bit(bp) for port, bp in outs.items()}
@@ -193,11 +154,11 @@ def cmd_decode(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    out_dir = _out_dir(args)
     circuit = elaborate(builtin_network("display"))
     report = analysis.resource_report(circuit)
     text = report.to_json() if args.format == "json" else report.to_text()
     print(text)
-    out_dir = _out_dir(args)
     suffix = "json" if args.format == "json" else "txt"
     path = out_dir / f"resource_report.{suffix}"
     _atomic_write(path, text + "\n")
@@ -206,16 +167,11 @@ def cmd_compare(args) -> int:
 
 
 def cmd_emit_netlist(args) -> int:
-    try:
-        circuit = elaborate(builtin_network(args.builtin))
-    except KeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    text = serialize(circuit)
+    text = serialize(elaborate(builtin_network(args.builtin)))
     if args.out_file == "-":
         sys.stdout.write(text)
     else:
-        path = Path(args.out_file or f"{args.builtin}.net")
+        path = Path(args.out_file)
         _atomic_write(path, text)
         print(f"wrote {path}")
     return EXIT_OK
@@ -235,8 +191,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--sweep-inputs", action="store_true",
                      help="simulate every input vector")
     sim.add_argument("--t-stop", type=float, dest="t_stop",
+                     default=SolverConfig.t_stop,
                      help="simulation length in seconds")
-    sim.add_argument("--dt", type=float, help="timestep in seconds")
+    sim.add_argument("--dt", type=float, default=SolverConfig.dt,
+                     help="timestep in seconds")
     sim.add_argument("--formats", default="csv", help="csv,vcd")
     sim.add_argument("--out", help="output directory")
     sim.set_defaults(func=cmd_simulate)
@@ -270,8 +228,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    return args.func(args)
+    """Run one command; the only place that turns an outcome into a code."""
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage or the help
+        return EXIT_OK if exc.code == 0 else EXIT_INPUT
+    try:
+        return args.func(args)
+    except (TransientError, SingularSystem) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except (ValueError, OSError) as exc:  # every NetlistError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -671,6 +671,20 @@ def supply_voltage(circuit: Circuit) -> float:
     return max(dc) if dc else 1.0
 
 
+def _check_pins(circuit: Circuit, fixed: Mapping) -> None:
+    """Raise ValueError for a pinned name that is no node of the circuit,
+    or for a source whose node ``fixed`` leaves unpinned."""
+    nodes = circuit.nodes
+    for node in fixed:
+        if node not in nodes:
+            raise ValueError(f"pinned node {node!r} is not a node of "
+                             f"{circuit.name!r}")
+    for src in circuit.sources():
+        if src.pos not in fixed:
+            raise ValueError(f"source {src.name!r} node {src.pos!r} is "
+                             f"not pinned")
+
+
 def _dc_system(circuit: Circuit, fixed: Mapping,
                states: Optional[Mapping] = None,
                v_init: Optional[Mapping] = None):
@@ -693,8 +707,10 @@ def solve_dc(circuit: Circuit, fixed: Mapping, states: Optional[Mapping] = None,
     """DC operating point with frozen memristor states.
 
     ``fixed`` maps node names to pinned voltages (sources and inputs); ground
-    is always pinned at 0.  Returns a voltage for every node.
+    is always pinned at 0, and every source's node must be pinned.  Returns
+    a voltage for every node.
     """
+    _check_pins(circuit, fixed)
     cfg = cfg or SolverConfig()
     system, fixed_vals, x, v0 = _dc_system(circuit, fixed, states)
     return dict(zip(system.nodes, system.solve(x, fixed_vals, v0, cfg).tolist()))
@@ -728,10 +744,12 @@ def step(circuit: Circuit, states: Mapping, voltages: Mapping, fixed: Mapping,
     """One semi-implicit transient step: DC solve, then state integration.
 
     Returns (voltages', states').  ``fixed`` holds the pinned node voltages
-    for this instant.  Raises NonpositiveTimestep unless dt > 0.
+    for this instant and must pin every source's node.  Raises
+    NonpositiveTimestep unless dt > 0.
     """
     if not dt > 0:
         raise NonpositiveTimestep(f"dt must be positive, got {dt}")
+    _check_pins(circuit, fixed)
     cfg = cfg or SolverConfig()
     _warn_if_coarse(circuit, dt)
     system, fixed_vals, x, v0 = _dc_system(circuit, fixed, states, voltages)
@@ -798,8 +816,10 @@ def relax_states(circuit: Circuit, fixed: Mapping,
     sustained reverse bias a reset) against the DC network until a fixed
     point.  This is the steady state of the underlying thermally-activated
     device, which the finite-time threshold dynamics approach but cannot
-    always reach within a hard-threshold model.
+    always reach within a hard-threshold model.  ``fixed`` must pin every
+    source's node.
     """
+    _check_pins(circuit, fixed)
     cfg = cfg or SolverConfig()
     system, fixed_vals, x, v = _dc_system(circuit, fixed, states)
     return system.state_dict(system.relax(x, fixed_vals, v, cfg)[0])

@@ -189,8 +189,6 @@ class Circuit:
                                          f"duplicate device name {dev.name!r}")
             names.add(dev.name)
         nodes = self.nodes
-        if not nodes:
-            return self
         if GND not in nodes and self.sources():
             # A self-powered circuit needs a ground reference; a passive
             # subcircuit (e.g. a bare memristor gate) is referenced by
@@ -207,11 +205,18 @@ class Circuit:
                 raise UnboundNodeError(lines.get(("port", p.name)),
                                        f"port {p.name!r} binds unknown node {p.node!r}")
             port_nodes.add(p.node)
+        pinned = {GND: "ground"}
         for src in self.sources():
             if src.neg != GND:
                 raise UnboundNodeError(
                     lines.get(src.name),
                     f"source {src.name!r}: negative terminal must be ground")
+            if src.pos in pinned:
+                raise NetlistError(
+                    lines.get(src.name),
+                    f"source {src.name!r}: node {src.pos!r} is already "
+                    f"pinned to {pinned[src.pos]}")
+            pinned[src.pos] = f"source {src.name!r}"
         # Every non-port node needs at least two device terminals on it.
         counts: dict = {}
         owner: dict = {}

@@ -294,3 +294,40 @@ class TestEmitNetlist:
         assert code == 0
         from ternsim.netlist import parse, elaborate, builtin_network
         assert parse(path.read_text()) == elaborate(builtin_network("display"))
+
+
+class TestErrorBoundary:
+    @pytest.mark.parametrize("argv,env_out", [
+        (["simulate", "--builtin", "d13", "--inputs", "2", "--out", "{file}"],
+         None),
+        (["verify", "--decoder", "d13", "--backend", "digital",
+          "--out", "{file}"], None),
+        (["compare", "--out", "{file}"], None),
+        (["verify", "--decoder", "d13", "--backend", "digital"], "{file}"),
+        (["emit-netlist", "--builtin", "d13",
+          "--out-file", "{tmp}/missing/d13.net"], None),
+        (["simulate", "--netlist", "{latin1}"], None),
+        (["verify", "--decoder", "bogus"], None),
+        ([], None),
+    ], ids=["simulate-out-file", "verify-out-file", "compare-out-file",
+            "env-out-file", "emit-missing-dir", "non-utf8-netlist",
+            "usage-error", "no-command"])
+    def test_unusable_input_exits_1(self, capsys, tmp_path, monkeypatch,
+                                    argv, env_out):
+        paths = {"tmp": tmp_path, "file": tmp_path / "file",
+                 "latin1": tmp_path / "latin1.net"}
+        paths["file"].write_text("")
+        paths["latin1"].write_bytes(b"* r\xe9sistance\nV1 a 0 DC 1\n"
+                                    b"R1 a 0 1k\n.end\n")
+        if env_out:
+            monkeypatch.setenv("TERNSIM_OUT", env_out.format(**paths))
+        code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+        assert code == 1
+        assert out == "" and err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file",
+                                                             "latin1.net"]
+
+    def test_help_exits_0(self, capsys):
+        code, out, _ = run(capsys, "verify", "--help")
+        assert code == 0
+        assert out.startswith("usage: ternsim verify")

@@ -167,6 +167,18 @@ class TestCallerStates:
             with pytest.raises(ValueError, match=repr(name)):
                 call()
 
+    @pytest.mark.parametrize("fixed,match", [
+        ({"X": 1.0}, "source 'Vvdd' node 'vdd' is not pinned"),
+        ({"vdd": 1.0, "X": 1.0, "Q": 0.0},
+         "pinned node 'Q' is not a node of 'd13'"),
+    ])
+    def test_pins_cover_every_source_and_only_nodes(self, d13, fixed, match):
+        for call in (lambda: solve_dc(d13, fixed),
+                     lambda: relax_states(d13, fixed),
+                     lambda: step(d13, None, None, fixed, 1e-12)):
+            with pytest.raises(ValueError, match=match):
+                call()
+
 
 class TestStep:
     @pytest.mark.parametrize("dt", [0.0, -1e-9, math.nan])

@@ -1,9 +1,10 @@
 import pytest
 
-from ternsim.netlist import (CellKind, DuplicateNameError, NetlistSyntaxError,
-                             SEGMENT_TERMS, UnboundNodeError,
-                             UnknownDeviceError, build_cell, builtin_network,
-                             elaborate, mutate_network, parse, serialize)
+from ternsim.netlist import (CellKind, DuplicateNameError, NetlistError,
+                             NetlistSyntaxError, SEGMENT_TERMS,
+                             UnboundNodeError, UnknownDeviceError, build_cell,
+                             builtin_network, elaborate, mutate_network,
+                             parse, serialize)
 from ternsim.netlist.cells import InvalidArity
 from ternsim.netlist.parser import parse_value
 from ternsim.netlist.model import Resistor
@@ -77,6 +78,10 @@ class TestParseErrors:
         with pytest.raises(UnboundNodeError) as e:
             parse(MINIMAL + ".port out y nowhere\n")
         assert self._line_of(e) == 4
+        # a circuit with no devices still has its ports checked
+        with pytest.raises(UnboundNodeError) as e:
+            parse(".port in X x\n.port out Y y\n.end\n")
+        assert self._line_of(e) == 1
 
     def test_bad_value(self):
         with pytest.raises(NetlistSyntaxError) as e:
@@ -118,6 +123,17 @@ class TestParseErrors:
     def test_floating_source_negative_terminal(self):
         with pytest.raises(UnboundNodeError):
             parse("V1 a b DC 1\nR1 a b 1k\nR2 b 0 1k\n")
+
+    @pytest.mark.parametrize("text,line,match", [
+        ("V1 a 0 DC 1\nV2 a 0 DC 0.5\nR1 a 0 1k\n", 2,
+         "source 'V2': node 'a' is already pinned to source 'V1'"),
+        ("R1 a 0 1k\nV1 a 0 DC 1\nV2 0 0 DC 1\n", 3,
+         "source 'V2': node '0' is already pinned to ground"),
+    ], ids=["two-sources-one-node", "source-on-ground"])
+    def test_source_on_pinned_node(self, text, line, match):
+        with pytest.raises(NetlistError, match=match) as e:
+            parse(text)
+        assert self._line_of(e) == line
 
     def test_bad_port_direction(self):
         with pytest.raises(NetlistSyntaxError) as e:

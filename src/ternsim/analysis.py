@@ -21,8 +21,8 @@ import numpy as np
 from .core import (INDETERMINATE, LEVELS, REGIONS, TernaryLevel,
                    VoltageBands, decode_2bit, encode_2bit)
 from .digital import eval_circuit, or_reduce_segment
-from .engine import (NonConvergence, NotSettled, SingularSystem, SolverConfig,
-                     Stimulus, Waveform, steady_output)
+from .engine import (NotSettled, SolverError, Stimulus, Waveform,
+                     steady_output)
 from .netlist.cells import (GateNetwork, SEGMENT_TERMS, builtin_network,
                             elaborate)
 from .netlist.model import Circuit
@@ -161,8 +161,7 @@ _D29_ERRATUM = ("2-9 expected values follow the product equations "
 
 
 def verify(backend: str, decoder: str, *,
-           network: Optional[GateNetwork] = None,
-           cfg: Optional[SolverConfig] = None) -> TruthTableReport:
+           network: Optional[GateNetwork] = None) -> TruthTableReport:
     """Exhaustive truth-table check of one decoder on one backend.
 
     ``network`` overrides the builtin topology (used for fault injection).
@@ -184,16 +183,16 @@ def verify(backend: str, decoder: str, *,
                                         settled=True, settle_time=None))
         return TruthTableReport(decoder, backend, results, notes)
     circuit = elaborate(net)
-    results = [_analog_vector(circuit, decoder, vec, cfg) for vec in vectors]
+    results = [_analog_vector(circuit, decoder, vec) for vec in vectors]
     return TruthTableReport(decoder, backend, results, notes)
 
 
-def _analog_vector(circuit: Circuit, decoder: str, vec: Mapping,
-                   cfg) -> VectorResult:
+def _analog_vector(circuit: Circuit, decoder: str,
+                   vec: Mapping) -> VectorResult:
     expected = expected_outputs(decoder, vec)
     try:
-        observed, info = steady_output(circuit, vec, cfg=cfg, return_info=True)
-    except (NotSettled, NonConvergence, SingularSystem) as exc:
+        observed, info = steady_output(circuit, vec, return_info=True)
+    except SolverError as exc:
         return VectorResult(inputs=dict(vec), expected=expected,
                             observed={p: INDETERMINATE for p in expected},
                             settled=False, settle_time=None,

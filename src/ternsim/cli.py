@@ -19,8 +19,8 @@ from pathlib import Path
 from . import analysis
 from .core import TernaryLevel, VoltageBands, decode_2bit, encode_2bit
 from .digital import eval_circuit
-from .engine import (NotSettled, SingularSystem, SolverConfig, Stimulus,
-                     TransientError, run_transient, supply_voltage)
+from .engine import (NotSettled, SolverConfig, SolverError, Stimulus,
+                     run_transient, supply_voltage)
 from .netlist import (builtin_network, elaborate, mutate_network, parse,
                       serialize)
 from .netlist.cells import BUILTIN_NETWORKS
@@ -38,7 +38,10 @@ def _out_dir(args) -> Path:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    except OSError as exc:  # name the path asked for, not the temp file
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -235,7 +238,7 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
         return args.func(args)
-    except (TransientError, SingularSystem) as exc:
+    except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (ValueError, OSError) as exc:  # every NetlistError is a ValueError

@@ -26,7 +26,11 @@ from .devices import NonpositiveTimestep, memristance, mosfet_small_signal
 from .netlist.model import GND, Circuit, Memristor, Mosfet, Resistor
 
 
-class NonConvergence(RuntimeError):
+class SolverError(RuntimeError):
+    """Base of every solver failure; the CLI maps each one to exit code 2."""
+
+
+class NonConvergence(SolverError):
     """Newton iteration failed to reach tolerance."""
 
     def __init__(self, iterations: int, worst_node: str):
@@ -36,7 +40,7 @@ class NonConvergence(RuntimeError):
                          f"(worst node {worst_node!r})")
 
 
-class SingularSystem(RuntimeError):
+class SingularSystem(SolverError):
     """The conductance matrix is not solvable (typically a floating node)."""
 
     def __init__(self, node: str):
@@ -44,7 +48,7 @@ class SingularSystem(RuntimeError):
         super().__init__(f"singular system: node {node!r} has no DC path")
 
 
-class NotSettled(RuntimeError):
+class NotSettled(SolverError):
     """No settle window was found before the simulation deadline."""
 
     def __init__(self, t_stop: float):
@@ -52,7 +56,7 @@ class NotSettled(RuntimeError):
         super().__init__(f"outputs did not settle within {t_stop:.3e} s")
 
 
-class TransientError(RuntimeError):
+class TransientError(SolverError):
     """Solver failure mid-transient; carries the partial waveform."""
 
     def __init__(self, cause: Exception, t: float, waveform: "Waveform"):
@@ -62,10 +66,11 @@ class TransientError(RuntimeError):
         super().__init__(f"transient aborted at t={t:.3e} s: {cause}")
 
 
-# Newton converges once max|dv| < NEWTON_TOL volts.  A step is damped by
-# DAMPING and clipped to MAX_STEP_VOLTS.  GMIN siemens tie every free node
-# to ground, as in SPICE.
+# Newton converges once max|dv| < NEWTON_TOL volts, or gives up after
+# NEWTON_MAX_ITER iterations.  A step is damped by DAMPING and clipped to
+# MAX_STEP_VOLTS.  GMIN siemens tie every free node to ground, as in SPICE.
 NEWTON_TOL = 1e-6
+NEWTON_MAX_ITER = 200
 DAMPING = 0.7
 GMIN = 1e-15
 MAX_STEP_VOLTS = 0.5
@@ -79,7 +84,6 @@ MAX_STEPS = 1_000_000
 class SolverConfig:
     dt: float = 50e-12
     t_stop: float = 100e-9
-    newton_max_iter: int = 200
 
     def __post_init__(self):
         if not (0 < self.dt < math.inf and 0 <= self.t_stop < math.inf):
@@ -88,8 +92,6 @@ class SolverConfig:
         if self.t_stop / self.dt > MAX_STEPS:
             raise ValueError(f"t_stop/dt = {self.t_stop / self.dt:.3g} steps "
                              f"exceeds the limit of {MAX_STEPS}")
-        if self.newton_max_iter < 1:
-            raise ValueError("newton_max_iter must be at least 1")
 
     @property
     def steps(self) -> int:
@@ -502,7 +504,7 @@ class _System:
                       / (x * self.r_off + (1.0 - x) * self.r_on))
 
     def newton(self, fixed_vals: np.ndarray, v0: np.ndarray,
-               cfg: SolverConfig, retry: bool = False) -> np.ndarray:
+               retry: bool = False) -> np.ndarray:
         """Damped Newton on the nonlinear KCL system; returns all node voltages.
 
         The memristor stamps are those ``solve`` last wrote.
@@ -524,7 +526,7 @@ class _System:
         stamps, currents, x = self._stamps, self._currents, self._x
         damping = 0.3 if retry else DAMPING
         delta = None
-        for _ in range(cfg.newton_max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             vgds = v[self._gds]
             i_d, dg, dd, ds = _mosfet_companion(
                 self.fet_sign, self.vth, self.k, self.lam, vgds)
@@ -545,7 +547,7 @@ class _System:
             step = x - free
             dmax = np.abs(step).max()
             if not math.isfinite(dmax):  # x holds a NaN or an inf
-                raise NonConvergence(cfg.newton_max_iter, self._worst(delta))
+                raise NonConvergence(NEWTON_MAX_ITER, self._worst(delta))
             delta = step
             if dmax < 0.05 and not retry:
                 free += delta
@@ -554,7 +556,7 @@ class _System:
                                 -MAX_STEP_VOLTS, MAX_STEP_VOLTS)
             if dmax < NEWTON_TOL:
                 return v
-        raise NonConvergence(cfg.newton_max_iter, self._worst(delta))
+        raise NonConvergence(NEWTON_MAX_ITER, self._worst(delta))
 
     def _worst(self, delta: Optional[np.ndarray]) -> str:
         """The free node of largest |delta|; the first one before any step."""
@@ -562,13 +564,13 @@ class _System:
                                        int(np.abs(delta).argmax()))]
 
     def solve(self, x: np.ndarray, fixed_vals: np.ndarray,
-              v0: np.ndarray, cfg: SolverConfig) -> np.ndarray:
+              v0: np.ndarray) -> np.ndarray:
         np.multiply.outer(self.mem_conductance(x), _PAIR_SIGNS,
                           out=self._mem_stamps)
         try:
-            return self.newton(fixed_vals, v0, cfg)
+            return self.newton(fixed_vals, v0)
         except NonConvergence:
-            return self.newton(fixed_vals, v0, cfg, retry=True)
+            return self.newton(fixed_vals, v0, retry=True)
 
     def advance(self, x: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
         """``devices.update_state`` elementwise, with the same arithmetic.
@@ -607,19 +609,18 @@ class _System:
             if quiet:
                 yield k, t, v, x
                 continue
-            v = self.solve(x, p, v, cfg)
+            v = self.solve(x, p, v)
             yield k, t, v, x
             x = self.advance(x, v, cfg.dt)
 
-    def relax(self, x: np.ndarray, fixed_vals: np.ndarray, v: np.ndarray,
-              cfg: SolverConfig):
+    def relax(self, x: np.ndarray, fixed_vals: np.ndarray, v: np.ndarray):
         """Iterate the polarity rule to a fixed point; returns (x, v).
 
         A forward-biased memristor goes to 1, a reverse-biased one to 0.  At
         a fixed point ``v`` is the network solved with the returned ``x``.
         """
         for _ in range(max(8, len(x) + 2)):
-            v = self.solve(x, fixed_vals, v, cfg)
+            v = self.solve(x, fixed_vals, v)
             va, vc = v[self._mem_ac]
             bias = va - vc
             new = np.where(bias > 1e-9, 1.0, np.where(bias < -1e-9, 0.0, x))
@@ -702,8 +703,8 @@ def _dc_system(circuit: Circuit, fixed: Mapping,
             system.state_vector(states), v0)
 
 
-def solve_dc(circuit: Circuit, fixed: Mapping, states: Optional[Mapping] = None,
-             cfg: Optional[SolverConfig] = None) -> dict:
+def solve_dc(circuit: Circuit, fixed: Mapping,
+             states: Optional[Mapping] = None) -> dict:
     """DC operating point with frozen memristor states.
 
     ``fixed`` maps node names to pinned voltages (sources and inputs); ground
@@ -711,9 +712,8 @@ def solve_dc(circuit: Circuit, fixed: Mapping, states: Optional[Mapping] = None,
     a voltage for every node.
     """
     _check_pins(circuit, fixed)
-    cfg = cfg or SolverConfig()
     system, fixed_vals, x, v0 = _dc_system(circuit, fixed, states)
-    return dict(zip(system.nodes, system.solve(x, fixed_vals, v0, cfg).tolist()))
+    return dict(zip(system.nodes, system.solve(x, fixed_vals, v0).tolist()))
 
 
 def kcl_residual(circuit: Circuit, voltages: Mapping,
@@ -740,7 +740,7 @@ def kcl_residual(circuit: Circuit, voltages: Mapping,
 
 
 def step(circuit: Circuit, states: Mapping, voltages: Mapping, fixed: Mapping,
-         dt: float, cfg: Optional[SolverConfig] = None):
+         dt: float):
     """One semi-implicit transient step: DC solve, then state integration.
 
     Returns (voltages', states').  ``fixed`` holds the pinned node voltages
@@ -750,10 +750,9 @@ def step(circuit: Circuit, states: Mapping, voltages: Mapping, fixed: Mapping,
     if not dt > 0:
         raise NonpositiveTimestep(f"dt must be positive, got {dt}")
     _check_pins(circuit, fixed)
-    cfg = cfg or SolverConfig()
     _warn_if_coarse(circuit, dt)
     system, fixed_vals, x, v0 = _dc_system(circuit, fixed, states, voltages)
-    v = system.solve(x, fixed_vals, v0, cfg)
+    v = system.solve(x, fixed_vals, v0)
     return (dict(zip(system.nodes, v.tolist())),
             system.state_dict(system.advance(x, v, dt)))
 
@@ -802,14 +801,13 @@ def run_transient(circuit: Circuit, stim: Optional[Stimulus] = None,
             volts[:, k] = v[probe_idx]
             xs[:, k] = x
             done = k + 1
-    except (NonConvergence, SingularSystem) as exc:
+    except SolverError as exc:
         raise TransientError(exc, float(times[done]), recorded(done)) from exc
     return recorded(done)
 
 
 def relax_states(circuit: Circuit, fixed: Mapping,
-                 states: Optional[Mapping] = None,
-                 cfg: Optional[SolverConfig] = None) -> dict:
+                 states: Optional[Mapping] = None) -> dict:
     """Long-time-limit memristor states under constant bias.
 
     Iterates the polarity rule (sustained forward bias completes a set,
@@ -820,9 +818,8 @@ def relax_states(circuit: Circuit, fixed: Mapping,
     source's node.
     """
     _check_pins(circuit, fixed)
-    cfg = cfg or SolverConfig()
     system, fixed_vals, x, v = _dc_system(circuit, fixed, states)
-    return system.state_dict(system.relax(x, fixed_vals, v, cfg)[0])
+    return system.state_dict(system.relax(x, fixed_vals, v)[0])
 
 
 def steady_output(circuit: Circuit, inputs: Mapping,
@@ -843,7 +840,7 @@ def steady_output(circuit: Circuit, inputs: Mapping,
     drivers = _drivers(circuit, Stimulus.hold(dict(inputs), vdd=supply))
     system, fixed_vals, x, v = _dc_system(
         circuit, {n: f(np.zeros(1)).item() for n, f in drivers.items()})
-    x, v = system.relax(x, fixed_vals, v, cfg)
+    x, v = system.relax(x, fixed_vals, v)
     outs = {p.name: system.index[p.node] for p in circuit.output_ports()}
     out_rows = np.array(list(outs.values()), dtype=np.intp)
     window = max(2, int(round(20.0 * min_tau(circuit) / cfg.dt)))

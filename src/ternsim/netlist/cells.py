@@ -91,11 +91,6 @@ def truth_table(kind: CellKind, arity: int) -> tuple:
     Entry ``sum(level_i * 3 ** (arity - 1 - i))`` holds the output for input
     levels ``level_0 .. level_{arity-1}``, as :func:`eval_gate` gives it.
     """
-    if kind is CellKind.TORN and arity > 2:
-        # TORN is max, so fold in one input at a time; its 3**arity
-        # eval_gate calls would dominate compiling the display.
-        pair, rest = truth_table(kind, 2), truth_table(kind, arity - 1)
-        return tuple(pair[3 * r + c] for r in rest for c in range(3))
     return tuple(
         int(decode_2bit(eval_gate(kind, [BIT_CODES[c] for c in combo])))
         for combo in itertools.product(range(3), repeat=arity))
@@ -268,25 +263,40 @@ def build_cell(kind: CellKind, n: Optional[int] = None) -> Circuit:
     return elaborate(net)
 
 
-def decoder_1_3_network(prefix: str = "", input_net: str = "X",
-                        outs=("Y0", "Y1", "Y2")) -> GateNetwork:
-    """1-to-3 line decoder: two NTI, one PTI, a TNOR, and two followers.
-
-    The low output comes straight from the first NTI, the high output from an
-    NTI on the PTI, and the middle output from a TNOR of the other two with a
-    source-follower stage before its OR inputs.
-    """
-    p = prefix
-    gates = (
+def _d13_gates(p: str, input_net: str, outs) -> list:
+    """Gates of a 1-3 decoder; its own nets and gate names start with ``p``."""
+    return [
         GateSpec(CellKind.NTI, f"{p}inv0", (input_net,), outs[0]),
         GateSpec(CellKind.PTI, f"{p}pmid", (input_net,), f"{p}pout"),
         GateSpec(CellKind.NTI, f"{p}inv2", (f"{p}pout",), outs[2]),
         GateSpec(CellKind.SFBUF, f"{p}buf0", (outs[0],), f"{p}s0"),
         GateSpec(CellKind.SFBUF, f"{p}buf2", (outs[2],), f"{p}s2"),
         GateSpec(CellKind.TNOR, f"{p}nor1", (f"{p}s0", f"{p}s2"), outs[1]),
-    )
-    return GateNetwork(name=f"{p}d13" if p else "d13", inputs=(input_net,),
-                       outputs=tuple((o, o) for o in outs), gates=gates)
+    ]
+
+
+def _d29_gates() -> list:
+    """Gates of the 2-9 decoder, which the display decoder extends."""
+    gates = [*_d13_gates("a_", "A", ("A0", "A1", "A2")),
+             *_d13_gates("b_", "B", ("B0", "B1", "B2"))]
+    gates += [GateSpec(CellKind.SFBUF, f"buf{s.lower()}{i}", (f"{s}{i}",),
+                       f"s{s}{i}") for s in "AB" for i in range(3)]
+    gates += [GateSpec(CellKind.TAND2, f"and{k}",
+                       (f"sA{k // 3}", f"sB{k % 3}"), f"Y{k}") for k in range(9)]
+    return gates
+
+
+def decoder_1_3_network() -> GateNetwork:
+    """1-to-3 line decoder: two NTI, one PTI, a TNOR, and two followers.
+
+    The low output comes straight from the first NTI, the high output from an
+    NTI on the PTI, and the middle output from a TNOR of the other two with a
+    source-follower stage before its OR inputs.
+    """
+    outs = ("Y0", "Y1", "Y2")
+    return GateNetwork(name="d13", inputs=("X",),
+                       outputs=tuple((o, o) for o in outs),
+                       gates=tuple(_d13_gates("", "X", outs)))
 
 
 def decoder_2_9_network() -> GateNetwork:
@@ -295,20 +305,9 @@ def decoder_2_9_network() -> GateNetwork:
     Output k = 3i + j is the AND of intermediate lines A_i and B_j; each
     intermediate line is buffered once before fanning out to its three TANDs.
     """
-    a = decoder_1_3_network(prefix="a_", input_net="A", outs=("A0", "A1", "A2"))
-    b = decoder_1_3_network(prefix="b_", input_net="B", outs=("B0", "B1", "B2"))
-    gates = list(a.gates) + list(b.gates)
-    for side in ("A", "B"):
-        for i in range(3):
-            gates.append(GateSpec(CellKind.SFBUF, f"buf{side.lower()}{i}",
-                                  (f"{side}{i}",), f"s{side}{i}"))
-    for i, j in itertools.product(range(3), range(3)):
-        k = 3 * i + j
-        gates.append(GateSpec(CellKind.TAND2, f"and{k}",
-                              (f"sA{i}", f"sB{j}"), f"Y{k}"))
     return GateNetwork(name="d29", inputs=("A", "B"),
                        outputs=tuple((f"Y{k}", f"Y{k}") for k in range(9)),
-                       gates=tuple(gates))
+                       gates=tuple(_d29_gates()))
 
 
 # Seven-segment sum terms over the 2-9 decoder outputs; segment c is a plain
@@ -330,8 +329,7 @@ def decoder_display_network() -> GateNetwork:
     Decoder lines are buffered, OR-ed per segment, and each segment passes
     through a two-inverter restoring stage so the ports swing rail to rail.
     """
-    d29 = decoder_2_9_network()
-    gates = list(d29.gates)
+    gates = _d29_gates()
     used = sorted({i for terms in SEGMENT_TERMS.values() for i in terms})
     for i in used:
         gates.append(GateSpec(CellKind.SFBUF, f"bufy{i}", (f"Y{i}",), f"sY{i}"))

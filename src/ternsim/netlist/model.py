@@ -105,8 +105,6 @@ class VSource:
             return pts[0][1]
         for (t0, v0), (t1, v1) in zip(pts, pts[1:]):
             if t <= t1:
-                if t1 == t0:
-                    return v1
                 return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
         return pts[-1][1]
 

@@ -10,6 +10,7 @@ from ternsim.analysis import (DIGIT_SEGMENTS, GlitchEvent, SEGMENTS,
                               measure_settling, resource_report,
                               segments_from_levels, seven_segment_render,
                               verify)
+from ternsim import engine
 from ternsim.core import LEVELS, TernaryLevel, VoltageBands
 from ternsim.engine import (NotSettled, SolverConfig, Stimulus, Waveform,
                             run_transient)
@@ -71,8 +72,9 @@ class TestVerify:
         assert report.passed
         assert all(v.settle_time is not None for v in report.vectors)
 
-    def test_solver_failure_reported_per_vector(self):
-        report = verify("analog", "d13", cfg=SolverConfig(newton_max_iter=1))
+    def test_solver_failure_reported_per_vector(self, monkeypatch):
+        monkeypatch.setattr(engine, "NEWTON_MAX_ITER", 1)
+        report = verify("analog", "d13")
         assert not report.passed
         failed = [v for v in report.vectors if v.error]
         assert failed and all(not v.settled for v in failed)

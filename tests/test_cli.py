@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from ternsim import analysis
 from ternsim.cli import main
+from ternsim.engine import (NonConvergence, NotSettled, SingularSystem,
+                            TransientError, Waveform)
 
 
 def run(capsys, *argv):
@@ -326,6 +329,32 @@ class TestErrorBoundary:
         assert out == "" and err and "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file",
                                                              "latin1.net"]
+
+    def test_unwritable_path_named_in_error(self, capsys, tmp_path):
+        code, _, err = run(capsys, "emit-netlist", "--builtin", "d13",
+                           "--out-file", str(tmp_path / "missing" / "d13.net"))
+        assert code == 1
+        assert "missing/d13.net" in err
+        assert ".d13.net." not in err
+
+    @pytest.mark.parametrize("error", [
+        NonConvergence(200, "Y2"),
+        SingularSystem("g"),
+        NotSettled(100e-9),
+        TransientError(NonConvergence(200, "Y2"), 1e-9,
+                       Waveform(dt=50e-12, times=[], probes={}, states={})),
+    ], ids=lambda e: type(e).__name__)
+    def test_every_solver_failure_exits_2(self, capsys, tmp_path,
+                                          monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(analysis, "verify", fail)
+        code, _, err = run(capsys, "verify", "--decoder", "d13",
+                           "--out", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_help_exits_0(self, capsys):
         code, out, _ = run(capsys, "verify", "--help")

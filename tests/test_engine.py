@@ -217,7 +217,7 @@ class TestStep:
             for name, series in w.states.items():
                 assert series[k] == (states or x0)[name], (k, name)
             fixed = pinned_at(d13, stim, float(t))
-            volts, states = step(d13, states, volts, fixed, cfg.dt, cfg)
+            volts, states = step(d13, states, volts, fixed, cfg.dt)
             for node, series in w.probes.items():
                 assert series[k] == volts[node], (k, node)
 
@@ -297,10 +297,11 @@ class TestTransient:
         for xs in w.states.values():
             assert (xs >= 0.0).all() and (xs <= 1.0).all()
 
-    def test_solver_failure_carries_partial_waveform(self, d13):
-        cfg = SolverConfig(t_stop=10e-9, newton_max_iter=1)
+    def test_solver_failure_carries_partial_waveform(self, d13, monkeypatch):
+        monkeypatch.setattr(engine, "NEWTON_MAX_ITER", 1)
         with pytest.raises(TransientError) as e:
-            run_transient(d13, Stimulus.hold({"X": L1}), cfg)
+            run_transient(d13, Stimulus.hold({"X": L1}),
+                          SolverConfig(t_stop=10e-9))
         assert isinstance(e.value.cause, NonConvergence)
         assert e.value.cause.iterations == 1
         assert e.value.cause.worst_node == "Y2"
@@ -567,7 +568,8 @@ class TestJacobian:
 
     @pytest.mark.parametrize("name", list(PINS))
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_assembly_matches_dense_loop(self, request, name, seed):
+    def test_assembly_matches_dense_loop(self, request, name, seed,
+                                         monkeypatch):
         circuit = request.getfixturevalue(name)
         system = _System(circuit, PINS[name])
         nf = system.nfix
@@ -577,8 +579,9 @@ class TestJacobian:
         v = rng.uniform(-0.2, 1.2, system.n)
         v[0] = 0.0
         # One iteration assembles the Jacobian at v, then gives up.
+        monkeypatch.setattr(engine, "NEWTON_MAX_ITER", 1)
         with pytest.raises(NonConvergence):
-            system.solve(x, v[1:nf], v, SolverConfig(newton_max_iter=1))
+            system.solve(x, v[1:nf], v)
         want = dense_jacobian(circuit, system, x, v)
         done = 0
         for a, coupling, rows in system._stacks:
@@ -599,9 +602,8 @@ class TestJacobian:
         reused = _System(d29, PINS["d29"])
         x1, x2 = (rng.random(len(reused.mem_names)) for _ in range(2))
         v0 = np.full(reused.n, 0.5)
-        cfg = SolverConfig()
-        got = [reused.solve(x, pins, v0, cfg) for x in (x1, x2, x1)]
-        want = [_System(d29, PINS["d29"]).solve(x, pins, v0, cfg)
+        got = [reused.solve(x, pins, v0) for x in (x1, x2, x1)]
+        want = [_System(d29, PINS["d29"]).solve(x, pins, v0)
                 for x in (x1, x2, x1)]
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
         assert not np.array_equal(got[0], got[1])

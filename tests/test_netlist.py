@@ -5,7 +5,7 @@ from ternsim.netlist import (CellKind, DuplicateNameError, NetlistError,
                              UnboundNodeError, UnknownDeviceError, build_cell,
                              builtin_network, elaborate, mutate_network,
                              parse, serialize)
-from ternsim.netlist.cells import InvalidArity
+from ternsim.netlist.cells import GateNetwork, InvalidArity
 from ternsim.netlist.parser import parse_value
 from ternsim.netlist.model import Resistor
 
@@ -219,6 +219,19 @@ class TestCells:
 
 
 class TestBuilders:
+    @pytest.mark.parametrize("name", ["d13", "d29", "display"])
+    def test_builtin_compiles_one_network(self, monkeypatch, name):
+        built = []
+        post_init = GateNetwork.__post_init__
+
+        def counting(self):
+            built.append(self.name)
+            post_init(self)
+
+        monkeypatch.setattr(GateNetwork, "__post_init__", counting)
+        builtin_network(name)
+        assert built == [name]
+
     def test_d13_census(self, d13_network):
         assert d13_network.census() == {"NTI": 2, "PTI": 1, "TNOR": 1,
                                         "SFBUF": 2}

@@ -17,6 +17,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, Optional
 
 import numpy as np
@@ -364,8 +365,16 @@ def _blocks(nodes: list, nfix: int, branches, links):
                    for size, same in itertools.groupby(map(len, blocks))]
 
 
-class _System:
-    """A circuit compiled into index and parameter arrays for repeated solves.
+def _frozen(program) -> None:
+    """Make every array of ``program``, and every array below it, read-only."""
+    for value in vars(program).values():
+        while isinstance(value, np.ndarray):
+            value.flags.writeable = False
+            value = value.base
+
+
+class _Program:
+    """A circuit compiled for one ordered tuple of pinned nodes; read-only.
 
     Nodes are ordered ground, pinned nodes, then the free nodes, which are
     the unknowns ``[nfix:]``.  No stamp couples two blocks of free nodes
@@ -381,19 +390,21 @@ class _System:
     the memristor pair entries, the FET entries, gmin on the free diagonal,
     then the FET companion currents on the right-hand side.  One
     ``np.bincount`` per Newton iteration sums the weights into their
-    targets.  The resistor and gmin weights are written once, ``solve``
-    writes the memristor weights of its states and ``newton`` the FET
-    weights of its iterate.  Memristor states travel as one array in
-    circuit order; the engine never modifies a state array in place.
+    targets.  ``weights`` holds the resistor and gmin weights; a
+    ``_System`` copies it and writes the memristor and FET weights.
+    Memristor states travel as one array in circuit order; the engine never
+    modifies a state array in place.
+
+    Nothing here changes after ``__init__``, and every array is read-only,
+    so one program serves every call on its circuit (``_program``).
     """
 
-    def __init__(self, circuit: Circuit, fixed_nodes):
-        self.fixed_idx_names = [n for n in dict.fromkeys(fixed_nodes) if n != GND]
+    def __init__(self, circuit: Circuit, pinned: tuple):
+        self.pinned = pinned
         order = list(dict.fromkeys(itertools.chain(
-            (GND, *self.fixed_idx_names),
-            *[d.nodes for d in circuit.devices])))
+            (GND, *pinned), *[d.nodes for d in circuit.devices])))
         self.n = n = len(order)
-        self.nfix = nf = 1 + len(self.fixed_idx_names)
+        self.nfix = nf = 1 + len(pinned)
 
         res = [d for d in circuit.devices if isinstance(d, Resistor)]
         mem = [d for d in circuit.devices if isinstance(d, Memristor)]
@@ -405,8 +416,9 @@ class _System:
         perm, classes = _blocks(order, nf, (np.concatenate((r1, a, d)),
                                             np.concatenate((r2, c, s))),
                                 (np.concatenate((g, g)), np.concatenate((d, s))))
-        self.nodes = [order[i] for i in perm]
-        self.index = {name: i for i, name in enumerate(self.nodes)}
+        self.nodes = tuple(order[i] for i in perm)
+        self.index = MappingProxyType({name: i for i, name
+                                       in enumerate(self.nodes)})
         rank = np.empty(n, dtype=np.intp)
         rank[perm] = np.arange(n)
         r1, r2, a, c, d, g, s = (rank[t] for t in (r1, r2, a, c, d, g, s))
@@ -418,37 +430,33 @@ class _System:
         # matrix.  Only the stamp targets are ever written.
         spare = sum(size * count * (nf + size) for size, count in classes)
         end = spare + nf + max([0, *(z for z, _ in classes)])
-        self._mna = np.zeros(end + n)
-        self._rhs = self._mna[end + nf:]
+        self.mna_size, self.rhs_start = end + n, end + nf
         row, col = np.full(n, spare), np.arange(n)
-        # Per block size: the square blocks, their pinned columns and their
-        # rows among the free nodes, as views of the matrix.
-        self._stacks = []
+        # Per block size: where its stack starts in the matrix, its
+        # (count, size), and its rows among the free nodes.
+        layout = []
         lo = off = 0
         for size, count in classes:
             k = np.arange(size * count)
             row[nf + lo:nf + lo + k.size] = off + k * (nf + size)
             col[nf + lo:nf + lo + k.size] = nf + k % size
-            stack = self._mna[off:off + k.size * (nf + size)].reshape(
-                count, size, nf + size)
-            self._stacks.append((stack[:, :, nf:], stack[:, :, :nf],
-                                 slice(lo, lo + k.size)))
+            layout.append((off, count, size, slice(lo, lo + k.size)))
             lo, off = lo + k.size, off + k.size * (nf + size)
+        self.layout = tuple(layout)
 
         def slot(i, j):
             return row[i] + col[j]
 
-        self.mem_names = [m.name for m in mem]
-        self._mem_ac = np.stack((a, c))
+        self.mem_names = tuple(m.name for m in mem)
+        self.mem_ac = np.stack((a, c))
         self.r_on, self.r_off, self.v_on, self.v_off, self.tau, self.x0 = (
             np.array([(p.r_on, p.r_off, p.v_on, p.v_off, p.tau, p.x0)
                       for p in (m.params for m in mem)],
                      dtype=float).reshape(-1, 6).T.copy())
-        self._r_on_off = self.r_on * self.r_off
-        self._neg_v_off = -self.v_off
-        self._decay_dt = self._decay = None
+        self.r_on_off = self.r_on * self.r_off
+        self.neg_v_off = -self.v_off
 
-        self._gds = np.stack((g, d, s))
+        self.gds = np.stack((g, d, s))
         self.fet_sign, self.vth, self.k, self.lam = (
             np.array([(1.0 if p.polarity == "NMOS" else -1.0, p.vth, p.k,
                        p.channel_mod) for p in (f.params for f in fets)],
@@ -463,20 +471,25 @@ class _System:
             (np.stack((d, d, d, s, s, s), 1).ravel(),
              np.stack((g, d, s, g, d, s), 1).ravel()),
             (free, free)))
-        self._targets, self._bins = _compress(np.concatenate(
+        self.targets, self.bins = _compress(np.concatenate(
             (slot(i, j), end + np.stack((d, s), 1).ravel())))
-        self._weights = np.empty(self._bins.size)
-        res_w, mem_w, fet_w, gmin_w, cur_w = np.split(  # views
-            self._weights, np.cumsum([4 * r1.size, 4 * a.size, 6 * d.size,
-                                      n - nf]))
-        res_w[:] = np.multiply.outer(
+        mem_at, fet_at, gmin_at, cur_at = np.cumsum(
+            [4 * r1.size, 4 * a.size, 6 * d.size, n - nf]).tolist()
+        self.mem_part = slice(mem_at, fet_at)
+        self.fet_part = slice(fet_at, gmin_at)
+        self.cur_part = slice(cur_at, None)
+        self.weights = np.zeros(self.bins.size)
+        self.weights[:mem_at] = np.multiply.outer(
             1.0 / np.array([r.ohms for r in res], dtype=float),
             _PAIR_SIGNS).ravel()
-        gmin_w[:] = GMIN
-        self._mem_stamps = mem_w.reshape(-1, 4)
-        self._stamps = fet_w.reshape(-1, 6)
-        self._currents = cur_w.reshape(-1, 2)
-        self._x = np.empty(n - nf)  # Newton's new free voltages
+        self.weights[gmin_at:cur_at] = GMIN
+
+        self.outputs = tuple(p.name for p in circuit.output_ports())
+        self.out_rows = np.array([self.index[p.node]
+                                  for p in circuit.output_ports()],
+                                 dtype=np.intp)
+        self.min_tau = min_tau(circuit)
+        _frozen(self)
 
     def state_vector(self, states: Optional[Mapping]) -> np.ndarray:
         """States in circuit order; a device missing from ``states`` has x0.
@@ -500,8 +513,52 @@ class _System:
 
     def mem_conductance(self, x: np.ndarray) -> np.ndarray:
         """``1 / devices.memristance`` elementwise, with the same arithmetic."""
-        return 1.0 / (self._r_on_off
+        return 1.0 / (self.r_on_off
                       / (x * self.r_off + (1.0 - x) * self.r_on))
+
+
+def _program(circuit: Circuit, fixed_nodes) -> _Program:
+    """The circuit's program for pinning ``fixed_nodes``, compiled once.
+
+    The circuit keeps it, keyed by the ordered tuple of pinned names: their
+    order sets the node order, and so the rounding of every solve.  Threads
+    that compile the same key at once all get the program stored first.
+    """
+    key = tuple(n for n in dict.fromkeys(fixed_nodes) if n != GND)
+    program = circuit._programs.get(key)
+    if program is None:
+        program = circuit._programs.setdefault(key, _Program(circuit, key))
+    return program
+
+
+class _System:
+    """One call's workspace over its circuit's shared ``_Program``.
+
+    It holds everything a solve writes: the flat matrix and right-hand
+    side with their per-size stack views, the stamp weights (the program's
+    resistor and gmin weights, then the memristor stamps ``solve`` writes
+    for its states and the FET stamps ``newton`` writes for its iterate),
+    Newton's new free voltages and the decays of the last ``dt``.
+    """
+
+    def __init__(self, circuit: Circuit, fixed_nodes):
+        self.program = p = _program(circuit, fixed_nodes)
+        nf = p.nfix
+        self._mna = np.zeros(p.mna_size)
+        self._rhs = self._mna[p.rhs_start:]
+        # Per block size: the square blocks, their pinned columns and their
+        # rows among the free nodes, as views of the matrix.
+        self._stacks = []
+        for off, count, size, rows in p.layout:
+            stack = self._mna[off:off + count * size * (nf + size)].reshape(
+                count, size, nf + size)
+            self._stacks.append((stack[:, :, nf:], stack[:, :, :nf], rows))
+        self._weights = p.weights.copy()
+        self._mem_stamps = self._weights[p.mem_part].reshape(-1, 4)
+        self._stamps = self._weights[p.fet_part].reshape(-1, 6)
+        self._currents = self._weights[p.cur_part].reshape(-1, 2)
+        self._x = np.empty(p.n - nf)  # Newton's new free voltages
+        self._decay_dt = self._decay = None
 
     def newton(self, fixed_vals: np.ndarray, v0: np.ndarray,
                retry: bool = False) -> np.ndarray:
@@ -515,27 +572,28 @@ class _System:
         retry damps every step by 0.3, which breaks the two-cycles a full
         step can fall into at a device's threshold.
         """
-        nf, n = self.nfix, self.n
+        p = self.program
+        nf, n = p.nfix, p.n
         v = v0.copy()
         v[0] = 0.0
         v[1:nf] = fixed_vals
         if nf == n:
             return v
         pinned, free = v[:nf], v[nf:]  # pinned is never written below
-        mna, at, rhs = self._mna, self._targets, self._rhs
+        mna, at, rhs = self._mna, p.targets, self._rhs
         stamps, currents, x = self._stamps, self._currents, self._x
         damping = 0.3 if retry else DAMPING
         delta = None
         for _ in range(NEWTON_MAX_ITER):
-            vgds = v[self._gds]
+            vgds = v[p.gds]
             i_d, dg, dd, ds = _mosfet_companion(
-                self.fet_sign, self.vth, self.k, self.lam, vgds)
+                p.fet_sign, p.vth, p.k, p.lam, vgds)
             stamps[:, 0], stamps[:, 1], stamps[:, 2] = dg, dd, ds
             np.negative(stamps[:, :3], out=stamps[:, 3:])
             vg, vd, vs = vgds
             np.subtract(dg * vg + dd * vd + ds * vs, i_d, out=currents[:, 0])
             np.negative(currents[:, 0], out=currents[:, 1])
-            mna[at] = np.bincount(self._bins, self._weights)
+            mna[at] = np.bincount(p.bins, self._weights)
             for a, coupling, rows in self._stacks:
                 b = rhs[rows].reshape(len(a), -1) - coupling @ pinned
                 try:
@@ -543,7 +601,7 @@ class _System:
                 except np.linalg.LinAlgError as exc:
                     diag = np.abs(np.diagonal(a, axis1=1, axis2=2))
                     bad = rows.start + int(np.argmin(diag))
-                    raise SingularSystem(self.nodes[nf + bad]) from exc
+                    raise SingularSystem(p.nodes[nf + bad]) from exc
             step = x - free
             dmax = np.abs(step).max()
             if not math.isfinite(dmax):  # x holds a NaN or an inf
@@ -560,12 +618,13 @@ class _System:
 
     def _worst(self, delta: Optional[np.ndarray]) -> str:
         """The free node of largest |delta|; the first one before any step."""
-        return self.nodes[self.nfix + (0 if delta is None else
-                                       int(np.abs(delta).argmax()))]
+        p = self.program
+        return p.nodes[p.nfix + (0 if delta is None else
+                                 int(np.abs(delta).argmax()))]
 
     def solve(self, x: np.ndarray, fixed_vals: np.ndarray,
               v0: np.ndarray) -> np.ndarray:
-        np.multiply.outer(self.mem_conductance(x), _PAIR_SIGNS,
+        np.multiply.outer(self.program.mem_conductance(x), _PAIR_SIGNS,
                           out=self._mem_stamps)
         try:
             return self.newton(fixed_vals, v0)
@@ -578,15 +637,15 @@ class _System:
         ``math.exp`` per device rounds each decay as the scalar model does;
         the decays are kept for the last ``dt``.
         """
+        p = self.program
         if dt != self._decay_dt:
-            decay = np.array([math.exp(-dt / tau)
-                              for tau in self.tau.tolist()])
+            decay = np.array([math.exp(-dt / tau) for tau in p.tau.tolist()])
             self._decay, self._decay_dt = (decay, 1.0 - decay), dt
         decay, grow = self._decay
-        va, vc = v[self._mem_ac]
+        va, vc = v[p.mem_ac]
         bias = va - vc
-        x = np.where(bias >= self.v_on, x + (1.0 - x) * grow,
-                     np.where(bias <= self._neg_v_off, x * decay, x))
+        x = np.where(bias >= p.v_on, x + (1.0 - x) * grow,
+                     np.where(bias <= p.neg_v_off, x * decay, x))
         return np.minimum(1.0, np.maximum(0.0, x))
 
     def march(self, cfg: SolverConfig, pinned, x: np.ndarray, v: np.ndarray,
@@ -621,7 +680,7 @@ class _System:
         """
         for _ in range(max(8, len(x) + 2)):
             v = self.solve(x, fixed_vals, v)
-            va, vc = v[self._mem_ac]
+            va, vc = v[self.program.mem_ac]
             bias = va - vc
             new = np.where(bias > 1e-9, 1.0, np.where(bias < -1e-9, 0.0, x))
             if np.array_equal(new, x):
@@ -694,13 +753,14 @@ def _dc_system(circuit: Circuit, fixed: Mapping,
     The guess is half the highest pinned voltage, overlaid with ``v_init``.
     """
     system = _System(circuit, fixed)
-    fixed_vals = [fixed[n] for n in system.fixed_idx_names]
-    v0 = np.full(system.n, 0.5 * max([*fixed_vals, 0.0]))
+    p = system.program
+    fixed_vals = [fixed[n] for n in p.pinned]
+    v0 = np.full(p.n, 0.5 * max([*fixed_vals, 0.0]))
     for node, val in (v_init or {}).items():
-        if node in system.index:
-            v0[system.index[node]] = val
+        if node in p.index:
+            v0[p.index[node]] = val
     return (system, np.array(fixed_vals, dtype=float),
-            system.state_vector(states), v0)
+            p.state_vector(states), v0)
 
 
 def solve_dc(circuit: Circuit, fixed: Mapping,
@@ -713,7 +773,8 @@ def solve_dc(circuit: Circuit, fixed: Mapping,
     """
     _check_pins(circuit, fixed)
     system, fixed_vals, x, v0 = _dc_system(circuit, fixed, states)
-    return dict(zip(system.nodes, system.solve(x, fixed_vals, v0).tolist()))
+    return dict(zip(system.program.nodes,
+                    system.solve(x, fixed_vals, v0).tolist()))
 
 
 def kcl_residual(circuit: Circuit, voltages: Mapping,
@@ -753,8 +814,9 @@ def step(circuit: Circuit, states: Mapping, voltages: Mapping, fixed: Mapping,
     _warn_if_coarse(circuit, dt)
     system, fixed_vals, x, v0 = _dc_system(circuit, fixed, states, voltages)
     v = system.solve(x, fixed_vals, v0)
-    return (dict(zip(system.nodes, v.tolist())),
-            system.state_dict(system.advance(x, v, dt)))
+    p = system.program
+    return (dict(zip(p.nodes, v.tolist())),
+            p.state_dict(system.advance(x, v, dt)))
 
 
 def _warn_if_coarse(circuit: Circuit, dt: float) -> None:
@@ -780,24 +842,25 @@ def run_transient(circuit: Circuit, stim: Optional[Stimulus] = None,
     _warn_if_coarse(circuit, cfg.dt)
     times = np.arange(cfg.steps + 1) * cfg.dt
     system = _System(circuit, drivers)
+    prog = system.program
     probe_nodes = list(dict.fromkeys([p.node for p in circuit.ports]
-                                     + sorted(system.nodes)))
-    probe_idx = np.array([system.index[n] for n in probe_nodes], dtype=np.intp)
+                                     + sorted(prog.nodes)))
+    probe_idx = np.array([prog.index[n] for n in probe_nodes], dtype=np.intp)
     volts = np.empty((len(probe_nodes), len(times)))
-    xs = np.empty((len(system.mem_names), len(times)))
+    xs = np.empty((len(prog.mem_names), len(times)))
 
     def recorded(n: int) -> Waveform:
         return Waveform(dt=cfg.dt, times=times[:n],
                         probes=dict(zip(probe_nodes, volts[:, :n])),
-                        states=dict(zip(system.mem_names, xs[:, :n])),
+                        states=dict(zip(prog.mem_names, xs[:, :n])),
                         port_nodes={p.name: p.node for p in circuit.ports})
 
     done = 0
     try:
         for k, _, v, x in system.march(
-                cfg, _schedule(drivers, system.fixed_idx_names, times),
-                system.state_vector(None),
-                np.full(system.n, supply_voltage(circuit) / 2.0)):
+                cfg, _schedule(drivers, prog.pinned, times),
+                prog.state_vector(None),
+                np.full(prog.n, supply_voltage(circuit) / 2.0)):
             volts[:, k] = v[probe_idx]
             xs[:, k] = x
             done = k + 1
@@ -819,7 +882,7 @@ def relax_states(circuit: Circuit, fixed: Mapping,
     """
     _check_pins(circuit, fixed)
     system, fixed_vals, x, v = _dc_system(circuit, fixed, states)
-    return system.state_dict(system.relax(x, fixed_vals, v)[0])
+    return system.program.state_dict(system.relax(x, fixed_vals, v)[0])
 
 
 def steady_output(circuit: Circuit, inputs: Mapping,
@@ -828,9 +891,11 @@ def steady_output(circuit: Circuit, inputs: Mapping,
                   return_info: bool = False):
     """Quantized settled output levels under constant input levels.
 
-    Memristor states are first relaxed to their constant-bias steady state,
-    then the transient runs from the relaxed states and voltages until every
-    output port holds one quantization region for a 20-tau window.  Raises
+    ``inputs`` must give a level to every input port that no source
+    drives; a ValueError names the first one left out.  Memristor states
+    are first relaxed to their constant-bias steady state, then the
+    transient runs from the relaxed states and voltages until every output
+    port holds one quantization region for a 20-tau window.  Raises
     NotSettled if no window is found by t_stop.  With ``return_info`` also
     returns a dict carrying the settle time and final voltages.
     """
@@ -838,20 +903,31 @@ def steady_output(circuit: Circuit, inputs: Mapping,
     supply = supply_voltage(circuit)
     bands = bands or VoltageBands.default(supply)
     drivers = _drivers(circuit, Stimulus.hold(dict(inputs), vdd=supply))
+    for port in circuit.input_ports():
+        if port.node not in drivers:
+            raise ValueError(f"input port {port.name!r} of {circuit.name!r} "
+                             f"is not pinned")
     system, fixed_vals, x, v = _dc_system(
         circuit, {n: f(np.zeros(1)).item() for n, f in drivers.items()})
+    prog = system.program
     x, v = system.relax(x, fixed_vals, v)
-    outs = {p.name: system.index[p.node] for p in circuit.output_ports()}
-    out_rows = np.array(list(outs.values()), dtype=np.intp)
-    window = max(2, int(round(20.0 * min_tau(circuit) / cfg.dt)))
+    window = max(2, int(round(20.0 * prog.min_tau / cfg.dt)))
     run_len = 0
     regions = v_seen = None
     settle_time = 0.0
-    for _, t, v, x in system.march(cfg, itertools.repeat(fixed_vals), x, v,
+    for k, t, v, x in system.march(cfg, itertools.repeat(fixed_vals), x, v,
                                    bypass=True):
-        if v is not v_seen:  # a bypassed step yields the same voltages
-            now = bands.codes(v[out_rows]).tolist()
-            v_seen = v
+        if v is v_seen:
+            # march bypassed this step: it is a fixed point, so every later
+            # step repeats it and the window closes window - run_len - 1
+            # steps on.
+            k += window - run_len - 1
+            if k > cfg.steps:
+                raise NotSettled(cfg.t_stop)
+            t = k * cfg.dt
+            break
+        now = bands.codes(v[prog.out_rows]).tolist()
+        v_seen = v
         if now == regions:
             run_len += 1
         else:
@@ -862,10 +938,10 @@ def steady_output(circuit: Circuit, inputs: Mapping,
             break
     else:
         raise NotSettled(cfg.t_stop)
-    volts_out = dict(zip(outs, v[out_rows].tolist()))
-    levels = {p: voltage_to_level(volts_out[p], bands) for p in outs}
+    volts_out = dict(zip(prog.outputs, v[prog.out_rows].tolist()))
+    levels = {p: voltage_to_level(volts_out[p], bands) for p in prog.outputs}
     if not return_info:
         return levels
     info = {"settle_time": settle_time, "voltages": volts_out,
-            "states": system.state_dict(x), "t_run": t}
+            "states": prog.state_dict(x), "t_run": t}
     return levels, info

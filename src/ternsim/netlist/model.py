@@ -2,13 +2,14 @@
 
 Circuits are flat (no hierarchy); builders in :mod:`ternsim.netlist.cells`
 expand gate-level networks into these device lists.  Node ``"0"`` is ground.
-Circuits are treated as immutable after construction.
+Circuits are immutable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from ..devices import MemristorParams, MosfetParams
 
@@ -119,25 +120,35 @@ class Port:
     node: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class Circuit:
-    """Node/device graph with named input/output ports.
+    """Node/device graph with named input/output ports; immutable.
 
-    ``cells`` is optional builder metadata: a census of gate instances by
-    cell kind, for resource reporting.  Parsed circuits have an empty census.
+    ``devices`` and ``ports`` are kept as tuples (any iterable is accepted)
+    and ``cells`` as a read-only mapping.  ``cells`` is optional builder
+    metadata: a census of gate instances by cell kind, for resource
+    reporting.  Parsed circuits have an empty census.  Equality is
+    structural: name, devices and ports.  The engine keeps the solver
+    programs it compiles for the circuit in ``_programs``.
     """
 
     name: str = "circuit"
-    devices: list = field(default_factory=list)
-    ports: list = field(default_factory=list)  # list[Port], declaration order
-    cells: dict = field(default_factory=dict)  # cell kind name -> count
+    devices: tuple = ()
+    ports: tuple = ()  # Port, declaration order
+    # cell kind name -> count; metadata, not structure
+    cells: Mapping = field(default_factory=dict, compare=False)
+    _programs: dict = field(default_factory=dict, init=False, compare=False,
+                            repr=False)
 
-    def __eq__(self, other):
-        if not isinstance(other, Circuit):
-            return NotImplemented
-        # Structural identity; the cell census is metadata, not structure.
-        return (self.name == other.name and self.devices == other.devices
-                and self.ports == other.ports)
+    def __post_init__(self):
+        object.__setattr__(self, "devices", tuple(self.devices))
+        object.__setattr__(self, "ports", tuple(self.ports))
+        object.__setattr__(self, "cells", MappingProxyType(dict(self.cells)))
+
+    def __reduce__(self):
+        # A copy or a pickle starts with no compiled programs.
+        return (type(self), (self.name, self.devices, self.ports,
+                             dict(self.cells)))
 
     @property
     def nodes(self) -> set:

@@ -131,7 +131,7 @@ def _parse_port(args, line):
 
 def parse(text: str) -> Circuit:
     """Parse netlist text into a validated Circuit."""
-    circuit = Circuit(name="netlist")
+    name, devices, ports = "netlist", [], []
     lines_of: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -140,7 +140,7 @@ def parse(text: str) -> Circuit:
         if line.startswith("*"):
             m = re.match(r"\*\s*circuit:\s*(\S+)", line)
             if m:
-                circuit.name = m.group(1)
+                name = m.group(1)
             continue
         tokens = line.split()
         head = tokens[0]
@@ -148,7 +148,7 @@ def parse(text: str) -> Circuit:
             break
         if head.lower() == ".port":
             port = _parse_port(tokens[1:], lineno)
-            circuit.ports.append(port)
+            ports.append(port)
             lines_of[("port", port.name)] = lineno
             continue
         if head.startswith("."):
@@ -167,9 +167,9 @@ def parse(text: str) -> Circuit:
             dev = _parse_source(head, args, lineno)
         else:
             raise UnknownDeviceError(lineno, f"unknown device type {head[0]!r} in {head!r}")
-        circuit.devices.append(dev)
+        devices.append(dev)
         lines_of[dev.name] = lineno
-    return circuit.validate(lines_of)
+    return Circuit(name, devices, ports).validate(lines_of)
 
 
 def _fmt(v: float) -> str:

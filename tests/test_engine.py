@@ -1,10 +1,14 @@
+import copy
 import csv
 import io
 import itertools
 import math
 import os
+import pickle
+import random
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -385,23 +389,177 @@ class TestSteadyOutput:
             steady_output(d13, {"X": x})
             assert len(calls) <= 24, x
 
-    def test_one_system_per_call(self, d29, monkeypatch):
-        builds = []
+    def test_one_system_per_call(self, monkeypatch):
+        # Nine d29 vectors on one circuit compile one program; each call
+        # still gets a workspace of its own.
+        compiles, workspaces = [], []
+
+        class CountingProgram(engine._Program):
+            def __init__(self, *args):
+                compiles.append(1)
+                super().__init__(*args)
 
         class Counting(_System):
             def __init__(self, *args):
-                builds.append(1)
+                workspaces.append(1)
                 super().__init__(*args)
 
+        monkeypatch.setattr(engine, "_Program", CountingProgram)
         monkeypatch.setattr(engine, "_System", Counting)
-        assert steady_output(d29, {"A": L2, "B": L1})["Y7"] == L2
-        assert len(builds) == 1
+        d29 = elaborate(builtin_network("d29"))
+        for vec in input_vectors("d29"):
+            assert steady_output(d29, vec) == expected_outputs("d29", vec)
+        assert len(compiles) == 1
+        assert len(workspaces) == 9
+
+    def test_missing_input_port_rejected_before_compile(self, monkeypatch):
+        def no_compile(*args):
+            raise AssertionError("compiled a program")
+
+        monkeypatch.setattr(engine, "_Program", no_compile)
+        d29 = elaborate(builtin_network("d29"))
+        with pytest.raises(ValueError,
+                           match="input port 'B' of 'd29' is not pinned"):
+            steady_output(d29, {"A": L2})
+        with pytest.raises(ValueError, match="input port 'X' of 'd13'"):
+            steady_output(elaborate(builtin_network("d13")), {})
 
     def test_settle_info(self, d13):
         out, info = steady_output(d13, {"X": L1}, return_info=True)
         assert info["settle_time"] < 20e-9
         assert set(info["voltages"]) == {"Y0", "Y1", "Y2"}
 
+
+def walked_settle(circuit, inputs, cfg):
+    """``steady_output``'s settle search, walking every step of the march.
+
+    Returns ``steady_output``'s info dict, or raises NotSettled.
+    """
+    supply = engine.supply_voltage(circuit)
+    bands = VoltageBands.default(supply)
+    fixed = pinned_at(circuit, Stimulus.hold(inputs, vdd=supply), 0.0)
+    system, pins, x, v = engine._dc_system(circuit, fixed)
+    x, v = system.relax(x, pins, v)
+    prog = system.program
+    window = max(2, round(20.0 * prog.min_tau / cfg.dt))
+    run_len, regions, settle_time = 0, None, 0.0
+    for _, t, v, x in system.march(cfg, itertools.repeat(pins), x, v,
+                                   bypass=True):
+        now = bands.codes(v[prog.out_rows]).tolist()
+        if now == regions:
+            run_len += 1
+        else:
+            regions, run_len, settle_time = now, 1, t
+        if run_len >= window:
+            return {"settle_time": settle_time,
+                    "voltages": dict(zip(prog.outputs,
+                                         v[prog.out_rows].tolist())),
+                    "states": prog.state_dict(x), "t_run": t}
+    raise NotSettled(cfg.t_stop)
+
+
+class TestCompileOnce:
+    """One program per circuit and ordered pin tuple, shared by every call."""
+
+    def test_interleaved_vectors_match_fresh_circuits(self):
+        circuits = {d: elaborate(builtin_network(d))
+                    for d in ("d13", "d29", "display")}
+        cases = [(d, vec) for d in circuits for vec in input_vectors(d)]
+        assert len(cases) == 21
+        random.Random(15).shuffle(cases)
+        for d, vec in cases:
+            got = steady_output(circuits[d], vec, return_info=True)
+            want = steady_output(elaborate(builtin_network(d)), vec,
+                                 return_info=True)
+            assert repr(got) == repr(want), (d, vec)
+        assert all(len(c._programs) == 1 for c in circuits.values())
+
+    def test_pin_order_keys_its_own_program(self):
+        d29 = elaborate(builtin_network("d29"))
+        orders = ({"vdd": 1.0, "A": 0.5, "B": 0.0},
+                  {"B": 0.0, "A": 0.5, "vdd": 1.0})
+        for fixed in orders + orders:
+            want = solve_dc(elaborate(builtin_network("d29")), fixed)
+            assert repr(solve_dc(d29, fixed)) == repr(want)
+        assert list(d29._programs) == [("vdd", "A", "B"), ("B", "A", "vdd")]
+
+    def test_copies_start_without_compiled_programs(self):
+        circuit = elaborate(builtin_network("d13"))
+        steady_output(circuit, {"X": L1})
+        assert len(circuit._programs) == 1
+        for again in (copy.copy(circuit), copy.deepcopy(circuit),
+                      pickle.loads(pickle.dumps(circuit))):
+            assert again == circuit and again._programs == {}
+            assert dict(again.cells) == dict(circuit.cells)
+
+    def test_workspaces_keep_their_own_stamps(self, d29):
+        rng = np.random.default_rng(3)
+        pins = np.array([1.0, 0.5, 0.0])
+        first, second = (_System(d29, PINS["d29"]) for _ in range(2))
+        assert first.program is second.program
+        x1, x2 = (rng.random(len(first.program.mem_names)) for _ in range(2))
+        v0 = np.full(first.program.n, 0.5)
+        want = first.solve(x1, pins, v0)
+        second.solve(x2, pins, v0)
+        # newton reads the memristor stamps first.solve wrote, not second's.
+        assert first.newton(pins, v0).tobytes() == want.tobytes()
+
+    def test_threads_share_one_program(self):
+        d29 = elaborate(builtin_network("d29"))
+        vectors = input_vectors("d29")
+        want = [repr(steady_output(elaborate(builtin_network("d29")), vec,
+                                   return_info=True)) for vec in vectors]
+        got = {}
+
+        def work(i):
+            for j, vec in enumerate(vectors[i:] + vectors[:i]):
+                got[i, (i + j) % 9] = repr(
+                    steady_output(d29, vec, return_info=True))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == {(i, j): want[j] for i in range(4) for j in range(9)}
+        assert len(d29._programs) == 1
+
+    def test_program_arrays_read_only(self, display):
+        steady_output(display, {"A": L1, "B": L2})
+        program = _System(display, ["vdd", "A", "B"]).program
+        arrays = [a for a in vars(program).values()
+                  if isinstance(a, np.ndarray)]
+        assert len(arrays) > 15
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
+
+    @pytest.mark.parametrize("name,vec", [
+        ("d13", {"X": L0}), ("d13", {"X": L1}), ("d13", {"X": L2}),
+        ("d29", {"A": L2, "B": L1})])
+    def test_settle_jump_matches_walk(self, request, name, vec):
+        circuit = request.getfixturevalue(name)
+        dt = SolverConfig().dt
+        k_end = round(walked_settle(circuit, vec, SolverConfig())["t_run"]
+                      / dt)
+        for steps in range(k_end - 3, k_end + 3):
+            cfg = SolverConfig(t_stop=steps * dt)
+            if steps < k_end:
+                for settle in (walked_settle, steady_output):
+                    with pytest.raises(NotSettled):
+                        settle(circuit, vec, cfg=cfg)
+            else:
+                _, info = steady_output(circuit, vec, cfg=cfg,
+                                        return_info=True)
+                assert repr(info) == repr(walked_settle(circuit, vec, cfg))
 
 
 def side_by_side(*names):
@@ -437,7 +595,7 @@ class TestBlocks:
     def test_one_block_keeps_circuit_order(self, display):
         system = _System(display, ["vdd", "A", "B"])
         assert [a.shape for a, _, _ in system._stacks] == [(1, 57, 57)]
-        assert system.nodes == list(dict.fromkeys(
+        assert list(system.program.nodes) == list(dict.fromkeys(
             ["0", "vdd", "A", "B", *(n for d in display.devices
                                      for n in d.nodes)]))
 
@@ -528,9 +686,10 @@ def dense_jacobian(circuit, system, x, v):
     Rows and columns in the system's node order: resistors, memristors,
     FETs, then gmin, each kind in circuit order.
     """
-    at = system.index
-    jac = np.zeros((system.n, system.n))
-    states, volts = system.state_dict(x), v.tolist()
+    prog = system.program
+    at = prog.index
+    jac = np.zeros((prog.n, prog.n))
+    states, volts = prog.state_dict(x), v.tolist()
 
     def pair(n1, n2, g):
         i, j = at[n1], at[n2]
@@ -554,7 +713,7 @@ def dense_jacobian(circuit, system, x, v):
             for row, sign in ((d, 1.0), (s, -1.0)):
                 for col, p in zip((g, d, s), partials):
                     jac[row, col] += sign * p
-    for k in range(system.nfix, system.n):
+    for k in range(prog.nfix, prog.n):
         jac[k, k] += engine.GMIN
     return jac
 
@@ -572,11 +731,12 @@ class TestJacobian:
                                          monkeypatch):
         circuit = request.getfixturevalue(name)
         system = _System(circuit, PINS[name])
-        nf = system.nfix
+        p = system.program
+        nf = p.nfix
         rng = np.random.default_rng(seed)
-        x = rng.random(len(system.mem_names))
+        x = rng.random(len(p.mem_names))
         x[:2] = 0.0, 1.0
-        v = rng.uniform(-0.2, 1.2, system.n)
+        v = rng.uniform(-0.2, 1.2, p.n)
         v[0] = 0.0
         # One iteration assembles the Jacobian at v, then gives up.
         monkeypatch.setattr(engine, "NEWTON_MAX_ITER", 1)
@@ -594,14 +754,14 @@ class TestJacobian:
                 assert not np.delete(want[block], [*range(nf), *block],
                                      axis=1).any()
             done += rows.stop - rows.start
-        assert done == system.n - nf
+        assert done == p.n - nf
 
     def test_reused_system_matches_fresh_ones(self, d29):
         rng = np.random.default_rng(7)
         pins = np.array([1.0, 0.5, 0.0])
         reused = _System(d29, PINS["d29"])
-        x1, x2 = (rng.random(len(reused.mem_names)) for _ in range(2))
-        v0 = np.full(reused.n, 0.5)
+        x1, x2 = (rng.random(len(reused.program.mem_names)) for _ in range(2))
+        v0 = np.full(reused.program.n, 0.5)
         got = [reused.solve(x, pins, v0) for x in (x1, x2, x1)]
         want = [_System(d29, PINS["d29"]).solve(x, pins, v0)
                 for x in (x1, x2, x1)]
@@ -692,8 +852,8 @@ class TestCompiledKernels:
         for i, (p, x) in enumerate(itertools.product(params, xs)):
             devices.append(Memristor(f"M{i}", "top", "0", p))
             states[f"M{i}"] = float(x)
-        system = _System(Circuit(name="m", devices=devices), ("top",))
-        got = system.mem_conductance(system.state_vector(states))
+        program = _System(Circuit(name="m", devices=devices), ("top",)).program
+        got = program.mem_conductance(program.state_vector(states))
         want = [1.0 / memristance(x, p)
                 for p, x in itertools.product(params, xs)]
         assert got.tolist() == want
@@ -714,11 +874,11 @@ class TestCompiledKernels:
         system = _System(Circuit(name="m", devices=[
             Memristor(f"M{i}", f"n{i}", "0", p)
             for i, (p, _, _) in enumerate(draws)]), ())
-        v = np.zeros(system.n)
+        v = np.zeros(system.program.n)
         biases = []
         for i, (p, _, bias) in enumerate(draws):
             biases.append(gates[bias](p) if isinstance(bias, str) else bias)
-            v[system.index[f"n{i}"]] = biases[-1]
+            v[system.program.index[f"n{i}"]] = biases[-1]
         x = np.array([x for _, x, _ in draws])
         want = [update_state(xi, b, dt, p)
                 for (p, xi, _), b in zip(draws, biases)]

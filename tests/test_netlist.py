@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from ternsim.netlist import (CellKind, DuplicateNameError, NetlistError,
@@ -190,6 +192,19 @@ class TestSerialize:
         from ternsim.netlist.model import Circuit
         text = serialize(Circuit(name="empty"))
         assert text == "* circuit: empty\n.end\n"
+
+
+class TestCircuit:
+    def test_circuit_is_immutable(self):
+        circuit = parse(MINIMAL + ".port out y out\n")
+        assert isinstance(circuit.devices, tuple)
+        assert isinstance(circuit.ports, tuple)
+        for name, value in (("devices", []), ("ports", []), ("name", "x"),
+                            ("cells", {})):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(circuit, name, value)
+        with pytest.raises(TypeError):
+            elaborate(builtin_network("d13")).cells["TAND2"] = 1
 
 
 class TestCells:

@@ -18,8 +18,7 @@ from .netlist import (CellKind, Circuit, GateNetwork, build_cell,
                       serialize)
 from .engine import (NonConvergence, NotSettled, SingularSystem, SolverConfig,
                      SolverError, Stimulus, TransientError, Waveform,
-                     kcl_residual, run_transient, solve_dc, steady_output,
-                     step)
+                     run_transient, solve_dc, steady_output, step)
 from .digital import (EncodedTrace, divider_emulation, eval_circuit,
                       eval_gate, or_reduce_segment, run_trace)
 from .analysis import (GlitchEvent, ResourceReport, TruthTableReport,

@@ -7,12 +7,18 @@ past ``v_on`` or toward 0 (reset) when reverse-biased past ``v_off``.
 Sub-threshold bias holds the state.  The MOSFET is a piecewise square-law
 model with optional channel-length modulation; gate variants differ only in
 threshold voltage.
+
+Each equation is written once, over arrays with one element per device, and
+the engine calls it on all of a circuit's devices at once.  ``update_state``
+and ``mosfet_current`` are one-device calls into those kernels.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class NonpositiveTimestep(ValueError):
@@ -65,34 +71,41 @@ class MosfetParams:
             raise ValueError("vth and k must be positive, channel_mod >= 0")
 
 
-def memristance(x: float, p: MemristorParams) -> float:
+def memristance(x, p):
     """Resistance of the conductance mix G = x/r_on + (1-x)/r_off.
 
     Written as a product ratio so the endpoints are exact: x=1 -> r_on,
-    x=0 -> r_off.  Strictly decreasing in x.
+    x=0 -> r_off.  Strictly decreasing in x.  Elementwise when ``x`` and
+    ``p.r_on``, ``p.r_off`` are arrays with one element per device.
     """
     return (p.r_on * p.r_off) / (x * p.r_off + (1.0 - x) * p.r_on)
 
 
-def update_state(x: float, v: float, dt: float, p: MemristorParams) -> float:
-    """Advance the state x by dt under branch voltage v (anode minus cathode).
+def advance_states(x, bias, decay, grow, v_on, neg_v_off):
+    """Advance states x under branch voltages ``bias``, elementwise.
 
-    Threshold-gated exponential relaxation:
-      v >= v_on   : x' = x + (1-x) * (1 - exp(-dt/tau))
-      v <= -v_off : x' = x * exp(-dt/tau)
-      otherwise     x' = x
+    ``bias`` is anode minus cathode, ``decay`` is exp(-dt/tau), ``grow`` is
+    1 - decay and ``neg_v_off`` is -v_off.  Threshold-gated exponential
+    relaxation, clipped to [0, 1]:
+      bias >= v_on   : x' = x + (1-x) * (1 - exp(-dt/tau))
+      bias <= -v_off : x' = x * exp(-dt/tau)
+      otherwise        x' = x
     Exact under subdivision (dt then dt equals 2*dt).
+    """
+    x = np.where(bias >= v_on, x + (1.0 - x) * grow,
+                 np.where(bias <= neg_v_off, x * decay, x))
+    return np.minimum(1.0, np.maximum(0.0, x))
+
+
+def update_state(x: float, v: float, dt: float, p: MemristorParams) -> float:
+    """Advance one state x by dt under branch voltage v (``advance_states``).
+
+    Raises NonpositiveTimestep unless dt > 0.
     """
     if dt <= 0:
         raise NonpositiveTimestep(f"dt must be positive, got {dt}")
     decay = math.exp(-dt / p.tau)
-    if v >= p.v_on:
-        x = x + (1.0 - x) * (1.0 - decay)
-    elif v <= -p.v_off:
-        x = x * decay
-    else:
-        return x
-    return min(1.0, max(0.0, x))
+    return float(advance_states(x, v, decay, 1.0 - decay, p.v_on, -p.v_off))
 
 
 DIGITAL_R_ON = 500
@@ -109,45 +122,34 @@ def digital_memristance(v_anode: float, v_cathode: float) -> int:
     return DIGITAL_R_ON if v_anode > v_cathode else DIGITAL_R_OFF
 
 
-def _square_law(u: float, vds: float, k: float, lam: float):
-    """Channel current and partials for vds >= 0; u is the overdrive vgs - vth.
+def mosfet_companion(sign, vth, k, lam, vgds):
+    """Drain-terminal current and its partials w.r.t. (vg, vd, vs), per device.
 
-    Returns (i, di/dvgs, di/dvds).  Both operating regions carry the same
-    (1 + lam*vds) factor so the triode/saturation boundary stays continuous.
+    ``vgds`` holds the gate, drain and source voltages, a row each; the
+    other arguments hold one value per device.  ``sign`` is +1 for NMOS and
+    -1 for PMOS (the NMOS mirror under sign inversion of all voltages).  The
+    current is positive into the drain terminal.  Triode and saturation
+    carry the same (1 + lam*vds) factor, so the boundary stays continuous.
     """
-    if u <= 0.0:
-        return 0.0, 0.0, 0.0
+    vg, vd, vs = sign * vgds
+    fwd = vd >= vs  # else the channel conducts the other way
+    lo = np.minimum(vd, vs)
+    vds = np.abs(vd - vs)  # exact: a - b is -(b - a)
+    # Cut off at u <= 0: u = 0 makes every term below exactly 0.
+    u = np.maximum(vg - lo - vth, 0.0)
     m = 1.0 + lam * vds
-    if vds < u:  # triode
-        q = u * vds - 0.5 * vds * vds
-        return k * q * m, k * vds * m, k * (u - vds) * m + k * q * lam
-    q = 0.5 * u * u  # saturation
-    return k * q * m, k * u * m, k * q * lam
-
-
-def _nmos_terminal(p: MosfetParams, vg: float, vd: float, vs: float):
-    """NMOS drain-terminal current and partials, handling drain/source swap."""
-    if vd >= vs:
-        i, dg, dd = _square_law(vg - vs - p.vth, vd - vs, p.k, p.channel_mod)
-        return i, dg, dd, -(dg + dd)
-    # Channel conducts the other way; roles of the terminals swap.
-    i, dg, dd = _square_law(vg - vd - p.vth, vs - vd, p.k, p.channel_mod)
-    return -i, -dg, dg + dd, -dd
-
-
-def mosfet_small_signal(p: MosfetParams, vg: float, vd: float, vs: float):
-    """Drain-terminal current and its partials w.r.t. (vg, vd, vs).
-
-    The current is positive when it flows from the drain node into the
-    channel.  PMOS is the NMOS mirror under sign inversion of all voltages.
-    """
-    if p.polarity == "NMOS":
-        return _nmos_terminal(p, vg, vd, vs)
-    i, dg, dd, ds = _nmos_terminal(
-        MosfetParams("NMOS", p.vth, p.k, p.channel_mod), -vg, -vd, -vs)
-    return -i, dg, dd, ds
+    tri = vds < u
+    kq = k * np.where(tri, u * vds - 0.5 * vds * vds, 0.5 * u * u)
+    dg = k * np.where(tri, vds, u) * m
+    dd = np.where(tri, k * (u - vds) * m, 0.0) + kq * lam
+    dgd = dg + dd
+    flip = np.where(fwd, 1.0, -1.0)  # times +-1 is exact
+    return (sign * flip * (kq * m), flip * dg, np.where(fwd, dd, dgd),
+            -np.where(fwd, dgd, dd))
 
 
 def mosfet_current(p: MosfetParams, vg: float, vd: float, vs: float) -> float:
     """Piecewise square-law drain current (positive into the drain terminal)."""
-    return mosfet_small_signal(p, vg, vd, vs)[0]
+    sign = 1.0 if p.polarity == "NMOS" else -1.0
+    return float(mosfet_companion(sign, p.vth, p.k, p.channel_mod,
+                                  np.array([vg, vd, vs], dtype=float))[0])

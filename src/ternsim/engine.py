@@ -23,7 +23,8 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .core import LEVELS, VoltageBands, level_to_voltage, voltage_to_level
-from .devices import NonpositiveTimestep, memristance, mosfet_small_signal
+from .devices import (NonpositiveTimestep, advance_states, memristance,
+                      mosfet_companion)
 from .netlist.model import GND, Circuit, Memristor, Mosfet, Resistor
 
 
@@ -143,9 +144,6 @@ class Stimulus:
         """Constant levels from t=0 on every port."""
         return cls({p: ((0.0, lv),) for p, lv in levels.items()}, vdd=vdd)
 
-    def ports(self):
-        return tuple(self.schedules)
-
     def event_times(self) -> tuple:
         times = {t for events in self.schedules.values() for t, _ in events}
         return tuple(sorted(times))
@@ -257,31 +255,6 @@ _VCD_BLOCK = 64
 
 # Two-bit VCD code of each quantization region; the gaps read as xx.
 _VCD_CODES = ("00", "xx", "01", "xx", "10")
-
-
-def _mosfet_companion(sign, vth, k, lam, vgds):
-    """``devices.mosfet_small_signal`` elementwise over arrays of devices.
-
-    ``vgds`` holds the gate, drain and source voltages, a row each.
-    ``sign`` is +1 for NMOS and -1 for PMOS (the NMOS mirror under sign
-    inversion of all voltages).  The arithmetic is the scalar model's, in
-    the same order, so each element equals the scalar result.
-    """
-    vg, vd, vs = sign * vgds
-    fwd = vd >= vs  # else the channel conducts the other way
-    lo = np.minimum(vd, vs)
-    vds = np.abs(vd - vs)  # exact: a - b is -(b - a)
-    # Cut off at u <= 0: u = 0 makes every term below exactly 0.
-    u = np.maximum(vg - lo - vth, 0.0)
-    m = 1.0 + lam * vds
-    tri = vds < u
-    kq = k * np.where(tri, u * vds - 0.5 * vds * vds, 0.5 * u * u)
-    dg = k * np.where(tri, vds, u) * m
-    dd = np.where(tri, k * (u - vds) * m, 0.0) + kq * lam
-    dgd = dg + dd
-    flip = np.where(fwd, 1.0, -1.0)  # times +-1 is exact
-    return (sign * flip * (kq * m), flip * dg, np.where(fwd, dd, dgd),
-            -np.where(fwd, dgd, dd))
 
 
 def _pair_entries(i: np.ndarray, j: np.ndarray):
@@ -449,11 +422,11 @@ class _Program:
 
         self.mem_names = tuple(m.name for m in mem)
         self.mem_ac = np.stack((a, c))
+        # Per-device arrays; the program is the ``p`` of devices.memristance.
         self.r_on, self.r_off, self.v_on, self.v_off, self.tau, self.x0 = (
             np.array([(p.r_on, p.r_off, p.v_on, p.v_off, p.tau, p.x0)
                       for p in (m.params for m in mem)],
                      dtype=float).reshape(-1, 6).T.copy())
-        self.r_on_off = self.r_on * self.r_off
         self.neg_v_off = -self.v_off
 
         self.gds = np.stack((g, d, s))
@@ -510,11 +483,6 @@ class _Program:
 
     def state_dict(self, x: np.ndarray) -> dict:
         return dict(zip(self.mem_names, x.tolist()))
-
-    def mem_conductance(self, x: np.ndarray) -> np.ndarray:
-        """``1 / devices.memristance`` elementwise, with the same arithmetic."""
-        return 1.0 / (self.r_on_off
-                      / (x * self.r_off + (1.0 - x) * self.r_on))
 
 
 def _program(circuit: Circuit, fixed_nodes) -> _Program:
@@ -586,7 +554,7 @@ class _System:
         delta = None
         for _ in range(NEWTON_MAX_ITER):
             vgds = v[p.gds]
-            i_d, dg, dd, ds = _mosfet_companion(
+            i_d, dg, dd, ds = mosfet_companion(
                 p.fet_sign, p.vth, p.k, p.lam, vgds)
             stamps[:, 0], stamps[:, 1], stamps[:, 2] = dg, dd, ds
             np.negative(stamps[:, :3], out=stamps[:, 3:])
@@ -624,7 +592,7 @@ class _System:
 
     def solve(self, x: np.ndarray, fixed_vals: np.ndarray,
               v0: np.ndarray) -> np.ndarray:
-        np.multiply.outer(self.program.mem_conductance(x), _PAIR_SIGNS,
+        np.multiply.outer(1.0 / memristance(x, self.program), _PAIR_SIGNS,
                           out=self._mem_stamps)
         try:
             return self.newton(fixed_vals, v0)
@@ -632,21 +600,17 @@ class _System:
             return self.newton(fixed_vals, v0, retry=True)
 
     def advance(self, x: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
-        """``devices.update_state`` elementwise, with the same arithmetic.
+        """The states after dt under the branch voltages of ``v``.
 
-        ``math.exp`` per device rounds each decay as the scalar model does;
+        ``math.exp`` per device rounds each decay as ``update_state`` does;
         the decays are kept for the last ``dt``.
         """
         p = self.program
         if dt != self._decay_dt:
             decay = np.array([math.exp(-dt / tau) for tau in p.tau.tolist()])
             self._decay, self._decay_dt = (decay, 1.0 - decay), dt
-        decay, grow = self._decay
         va, vc = v[p.mem_ac]
-        bias = va - vc
-        x = np.where(bias >= p.v_on, x + (1.0 - x) * grow,
-                     np.where(bias <= p.neg_v_off, x * decay, x))
-        return np.minimum(1.0, np.maximum(0.0, x))
+        return advance_states(x, va - vc, *self._decay, p.v_on, p.neg_v_off)
 
     def march(self, cfg: SolverConfig, pinned, x: np.ndarray, v: np.ndarray,
               bypass: bool = False):
@@ -699,13 +663,14 @@ def _drivers(circuit: Circuit, stim: Optional[Stimulus]) -> dict:
 
     A driver maps an array of times to the node's voltages at them.
     Raises ValueError for a stimulus port that is not an input port, or
-    whose node a source (or an earlier port) already drives.
+    whose node a source (or an earlier port) already drives, and for an
+    input port that neither a source nor the stimulus drives.
     """
     drivers = {s.pos: functools.partial(_sampled, s.value_at)
                for s in circuit.sources() if s.pos != GND}
     if stim is not None:
         inputs = {p.name for p in circuit.input_ports()}
-        for port in stim.ports():
+        for port in stim.schedules:
             if port not in inputs:
                 raise ValueError(f"stimulus port {port!r} is not an input "
                                  f"port of {circuit.name!r}")
@@ -714,6 +679,10 @@ def _drivers(circuit: Circuit, stim: Optional[Stimulus]) -> dict:
                 raise ValueError(f"port {port!r} node {node!r} is already "
                                  f"driven by a source")
             drivers[node] = functools.partial(stim.voltages, port)
+    for port in circuit.input_ports():
+        if port.node not in drivers:
+            raise ValueError(f"input port {port.name!r} of {circuit.name!r} "
+                             f"is not pinned")
     return drivers
 
 
@@ -777,29 +746,6 @@ def solve_dc(circuit: Circuit, fixed: Mapping,
                     system.solve(x, fixed_vals, v0).tolist()))
 
 
-def kcl_residual(circuit: Circuit, voltages: Mapping,
-                 states: Optional[Mapping] = None) -> dict:
-    """True KCL current residual at every node (for verification)."""
-    residual = {n: 0.0 for n in circuit.nodes}
-    for dev in circuit.devices:
-        if isinstance(dev, Resistor):
-            i = (voltages[dev.n1] - voltages[dev.n2]) / dev.ohms
-            residual[dev.n1] += i
-            residual[dev.n2] -= i
-        elif isinstance(dev, Memristor):
-            r = memristance((states or {}).get(dev.name, dev.params.x0),
-                            dev.params)
-            i = (voltages[dev.anode] - voltages[dev.cathode]) / r
-            residual[dev.anode] += i
-            residual[dev.cathode] -= i
-        elif isinstance(dev, Mosfet):
-            i_d = mosfet_small_signal(dev.params, voltages[dev.gate],
-                                      voltages[dev.drain], voltages[dev.source])[0]
-            residual[dev.drain] += i_d
-            residual[dev.source] -= i_d
-    return residual
-
-
 def step(circuit: Circuit, states: Mapping, voltages: Mapping, fixed: Mapping,
          dt: float):
     """One semi-implicit transient step: DC solve, then state integration.
@@ -835,7 +781,8 @@ def run_transient(circuit: Circuit, stim: Optional[Stimulus] = None,
     """Transient run over [0, t_stop], sampling every node each dt.
 
     Input ports named by the stimulus are pinned to its levels; all other
-    sources follow their own waveforms.  Every memristor starts from its x0.
+    sources follow their own waveforms.  A ValueError names the first input
+    port that neither drives.  Every memristor starts from its x0.
     """
     cfg = cfg or SolverConfig()
     drivers = _drivers(circuit, stim)
@@ -903,10 +850,6 @@ def steady_output(circuit: Circuit, inputs: Mapping,
     supply = supply_voltage(circuit)
     bands = bands or VoltageBands.default(supply)
     drivers = _drivers(circuit, Stimulus.hold(dict(inputs), vdd=supply))
-    for port in circuit.input_ports():
-        if port.node not in drivers:
-            raise ValueError(f"input port {port.name!r} of {circuit.name!r} "
-                             f"is not pinned")
     system, fixed_vals, x, v = _dc_system(
         circuit, {n: f(np.zeros(1)).item() for n, f in drivers.items()})
     prog = system.program

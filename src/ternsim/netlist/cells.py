@@ -183,12 +183,6 @@ class GateNetwork:
             out[g.kind.value] = out.get(g.kind.value, 0) + 1
         return out
 
-    def gate_driving(self, net: str) -> Optional[GateSpec]:
-        for g in self.gates:
-            if g.output == net:
-                return g
-        return None
-
 
 def _expand_gate(gate: GateSpec, devices: list, vdd_net: str):
     """Append the device-level expansion of one gate instance."""

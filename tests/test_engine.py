@@ -20,21 +20,19 @@ from ternsim.core import (LEVELS, VoltageBands, level_to_voltage, ref_nti,
                           ref_pti, ref_sti, ref_tand, ref_tor)
 from ternsim.devices import (MemristorParams, MosfetParams,
                              NonpositiveTimestep, memristance,
-                             mosfet_small_signal, update_state)
+                             mosfet_companion, mosfet_current, update_state)
 from ternsim import engine
 from ternsim.analysis import expected_outputs, input_vectors
 from ternsim.engine import (NonConvergence, NotSettled, SingularSystem,
                             SolverConfig, Stimulus, TransientError, Waveform,
-                            _System,
-                            _drivers, _mosfet_companion, _schedule,
-                            kcl_residual,
-                            relax_states, run_transient, solve_dc,
-                            steady_output, step)
+                            _System, _drivers, _schedule, relax_states,
+                            run_transient, solve_dc, steady_output, step)
 from ternsim.netlist import CellKind, build_cell, builtin_network, parse
 from ternsim.netlist.cells import GateNetwork, GateSpec, elaborate
 from ternsim.netlist.model import (Circuit, Memristor, Mosfet, Port, Resistor,
                                    VSource)
 
+import device_oracle as oracle
 from conftest import tiled_display
 
 L0, L1, L2 = LEVELS
@@ -120,7 +118,7 @@ class TestSolveDC:
             fixed = pinned_at(d13, Stimulus.hold({"X": x}), 0.0)
             states = relax_states(d13, fixed)
             v = solve_dc(d13, fixed, states)
-            res = kcl_residual(d13, v, states)
+            res = oracle.kcl_residual(d13, v, states)
             g_max = 1.0 / 500.0
             for node, r in res.items():
                 if node not in fixed and node != "0":
@@ -270,6 +268,19 @@ class TestTransient:
             diffs = np.diff(xs)
             assert (diffs >= -1e-12).all() or (diffs <= 1e-12).all(), name
 
+    def test_missing_input_port_rejected_before_compile(self, monkeypatch):
+        def no_compile(*args):
+            raise AssertionError("compiled a program")
+
+        monkeypatch.setattr(engine, "_Program", no_compile)
+        d29 = elaborate(builtin_network("d29"))
+        with pytest.raises(ValueError,
+                           match="input port 'B' of 'd29' is not pinned"):
+            run_transient(d29, Stimulus.hold({"A": L2}))
+        with pytest.raises(ValueError,
+                           match="input port 'X' of 'd13' is not pinned"):
+            run_transient(elaborate(builtin_network("d13")))
+
     def test_unknown_stimulus_port_rejected(self, d13):
         with pytest.raises(ValueError, match="'nope' is not an input port"):
             run_transient(d13, Stimulus.hold({"nope": L0}),
@@ -345,7 +356,7 @@ class TestTransient:
         for k in range(0, len(w.times), 10):
             volts = {n: float(s[k]) for n, s in w.probes.items()}
             states = {m: float(s[k]) for m, s in w.states.items()}
-            res = kcl_residual(display, volts, states)
+            res = oracle.kcl_residual(display, volts, states)
             worst = max(worst, max(abs(r) for n, r in res.items()
                                    if n not in pinned))
         assert worst < 2e-9
@@ -636,7 +647,7 @@ class TestBlocks:
             # across the largest conductance (1/500 S), as for d13 alone.
             fixed = pinned_at(d13_d29, Stimulus.hold(vec), 0.0)
             volts = solve_dc(d13_d29, fixed, info["states"])
-            res = kcl_residual(d13_d29, volts, info["states"])
+            res = oracle.kcl_residual(d13_d29, volts, info["states"])
             assert max(abs(r) for node, r in res.items()
                        if node not in fixed and node != "0") < (
                 engine.NEWTON_TOL / 500.0)
@@ -704,12 +715,12 @@ def dense_jacobian(circuit, system, x, v):
     for dev in circuit.devices:
         if isinstance(dev, Memristor):
             pair(dev.anode, dev.cathode,
-                 1.0 / memristance(states[dev.name], dev.params))
+                 1.0 / oracle.memristance(states[dev.name], dev.params))
     for dev in circuit.devices:
         if isinstance(dev, Mosfet):
             d, g, s = (at[n] for n in dev.nodes)
-            _, *partials = mosfet_small_signal(dev.params, volts[g], volts[d],
-                                               volts[s])
+            _, *partials = oracle.mosfet_small_signal(dev.params, volts[g],
+                                                      volts[d], volts[s])
             for row, sign in ((d, 1.0), (s, -1.0)):
                 for col, p in zip((g, d, s), partials):
                     jac[row, col] += sign * p
@@ -769,17 +780,28 @@ class TestJacobian:
         assert not np.array_equal(got[0], got[1])
 
 
+def _fet_params(polarity, lam):
+    return MosfetParams(polarity, vth=0.3, k=2e-3, channel_mod=lam)
+
+
 def _fet_reference(polarity, lam, biases):
-    p = MosfetParams(polarity, vth=0.3, k=2e-3, channel_mod=lam)
-    return np.array([mosfet_small_signal(p, *b) for b in biases]).T
+    p = _fet_params(polarity, lam)
+    return np.array([oracle.mosfet_small_signal(p, *b) for b in biases]).T
 
 
 def _fet_compiled(polarity, lam, biases):
     n = len(biases)
     sign = np.full(n, 1.0 if polarity == "NMOS" else -1.0)
-    return np.array(_mosfet_companion(sign, np.full(n, 0.3), np.full(n, 2e-3),
-                                      np.full(n, lam),
-                                      np.array(biases, dtype=float).T))
+    return np.array(mosfet_companion(sign, np.full(n, 0.3), np.full(n, 2e-3),
+                                     np.full(n, lam),
+                                     np.array(biases, dtype=float).T))
+
+
+def _fet_currents(polarity, lam, biases):
+    """``mosfet_current`` at each bias, and the oracle's currents there."""
+    p = _fet_params(polarity, lam)
+    return ([mosfet_current(p, *b) for b in biases],
+            _fet_reference(polarity, lam, biases)[0].tolist())
 
 
 MEM_PARAMS = (P, MemristorParams(v_on=0.1, v_off=0.45, tau=80e-12),
@@ -788,7 +810,7 @@ MEM_PARAMS = (P, MemristorParams(v_on=0.1, v_off=0.45, tau=80e-12),
 
 
 class TestCompiledKernels:
-    """The engine's array kernels against the scalar device models."""
+    """The array kernels, and their one-device calls, against the oracle."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(("NMOS", "PMOS")),
@@ -799,6 +821,8 @@ class TestCompiledKernels:
         # Same arithmetic in the same order: equal, not merely close.
         assert np.array_equal(_fet_compiled(polarity, lam, biases),
                               _fet_reference(polarity, lam, biases))
+        got, want = _fet_currents(polarity, lam, biases)
+        assert got == want
 
     @pytest.mark.parametrize("polarity", ["NMOS", "PMOS"])
     @pytest.mark.parametrize("lam", [0.0, 0.05])
@@ -822,6 +846,8 @@ class TestCompiledKernels:
         assert sum(b[1] == b[2] for b in biases) > 10
         assert np.array_equal(_fet_compiled(polarity, lam, biases),
                               _fet_reference(polarity, lam, biases))
+        got, want = _fet_currents(polarity, lam, biases)
+        assert got == want
 
     @pytest.mark.parametrize("polarity", ["NMOS", "PMOS"])
     @pytest.mark.parametrize("lam", [0.0, 0.05])
@@ -831,6 +857,8 @@ class TestCompiledKernels:
         # Same arithmetic in the same order: equal, not merely close.
         assert np.array_equal(_fet_compiled(polarity, lam, biases),
                               _fet_reference(polarity, lam, biases))
+        got, want = _fet_currents(polarity, lam, biases)
+        assert got == want
         sign = 1.0 if polarity == "NMOS" else -1.0
         regions = set()
         for vg, vd, vs in biases:
@@ -846,17 +874,21 @@ class TestCompiledKernels:
     def test_memristor_conductance_is_reciprocal_memristance(self):
         params = [MemristorParams(), MemristorParams(r_on=120.0, r_off=7e4),
                   MemristorParams(r_on=1e3, r_off=1.5e3)]
-        xs = np.linspace(0.0, 1.0, 11)
+        pairs = list(itertools.product(params, np.linspace(0.0, 1.0, 11)))
         devices = [VSource("V1", "top", "0", dc=1.0)]
         states = {}
-        for i, (p, x) in enumerate(itertools.product(params, xs)):
+        for i, (p, x) in enumerate(pairs):
             devices.append(Memristor(f"M{i}", "top", "0", p))
             states[f"M{i}"] = float(x)
-        program = _System(Circuit(name="m", devices=devices), ("top",)).program
-        got = program.mem_conductance(program.state_vector(states))
-        want = [1.0 / memristance(x, p)
-                for p, x in itertools.product(params, xs)]
-        assert got.tolist() == want
+        system = _System(Circuit(name="m", devices=devices), ("top",))
+        program = system.program
+        # Every node is pinned, so solve writes the memristor stamps and
+        # returns without a Newton iteration.
+        system.solve(program.state_vector(states), np.array([1.0]),
+                     np.zeros(program.n))
+        want = [oracle.memristance(x, p) for p, x in pairs]
+        assert system._mem_stamps[:, 0].tolist() == [1.0 / r for r in want]
+        assert [memristance(x, p) for p, x in pairs] == want
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(
@@ -880,9 +912,11 @@ class TestCompiledKernels:
             biases.append(gates[bias](p) if isinstance(bias, str) else bias)
             v[system.program.index[f"n{i}"]] = biases[-1]
         x = np.array([x for _, x, _ in draws])
-        want = [update_state(xi, b, dt, p)
+        want = [oracle.update_state(xi, b, dt, p)
                 for (p, xi, _), b in zip(draws, biases)]
         assert system.advance(x, v, dt).tolist() == want
+        assert [update_state(xi, b, dt, p)
+                for (p, xi, _), b in zip(draws, biases)] == want
 
 
 class TestRelaxation:

@@ -100,9 +100,9 @@ def advance_states(x, bias, decay, grow, v_on, neg_v_off):
 def update_state(x: float, v: float, dt: float, p: MemristorParams) -> float:
     """Advance one state x by dt under branch voltage v (``advance_states``).
 
-    Raises NonpositiveTimestep unless dt > 0.
+    Raises NonpositiveTimestep unless dt > 0 (so for a NaN dt too).
     """
-    if dt <= 0:
+    if not dt > 0:
         raise NonpositiveTimestep(f"dt must be positive, got {dt}")
     decay = math.exp(-dt / p.tau)
     return float(advance_states(x, v, decay, 1.0 - decay, p.v_on, -p.v_off))

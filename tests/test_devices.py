@@ -61,8 +61,9 @@ class TestStateUpdate:
         assert s == pytest.approx(math.exp(-5.0), rel=1e-12)
 
     def test_bad_timestep(self):
-        with pytest.raises(NonpositiveTimestep):
-            update_state(0.0, 1.0, 0.0, P)
+        for dt in (0.0, -P.tau, math.nan):
+            with pytest.raises(NonpositiveTimestep):
+                update_state(0.0, 1.0, dt, P)
 
     @given(st.floats(min_value=0.0, max_value=1.0),
            st.floats(min_value=1e-13, max_value=5e-9),

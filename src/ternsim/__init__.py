@@ -16,9 +16,9 @@ from .devices import (MemristorParams, MosfetParams, NonpositiveTimestep,
 from .netlist import (CellKind, Circuit, GateNetwork, build_cell,
                       builtin_network, elaborate, mutate_network, parse,
                       serialize)
-from .engine import (NonConvergence, NotSettled, SingularSystem, SolverConfig,
-                     SolverError, Stimulus, TransientError, Waveform,
-                     run_transient, solve_dc, steady_output, step)
+from .engine import (NonConvergence, NotRelaxed, NotSettled, SingularSystem,
+                     SolverConfig, SolverError, Stimulus, TransientError,
+                     Waveform, run_transient, solve_dc, steady_output, step)
 from .digital import (EncodedTrace, divider_emulation, eval_circuit,
                       eval_gate, or_reduce_segment, run_trace)
 from .analysis import (GlitchEvent, ResourceReport, TruthTableReport,

@@ -58,6 +58,16 @@ class NotSettled(SolverError):
         super().__init__(f"outputs did not settle within {t_stop:.3e} s")
 
 
+class NotRelaxed(SolverError):
+    """The polarity rule still flipped a memristor when its passes ran out."""
+
+    def __init__(self, passes: int, memristor: str):
+        self.passes = passes
+        self.memristor = memristor
+        super().__init__(f"memristor states not relaxed after {passes} "
+                         f"passes ({memristor!r} still flips)")
+
+
 class TransientError(SolverError):
     """Solver failure mid-transient; carries the partial waveform."""
 
@@ -69,11 +79,12 @@ class TransientError(SolverError):
 
 
 # Newton converges once max|dv| < NEWTON_TOL volts, or gives up after
-# NEWTON_MAX_ITER iterations.  A step is damped by DAMPING and clipped to
+# NEWTON_MAX_ITER iterations.  Steps are damped (newton) and clipped to
 # MAX_STEP_VOLTS.  GMIN siemens tie every free node to ground, as in SPICE.
 NEWTON_TOL = 1e-6
 NEWTON_MAX_ITER = 200
 DAMPING = 0.7
+RETRY_DAMPING = 0.3
 GMIN = 1e-15
 MAX_STEP_VOLTS = 0.5
 # A transient keeps every probe at every step, 8 bytes a sample, so a run
@@ -529,16 +540,16 @@ class _System:
         self._decay_dt = self._decay = None
 
     def newton(self, fixed_vals: np.ndarray, v0: np.ndarray,
-               retry: bool = False) -> np.ndarray:
+               damping: float = DAMPING) -> np.ndarray:
         """Damped Newton on the nonlinear KCL system; returns all node voltages.
 
         The memristor stamps are those ``solve`` last wrote.
 
-        The first attempt damps by ``DAMPING`` but takes the full step once
-        max|dv| < 0.05 V: there it is safe, lands linear subnetworks exactly,
-        and damping would stall a residual of order (1 - DAMPING) * tol.  A
-        retry damps every step by 0.3, which breaks the two-cycles a full
-        step can fall into at a device's threshold.
+        Each step is scaled by ``damping`` and clipped to MAX_STEP_VOLTS, but
+        is taken in full once max|dv| < 0.05 V: there it is safe, lands linear
+        subnetworks exactly, and damping would stall a residual of order
+        (1 - damping) * tol.  RETRY_DAMPING damps every step, breaking the
+        two-cycles a full step can fall into at a device's threshold.
         """
         p = self.program
         nf, n = p.nfix, p.n
@@ -550,7 +561,6 @@ class _System:
         pinned, free = v[:nf], v[nf:]  # pinned is never written below
         mna, at, rhs = self._mna, p.targets, self._rhs
         stamps, currents, x = self._stamps, self._currents, self._x
-        damping = 0.3 if retry else DAMPING
         delta = None
         for _ in range(NEWTON_MAX_ITER):
             vgds = v[p.gds]
@@ -575,11 +585,11 @@ class _System:
             if not math.isfinite(dmax):  # x holds a NaN or an inf
                 raise NonConvergence(NEWTON_MAX_ITER, self._worst(delta))
             delta = step
-            if dmax < 0.05 and not retry:
+            if dmax < 0.05 and damping != RETRY_DAMPING:
                 free += delta
-            else:
-                free += np.clip(damping * delta,
-                                -MAX_STEP_VOLTS, MAX_STEP_VOLTS)
+            else:  # np.clip's bits, without its overhead
+                free += np.minimum(np.maximum(damping * delta, -MAX_STEP_VOLTS),
+                                   MAX_STEP_VOLTS)
             if dmax < NEWTON_TOL:
                 return v
         raise NonConvergence(NEWTON_MAX_ITER, self._worst(delta))
@@ -590,14 +600,15 @@ class _System:
         return p.nodes[p.nfix + (0 if delta is None else
                                  int(np.abs(delta).argmax()))]
 
-    def solve(self, x: np.ndarray, fixed_vals: np.ndarray,
-              v0: np.ndarray) -> np.ndarray:
+    def solve(self, x: np.ndarray, fixed_vals: np.ndarray, v0: np.ndarray,
+              damping: float = DAMPING) -> np.ndarray:
+        """Newton at ``damping``, retried at RETRY_DAMPING from ``v0``."""
         np.multiply.outer(1.0 / memristance(x, self.program), _PAIR_SIGNS,
                           out=self._mem_stamps)
         try:
-            return self.newton(fixed_vals, v0)
+            return self.newton(fixed_vals, v0, damping)
         except NonConvergence:
-            return self.newton(fixed_vals, v0, retry=True)
+            return self.newton(fixed_vals, v0, RETRY_DAMPING)
 
     def advance(self, x: np.ndarray, v: np.ndarray, dt: float) -> np.ndarray:
         """The states after dt under the branch voltages of ``v``.
@@ -641,16 +652,20 @@ class _System:
 
         A forward-biased memristor goes to 1, a reverse-biased one to 0.  At
         a fixed point ``v`` is the network solved with the returned ``x``.
+        Each pass converges to NEWTON_TOL by clipped, undamped steps.  Raises
+        NotRelaxed if a state still flips when the passes run out.
         """
-        for _ in range(max(8, len(x) + 2)):
-            v = self.solve(x, fixed_vals, v)
+        passes = max(8, len(x) + 2)
+        for _ in range(passes):
+            v = self.solve(x, fixed_vals, v, damping=1.0)
             va, vc = v[self.program.mem_ac]
             bias = va - vc
             new = np.where(bias > 1e-9, 1.0, np.where(bias < -1e-9, 0.0, x))
-            if np.array_equal(new, x):
-                break
+            flipped = np.flatnonzero(new != x)
+            if not flipped.size:
+                return x, v
             x = new
-        return x, v
+        raise NotRelaxed(passes, self.program.mem_names[flipped[0]])
 
 
 def _sampled(value_at, times: np.ndarray) -> np.ndarray:

@@ -79,8 +79,8 @@ class TransientError(SolverError):
 
 
 # Newton converges once max|dv| < NEWTON_TOL volts, or gives up after
-# NEWTON_MAX_ITER iterations.  Steps are damped (newton) and clipped to
-# MAX_STEP_VOLTS.  GMIN siemens tie every free node to ground, as in SPICE.
+# NEWTON_MAX_ITER iterations.  Its steps are damped (see newton) and clipped
+# to MAX_STEP_VOLTS.  GMIN siemens tie every free node to ground, as in SPICE.
 NEWTON_TOL = 1e-6
 NEWTON_MAX_ITER = 200
 DAMPING = 0.7

@@ -4,8 +4,8 @@ import pytest
 
 from ternsim import analysis
 from ternsim.cli import main
-from ternsim.engine import (NonConvergence, NotSettled, SingularSystem,
-                            TransientError, Waveform)
+from ternsim.engine import (NonConvergence, NotRelaxed, NotSettled,
+                            SingularSystem, TransientError, Waveform)
 
 
 def run(capsys, *argv):
@@ -341,6 +341,7 @@ class TestErrorBoundary:
         NonConvergence(200, "Y2"),
         SingularSystem("g"),
         NotSettled(100e-9),
+        NotRelaxed(8, "Mu1"),
         TransientError(NonConvergence(200, "Y2"), 1e-9,
                        Waveform(dt=50e-12, times=[], probes={}, states={})),
     ], ids=lambda e: type(e).__name__)

@@ -21,13 +21,15 @@ from ternsim.core import (LEVELS, VoltageBands, level_to_voltage, ref_nti,
 from ternsim.devices import (MemristorParams, MosfetParams,
                              NonpositiveTimestep, memristance,
                              mosfet_companion, mosfet_current, update_state)
-from ternsim import engine
+from ternsim import cli, engine
 from ternsim.analysis import expected_outputs, input_vectors
-from ternsim.engine import (NonConvergence, NotSettled, SingularSystem,
-                            SolverConfig, Stimulus, TransientError, Waveform,
-                            _System, _drivers, _schedule, relax_states,
-                            run_transient, solve_dc, steady_output, step)
-from ternsim.netlist import CellKind, build_cell, builtin_network, parse
+from ternsim.engine import (NonConvergence, NotRelaxed, NotSettled,
+                            SingularSystem, SolverConfig, Stimulus,
+                            TransientError, Waveform, _System, _drivers,
+                            _schedule, relax_states, run_transient, solve_dc,
+                            steady_output, step)
+from ternsim.netlist import (CellKind, build_cell, builtin_network, parse,
+                             serialize)
 from ternsim.netlist.cells import GateNetwork, GateSpec, elaborate
 from ternsim.netlist.model import (Circuit, Memristor, Mosfet, Port, Resistor,
                                    VSource)
@@ -929,6 +931,136 @@ class TestRelaxation:
         cell = build_cell(CellKind.TOR2)
         states = relax_states(cell, {"a": 0.5, "b": 0.5})
         assert states == {"Mu1_in1": 0.0, "Mu1_in2": 0.0}
+
+    def test_pass_cap_raises_not_relaxed(self, d13, monkeypatch, tmp_path):
+        # A solve whose first memristor is reverse-biased when set and
+        # forward-biased when reset flips it on every pass: the cap must
+        # raise, not return states the voltages were not solved with.
+        solve = _System.solve
+
+        def flipping(self, x, *args, **kwargs):
+            v = solve(self, x, *args, **kwargs)
+            a, c = self.program.mem_ac[:, 0]
+            v[a] = v[c] + (1.0 if x[0] < 0.5 else -1.0)
+            return v
+
+        monkeypatch.setattr(_System, "solve", flipping)
+        first = d13.memristors()[0].name
+        with pytest.raises(NotRelaxed) as e:
+            relax_states(d13, {"vdd": 1.0, "X": 0.5})
+        assert (e.value.passes, e.value.memristor) == (8, first)
+        assert f"{first!r} still flips" in str(e.value)
+        with pytest.raises(NotRelaxed):
+            steady_output(d13, {"X": L1})
+        assert cli.main(["verify", "--decoder", "d13", "--backend",
+                         "analog", "--out", str(tmp_path)]) == 2
+        report = (tmp_path / "verify_d13_analog.json").read_text()
+        assert report.count("NotRelaxed") == 3
+
+
+def damped_relax(system, pins, x, v):
+    """The polarity rule with every pass a solve at DAMPING: relax as it
+    was before its passes took undamped steps.
+
+    Returns the states each pass solved with, and the final (x, v).
+    """
+    seen = []
+    for _ in range(max(8, len(x) + 2)):
+        seen.append(x.tolist())
+        v = system.solve(x, pins, v, engine.DAMPING)
+        va, vc = v[system.program.mem_ac]
+        bias = va - vc
+        new = np.where(bias > 1e-9, 1.0, np.where(bias < -1e-9, 0.0, x))
+        if np.array_equal(new, x):
+            return seen, x, v
+        x = new
+    raise AssertionError("damped passes found no fixed point")
+
+
+def distinct(seq):
+    """``seq`` without consecutive repeats."""
+    return [item for item, _ in itertools.groupby(seq)]
+
+
+BUILTIN_VECTORS = [(name, vec) for name in ("d13", "d29", "display")
+                   for vec in input_vectors(name)]
+
+
+def vector_id(case):
+    name, vec = case
+    return name + "-" + "".join(f"{p}{int(lv)}" for p, lv in vec.items())
+
+
+@pytest.fixture(scope="module")
+def parsed_builtins():
+    return {name: parse(serialize(elaborate(builtin_network(name))))
+            for name in ("d13", "d29", "display")}
+
+
+class TestRelaxPath:
+    """Undamped relax passes visit the states that damped passes visit."""
+
+    def check_same_path(self, circuit, vec, monkeypatch):
+        fixed = pinned_at(circuit, Stimulus.hold(vec), 0.0)
+        system, pins, x, v = engine._dc_system(circuit, fixed)
+        seen = []
+        solve = system.solve
+
+        def recording(x, *args, **kwargs):
+            seen.append(x.tolist())
+            return solve(x, *args, **kwargs)
+
+        system.solve = recording
+        x, v = system.relax(x, pins, v)
+        want_seen, want_x, want_v = damped_relax(
+            *engine._dc_system(circuit, fixed))
+        assert distinct(seen) == distinct(want_seen)
+        assert x.tolist() == want_x.tolist()
+        # Two solves converged to NEWTON_TOL differ by about the step after
+        # their last one: up to 6.5e-12 V here, on d29's outputs.
+        assert np.abs(v - want_v).max() <= 1e-11
+        # The settle march re-solves from there: steady_output's answers
+        # are those of damped passes, its voltages within 1e-12 V.
+        levels, info = steady_output(circuit, vec, return_info=True)
+        monkeypatch.setattr(_System, "relax", lambda system, x, pins, v:
+                            damped_relax(system, pins, x, v)[1:])
+        want_levels, want = steady_output(circuit, vec, return_info=True)
+        assert levels == want_levels
+        assert ((info["states"], info["settle_time"], info["t_run"])
+                == (want["states"], want["settle_time"], want["t_run"]))
+        assert max(abs(volts - want["voltages"][port])
+                   for port, volts in info["voltages"].items()) <= 1e-12
+
+    @pytest.mark.parametrize("case", BUILTIN_VECTORS, ids=vector_id)
+    def test_builtin_vectors(self, parsed_builtins, case, monkeypatch):
+        name, vec = case
+        self.check_same_path(parsed_builtins[name], vec, monkeypatch)
+
+    def test_side_by_side(self, d13_d29, monkeypatch):
+        self.check_same_path(d13_d29, {"X": L1, "A": L2, "B": L0},
+                             monkeypatch)
+
+    def test_linear_solve_budget(self, d13, d29, display, monkeypatch):
+        # Undamped passes: 485 linear solves for the 21 vectors, against
+        # 575 with every pass damped, and no Newton solve needs the retry.
+        calls = count_linear_solves(monkeypatch)
+        dampings = []
+        newton = _System.newton
+
+        def recording(self, fixed_vals, v0, damping=engine.DAMPING):
+            dampings.append(damping)
+            return newton(self, fixed_vals, v0, damping)
+
+        monkeypatch.setattr(_System, "newton", recording)
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            for circuit in (d13, d29, display):
+                for vec in input_vectors(circuit.name):
+                    steady_output(circuit, vec)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 485
+        assert 1.0 in dampings and engine.RETRY_DAMPING not in dampings
 
 
 class TestSolverConfig:

@@ -224,6 +224,8 @@ def detect_glitches(w: Waveform, stim: Stimulus, bands: VoltageBands) -> list:
     samples outside that band that returns to it is reported.  The minimum
     width suppresses single-sample solver jitter.
     """
+    if not len(w.times):  # a transient that failed before its first sample
+        return []
     events = [t for t in stim.event_times() if t <= w.times[-1]]
     if not events or events[0] > 0.0:
         events = [0.0] + events
@@ -263,6 +265,8 @@ def measure_settling(w: Waveform, node: str, bands: VoltageBands,
     if node in w.port_nodes:
         node = w.port_nodes[node]
     codes = bands.codes(w.probes[node])
+    if not codes.size:  # a transient that failed before its first sample
+        raise NotSettled(0.0)
     unsettled = np.flatnonzero(codes != codes[-1])
     entry = int(unsettled[-1]) + 1 if unsettled.size else 0
     hold = float(w.times[-1] - w.times[entry])

@@ -12,7 +12,6 @@ from its branch voltage.
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
 import math
 import warnings
@@ -384,7 +383,7 @@ class _Program:
     """
 
     def __init__(self, circuit: Circuit, pinned: tuple):
-        self.pinned = pinned
+        self.pinned = pinned = tuple(n for n in pinned if n != GND)
         order = list(dict.fromkeys(itertools.chain(
             (GND, *pinned), *[d.nodes for d in circuit.devices])))
         self.n = n = len(order)
@@ -472,7 +471,7 @@ class _Program:
         self.out_rows = np.array([self.index[p.node]
                                   for p in circuit.output_ports()],
                                  dtype=np.intp)
-        self.min_tau = min_tau(circuit)
+        self.min_tau = min(self.tau.tolist(), default=500e-12)
         _frozen(self)
 
     def state_vector(self, states: Optional[Mapping]) -> np.ndarray:
@@ -499,13 +498,15 @@ class _Program:
 def _program(circuit: Circuit, fixed_nodes) -> _Program:
     """The circuit's program for pinning ``fixed_nodes``, compiled once.
 
-    The circuit keeps it, keyed by the ordered tuple of pinned names: their
-    order sets the node order, and so the rounding of every solve.  Threads
-    that compile the same key at once all get the program stored first.
+    The circuit keeps it, keyed by the ordered tuple of pinned names, ground
+    included, which ``_check_pins`` checks once: their order sets the node
+    order, and so the rounding of every solve.  Threads that compile the
+    same key at once all get the program stored first.
     """
-    key = tuple(n for n in dict.fromkeys(fixed_nodes) if n != GND)
+    key = tuple(fixed_nodes)
     program = circuit._programs.get(key)
     if program is None:
+        _check_pins(circuit, key)
         program = circuit._programs.setdefault(key, _Program(circuit, key))
     return program
 
@@ -668,45 +669,32 @@ class _System:
         raise NotRelaxed(passes, self.program.mem_names[flipped[0]])
 
 
-def _sampled(value_at, times: np.ndarray) -> np.ndarray:
-    """``value_at`` at each of ``times``."""
-    return np.array([value_at(t) for t in times.tolist()], dtype=float)
+def _pinned(circuit: Circuit, stim: Optional[Stimulus], times: np.ndarray):
+    """Pinned nodes, sources first, and their voltages at ``times``.
 
-
-def _drivers(circuit: Circuit, stim: Optional[Stimulus]) -> dict:
-    """Pinned nodes, sources first, each mapped to its voltage over time.
-
-    A driver maps an array of times to the node's voltages at them.
+    Returns (names, table), the table a row per time and a column per name.
     Raises ValueError for a stimulus port that is not an input port, or
-    whose node a source (or an earlier port) already drives, and for an
-    input port that neither a source nor the stimulus drives.
+    whose node a source (or an earlier port) already drives.
     """
-    drivers = {s.pos: functools.partial(_sampled, s.value_at)
-               for s in circuit.sources() if s.pos != GND}
-    if stim is not None:
-        inputs = {p.name for p in circuit.input_ports()}
-        for port in stim.schedules:
-            if port not in inputs:
-                raise ValueError(f"stimulus port {port!r} is not an input "
-                                 f"port of {circuit.name!r}")
-            node = circuit.port(port).node
-            if node in drivers:
-                raise ValueError(f"port {port!r} node {node!r} is already "
-                                 f"driven by a source")
-            drivers[node] = functools.partial(stim.voltages, port)
-    for port in circuit.input_ports():
-        if port.node not in drivers:
-            raise ValueError(f"input port {port.name!r} of {circuit.name!r} "
-                             f"is not pinned")
-    return drivers
-
-
-def _schedule(drivers: Mapping, nodes, times: np.ndarray) -> np.ndarray:
-    """Voltages of the pinned ``nodes`` at ``times``, a row per time."""
-    table = np.empty((len(times), len(nodes)))
-    for j, node in enumerate(nodes):
-        table[:, j] = drivers[node](times)
-    return table
+    sources = [s for s in circuit.sources() if s.pos != GND]
+    names = [s.pos for s in sources]
+    ports = list(stim.schedules) if stim is not None else []
+    inputs = {p.name for p in circuit.input_ports()}
+    for port in ports:
+        if port not in inputs:
+            raise ValueError(f"stimulus port {port!r} is not an input "
+                             f"port of {circuit.name!r}")
+        node = circuit.port(port).node
+        if node in names:
+            raise ValueError(f"port {port!r} node {node!r} is already "
+                             f"driven by a source")
+        names.append(node)
+    table = np.empty((len(times), len(names)))
+    for j, src in enumerate(sources):
+        table[:, j] = [src.value_at(t) for t in times.tolist()]
+    for j, port in enumerate(ports, len(sources)):
+        table[:, j] = stim.voltages(port, times)
+    return names, table
 
 
 def supply_voltage(circuit: Circuit) -> float:
@@ -715,18 +703,22 @@ def supply_voltage(circuit: Circuit) -> float:
     return max(dc) if dc else 1.0
 
 
-def _check_pins(circuit: Circuit, fixed: Mapping) -> None:
+def _check_pins(circuit: Circuit, names) -> None:
     """Raise ValueError for a pinned name that is no node of the circuit,
-    or for a source whose node ``fixed`` leaves unpinned."""
+    or for a source or input port whose node ``names`` leaves unpinned."""
     nodes = circuit.nodes
-    for node in fixed:
+    for node in names:
         if node not in nodes:
             raise ValueError(f"pinned node {node!r} is not a node of "
                              f"{circuit.name!r}")
     for src in circuit.sources():
-        if src.pos not in fixed:
+        if src.pos not in names:
             raise ValueError(f"source {src.name!r} node {src.pos!r} is "
                              f"not pinned")
+    for port in circuit.input_ports():
+        if port.node not in names:
+            raise ValueError(f"input port {port.name!r} of {circuit.name!r} "
+                             f"is not pinned")
 
 
 def _dc_system(circuit: Circuit, fixed: Mapping,
@@ -751,11 +743,10 @@ def solve_dc(circuit: Circuit, fixed: Mapping,
              states: Optional[Mapping] = None) -> dict:
     """DC operating point with frozen memristor states.
 
-    ``fixed`` maps node names to pinned voltages (sources and inputs); ground
-    is always pinned at 0, and every source's node must be pinned.  Returns
-    a voltage for every node.
+    ``fixed`` maps node names to pinned voltages; ground is always pinned
+    at 0, and every source's node and input port's node must be pinned.
+    Returns a voltage for every node.
     """
-    _check_pins(circuit, fixed)
     system, fixed_vals, x, v0 = _dc_system(circuit, fixed, states)
     return dict(zip(system.program.nodes,
                     system.solve(x, fixed_vals, v0).tolist()))
@@ -766,29 +757,23 @@ def step(circuit: Circuit, states: Mapping, voltages: Mapping, fixed: Mapping,
     """One semi-implicit transient step: DC solve, then state integration.
 
     Returns (voltages', states').  ``fixed`` holds the pinned node voltages
-    for this instant and must pin every source's node.  Raises
-    NonpositiveTimestep unless dt > 0.
+    for this instant and must pin every source's node and input port's
+    node.  Raises NonpositiveTimestep unless dt > 0.
     """
     if not dt > 0:
         raise NonpositiveTimestep(f"dt must be positive, got {dt}")
-    _check_pins(circuit, fixed)
-    _warn_if_coarse(circuit, dt)
     system, fixed_vals, x, v0 = _dc_system(circuit, fixed, states, voltages)
-    v = system.solve(x, fixed_vals, v0)
     p = system.program
+    _warn_if_coarse(p, dt)
+    v = system.solve(x, fixed_vals, v0)
     return (dict(zip(p.nodes, v.tolist())),
             p.state_dict(system.advance(x, v, dt)))
 
 
-def _warn_if_coarse(circuit: Circuit, dt: float) -> None:
-    tau = min_tau(circuit, default=math.inf)
-    if dt > tau / 2:
-        warnings.warn(f"dt={dt:.2e} exceeds tau/2={tau / 2:.2e}; "
+def _warn_if_coarse(program: _Program, dt: float) -> None:
+    if program.mem_names and dt > program.min_tau / 2:
+        warnings.warn(f"dt={dt:.2e} exceeds tau/2={program.min_tau / 2:.2e}; "
                       f"state integration may be inaccurate", stacklevel=3)
-
-
-def min_tau(circuit: Circuit, default: float = 500e-12) -> float:
-    return min((d.params.tau for d in circuit.memristors()), default=default)
 
 
 def run_transient(circuit: Circuit, stim: Optional[Stimulus] = None,
@@ -800,11 +785,11 @@ def run_transient(circuit: Circuit, stim: Optional[Stimulus] = None,
     port that neither drives.  Every memristor starts from its x0.
     """
     cfg = cfg or SolverConfig()
-    drivers = _drivers(circuit, stim)
-    _warn_if_coarse(circuit, cfg.dt)
     times = np.arange(cfg.steps + 1) * cfg.dt
-    system = _System(circuit, drivers)
+    names, table = _pinned(circuit, stim, times)
+    system = _System(circuit, names)
     prog = system.program
+    _warn_if_coarse(prog, cfg.dt)
     probe_nodes = list(dict.fromkeys([p.node for p in circuit.ports]
                                      + sorted(prog.nodes)))
     probe_idx = np.array([prog.index[n] for n in probe_nodes], dtype=np.intp)
@@ -820,8 +805,7 @@ def run_transient(circuit: Circuit, stim: Optional[Stimulus] = None,
     done = 0
     try:
         for k, _, v, x in system.march(
-                cfg, _schedule(drivers, prog.pinned, times),
-                prog.state_vector(None),
+                cfg, table, prog.state_vector(None),
                 np.full(prog.n, supply_voltage(circuit) / 2.0)):
             volts[:, k] = v[probe_idx]
             xs[:, k] = x
@@ -840,9 +824,8 @@ def relax_states(circuit: Circuit, fixed: Mapping,
     point.  This is the steady state of the underlying thermally-activated
     device, which the finite-time threshold dynamics approach but cannot
     always reach within a hard-threshold model.  ``fixed`` must pin every
-    source's node.
+    source's node and input port's node.
     """
-    _check_pins(circuit, fixed)
     system, fixed_vals, x, v = _dc_system(circuit, fixed, states)
     return system.program.state_dict(system.relax(x, fixed_vals, v)[0])
 
@@ -864,9 +847,10 @@ def steady_output(circuit: Circuit, inputs: Mapping,
     cfg = cfg or SolverConfig()
     supply = supply_voltage(circuit)
     bands = bands or VoltageBands.default(supply)
-    drivers = _drivers(circuit, Stimulus.hold(dict(inputs), vdd=supply))
-    system, fixed_vals, x, v = _dc_system(
-        circuit, {n: f(np.zeros(1)).item() for n, f in drivers.items()})
+    names, table = _pinned(circuit, Stimulus.hold(dict(inputs), vdd=supply),
+                           np.zeros(1))
+    system, fixed_vals, x, v = _dc_system(circuit,
+                                          dict(zip(names, table[0].tolist())))
     prog = system.program
     x, v = system.relax(x, fixed_vals, v)
     window = max(2, int(round(20.0 * prog.min_tau / cfg.dt)))

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,11 +23,12 @@ from ternsim.devices import (MemristorParams, MosfetParams,
                              NonpositiveTimestep, memristance,
                              mosfet_companion, mosfet_current, update_state)
 from ternsim import cli, engine
-from ternsim.analysis import expected_outputs, input_vectors
+from ternsim.analysis import (detect_glitches, expected_outputs,
+                              input_vectors, measure_settling)
 from ternsim.engine import (NonConvergence, NotRelaxed, NotSettled,
                             SingularSystem, SolverConfig, Stimulus,
-                            TransientError, Waveform, _System, _drivers,
-                            _schedule, relax_states, run_transient, solve_dc,
+                            TransientError, Waveform, _System, _pinned,
+                            relax_states, run_transient, solve_dc,
                             steady_output, step)
 from ternsim.netlist import (CellKind, build_cell, builtin_network, parse,
                              serialize)
@@ -44,8 +46,8 @@ BANDS = VoltageBands.default(1.0)
 
 def pinned_at(circuit, stim, t):
     """Node voltages pinned by the sources and ``stim`` at time t."""
-    return {n: f(np.array([t])).item()
-            for n, f in _drivers(circuit, stim).items()}
+    names, table = _pinned(circuit, stim, np.array([t]))
+    return dict(zip(names, table[0].tolist()))
 
 
 def voltage_at(stim, port, t):
@@ -175,12 +177,31 @@ class TestCallerStates:
         ({"X": 1.0}, "source 'Vvdd' node 'vdd' is not pinned"),
         ({"vdd": 1.0, "X": 1.0, "Q": 0.0},
          "pinned node 'Q' is not a node of 'd13'"),
+        ({"vdd": 1.0}, "input port 'X' of 'd13' is not pinned"),
     ])
-    def test_pins_cover_every_source_and_only_nodes(self, d13, fixed, match):
+    def test_pins_cover_every_source_and_only_nodes(self, d13, fixed, match,
+                                                    monkeypatch):
+        def no_compile(*args):
+            raise AssertionError("compiled a program")
+
+        monkeypatch.setattr(engine, "_Program", no_compile)
         for call in (lambda: solve_dc(d13, fixed),
                      lambda: relax_states(d13, fixed),
                      lambda: step(d13, None, None, fixed, 1e-12)):
             with pytest.raises(ValueError, match=match):
+                call()
+
+    def test_pinned_ground_must_be_a_node(self):
+        # The cell has no ground node; pinning one is still an error after
+        # the same pins without ground compiled a program.
+        cell = build_cell(CellKind.TOR2)
+        solve_dc(cell, {"a": 1.0, "b": 0.0})
+        fixed = {"0": 0.0, "a": 1.0, "b": 0.0}
+        for call in (lambda: solve_dc(cell, fixed),
+                     lambda: relax_states(cell, fixed),
+                     lambda: step(cell, None, None, fixed, 1e-12)):
+            with pytest.raises(ValueError, match="pinned node '0' is not a "
+                                                 "node of 'tor2'"):
                 call()
 
 
@@ -322,7 +343,37 @@ class TestTransient:
         assert isinstance(e.value.cause, NonConvergence)
         assert e.value.cause.iterations == 1
         assert e.value.cause.worst_node == "Y2"
-        assert len(e.value.waveform.times) == 0
+        w = e.value.waveform
+        assert len(w.times) == 0
+        # The analysis functions take the empty waveform too.
+        with pytest.raises(NotSettled):
+            measure_settling(w, "Y0", BANDS)
+        assert detect_glitches(w, Stimulus.hold({"X": L1}), BANDS) == []
+
+    def test_coarse_dt_warns_at_the_caller(self, d13):
+        cfg = SolverConfig(dt=300e-12, t_stop=600e-12)
+        with pytest.warns(UserWarning, match="exceeds tau/2") as record:
+            run_transient(d13, Stimulus.hold({"X": L1}), cfg)
+        assert [w.filename for w in record] == [__file__]
+
+    @pytest.mark.parametrize("stim,match", [
+        (Stimulus.hold({"Q": L1}), "stimulus port 'Q' is not an input port"),
+        (None, "input port 'X' of 'd13' is not pinned"),
+    ])
+    def test_bad_pins_raise_before_the_coarse_dt_warning(self, d13, stim,
+                                                         match):
+        cfg = SolverConfig(dt=300e-12, t_stop=600e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                run_transient(d13, stim, cfg)
+
+    def test_no_coarse_dt_warning_without_memristors(self):
+        c = parse("V1 top 0 DC 1\nR1 top mid 1k\nR2 mid 0 1k\n.end\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = run_transient(c, None, SolverConfig(dt=1e-9, t_stop=2e-9))
+        assert w.probes["mid"] == pytest.approx([0.5] * 3, abs=1e-9)
 
     def test_input_slewing_through_pti_threshold_completes(self):
         # At 70.3 ns A passes 0.7 V, where the A-side PTI NMOS sits at
@@ -403,9 +454,14 @@ class TestSteadyOutput:
             assert len(calls) <= 24, x
 
     def test_one_system_per_call(self, monkeypatch):
-        # Nine d29 vectors on one circuit compile one program; each call
-        # still gets a workspace of its own.
-        compiles, workspaces = [], []
+        # Nine d29 vectors on one circuit check their pins once and compile
+        # one program; each call still gets a workspace of its own.
+        checks, compiles, workspaces = [], [], []
+        check_pins = engine._check_pins
+
+        def counting_check(*args):
+            checks.append(1)
+            check_pins(*args)
 
         class CountingProgram(engine._Program):
             def __init__(self, *args):
@@ -417,11 +473,13 @@ class TestSteadyOutput:
                 workspaces.append(1)
                 super().__init__(*args)
 
+        monkeypatch.setattr(engine, "_check_pins", counting_check)
         monkeypatch.setattr(engine, "_Program", CountingProgram)
         monkeypatch.setattr(engine, "_System", Counting)
         d29 = elaborate(builtin_network("d29"))
         for vec in input_vectors("d29"):
             assert steady_output(d29, vec) == expected_outputs("d29", vec)
+        assert len(checks) == 1
         assert len(compiles) == 1
         assert len(workspaces) == 9
 
@@ -1169,10 +1227,9 @@ class TestSchedule:
                         slew=slew, vdd=1.2)
         times = self.instants(stim)
         sources = {s.pos: s for s in circuit.sources()}
-        drivers = _drivers(circuit, stim)
-        assert list(drivers) == ["vdd", "p", "x", "y"]
-        table = _schedule(drivers, list(drivers), times)
-        for j, node in enumerate(drivers):
+        names, table = _pinned(circuit, stim, times)
+        assert names == ["vdd", "p", "x", "y"]
+        for j, node in enumerate(names):
             if node in sources:
                 want = [sources[node].value_at(t) for t in times.tolist()]
             else:

@@ -55,6 +55,8 @@ Quantized = Union[TernaryLevel, Indeterminate]
 
 # Quantization regions in voltage order; ``VoltageBands.codes`` indexes them.
 REGIONS = ("L0", "gap01", "L1", "gap12", "L2")
+# The value each region quantizes to.
+REGION_LEVELS = (L0, INDETERMINATE, L1, INDETERMINATE, L2)
 
 
 class InvalidEncoding(ValueError):
@@ -128,7 +130,7 @@ def level_to_voltage(level: TernaryLevel, vdd: float) -> float:
 
 def voltage_to_level(v: float, bands: VoltageBands) -> Quantized:
     """Quantize a node voltage; values in the guard gaps are Indeterminate."""
-    return (L0, INDETERMINATE, L1, INDETERMINATE, L2)[int(bands.codes(v))]
+    return REGION_LEVELS[int(bands.codes(v))]
 
 
 # The canonical code of each level, indexed by level.

@@ -138,10 +138,13 @@ def mosfet_companion(sign, vth, k, lam, vgds):
     # Cut off at u <= 0: u = 0 makes every term below exactly 0.
     u = np.maximum(vg - lo - vth, 0.0)
     m = 1.0 + lam * vds
-    tri = vds < u
-    kq = k * np.where(tri, u * vds - 0.5 * vds * vds, 0.5 * u * u)
-    dg = k * np.where(tri, vds, u) * m
-    dd = np.where(tri, k * (u - vds) * m, 0.0) + kq * lam
+    # e is vds in triode (vds < u) and u in saturation, where the triode
+    # terms below are the saturation ones to the bit: u - e is 0, and
+    # u*u - 0.5*u*u is 0.5*u*u unless u*u is subnormal (0 < u < 1.5e-154).
+    e = np.minimum(vds, u)
+    kq = k * (u * e - 0.5 * e * e)
+    dg = k * e * m
+    dd = k * (u - e) * m + kq * lam
     dgd = dg + dd
     flip = np.where(fwd, 1.0, -1.0)  # times +-1 is exact
     return (sign * flip * (kq * m), flip * dg, np.where(fwd, dd, dgd),

@@ -20,8 +20,9 @@ from types import MappingProxyType
 from typing import Mapping, Optional
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
-from .core import LEVELS, VoltageBands, level_to_voltage, voltage_to_level
+from .core import LEVELS, REGION_LEVELS, VoltageBands, level_to_voltage
 from .devices import (NonpositiveTimestep, advance_states, memristance,
                       mosfet_companion)
 from .netlist.model import GND, Circuit, Memristor, Mosfet, Resistor
@@ -201,7 +202,8 @@ class Waveform:
         for name, series in self.states.items():
             if len(series) != n:
                 raise ValueError(f"series {name!r} length {len(series)} != {n}")
-            if n and (series.min() < 0.0 or series.max() > 1.0):
+            if n and not (series.min() >= 0.0
+                          and series.max() <= 1.0):  # a NaN fails too
                 raise ValueError(f"state series {name!r} leaves [0, 1]")
 
     def port_voltage(self, port: str) -> np.ndarray:
@@ -346,6 +348,21 @@ def _blocks(nodes: list, nfix: int, branches, links):
     order = [*range(nfix), *itertools.chain.from_iterable(blocks)]
     return order, [(size, len(list(same)))
                    for size, same in itertools.groupby(map(len, blocks))]
+
+
+def _solve_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve each system ``a[k] @ x[k] = b[k]`` of a stack; b is (k, m, 1).
+
+    This is the LAPACK gufunc that ``np.linalg.solve`` calls, without that
+    wrapper's checks, so its answers are bitwise those of np.linalg.solve.
+    A singular system raises the float invalid flag: ``_System.newton``
+    turns it into LinAlgError, as np.linalg.solve does.
+    """
+    return _umath_linalg.solve(a, b, signature="dd->d")
+
+
+def _singular(err: str, flag: int):
+    raise LinAlgError("Singular matrix")
 
 
 def _frozen(program) -> None:
@@ -525,18 +542,24 @@ class _System:
         self.program = p = _program(circuit, fixed_nodes)
         nf = p.nfix
         self._mna = np.zeros(p.mna_size)
-        self._rhs = self._mna[p.rhs_start:]
+        rhs = self._mna[p.rhs_start:]
         # Per block size: the square blocks, their pinned columns and their
-        # rows among the free nodes, as views of the matrix.
+        # right-hand sides, as views of the matrix, and their rows among the
+        # free nodes.
         self._stacks = []
         for off, count, size, rows in p.layout:
             stack = self._mna[off:off + count * size * (nf + size)].reshape(
                 count, size, nf + size)
-            self._stacks.append((stack[:, :, nf:], stack[:, :, :nf], rows))
+            self._stacks.append((stack[:, :, nf:], stack[:, :, :nf],
+                                 rhs[rows].reshape(count, size), rows))
         self._weights = p.weights.copy()
         self._mem_stamps = self._weights[p.mem_part].reshape(-1, 4)
-        self._stamps = self._weights[p.fet_part].reshape(-1, 6)
-        self._currents = self._weights[p.cur_part].reshape(-1, 2)
+        # newton writes each FET's stamps (dg, dd, ds, then their negatives)
+        # and its current into d (then out of s) through these views.
+        stamps = self._weights[p.fet_part].reshape(-1, 6)
+        currents = self._weights[p.cur_part].reshape(-1, 2)
+        self._fet_views = (*stamps.T[:3], stamps[:, :3], stamps[:, 3:],
+                           *currents.T)
         self._x = np.empty(p.n - nf)  # Newton's new free voltages
         self._decay_dt = self._decay = None
 
@@ -560,39 +583,46 @@ class _System:
         if nf == n:
             return v
         pinned, free = v[:nf], v[nf:]  # pinned is never written below
-        mna, at, rhs = self._mna, p.targets, self._rhs
-        stamps, currents, x = self._stamps, self._currents, self._x
+        mna, at, solve = self._mna, p.targets, _solve_stack
+        sg, sd, ss, pos, neg, into_d, out_of_s = self._fet_views
+        x = self._x
         delta = None
-        for _ in range(NEWTON_MAX_ITER):
-            vgds = v[p.gds]
-            i_d, dg, dd, ds = mosfet_companion(
-                p.fet_sign, p.vth, p.k, p.lam, vgds)
-            stamps[:, 0], stamps[:, 1], stamps[:, 2] = dg, dd, ds
-            np.negative(stamps[:, :3], out=stamps[:, 3:])
-            vg, vd, vs = vgds
-            np.subtract(dg * vg + dd * vd + ds * vs, i_d, out=currents[:, 0])
-            np.negative(currents[:, 0], out=currents[:, 1])
-            mna[at] = np.bincount(p.bins, self._weights)
-            for a, coupling, rows in self._stacks:
-                b = rhs[rows].reshape(len(a), -1) - coupling @ pinned
-                try:
-                    x[rows] = np.linalg.solve(a, b[:, :, None]).reshape(-1)
-                except np.linalg.LinAlgError as exc:
-                    diag = np.abs(np.diagonal(a, axis1=1, axis2=2))
-                    bad = rows.start + int(np.argmin(diag))
-                    raise SingularSystem(p.nodes[nf + bad]) from exc
-            step = x - free
-            dmax = np.abs(step).max()
-            if not math.isfinite(dmax):  # x holds a NaN or an inf
-                raise NonConvergence(NEWTON_MAX_ITER, self._worst(delta))
-            delta = step
-            if dmax < 0.05 and damping != RETRY_DAMPING:
-                free += delta
-            else:  # np.clip's bits, without its overhead
-                free += np.minimum(np.maximum(damping * delta, -MAX_STEP_VOLTS),
-                                   MAX_STEP_VOLTS)
-            if dmax < NEWTON_TOL:
-                return v
+        # The error state np.linalg.solve sets around each solve, set once:
+        # with finite pins and start voltages only a singular block raises
+        # the invalid flag (and LinAlgError).
+        with np.errstate(call=_singular, invalid="call", over="ignore",
+                         divide="ignore", under="ignore"):
+            for _ in range(NEWTON_MAX_ITER):
+                vgds = v[p.gds]
+                i_d, dg, dd, ds = mosfet_companion(
+                    p.fet_sign, p.vth, p.k, p.lam, vgds)
+                sg[...], sd[...], ss[...] = dg, dd, ds
+                np.negative(pos, out=neg)
+                np.subtract(dg * vgds[0] + dd * vgds[1] + ds * vgds[2], i_d,
+                            out=into_d)
+                np.negative(into_d, out=out_of_s)
+                mna[at] = np.bincount(p.bins, self._weights)
+                for a, coupling, rhs, rows in self._stacks:
+                    try:
+                        x[rows] = solve(
+                            a, (rhs - coupling @ pinned)[:, :, None]).reshape(-1)
+                    except LinAlgError as exc:
+                        diag = np.abs(np.diagonal(a, axis1=1, axis2=2))
+                        bad = rows.start + int(np.argmin(diag))
+                        raise SingularSystem(p.nodes[nf + bad]) from exc
+                step = x - free
+                dmax = np.abs(step).max()
+                if not math.isfinite(dmax):  # x holds a NaN or an inf
+                    raise NonConvergence(NEWTON_MAX_ITER, self._worst(delta))
+                delta = step
+                if dmax < 0.05 and damping != RETRY_DAMPING:
+                    free += delta
+                else:  # np.clip's bits, without its overhead
+                    free += np.minimum(
+                        np.maximum(damping * delta, -MAX_STEP_VOLTS),
+                        MAX_STEP_VOLTS)
+                if dmax < NEWTON_TOL:
+                    return v
         raise NonConvergence(NEWTON_MAX_ITER, self._worst(delta))
 
     def _worst(self, delta: Optional[np.ndarray]) -> str:
@@ -727,16 +757,23 @@ def _dc_system(circuit: Circuit, fixed: Mapping,
     """System pinning ``fixed``: (system, pinned values, states, start guess).
 
     The guess is half the highest pinned voltage, overlaid with ``v_init``.
+    Raises ValueError naming the node for a pinned voltage or a guess that
+    is not finite.
     """
     system = _System(circuit, fixed)
     p = system.program
-    fixed_vals = [fixed[n] for n in p.pinned]
-    v0 = np.full(p.n, 0.5 * max([*fixed_vals, 0.0]))
+    fixed_vals = np.array([fixed[n] for n in p.pinned], dtype=float)
+    v0 = np.full(p.n, 0.5 * max([*fixed_vals.tolist(), 0.0]))
     for node, val in (v_init or {}).items():
         if node in p.index:
             v0[p.index[node]] = val
-    return (system, np.array(fixed_vals, dtype=float),
-            p.state_vector(states), v0)
+    for what, names, vals in (("pinned voltage", p.pinned, fixed_vals),
+                              ("start voltage", p.nodes, v0)):
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            raise ValueError(f"{what} of {names[bad[0]]!r} must be finite, "
+                             f"got {vals[bad[0]]}")
+    return system, fixed_vals, p.state_vector(states), v0
 
 
 def solve_dc(circuit: Circuit, fixed: Mapping,
@@ -880,10 +917,11 @@ def steady_output(circuit: Circuit, inputs: Mapping,
             break
     else:
         raise NotSettled(cfg.t_stop)
-    volts_out = dict(zip(prog.outputs, v[prog.out_rows].tolist()))
-    levels = {p: voltage_to_level(volts_out[p], bands) for p in prog.outputs}
+    # regions are v's output codes, so these are voltage_to_level's levels.
+    levels = {p: REGION_LEVELS[code] for p, code in zip(prog.outputs, regions)}
     if not return_info:
         return levels
-    info = {"settle_time": settle_time, "voltages": volts_out,
+    info = {"settle_time": settle_time,
+            "voltages": dict(zip(prog.outputs, v[prog.out_rows].tolist())),
             "states": prog.state_dict(x), "t_run": t}
     return levels, info

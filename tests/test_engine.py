@@ -764,9 +764,9 @@ class TestBlocks:
         assert e.value.node in circuit.nodes and e.value.node not in fixed
         return e.value.node
 
-    @pytest.mark.parametrize("size,part", [(7, "d13_"), (29, "d29_")])
-    def test_singular_block_names_its_node(self, d13_d29, monkeypatch,
-                                           size, part):
+    @staticmethod
+    def raising_at(size):
+        """A seam that raises LinAlgError for the blocks of ``size``."""
         solve = engine._solve_stack
 
         def singular_at_size(a, b):
@@ -774,7 +774,12 @@ class TestBlocks:
                 raise np.linalg.LinAlgError("Singular matrix")
             return solve(a, b)
 
-        node = self.singular_node(d13_d29, monkeypatch, singular_at_size)
+        return singular_at_size
+
+    @pytest.mark.parametrize("size,part", [(7, "d13_"), (29, "d29_")])
+    def test_singular_block_names_its_node(self, d13_d29, monkeypatch,
+                                           size, part):
+        node = self.singular_node(d13_d29, monkeypatch, self.raising_at(size))
         assert node.startswith(part)
 
     @pytest.mark.parametrize("size", [7, 29])
@@ -785,11 +790,6 @@ class TestBlocks:
         # raised LinAlgError gives, with no RuntimeWarning.
         solve = engine._solve_stack
 
-        def raising(a, b):
-            if a.shape[-1] == size:
-                raise np.linalg.LinAlgError("Singular matrix")
-            return solve(a, b)
-
         def zeroed(a, b):
             return solve(np.zeros_like(a) if a.shape[-1] == size else a, b)
 
@@ -797,7 +797,8 @@ class TestBlocks:
             assert np.isnan(solve(np.zeros((1, size, size)),
                                   np.ones((1, size, 1)))).all()
         assert (self.singular_node(d13_d29, monkeypatch, zeroed)
-                == self.singular_node(d13_d29, monkeypatch, raising))
+                == self.singular_node(d13_d29, monkeypatch,
+                                      self.raising_at(size)))
 
     def test_lapack_gufunc_present(self):
         # The seam calls numpy's private LAPACK gufunc; if numpy moves or

@@ -18,8 +18,8 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .core import (INDETERMINATE, LEVELS, REGIONS, TernaryLevel,
-                   VoltageBands, decode_2bit, encode_2bit)
+from .core import (INDETERMINATE, L0, L1, L2, LEVELS, REGIONS,
+                   TernaryLevel, VoltageBands, decode_2bit, encode_2bit)
 from .digital import eval_circuit, or_reduce_segment
 from .engine import (NotSettled, SolverError, Stimulus, Waveform,
                      steady_output)
@@ -48,35 +48,65 @@ DIGIT_SEGMENTS = {
 _DIGIT_OF = {segs: digit for digit, segs in DIGIT_SEGMENTS.items()}
 
 
-def input_vectors(decoder: str) -> list:
-    """All input vectors for a decoder, in descending display order."""
+def _reference_table(decoder: str) -> tuple:
+    """A decoder's input ports, and its reference outputs per input vector.
+
+    The table maps each vector's input levels, in ``input_vectors`` order,
+    to its expected output levels, following the product equations.
+    """
     if decoder == "d13":
-        return [{"X": lv} for lv in (LEVELS[0], LEVELS[1], LEVELS[2])]
-    if decoder in ("d29", "display"):
-        return [{"A": TernaryLevel(a), "B": TernaryLevel(b)}
-                for a, b in itertools.product((2, 1, 0), repeat=2)]
-    raise KeyError(f"unknown decoder {decoder!r}")
+        return ("X",), {(x,): {f"Y{i}": L2 if i == x else L0
+                               for i in range(3)}
+                        for x in LEVELS}
+    table = {}
+    for a, b in itertools.product((L2, L1, L0), repeat=2):
+        hot = 3 * a + b
+        lines = {k: L2 if k == hot else L0 for k in range(9)}
+        if decoder == "d29":
+            table[a, b] = {f"Y{k}": lines[k] for k in range(9)}
+        else:
+            table[a, b] = {f"Y{s}": (L2 if any(lines[t] == L2
+                                               for t in SEGMENT_TERMS[s])
+                                     else L0)
+                           for s in SEGMENTS}
+    return ("A", "B"), table
+
+
+# Each decoder's good-machine response, built once: (ports, table).
+_REFERENCE = {d: _reference_table(d) for d in DECODERS}
+
+
+def _reference(decoder: str) -> tuple:
+    try:
+        return _REFERENCE[decoder]
+    except KeyError:
+        raise KeyError(f"unknown decoder {decoder!r}") from None
+
+
+def input_vectors(decoder: str) -> list:
+    """All input vectors for a decoder, as new dicts: X = 0, 1, 2 on d13,
+    (A, B) from (2, 2) down to (0, 0) on d29 and display."""
+    ports, table = _reference(decoder)
+    return [dict(zip(ports, key)) for key in table]
 
 
 def expected_outputs(decoder: str, inputs: Mapping) -> dict:
-    """Reference output levels for one input vector."""
-    if decoder == "d13":
-        x = int(inputs["X"])
-        return {f"Y{i}": TernaryLevel.L2 if i == x else TernaryLevel.L0
-                for i in range(3)}
-    a, b = int(inputs["A"]), int(inputs["B"])
-    hot = 3 * a + b
-    lines = {k: TernaryLevel.L2 if k == hot else TernaryLevel.L0
-             for k in range(9)}
-    if decoder == "d29":
-        return {f"Y{k}": lines[k] for k in range(9)}
-    if decoder == "display":
-        return {f"Y{s}": (TernaryLevel.L2
-                          if any(lines[t] == TernaryLevel.L2
-                                 for t in SEGMENT_TERMS[s])
-                          else TernaryLevel.L0)
-                for s in SEGMENTS}
-    raise KeyError(f"unknown decoder {decoder!r}")
+    """Reference output levels for one input vector, as a new dict.
+
+    Raises KeyError for an unknown decoder or a missing input port, and
+    ValueError for an input value that is not a level 0-2.
+    """
+    ports, table = _reference(decoder)
+    key = tuple([inputs[p] for p in ports])
+    try:
+        return dict(table[key])
+    except (KeyError, TypeError):  # TypeError: an unhashable value
+        pass
+    for port, value in zip(ports, key):
+        if value not in LEVELS:
+            break
+    raise ValueError(f"input {port!r} of decoder {decoder!r} must be a "
+                     f"level 0-2, got {value!r}")
 
 
 def displayed_digit(decoder_inputs: Mapping) -> int:
@@ -169,35 +199,36 @@ def verify(backend: str, decoder: str, *,
     if backend not in BACKENDS:
         raise KeyError(f"unknown backend {backend!r}")
     net = network if network is not None else builtin_network(decoder)
-    vectors = input_vectors(decoder)
+    ports, table = _reference(decoder)
     notes = (_D29_ERRATUM,) if decoder in ("d29", "display") else ()
     if backend == "digital":
         results = []
-        for vec in vectors:
+        for key, expected in table.items():
+            vec = dict(zip(ports, key))
             encoded = {k: encode_2bit(lv) for k, lv in vec.items()}
             out = eval_circuit(net, encoded)
             observed = {port: decode_2bit(bp) for port, bp in out.items()}
-            results.append(VectorResult(inputs=dict(vec),
-                                        expected=expected_outputs(decoder, vec),
+            results.append(VectorResult(inputs=vec,
+                                        expected=dict(expected),
                                         observed=observed,
                                         settled=True, settle_time=None))
         return TruthTableReport(decoder, backend, results, notes)
     circuit = elaborate(net)
-    results = [_analog_vector(circuit, decoder, vec) for vec in vectors]
+    results = [_analog_vector(circuit, dict(zip(ports, key)), dict(expected))
+               for key, expected in table.items()]
     return TruthTableReport(decoder, backend, results, notes)
 
 
-def _analog_vector(circuit: Circuit, decoder: str,
-                   vec: Mapping) -> VectorResult:
-    expected = expected_outputs(decoder, vec)
+def _analog_vector(circuit: Circuit, vec: dict,
+                   expected: dict) -> VectorResult:
     try:
         observed, info = steady_output(circuit, vec, return_info=True)
     except SolverError as exc:
-        return VectorResult(inputs=dict(vec), expected=expected,
+        return VectorResult(inputs=vec, expected=expected,
                             observed={p: INDETERMINATE for p in expected},
                             settled=False, settle_time=None,
                             error=f"{type(exc).__name__}: {exc}")
-    return VectorResult(inputs=dict(vec), expected=expected,
+    return VectorResult(inputs=vec, expected=expected,
                         observed=observed, settled=True,
                         settle_time=info["settle_time"])
 

@@ -213,14 +213,12 @@ class Waveform:
         """Write ``time,<probe>...`` rows; column order is the probe order."""
         names = list(self.probes)
         csv.writer(fh).writerow(["time"] + names)  # quotes names if needed
-        times = np.asarray(self.times)
-        series = [np.asarray(self.probes[n]) for n in names]
-        for lo in range(0, len(times), _CSV_BLOCK):
-            cols = [[f"{t:.12e}" for t in times[lo:lo + _CSV_BLOCK].tolist()]]
-            cols += [[f"{v:.9f}" for v in s[lo:lo + _CSV_BLOCK].tolist()]
-                     for s in series]
-            # Numbers never need quoting; "\r\n" is csv's row terminator.
-            fh.write("".join([",".join(row) + "\r\n" for row in zip(*cols)]))
+        cols = [self.times, *self.probes.values()]
+        # Numbers never need quoting; "\r\n" is csv's row terminator.
+        row_fmt = "%.12e" + ",%.9f" * len(names) + "\r\n"
+        for lo in range(0, len(self.times), _CSV_BLOCK):
+            block = np.column_stack([c[lo:lo + _CSV_BLOCK] for c in cols])
+            fh.write(row_fmt * len(block) % tuple(block.ravel().tolist()))
 
     def to_vcd(self, fh, bands: Optional[VoltageBands] = None) -> None:
         """Write a VCD dump: per node a real voltage and a 2-bit level code."""
@@ -247,8 +245,9 @@ class Waveform:
             rows, cols = np.nonzero(changed[lo:lo + _VCD_BLOCK])
             vals = block[rows, cols]
             keys = bands.codes(vals) * width + cols
-            cells = [f"r{v:.9g}{tails[key]}"
-                     for v, key in zip(vals.tolist(), keys.tolist())]
+            texts = ("r%.9g\0" * len(vals) % tuple(vals.tolist())).split("\0")
+            cells = [text + tails[key]
+                     for text, key in zip(texts, keys.tolist())]
             ends = np.searchsorted(rows, np.arange(1, len(block) + 1))
             out, start = [], 0
             for i, end in enumerate(ends.tolist(), lo):
@@ -758,8 +757,10 @@ def _dc_system(circuit: Circuit, fixed: Mapping,
 
     The guess is half the highest pinned voltage, overlaid with ``v_init``.
     Raises ValueError naming the node for a pinned voltage or a guess that
-    is not finite.
+    is not finite, and for a ground pin that is not 0.
     """
+    if GND in fixed and fixed[GND] != 0.0:  # a NaN fails too
+        raise ValueError(f"ground {GND!r} is pinned at 0, got {fixed[GND]}")
     system = _System(circuit, fixed)
     p = system.program
     fixed_vals = np.array([fixed[n] for n in p.pinned], dtype=float)
@@ -781,7 +782,8 @@ def solve_dc(circuit: Circuit, fixed: Mapping,
     """DC operating point with frozen memristor states.
 
     ``fixed`` maps node names to pinned voltages; ground is always pinned
-    at 0, and every source's node and input port's node must be pinned.
+    at 0 (a ground entry must be 0), and every source's node and input
+    port's node must be pinned.
     Returns a voltage for every node.
     """
     system, fixed_vals, x, v0 = _dc_system(circuit, fixed, states)

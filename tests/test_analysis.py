@@ -1,20 +1,25 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 
-from ternsim.analysis import (DIGIT_SEGMENTS, GlitchEvent, SEGMENTS,
+from ternsim.analysis import (DECODERS, DIGIT_SEGMENTS, GlitchEvent,
+                              SEGMENTS, TruthTableReport, VectorResult,
                               detect_glitches,
                               displayed_digit, expected_outputs, input_vectors,
                               measure_settling, resource_report,
                               segments_from_levels, seven_segment_render,
                               verify)
-from ternsim import engine
-from ternsim.core import LEVELS, TernaryLevel, VoltageBands
+from ternsim import analysis, engine
+from ternsim.core import (LEVELS, TernaryLevel, VoltageBands, decode_2bit,
+                          encode_2bit)
+from ternsim.digital import eval_circuit
 from ternsim.engine import (NotSettled, SolverConfig, Stimulus, Waveform,
                             run_transient)
 from ternsim.netlist import builtin_network, mutate_network
+from ternsim.netlist.cells import SEGMENT_TERMS
 
 L0, L1, L2 = LEVELS
 BANDS = VoltageBands.default(1.0)
@@ -57,6 +62,137 @@ class TestExpectedTables:
     def test_displayed_digits_descend(self):
         digits = [displayed_digit(vec) for vec in input_vectors("display")]
         assert digits == [8, 7, 6, 5, 4, 3, 2, 1, 0]
+
+
+def equation_vectors(decoder):
+    """The input vectors as the product-equation oracle orders them."""
+    if decoder == "d13":
+        return [{"X": lv} for lv in (LEVELS[0], LEVELS[1], LEVELS[2])]
+    return [{"A": TernaryLevel(a), "B": TernaryLevel(b)}
+            for a, b in itertools.product((2, 1, 0), repeat=2)]
+
+
+def equation_outputs(decoder, inputs):
+    """Reference outputs recomputed from the product equations per call."""
+    if decoder == "d13":
+        x = int(inputs["X"])
+        return {f"Y{i}": TernaryLevel.L2 if i == x else TernaryLevel.L0
+                for i in range(3)}
+    a, b = int(inputs["A"]), int(inputs["B"])
+    hot = 3 * a + b
+    lines = {k: TernaryLevel.L2 if k == hot else TernaryLevel.L0
+             for k in range(9)}
+    if decoder == "d29":
+        return {f"Y{k}": lines[k] for k in range(9)}
+    return {f"Y{s}": (TernaryLevel.L2
+                      if any(lines[t] == TernaryLevel.L2
+                             for t in SEGMENT_TERMS[s])
+                      else TernaryLevel.L0)
+            for s in SEGMENTS}
+
+
+def equation_report(decoder, net):
+    """A digital verify report with every expected output recomputed."""
+    results = []
+    for vec in equation_vectors(decoder):
+        out = eval_circuit(net, {k: encode_2bit(lv) for k, lv in vec.items()})
+        results.append(VectorResult(
+            inputs=dict(vec), expected=equation_outputs(decoder, vec),
+            observed={p: decode_2bit(bp) for p, bp in out.items()},
+            settled=True, settle_time=None))
+    notes = (analysis._D29_ERRATUM,) if decoder != "d13" else ()
+    return TruthTableReport(decoder, "digital", results, notes)
+
+
+def swap_faults(decoder):
+    ports = [p for p, _ in builtin_network(decoder).outputs]
+    return [f"swap:{a},{b}" for a, b in itertools.combinations(ports, 2)]
+
+
+class TestReferenceTable:
+    """The reference outputs are a table built once at import."""
+
+    @pytest.mark.parametrize("decoder", DECODERS)
+    def test_table_matches_product_equations(self, decoder):
+        vectors = equation_vectors(decoder)
+        assert input_vectors(decoder) == vectors
+        for vec in vectors:
+            got = expected_outputs(decoder, vec)
+            want = equation_outputs(decoder, vec)
+            assert got == want and list(got) == list(want)
+            plain = {k: int(lv) for k, lv in vec.items()}
+            assert expected_outputs(decoder, plain) == want
+
+    @pytest.mark.parametrize("decoder", DECODERS)
+    def test_returned_dicts_are_fresh(self, decoder):
+        vec = input_vectors(decoder)[1]
+        got = expected_outputs(decoder, vec)
+        got.clear()
+        assert expected_outputs(decoder, vec) == equation_outputs(decoder, vec)
+        vectors = input_vectors(decoder)
+        for v in vectors:
+            v.clear()
+        assert input_vectors(decoder) == equation_vectors(decoder)
+        report = verify("digital", decoder)
+        report.vectors[0].expected.clear()
+        report.vectors[0].inputs.clear()
+        want = equation_report(decoder, builtin_network(decoder))
+        assert verify("digital", decoder).to_json() == want.to_json()
+
+    @pytest.mark.parametrize("decoder,inputs,port,value", [
+        ("d29", {"A": 0, "B": 5}, "B", "5"),
+        ("d13", {"X": 7}, "X", "7"),
+        ("d13", {"X": -1}, "X", "-1"),
+        ("d13", {"X": 1.5}, "X", "1.5"),
+        ("d13", {"X": math.nan}, "X", "nan"),
+        ("d13", {"X": "2"}, "X", "'2'"),
+        ("d13", {"X": None}, "X", "None"),
+        ("d13", {"X": [1]}, "X", r"\[1\]"),
+        ("display", {"A": 3, "B": 0}, "A", "3"),
+    ])
+    def test_non_level_input_raises(self, decoder, inputs, port, value):
+        # Before, {"A": 0, "B": 5} on d29 returned Y5 high and {"X": 7} on
+        # d13 returned all L0.
+        with pytest.raises(ValueError,
+                           match=f"input {port!r} of decoder {decoder!r} "
+                                 f"must be a level 0-2, got {value}$"):
+            expected_outputs(decoder, inputs)
+
+    def test_unknown_decoder_and_missing_port_raise_key_error(self):
+        with pytest.raises(KeyError, match="unknown decoder 'd39'"):
+            expected_outputs("d39", {"A": L0, "B": L0})
+        with pytest.raises(KeyError, match="unknown decoder 'd39'"):
+            input_vectors("d39")
+        with pytest.raises(KeyError, match="'B'"):
+            expected_outputs("d29", {"A": L0})
+        with pytest.raises(KeyError, match="'X'"):
+            expected_outputs("d13", {"A": L0})
+
+    @pytest.mark.parametrize("decoder", DECODERS)
+    def test_verify_builds_no_table(self, decoder, monkeypatch):
+        calls = []
+        build = analysis._reference_table
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(analysis, "_reference_table", counted)
+        assert verify("digital", decoder).passed
+        expected_outputs(decoder, input_vectors(decoder)[0])
+        assert calls == []
+
+    @pytest.mark.parametrize("decoder", DECODERS)
+    def test_reports_match_oracle_clean_and_under_swaps(self, decoder):
+        net = builtin_network(decoder)
+        faults = swap_faults(decoder)
+        assert len(faults) == {"d13": 3, "d29": 36, "display": 21}[decoder]
+        for fault in [None] + faults:
+            faulty = net if fault is None else mutate_network(net, fault)
+            got = verify("digital", decoder, network=faulty)
+            want = equation_report(decoder, faulty)
+            assert got.to_text() == want.to_text(), fault
+            assert got.to_json() == want.to_json(), fault
 
 
 class TestVerify:

@@ -230,6 +230,31 @@ class TestCallerStates:
         assert step(d13, {}, {"Q": math.nan}, {"vdd": 1.0, "X": 0.5},
                     1e-12) == want
 
+    @pytest.mark.parametrize("ground", [5.0, math.nan, math.inf, -1e-300])
+    def test_nonzero_ground_pin_rejected(self, d13, ground, monkeypatch):
+        # Before, the value was dropped: 5.0 and NaN both solved with "0" at
+        # 0.0 and Y1 at 0.98900487 V.
+        def no_newton(*args):
+            raise AssertionError("ran Newton")
+
+        monkeypatch.setattr(_System, "newton", no_newton)
+        fixed = {"0": ground, "vdd": 1.0, "X": 0.5}
+        for call in (lambda: solve_dc(d13, fixed),
+                     lambda: relax_states(d13, fixed),
+                     lambda: step(d13, None, None, fixed, 1e-12)):
+            with pytest.raises(ValueError, match=f"ground '0' is pinned at "
+                                                 f"0, got {ground}"):
+                call()
+
+    @pytest.mark.parametrize("ground", [0.0, -0.0, 0])
+    def test_zero_ground_pin_accepted(self, d13, ground):
+        pins = {"vdd": 1.0, "X": 0.5}
+        fixed = {"0": ground, **pins}
+        assert solve_dc(d13, fixed) == solve_dc(d13, pins)
+        assert relax_states(d13, fixed) == relax_states(d13, pins)
+        assert (step(d13, None, None, fixed, 1e-12)
+                == step(d13, None, None, pins, 1e-12))
+
     def test_pinned_ground_must_be_a_node(self):
         # The cell has no ground node; pinning one is still an error after
         # the same pins without ground compiled a program.

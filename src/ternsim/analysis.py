@@ -420,9 +420,7 @@ def resource_report(ternary: Circuit) -> ResourceReport:
     The baseline is the conventional binary BCD-to-seven-segment decoder;
     it exists in this report only through its published figures.
     """
-    pins_in = len(ternary.input_ports())
-    if any(p.name == "vdd" for p in ternary.ports):
-        pins_in -= 1  # supply pin is not a signal pin
+    pins_in = len(ternary.signal_inputs())  # supply pins are not signals
     pins_out = len(ternary.output_ports())
     measured = {
         "pins_in_ternary": pins_in,
@@ -445,15 +443,14 @@ def resource_report(ternary: Circuit) -> ResourceReport:
     return ResourceReport(measured=measured, derived=derived)
 
 
-def seven_segment_render(segments: Mapping, polarity: str = "common_anode"):
+def seven_segment_render(segments: Mapping):
     """Render segment drive bits as a 3x5 ASCII glyph.
 
-    ``segments`` maps 'a'..'g' to the driven bit.  Common-anode polarity is
-    active-low: a 0 drive lights the segment.  Returns (text, digit) where
-    digit is the decoded numeral 0-8 or None when the pattern matches none.
+    ``segments`` maps 'a'..'g' to the driven bit.  The display is common
+    anode, so active low: a 0 drive lights the segment.  Returns (text,
+    digit) where digit is the decoded numeral 0-8 or None when the pattern
+    matches none.
     """
-    if polarity != "common_anode":
-        raise ValueError(f"unsupported polarity {polarity!r}")
     lit = {s: segments[s] == 0 for s in SEGMENTS}
     bar, pipe = "_", "|"
     rows = [

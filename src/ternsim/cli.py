@@ -77,7 +77,7 @@ def cmd_simulate(args) -> int:
     unknown = [f for f in formats if f not in ("csv", "vcd")]
     if unknown:
         raise ValueError(f"unknown format {unknown[0]!r}")
-    input_names = [p.name for p in circuit.input_ports() if p.name != "vdd"]
+    input_names = [p.name for p in circuit.signal_inputs()]
     if args.sweep_inputs:
         if not args.builtin:
             raise ValueError("--sweep-inputs requires --builtin")

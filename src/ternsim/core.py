@@ -135,10 +135,15 @@ def voltage_to_level(v: float, bands: VoltageBands) -> Quantized:
 
 # The canonical code of each level, indexed by level.
 BIT_CODES = (BitPair(0, 0), BitPair(0, 1), BitPair(1, 0))
+_CODE_OF = dict(zip(LEVELS, BIT_CODES))
 
 
 def encode_2bit(level: TernaryLevel) -> BitPair:
-    return BIT_CODES[int(level)]
+    """The level's two-bit code; ValueError for a value that is not a level."""
+    try:
+        return _CODE_OF[level]
+    except (KeyError, TypeError):  # TypeError: an unhashable value
+        raise ValueError(f"{level!r} is not a ternary level") from None
 
 
 def decode_2bit(b: BitPair) -> TernaryLevel:

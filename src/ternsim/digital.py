@@ -17,7 +17,7 @@ import csv
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .core import (BIT_CODES, BitPair, InvalidEncoding, TernaryLevel,
+from .core import (BIT_CODES, LEVELS, BitPair, InvalidEncoding, TernaryLevel,
                    decode_2bit)
 from .devices import digital_memristance
 from .netlist.cells import GateNetwork, eval_gate, truth_table
@@ -55,7 +55,7 @@ def eval_circuit(network: GateNetwork, inputs: Mapping) -> dict:
 
 # Integer divider emulation: voltages scaled to {0, 500, 1000} millivolt
 # integers, quantized with a low band at <= 250 and a high band at >= 750.
-_MV = (0, 500, 1000)
+_MV = dict(zip(LEVELS, (0, 500, 1000)))
 _LO_MAX_MV = 250
 _HI_MIN_MV = 750
 
@@ -67,13 +67,18 @@ def divider_emulation(v_a: TernaryLevel, v_b: TernaryLevel,
     The bias implied by the input pair sets each memristance (forward 500,
     reverse 1500); the output is the integer resistive divider between the
     two input voltages, quantized back to a level.  Agrees with min/max on
-    all nine input pairs for both orientations.
+    all nine input pairs for both orientations.  Raises ValueError for an
+    input that is not a level.
     """
     if orientation not in ("AND", "OR"):
         raise ValueError(f"orientation must be AND or OR, got {orientation!r}")
-    va, vb = _MV[int(v_a)], _MV[int(v_b)]
+    try:
+        va, vb = _MV[v_a], _MV[v_b]
+    except (KeyError, TypeError):  # TypeError: an unhashable value
+        bad = v_a if v_a not in LEVELS else v_b
+        raise ValueError(f"{bad!r} is not a ternary level") from None
     if va == vb:
-        return v_a
+        return TernaryLevel(va // 500)
     if orientation == "OR":
         # Anodes face the inputs: the higher input's device is forward-biased.
         r_a = digital_memristance(va, vb)
@@ -113,8 +118,9 @@ class EncodedTrace:
                     raise InvalidEncoding(f"output {port!r} carries code 11")
 
     def to_csv(self, fh) -> None:
-        """Write ``time,<port>...`` rows of decoded levels; the column
-        convention matches the analog CSV export so traces diff directly."""
+        """Write a ``time,<inputs>,<outputs>`` header, each group of ports
+        sorted by name, then a row per step: its index in ``time`` and each
+        port's level as 0, 1 or 2."""
         writer = csv.writer(fh)
         in_names = sorted(self.inputs[0]) if self.inputs else []
         out_names = sorted(self.outputs[0]) if self.outputs else []

@@ -59,13 +59,16 @@ class NotSettled(SolverError):
 
 
 class NotRelaxed(SolverError):
-    """The polarity rule still flipped a memristor when its passes ran out."""
+    """The polarity rule still flipped a memristor when its passes ran out,
+    or (``passes`` None) a state moved at the relaxed fixed point."""
 
-    def __init__(self, passes: int, memristor: str):
+    def __init__(self, passes: Optional[int], memristor: str):
         self.passes = passes
         self.memristor = memristor
-        super().__init__(f"memristor states not relaxed after {passes} "
-                         f"passes ({memristor!r} still flips)")
+        super().__init__(
+            f"memristor {memristor!r} still moves at the relaxed fixed point"
+            if passes is None else f"memristor states not relaxed after "
+            f"{passes} passes ({memristor!r} still flips)")
 
 
 class TransientError(SolverError):
@@ -286,10 +289,6 @@ def _compress(flat: np.ndarray):
     loop of ``+=`` on a zeroed matrix.
     """
     return np.unique(flat, return_inverse=True)
-
-
-def _unchanged(a: np.ndarray, b: Optional[np.ndarray]) -> bool:
-    return a is b or np.array_equal(a, b)
 
 
 def _terminals(index: Mapping, devs, count: int) -> np.ndarray:
@@ -653,30 +652,6 @@ class _System:
         va, vc = v[p.mem_ac]
         return advance_states(x, va - vc, *self._decay, p.v_on, p.neg_v_off)
 
-    def march(self, cfg: SolverConfig, pinned, x: np.ndarray, v: np.ndarray,
-              bypass: bool = False):
-        """Semi-implicit transient over [0, t_stop]: yields (k, t, v, x).
-
-        ``pinned`` gives the pinned voltages of each step in turn, for
-        example the rows of a schedule table.  Each step solves
-        the network with frozen states, yields, then advances the states, so
-        a consumer that stops early holds the states its last solve used.
-        With ``bypass``, a step whose pinned voltages and states equal those
-        of the last solved step is a fixed point of solve -> advance (SPICE's
-        device bypass): it yields that step's voltages and skips both.
-        """
-        last_p = last_x = None
-        for k, p in zip(range(cfg.steps + 1), pinned):
-            t = k * cfg.dt
-            quiet = bypass and _unchanged(x, last_x) and _unchanged(p, last_p)
-            last_p, last_x = p, x
-            if quiet:
-                yield k, t, v, x
-                continue
-            v = self.solve(x, p, v)
-            yield k, t, v, x
-            x = self.advance(x, v, cfg.dt)
-
     def relax(self, x: np.ndarray, fixed_vals: np.ndarray, v: np.ndarray):
         """Iterate the polarity rule to a fixed point; returns (x, v).
 
@@ -841,17 +816,17 @@ def run_transient(circuit: Circuit, stim: Optional[Stimulus] = None,
                         states=dict(zip(prog.mem_names, xs[:, :n])),
                         port_nodes={p.name: p.node for p in circuit.ports})
 
-    done = 0
+    x = prog.state_vector(None)
+    v = np.full(prog.n, supply_voltage(circuit) / 2.0)
     try:
-        for k, _, v, x in system.march(
-                cfg, table, prog.state_vector(None),
-                np.full(prog.n, supply_voltage(circuit) / 2.0)):
+        for k, pins in enumerate(table):
+            v = system.solve(x, pins, v)
             volts[:, k] = v[probe_idx]
             xs[:, k] = x
-            done = k + 1
-    except SolverError as exc:
-        raise TransientError(exc, float(times[done]), recorded(done)) from exc
-    return recorded(done)
+            x = system.advance(x, v, cfg.dt)
+    except SolverError as exc:  # step k failed: k samples are recorded
+        raise TransientError(exc, float(times[k]), recorded(k)) from exc
+    return recorded(len(times))
 
 
 def relax_states(circuit: Circuit, fixed: Mapping,
@@ -873,15 +848,17 @@ def steady_output(circuit: Circuit, inputs: Mapping,
                   bands: Optional[VoltageBands] = None,
                   cfg: Optional[SolverConfig] = None,
                   return_info: bool = False):
-    """Quantized settled output levels under constant input levels.
+    """Output levels at the relaxed fixed point under constant input levels.
 
     ``inputs`` must give a level to every input port that no source
-    drives; a ValueError names the first one left out.  Memristor states
-    are first relaxed to their constant-bias steady state, then the
-    transient runs from the relaxed states and voltages until every output
-    port holds one quantization region for a 20-tau window.  Raises
-    NotSettled if no window is found by t_stop.  With ``return_info`` also
-    returns a dict carrying the settle time and final voltages.
+    drives; a ValueError names the first one left out.  The memristors are
+    relaxed, the network is solved once more with their states, and a step
+    of dt must leave every state unchanged, else NotRelaxed names one that
+    moves.  Every later step would repeat that solve, so the outputs hold
+    from t = 0 and the 20-tau settle window closes at step window - 1;
+    NotSettled if that is past t_stop.  With ``return_info`` also returns a
+    dict of settle_time (0.0), the output voltages, the states and t_run,
+    the time the window closes.
     """
     cfg = cfg or SolverConfig()
     supply = supply_voltage(circuit)
@@ -892,38 +869,18 @@ def steady_output(circuit: Circuit, inputs: Mapping,
                                           dict(zip(names, table[0].tolist())))
     prog = system.program
     x, v = system.relax(x, fixed_vals, v)
+    v = system.solve(x, fixed_vals, v)
+    moved = np.flatnonzero(system.advance(x, v, cfg.dt) != x)
+    if moved.size:
+        raise NotRelaxed(None, prog.mem_names[moved[0]])
     window = max(2, int(round(20.0 * prog.min_tau / cfg.dt)))
-    run_len = 0
-    regions = v_seen = None
-    settle_time = 0.0
-    for k, t, v, x in system.march(cfg, itertools.repeat(fixed_vals), x, v,
-                                   bypass=True):
-        if v is v_seen:
-            # march bypassed this step: it is a fixed point, so every later
-            # step repeats it and the window closes window - run_len - 1
-            # steps on.
-            k += window - run_len - 1
-            if k > cfg.steps:
-                raise NotSettled(cfg.t_stop)
-            t = k * cfg.dt
-            break
-        now = bands.codes(v[prog.out_rows]).tolist()
-        v_seen = v
-        if now == regions:
-            run_len += 1
-        else:
-            regions = now
-            run_len = 1
-            settle_time = t
-        if run_len >= window:
-            break
-    else:
+    if window - 1 > cfg.steps:
         raise NotSettled(cfg.t_stop)
-    # regions are v's output codes, so these are voltage_to_level's levels.
-    levels = {p: REGION_LEVELS[code] for p, code in zip(prog.outputs, regions)}
+    levels = {p: REGION_LEVELS[code] for p, code
+              in zip(prog.outputs, bands.codes(v[prog.out_rows]).tolist())}
     if not return_info:
         return levels
-    info = {"settle_time": settle_time,
+    info = {"settle_time": 0.0,
             "voltages": dict(zip(prog.outputs, v[prog.out_rows].tolist())),
-            "states": prog.state_dict(x), "t_run": t}
+            "states": prog.state_dict(x), "t_run": (window - 1) * cfg.dt}
     return levels, info

@@ -166,6 +166,13 @@ class Circuit:
     def input_ports(self) -> list:
         return [p for p in self.ports if p.direction == "in"]
 
+    def signal_inputs(self) -> list:
+        """Input ports a stimulus drives: all but the supply pins, each an
+        input port named after the node it shares with a source."""
+        driven = {s.pos for s in self.sources()}
+        return [p for p in self.input_ports()
+                if p.name != p.node or p.node not in driven]
+
     def output_ports(self) -> list:
         return [p for p in self.ports if p.direction == "out"]
 

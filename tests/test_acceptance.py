@@ -239,7 +239,7 @@ def test_criterion_10_display_digit_sequence():
     for vec in input_vectors("display"):
         levels = expected_outputs("display", vec)
         segments = segments_from_levels(levels)
-        _, digit = seven_segment_render(segments, polarity="common_anode")
+        _, digit = seven_segment_render(segments)
         digits.append(digit)
     ok = digits == [8, 7, 6, 5, 4, 3, 2, 1, 0]
     assert _report(10, ok, f"display digit row renders {digits}")

@@ -18,7 +18,8 @@ from ternsim.core import (LEVELS, TernaryLevel, VoltageBands, decode_2bit,
 from ternsim.digital import eval_circuit
 from ternsim.engine import (NotSettled, SolverConfig, Stimulus, Waveform,
                             run_transient)
-from ternsim.netlist import builtin_network, mutate_network
+from ternsim.netlist import (builtin_network, mutate_network, parse,
+                             serialize)
 from ternsim.netlist.cells import SEGMENT_TERMS
 
 L0, L1, L2 = LEVELS
@@ -373,6 +374,13 @@ class TestResourceReport:
         assert display_report.measured["pins_in_ternary"] == 2
         assert display_report.measured["pins_in_encoded_lines"] == 4
         assert display_report.measured["pins_out"] == 7
+
+    def test_supply_pin_of_any_name(self, display):
+        renamed = parse(serialize(display).replace("vdd", "vcc"))
+        assert [p.name for p in renamed.input_ports()] == ["A", "B", "vcc"]
+        measured = resource_report(renamed).measured
+        assert measured["pins_in_ternary"] == 2
+        assert measured["pins_in_encoded_lines"] == 4
 
     def test_device_counts_match_circuit(self, display_report, display):
         m = display_report.measured

@@ -163,6 +163,25 @@ class TestSimulate:
             assert float(cols[vdd]) == 1.2
             assert cols[x] == cols[vdd]
 
+    def test_supply_port_of_any_name(self, capsys, tmp_path):
+        # A supply pin is the input port named after its source's node,
+        # whatever the name: renamed from vdd to vcc, d13 takes one level.
+        net = tmp_path / "d13_vcc.net"
+        run(capsys, "emit-netlist", "--builtin", "d13", "--out-file", str(net))
+        net.write_text(net.read_text().replace("vdd", "vcc"))
+        out_dir = tmp_path / "out"
+        for inputs in (["--inputs", "1"], []):
+            code, _, err = run(capsys, "simulate", "--netlist", str(net),
+                               *inputs, "--t-stop", "5e-9",
+                               "--out", str(out_dir))
+            assert (code, err) == (0, "")
+        assert sorted(p.name for p in out_dir.iterdir()) == ["d13_X0.csv",
+                                                            "d13_X1.csv"]
+        code, _, err = run(capsys, "simulate", "--netlist", str(net),
+                           "--inputs", "1,1", "--out", str(out_dir))
+        assert code == 1
+        assert err == "error: expected 1 input level(s) (X), got 2\n"
+
     def test_floating_island_exits_2(self, capsys, tmp_path):
         net = tmp_path / "d13_island.net"
         run(capsys, "emit-netlist", "--builtin", "d13", "--out-file", str(net))

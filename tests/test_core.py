@@ -120,6 +120,13 @@ class TestTwoBitEncoding:
             assert encode_2bit(lv) is encode_2bit(lv) is BIT_CODES[lv]
             assert encode_2bit(int(lv)) is BIT_CODES[lv]
 
+    @pytest.mark.parametrize("value", [-1, 3, 0.5, math.nan, None, "1", [1]])
+    def test_encode_rejects_non_levels(self, value):
+        # -1 used to index L2's code and 3 to raise IndexError.
+        with pytest.raises(ValueError) as e:
+            encode_2bit(value)
+        assert str(e.value) == f"{value!r} is not a ternary level"
+
     def test_bitpair_validates_bits(self):
         with pytest.raises(ValueError):
             BitPair(2, 0)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ternsim.core import (BitPair, InvalidEncoding, LEVELS, decode_2bit,
-                          encode_2bit, ref_nti, ref_pti, ref_sti, ref_tand,
+from ternsim.core import (BitPair, InvalidEncoding, LEVELS, TernaryLevel,
+                          decode_2bit, encode_2bit, ref_nti, ref_pti, ref_sti, ref_tand,
                           ref_tor)
 from ternsim.digital import (EncodedTrace, divider_emulation, eval_circuit,
                              eval_gate, or_reduce_segment, run_trace,
@@ -83,6 +83,25 @@ class TestDividerEmulation:
         from ternsim.devices import digital_memristance
         assert digital_memristance(1.0, 0.0) == 500
         assert digital_memristance(0.0, 1.0) == 1500
+
+    @pytest.mark.parametrize("a,b,bad", [
+        (-1, L0, -1), (3, L0, 3), (L1, 0.5, 0.5), (L2, None, None),
+        (L0, "2", "2"), ([1], L1, [1])])
+    def test_non_level_inputs_rejected(self, a, b, bad):
+        # (-1, 0) used to read as (L2, L0), and 3 to raise IndexError.
+        for orientation in ("AND", "OR"):
+            with pytest.raises(ValueError) as e:
+                divider_emulation(a, b, orientation)
+            assert str(e.value) == f"{bad!r} is not a ternary level"
+
+    def test_always_returns_a_level(self):
+        # Equal inputs used to come back as given: (1.0, 1.0) as 1.0.
+        values = [*LEVELS, 0, 1, 2, 0.0, 1.0, 2.0]
+        for a, b in itertools.product(values, repeat=2):
+            for orientation, ref in (("AND", ref_tand), ("OR", ref_tor)):
+                out = divider_emulation(a, b, orientation)
+                assert type(out) is TernaryLevel
+                assert out == ref(LEVELS[int(a)], LEVELS[int(b)])
 
     def test_bad_orientation(self):
         with pytest.raises(ValueError):

@@ -414,6 +414,28 @@ class TestTransient:
             measure_settling(w, "Y0", BANDS)
         assert detect_glitches(w, Stimulus.hold({"X": L1}), BANDS) == []
 
+    def test_failure_mid_run_keeps_the_steps_before(self, d13, monkeypatch):
+        stim, cfg = Stimulus.hold({"X": L1}), SolverConfig(t_stop=1e-9)
+        want = run_transient(d13, stim, cfg)
+        solve, calls = _System.solve, []
+
+        def failing_sixth(self, *args):
+            calls.append(1)
+            if len(calls) == 6:
+                raise NonConvergence(200, "Y2")
+            return solve(self, *args)
+
+        monkeypatch.setattr(_System, "solve", failing_sixth)
+        with pytest.raises(TransientError) as e:
+            run_transient(d13, stim, cfg)
+        assert e.value.t == want.times[5] == 5 * cfg.dt
+        w = e.value.waveform
+        assert w.times.tolist() == want.times[:5].tolist()
+        for name, series in w.probes.items():
+            assert series.tolist() == want.probes[name][:5].tolist()
+        for name, series in w.states.items():
+            assert series.tolist() == want.states[name][:5].tolist()
+
     def test_coarse_dt_warns_at_the_caller(self, d13):
         cfg = SolverConfig(dt=300e-12, t_stop=600e-12)
         with pytest.warns(UserWarning, match="exceeds tau/2") as record:
@@ -499,8 +521,8 @@ class TestSteadyOutput:
             steady_output(d13, {"X": L0}, cfg=SolverConfig(t_stop=1e-9))
 
     def test_settle_skips_quiescent_steps(self, d13, monkeypatch):
-        # A settle step whose pinned voltages and states repeat the last
-        # solved step reuses its voltages: few solves, not one per step.
+        # One settle solve at the relaxed fixed point stands for the whole
+        # 20-tau window: few solves, not one per step.
         calls = count_linear_solves(monkeypatch)
         for x in LEVELS:
             calls.clear()
@@ -509,7 +531,7 @@ class TestSteadyOutput:
             assert 0 < len(calls) <= 40, x
 
     def test_settle_starts_from_relaxed_voltages(self, d13, monkeypatch):
-        # The settle march starts where relaxation ended, not from a cold
+        # The settle solve starts where relaxation ended, not from a cold
         # supply/2 guess: each vector needs fewer linear solves.
         calls = count_linear_solves(monkeypatch)
         for x in LEVELS:
@@ -565,10 +587,23 @@ class TestSteadyOutput:
         assert set(info["voltages"]) == {"Y0", "Y1", "Y2"}
 
 
-def walked_settle(circuit, inputs, cfg):
-    """``steady_output``'s settle search, walking every step of the march.
+BUILTIN_VECTORS = [(name, vec) for name in ("d13", "d29", "display")
+                   for vec in input_vectors(name)]
 
-    Returns ``steady_output``'s info dict, or raises NotSettled.
+
+def vector_id(case):
+    name, vec = case
+    return name + "-" + "".join(f"{p}{int(lv)}" for p, lv in vec.items())
+
+
+def walked_settle(circuit, inputs, cfg):
+    """``steady_output``'s answer by walking every settle step.
+
+    From the relaxed states, each step solves the network with its states
+    and then advances them; a step whose states repeat the last step's
+    reuses its voltages, since it would solve the same system.  The window
+    closes once every output has held one region for 20 tau.  Returns
+    ``steady_output``'s info dict, or raises NotSettled.
     """
     supply = engine.supply_voltage(circuit)
     bands = VoltageBands.default(supply)
@@ -577,9 +612,11 @@ def walked_settle(circuit, inputs, cfg):
     x, v = system.relax(x, pins, v)
     prog = system.program
     window = max(2, round(20.0 * prog.min_tau / cfg.dt))
-    run_len, regions, settle_time = 0, None, 0.0
-    for _, t, v, x in system.march(cfg, itertools.repeat(pins), x, v,
-                                   bypass=True):
+    run_len, regions, settle_time, last_x = 0, None, 0.0, None
+    for k in range(cfg.steps + 1):
+        t = k * cfg.dt
+        if last_x is None or x.tolist() != last_x.tolist():
+            v = system.solve(x, pins, v)
         now = bands.codes(v[prog.out_rows]).tolist()
         if now == regions:
             run_len += 1
@@ -590,6 +627,7 @@ def walked_settle(circuit, inputs, cfg):
                     "voltages": dict(zip(prog.outputs,
                                          v[prog.out_rows].tolist())),
                     "states": prog.state_dict(x), "t_run": t}
+        last_x, x = x, system.advance(x, v, cfg.dt)
     raise NotSettled(cfg.t_stop)
 
 
@@ -677,9 +715,7 @@ class TestCompileOnce:
             with pytest.raises(ValueError, match="read-only"):
                 a[...] = 0
 
-    @pytest.mark.parametrize("name,vec", [
-        ("d13", {"X": L0}), ("d13", {"X": L1}), ("d13", {"X": L2}),
-        ("d29", {"A": L2, "B": L1})])
+    @pytest.mark.parametrize("name,vec", BUILTIN_VECTORS)
     def test_settle_jump_matches_walk(self, request, name, vec):
         circuit = request.getfixturevalue(name)
         dt = SolverConfig().dt
@@ -1144,6 +1180,51 @@ class TestRelaxation:
         report = (tmp_path / "verify_d13_analog.json").read_text()
         assert report.count("NotRelaxed") == 3
 
+    def test_state_moving_at_fixed_point_raises(self):
+        # Thresholds of 1 pV sit below relax's 1 nV tie band, and M1's
+        # forward bias is 2.3e-10 V: relax leaves it at x0, yet every step
+        # grows it.  steady_output names it rather than report a state
+        # that is still moving.
+        circuit = parse(NEAR_TIE_NETLIST)
+        assert relax_states(circuit, {"vdd": 1.0}) == {"M1": 0.0}
+        walked = walked_settle(circuit, {}, SolverConfig())
+        assert 0.0 < walked["states"]["M1"] < 1.0
+        with pytest.raises(NotRelaxed) as e:
+            steady_output(circuit, {})
+        assert (e.value.passes, e.value.memristor) == (None, "M1")
+        assert str(e.value) == ("memristor 'M1' still moves at the relaxed "
+                                "fixed point")
+
+    def test_guard_catches_a_moved_state(self, d13, monkeypatch):
+        # One ulp of movement in one state is enough to fail the check.
+        advance = _System.advance
+
+        def nudged(self, x, v, dt):
+            new = advance(self, x, v, dt)
+            new[1] = np.nextafter(new[1], 0.5)
+            return new
+
+        monkeypatch.setattr(_System, "advance", nudged)
+        second = d13.memristors()[1].name
+        for x in LEVELS:
+            with pytest.raises(NotRelaxed) as e:
+                steady_output(d13, {"X": x})
+            assert e.value.memristor == second
+
+
+NEAR_TIE_NETLIST = """\
+V1 vdd 0 DC 1
+R1 vdd a 1k
+R2 a 0 1k
+R3 vdd b 1k
+R4 b 0 1.000000001k
+M1 b a RON=500 ROFF=10k VON=1p VOFF=1p TAU=500p X0=0
+R5 vdd y 1k
+R6 y 0 1k
+.port out Y y
+.port in vdd vdd
+"""
+
 
 def damped_relax(system, pins, x, v):
     """The polarity rule with every pass a solve at DAMPING: relax as it
@@ -1167,15 +1248,6 @@ def damped_relax(system, pins, x, v):
 def distinct(seq):
     """``seq`` without consecutive repeats."""
     return [item for item, _ in itertools.groupby(seq)]
-
-
-BUILTIN_VECTORS = [(name, vec) for name in ("d13", "d29", "display")
-                   for vec in input_vectors(name)]
-
-
-def vector_id(case):
-    name, vec = case
-    return name + "-" + "".join(f"{p}{int(lv)}" for p, lv in vec.items())
 
 
 @pytest.fixture(scope="module")
@@ -1206,7 +1278,7 @@ class TestRelaxPath:
         # Two solves converged to NEWTON_TOL differ by about the step after
         # their last one: up to 6.5e-12 V here, on d29's outputs.
         assert np.abs(v - want_v).max() <= 1e-11
-        # The settle march re-solves from there: steady_output's answers
+        # The settle solve starts from there: steady_output's answers
         # are those of damped passes, its voltages within 1e-12 V.
         levels, info = steady_output(circuit, vec, return_info=True)
         monkeypatch.setattr(_System, "relax", lambda system, x, pins, v:
@@ -1254,8 +1326,8 @@ class TestRelaxPath:
 
 
 class TestLevelsFromCodes:
-    """steady_output reads its levels off the settle loop's last region
-    codes; they must be voltage_to_level's levels of its voltages."""
+    """steady_output reads its levels off the region codes of its output
+    voltages; they must be voltage_to_level's levels of those voltages."""
 
     @staticmethod
     def check(circuit, vec, bands=BANDS):

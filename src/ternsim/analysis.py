@@ -109,16 +109,6 @@ def expected_outputs(decoder: str, inputs: Mapping) -> dict:
                      f"level 0-2, got {value!r}")
 
 
-def displayed_digit(decoder_inputs: Mapping) -> int:
-    """Digit shown for a display-decoder input pair (active-low segments)."""
-    outs = expected_outputs("display", decoder_inputs)
-    lit = "".join(s for s in SEGMENTS if outs[f"Y{s}"] == TernaryLevel.L0)
-    try:
-        return _DIGIT_OF[lit]
-    except KeyError:  # pragma: no cover
-        raise ValueError(f"no digit renders segments {lit!r}") from None
-
-
 @dataclass
 class VectorResult:
     inputs: dict

@@ -96,7 +96,7 @@ def cmd_simulate(args) -> int:
     bands = VoltageBands.default(supply)
     status = EXIT_OK
     for vec in vectors:
-        stim = Stimulus.hold(vec, vdd=supply) if vec else None
+        stim = Stimulus.hold(vec) if vec else None
         tag = "_".join(f"{k}{int(v)}" for k, v in (vec or {}).items()) or "run"
         wave = run_transient(circuit, stim, cfg)
         for fmt in formats:

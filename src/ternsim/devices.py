@@ -25,6 +25,14 @@ class NonpositiveTimestep(ValueError):
     """Raised when a state update is asked for dt <= 0."""
 
 
+def _positive(params, *names) -> None:
+    """Raise ValueError naming the first field that is not finite and > 0."""
+    for name in names:
+        value = getattr(params, name)
+        if not 0 < value < math.inf:  # a NaN fails too
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class MemristorParams:
     """Bistable memristor parameterization.
@@ -42,10 +50,9 @@ class MemristorParams:
     x0: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.r_on < self.r_off:
+        _positive(self, "r_on", "r_off", "v_on", "v_off", "tau")
+        if not self.r_on < self.r_off:
             raise ValueError(f"need 0 < r_on < r_off, got {self.r_on}, {self.r_off}")
-        if self.v_on <= 0 or self.v_off <= 0 or self.tau <= 0:
-            raise ValueError("v_on, v_off and tau must be positive")
         if not 0.0 <= self.x0 <= 1.0:
             raise ValueError(f"x0 must lie in [0, 1], got {self.x0}")
 
@@ -67,8 +74,10 @@ class MosfetParams:
     def __post_init__(self):
         if self.polarity not in ("NMOS", "PMOS"):
             raise ValueError(f"polarity must be NMOS or PMOS, got {self.polarity!r}")
-        if self.vth <= 0 or self.k <= 0 or self.channel_mod < 0:
-            raise ValueError("vth and k must be positive, channel_mod >= 0")
+        _positive(self, "vth", "k")
+        if not 0 <= self.channel_mod < math.inf:
+            raise ValueError(f"channel_mod must be finite and non-negative, "
+                             f"got {self.channel_mod}")
 
 
 def memristance(x, p):

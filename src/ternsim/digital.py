@@ -99,9 +99,7 @@ def divider_emulation(v_a: TernaryLevel, v_b: TernaryLevel,
 
 def or_reduce_segment(out: BitPair) -> int:
     """Collapse a two-bit ternary output to the single bit a display pin needs."""
-    if out.hi and out.lo:
-        raise InvalidEncoding("two-bit code 11 is reserved")
-    return out.hi | out.lo
+    return int(decode_2bit(out) != TernaryLevel.L0)
 
 
 @dataclass(frozen=True)

@@ -121,20 +121,17 @@ class Stimulus:
 
     ``schedules`` maps port name to a sequence of (time, level) events with
     strictly increasing times.  Transitions ramp linearly over ``slew``
-    seconds starting at the event time.
+    seconds starting at the event time.  A level drives at its rail of the
+    circuit's supply (``level_to_voltage``).
     """
 
     schedules: Mapping
     slew: float = 0.0
-    vdd: float = 1.0
 
     def __post_init__(self):
         if not 0 <= self.slew < math.inf:
             raise ValueError(f"slew must be finite and non-negative, "
                              f"got {self.slew}")
-        if not 0 < self.vdd < math.inf:
-            raise ValueError(f"vdd must be finite and positive, "
-                             f"got {self.vdd}")
         for port, events in self.schedules.items():
             if not events:
                 raise ValueError(f"stimulus schedule for {port!r} is empty")
@@ -154,16 +151,17 @@ class Stimulus:
                 raise ValueError("slew must be shorter than the minimum dwell")
 
     @classmethod
-    def hold(cls, levels: Mapping, vdd: float = 1.0) -> "Stimulus":
+    def hold(cls, levels: Mapping) -> "Stimulus":
         """Constant levels from t=0 on every port."""
-        return cls({p: ((0.0, lv),) for p, lv in levels.items()}, vdd=vdd)
+        return cls({p: ((0.0, lv),) for p, lv in levels.items()})
 
     def event_times(self) -> tuple:
         times = {t for events in self.schedules.values() for t, _ in events}
         return tuple(sorted(times))
 
-    def voltages(self, port: str, times: np.ndarray) -> np.ndarray:
-        """The port's voltage at each of ``times``.
+    def voltages(self, port: str, times: np.ndarray,
+                 vdd: float) -> np.ndarray:
+        """The port's voltage at each of ``times`` on a ``vdd`` supply.
 
         Before its first event a port holds its first level.  From an event
         at ``when`` the voltage ramps linearly from the previous level,
@@ -172,7 +170,7 @@ class Stimulus:
         """
         events = self.schedules[port]
         whens = np.array([when for when, _ in events], dtype=float)
-        rails = np.array([level_to_voltage(lv, self.vdd) for _, lv in events])
+        rails = np.array([level_to_voltage(lv, vdd) for _, lv in events])
         # Index of the last event at or before t; -1 before the first.
         i = np.searchsorted(whens, times, side="right") - 1
         held = rails[np.maximum(i, 0)]
@@ -223,9 +221,8 @@ class Waveform:
             block = np.column_stack([c[lo:lo + _CSV_BLOCK] for c in cols])
             fh.write(row_fmt * len(block) % tuple(block.ravel().tolist()))
 
-    def to_vcd(self, fh, bands: Optional[VoltageBands] = None) -> None:
+    def to_vcd(self, fh, bands: VoltageBands) -> None:
         """Write a VCD dump: per node a real voltage and a 2-bit level code."""
-        bands = bands or VoltageBands.default()
         step_fs = max(1, round(self.dt / 1e-15))
         fh.write("$timescale 1fs $end\n$scope module ternsim $end\n")
         for j, node in enumerate(self.probes):
@@ -279,16 +276,6 @@ def _pair_entries(i: np.ndarray, j: np.ndarray):
 
 # Signs of a conductance's four two-terminal stamps, in _pair_entries order.
 _PAIR_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
-
-
-def _compress(flat: np.ndarray):
-    """Distinct flat stamp targets, and each stamp's bin among them.
-
-    ``np.bincount(bins, w)`` with ``w`` the stamps adds, per target, each
-    of its stamps in order to 0.0: the order, and so the rounding, of a
-    loop of ``+=`` on a zeroed matrix.
-    """
-    return np.unique(flat, return_inverse=True)
 
 
 def _terminals(index: Mapping, devs, count: int) -> np.ndarray:
@@ -469,8 +456,13 @@ class _Program:
             (np.stack((d, d, d, s, s, s), 1).ravel(),
              np.stack((g, d, s, g, d, s), 1).ravel()),
             (free, free)))
-        self.targets, self.bins = _compress(np.concatenate(
-            (slot(i, j), end + np.stack((d, s), 1).ravel())))
+        # The distinct flat targets, and each stamp's bin among them:
+        # np.bincount(bins, w) adds, per target, each of its stamps in order
+        # to 0.0, the order and so the rounding of a loop of += on a zeroed
+        # matrix.
+        self.targets, self.bins = np.unique(np.concatenate(
+            (slot(i, j), end + np.stack((d, s), 1).ravel())),
+            return_inverse=True)
         mem_at, fet_at, gmin_at, cur_at = np.cumsum(
             [4 * r1.size, 4 * a.size, 6 * d.size, n - nf]).tolist()
         self.mem_part = slice(mem_at, fet_at)
@@ -673,31 +665,33 @@ class _System:
         raise NotRelaxed(passes, self.program.mem_names[flipped[0]])
 
 
-def _pinned(circuit: Circuit, stim: Optional[Stimulus], times: np.ndarray):
+def _pinned(circuit: Circuit, stim: Optional[Stimulus], times: np.ndarray,
+            vdd: float):
     """Pinned nodes, sources first, and their voltages at ``times``.
 
-    Returns (names, table), the table a row per time and a column per name.
-    Raises ValueError for a stimulus port that is not an input port, or
-    whose node a source (or an earlier port) already drives.
+    Stimulus levels drive at the rails of ``vdd``.  Returns (names, table),
+    a row per time and a column per name.  ValueError for a stimulus port
+    that is not a signal input, or whose node an earlier port drives.
     """
     sources = [s for s in circuit.sources() if s.pos != GND]
     names = [s.pos for s in sources]
     ports = list(stim.schedules) if stim is not None else []
-    inputs = {p.name for p in circuit.input_ports()}
+    # Circuit.signal_inputs, on the sources already in hand.
+    signals = {p.name: p.node for p in circuit.input_ports()
+               if p.node not in names}
     for port in ports:
-        if port not in inputs:
-            raise ValueError(f"stimulus port {port!r} is not an input "
-                             f"port of {circuit.name!r}")
-        node = circuit.port(port).node
-        if node in names:
-            raise ValueError(f"port {port!r} node {node!r} is already "
-                             f"driven by a source")
-        names.append(node)
+        if port not in signals:
+            raise ValueError(f"stimulus port {port!r} is not a signal "
+                             f"input of {circuit.name!r}")
+        if signals[port] in names:
+            raise ValueError(f"stimulus port {port!r} node "
+                             f"{signals[port]!r} is already pinned")
+        names.append(signals[port])
     table = np.empty((len(times), len(names)))
     for j, src in enumerate(sources):
         table[:, j] = [src.value_at(t) for t in times.tolist()]
     for j, port in enumerate(ports, len(sources)):
-        table[:, j] = stim.voltages(port, times)
+        table[:, j] = stim.voltages(port, times, vdd)
     return names, table
 
 
@@ -794,13 +788,14 @@ def run_transient(circuit: Circuit, stim: Optional[Stimulus] = None,
                   cfg: Optional[SolverConfig] = None) -> Waveform:
     """Transient run over [0, t_stop], sampling every node each dt.
 
-    Input ports named by the stimulus are pinned to its levels; all other
-    sources follow their own waveforms.  A ValueError names the first input
-    port that neither drives.  Every memristor starts from its x0.
+    Input ports named by the stimulus are pinned to its levels, on the rails
+    of the circuit's supply; all other sources follow their own waveforms.
+    A ValueError names the first input port that neither drives.  Every memristor starts from its x0.
     """
     cfg = cfg or SolverConfig()
     times = np.arange(cfg.steps + 1) * cfg.dt
-    names, table = _pinned(circuit, stim, times)
+    supply = supply_voltage(circuit)
+    names, table = _pinned(circuit, stim, times, supply)
     system = _System(circuit, names)
     prog = system.program
     _warn_if_coarse(prog, cfg.dt)
@@ -817,7 +812,7 @@ def run_transient(circuit: Circuit, stim: Optional[Stimulus] = None,
                         port_nodes={p.name: p.node for p in circuit.ports})
 
     x = prog.state_vector(None)
-    v = np.full(prog.n, supply_voltage(circuit) / 2.0)
+    v = np.full(prog.n, supply / 2.0)
     try:
         for k, pins in enumerate(table):
             v = system.solve(x, pins, v)
@@ -850,11 +845,11 @@ def steady_output(circuit: Circuit, inputs: Mapping,
                   return_info: bool = False):
     """Output levels at the relaxed fixed point under constant input levels.
 
-    ``inputs`` must give a level to every input port that no source
-    drives; a ValueError names the first one left out.  The memristors are
-    relaxed, the network is solved once more with their states, and a step
-    of dt must leave every state unchanged, else NotRelaxed names one that
-    moves.  Every later step would repeat that solve, so the outputs hold
+    ``inputs`` must give a level to every signal input, which drives at
+    its rail of the circuit's supply; a ValueError names the first one left
+    out.  The memristors are relaxed, the network is solved once more with
+    their states, and a step of dt must leave every state unchanged, else
+    NotRelaxed names one that moves.  Every later step would repeat that solve, so the outputs hold
     from t = 0 and the 20-tau settle window closes at step window - 1;
     NotSettled if that is past t_stop.  With ``return_info`` also returns a
     dict of settle_time (0.0), the output voltages, the states and t_run,
@@ -863,8 +858,8 @@ def steady_output(circuit: Circuit, inputs: Mapping,
     cfg = cfg or SolverConfig()
     supply = supply_voltage(circuit)
     bands = bands or VoltageBands.default(supply)
-    names, table = _pinned(circuit, Stimulus.hold(dict(inputs), vdd=supply),
-                           np.zeros(1))
+    names, table = _pinned(circuit, Stimulus.hold(dict(inputs)), np.zeros(1),
+                           supply)
     system, fixed_vals, x, v = _dc_system(circuit,
                                           dict(zip(names, table[0].tolist())))
     prog = system.program

@@ -7,6 +7,7 @@ Circuits are immutable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Optional
@@ -74,6 +75,11 @@ class Resistor:
     n2: str
     ohms: float
 
+    def __post_init__(self):
+        if not (0 < self.ohms and math.isfinite(1.0 / self.ohms)):
+            raise ValueError(f"resistance must be positive, "  # 1e-320 too
+                             f"got ohms={self.ohms}")
+
     @property
     def nodes(self):
         return (self.n1, self.n2)
@@ -85,7 +91,7 @@ class VSource:
 
     The negative terminal must be ground: the engine treats source nodes as
     fixed voltages in the nodal equations, which only supports grounded
-    sources.
+    sources.  It needs ``dc`` or ``pwl``, finite, PWL times increasing.
     """
 
     name: str
@@ -93,6 +99,16 @@ class VSource:
     neg: str
     dc: Optional[float] = None
     pwl: Optional[tuple] = None  # ((t0, v0), (t1, v1), ...)
+
+    def __post_init__(self):
+        if (self.dc is None) == (self.pwl is None) or self.pwl == ():
+            raise ValueError(f"source {self.name!r} needs exactly one of a "
+                             f"DC value and PWL points")
+        points = [(0.0, self.dc)] if self.pwl is None else self.pwl
+        if not all(math.isfinite(t) and math.isfinite(v) for t, v in points):
+            raise ValueError(f"source {self.name!r} values must be finite")
+        if any(t1 <= t0 for (t0, _), (t1, _) in zip(points, points[1:])):
+            raise ValueError("PWL times must be strictly increasing")
 
     @property
     def nodes(self):
@@ -167,11 +183,9 @@ class Circuit:
         return [p for p in self.ports if p.direction == "in"]
 
     def signal_inputs(self) -> list:
-        """Input ports a stimulus drives: all but the supply pins, each an
-        input port named after the node it shares with a source."""
+        """Input ports a stimulus drives: those on nodes no source drives."""
         driven = {s.pos for s in self.sources()}
-        return [p for p in self.input_ports()
-                if p.name != p.node or p.node not in driven]
+        return [p for p in self.input_ports() if p.node not in driven]
 
     def output_ports(self) -> list:
         return [p for p in self.ports if p.direction == "out"]
@@ -211,7 +225,6 @@ class Circuit:
             # whatever drives its ports.
             raise UnboundNodeError(None, "no device is connected to ground (node 0)")
         port_names = set()
-        port_nodes = set()
         for p in self.ports:
             if p.name in port_names:
                 raise DuplicateNameError(lines.get(("port", p.name)),
@@ -220,7 +233,6 @@ class Circuit:
             if p.node not in nodes:
                 raise UnboundNodeError(lines.get(("port", p.name)),
                                        f"port {p.name!r} binds unknown node {p.node!r}")
-            port_nodes.add(p.node)
         pinned = {GND: "ground"}
         for src in self.sources():
             if src.neg != GND:
@@ -233,7 +245,15 @@ class Circuit:
                     f"source {src.name!r}: node {src.pos!r} is already "
                     f"pinned to {pinned[src.pos]}")
             pinned[src.pos] = f"source {src.name!r}"
+        for p in self.input_ports():
+            if p.node in pinned and p.node != GND and p.name != p.node:
+                raise NetlistError(
+                    lines.get(("port", p.name)),
+                    f"input port {p.name!r} is on node {p.node!r}, which "
+                    f"{pinned[p.node]} drives: a supply pin must be named "
+                    f"after its node")
         # Every non-port node needs at least two device terminals on it.
+        port_nodes = {p.node for p in self.ports}
         counts: dict = {}
         owner: dict = {}
         for dev in self.devices:

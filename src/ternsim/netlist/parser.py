@@ -21,8 +21,9 @@ import math
 import re
 
 from ..devices import MemristorParams, MosfetParams
-from .model import (Circuit, Memristor, Mosfet, NetlistSyntaxError, Port,
-                    Resistor, UnknownDeviceError, VSource)
+from .model import (Circuit, Memristor, Mosfet, NetlistError,
+                    NetlistSyntaxError, Port, Resistor, UnknownDeviceError,
+                    VSource)
 
 _SUFFIXES = {"k": 1e3, "m": 1e-3, "u": 1e-6, "n": 1e-9, "p": 1e-12}
 _VALUE_RE = re.compile(r"^([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)([kmunp]?)$")
@@ -61,13 +62,8 @@ def _split_kv(tokens, keymap, line, what):
 def _parse_memristor(name, args, line):
     if len(args) < 2:
         raise NetlistSyntaxError(line, "memristor requires 2 nodes")
-    try:
-        params = MemristorParams(**_split_kv(args[2:], _MEM_KEYS, line, "memristor"))
-    except ValueError as exc:
-        if isinstance(exc, NetlistSyntaxError):
-            raise
-        raise NetlistSyntaxError(line, f"memristor: {exc}") from exc
-    return Memristor(name, args[0], args[1], params)
+    kv = _split_kv(args[2:], _MEM_KEYS, line, "memristor")
+    return Memristor(name, args[0], args[1], MemristorParams(**kv))
 
 
 def _parse_mosfet(name, args, line):
@@ -79,21 +75,14 @@ def _parse_mosfet(name, args, line):
     kv = _split_kv(args[4:], _FET_KEYS, line, "mosfet")
     if "vth" not in kv:
         raise NetlistSyntaxError(line, "mosfet requires VTH=")
-    try:
-        params = MosfetParams(polarity=polarity, **kv)
-    except ValueError as exc:
-        raise NetlistSyntaxError(line, f"mosfet: {exc}") from exc
-    return Mosfet(name, args[0], args[1], args[2], params)
+    return Mosfet(name, args[0], args[1], args[2],
+                  MosfetParams(polarity, **kv))
 
 
 def _parse_resistor(name, args, line):
     if len(args) != 3:
         raise NetlistSyntaxError(line, "resistor requires 2 nodes and a value")
-    ohms = parse_value(args[2], line)
-    if not (ohms > 0 and math.isfinite(1.0 / ohms)):  # 1e-320 has 1/R inf
-        raise NetlistSyntaxError(line, f"resistance must be positive, "
-                                       f"got {args[2]!r}")
-    return Resistor(name, args[0], args[1], ohms)
+    return Resistor(name, args[0], args[1], parse_value(args[2], line))
 
 
 def _parse_source(name, args, line):
@@ -113,11 +102,12 @@ def _parse_source(name, args, line):
         vals = [parse_value(tok, line) for tok in m.group(1).split()]
         if len(vals) < 2 or len(vals) % 2 != 0:
             raise NetlistSyntaxError(line, "PWL needs an even number of t/v values")
-        pts = tuple(zip(vals[0::2], vals[1::2]))
-        if any(t1 <= t0 for (t0, _), (t1, _) in zip(pts, pts[1:])):
-            raise NetlistSyntaxError(line, "PWL times must be strictly increasing")
-        return VSource(name, pos, neg, pwl=pts)
+        return VSource(name, pos, neg, pwl=tuple(zip(vals[0::2], vals[1::2])))
     raise NetlistSyntaxError(line, f"source waveform must be DC or PWL, got {args[2]!r}")
+
+
+_DEVICE_PARSERS = {"M": _parse_memristor, "T": _parse_mosfet,
+                   "R": _parse_resistor, "V": _parse_source}
 
 
 def _parse_port(args, line):
@@ -153,20 +143,17 @@ def parse(text: str) -> Circuit:
             continue
         if head.startswith("."):
             raise NetlistSyntaxError(lineno, f"unknown directive {head!r}")
-        kind = head[0].upper()
         if len(head) < 2:
             raise NetlistSyntaxError(lineno, f"device name {head!r} too short")
-        args = tokens[1:]
-        if kind == "M":
-            dev = _parse_memristor(head, args, lineno)
-        elif kind == "T":
-            dev = _parse_mosfet(head, args, lineno)
-        elif kind == "R":
-            dev = _parse_resistor(head, args, lineno)
-        elif kind == "V":
-            dev = _parse_source(head, args, lineno)
-        else:
+        build = _DEVICE_PARSERS.get(head[0].upper())
+        if build is None:
             raise UnknownDeviceError(lineno, f"unknown device type {head[0]!r} in {head!r}")
+        try:
+            dev = build(head, tokens[1:], lineno)
+        except NetlistError:
+            raise
+        except ValueError as exc:  # the device refused a value
+            raise NetlistSyntaxError(lineno, str(exc)) from exc
         devices.append(dev)
         lines_of[dev.name] = lineno
     return Circuit(name, devices, ports).validate(lines_of)

@@ -229,9 +229,10 @@ class TestSimulate:
                              "--t-stop", "1e-9", "--out", str(out_dir))
         assert code == 1
         assert out == ""
-        assert err == ("error: port 'X' node 'vdd' is already driven by a "
-                       "source\n")
-        assert list(out_dir.iterdir()) == []
+        assert err == ("error: line 4: input port 'X' is on node 'vdd', "
+                       "which source 'V1' drives: a supply pin must be named "
+                       "after its node\n")
+        assert not out_dir.exists()
 
     def test_bad_solver_setting_exit_1(self, capsys, tmp_path):
         code, _, err = run(capsys, "simulate", "--builtin", "d13", "--dt",

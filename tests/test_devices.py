@@ -158,3 +158,29 @@ class TestMosfet:
             MosfetParams("CMOS", vth=0.3)
         with pytest.raises(ValueError):
             MosfetParams("NMOS", vth=-0.1)
+
+
+class TestNonFiniteParams:
+    """A NaN fails every ``x <= 0`` test, so each range check must say
+    what it accepts; every refusal names its field."""
+
+    @pytest.mark.parametrize("kwargs,field", [
+        ({"tau": math.nan}, "tau"), ({"tau": math.inf}, "tau"),
+        ({"v_on": math.inf}, "v_on"), ({"v_off": math.nan}, "v_off"),
+        ({"r_on": math.nan}, "r_on"), ({"r_off": math.inf}, "r_off"),
+        ({"x0": math.nan}, "x0"),
+    ])
+    def test_memristor_params(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            MemristorParams(**kwargs)
+
+    @pytest.mark.parametrize("kwargs,field", [
+        ({"vth": math.nan}, "vth"), ({"vth": math.inf}, "vth"),
+        ({"vth": 0.3, "k": math.inf}, "k"), ({"vth": 0.3, "k": math.nan}, "k"),
+        ({"vth": 0.3, "channel_mod": math.nan}, "channel_mod"),
+        ({"vth": 0.3, "channel_mod": math.inf}, "channel_mod"),
+        ({"vth": 0.3, "channel_mod": -0.1}, "channel_mod"),
+    ])
+    def test_mosfet_params(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            MosfetParams("NMOS", **kwargs)

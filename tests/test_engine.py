@@ -47,16 +47,17 @@ BANDS = VoltageBands.default(1.0)
 
 def pinned_at(circuit, stim, t):
     """Node voltages pinned by the sources and ``stim`` at time t."""
-    names, table = _pinned(circuit, stim, np.array([t]))
+    names, table = _pinned(circuit, stim, np.array([t]),
+                           engine.supply_voltage(circuit))
     return dict(zip(names, table[0].tolist()))
 
 
-def voltage_at(stim, port, t):
+def voltage_at(stim, port, t, vdd):
     """The scalar oracle of ``Stimulus.voltages``: one port at one time."""
     events = stim.schedules[port]
-    prev_v = level_to_voltage(events[0][1], stim.vdd)
+    prev_v = level_to_voltage(events[0][1], vdd)
     for when, level in events:
-        v = level_to_voltage(level, stim.vdd)
+        v = level_to_voltage(level, vdd)
         if t < when:
             break
         if stim.slew > 0 and t < when + stim.slew:
@@ -369,13 +370,15 @@ class TestTransient:
             run_transient(elaborate(builtin_network("d13")))
 
     def test_unknown_stimulus_port_rejected(self, d13):
-        with pytest.raises(ValueError, match="'nope' is not an input port"):
+        with pytest.raises(ValueError, match="stimulus port 'nope' is not a "
+                                             "signal input of 'd13'"):
             run_transient(d13, Stimulus.hold({"nope": L0}),
                           SolverConfig(t_stop=1e-9))
 
     def test_stimulus_on_source_driven_port_rejected(self, d13):
         # the vdd port is an input whose node the supply source drives
-        with pytest.raises(ValueError, match="already driven by a source"):
+        with pytest.raises(ValueError, match="stimulus port 'vdd' is not a "
+                                             "signal input of 'd13'"):
             run_transient(d13, Stimulus.hold({"X": L0, "vdd": L2}),
                           SolverConfig(t_stop=1e-9))
 
@@ -443,7 +446,7 @@ class TestTransient:
         assert [w.filename for w in record] == [__file__]
 
     @pytest.mark.parametrize("stim,match", [
-        (Stimulus.hold({"Q": L1}), "stimulus port 'Q' is not an input port"),
+        (Stimulus.hold({"Q": L1}), "stimulus port 'Q' is not a signal input"),
         (None, "input port 'X' of 'd13' is not pinned"),
     ])
     def test_bad_pins_raise_before_the_coarse_dt_warning(self, d13, stim,
@@ -607,7 +610,7 @@ def walked_settle(circuit, inputs, cfg):
     """
     supply = engine.supply_voltage(circuit)
     bands = VoltageBands.default(supply)
-    fixed = pinned_at(circuit, Stimulus.hold(inputs, vdd=supply), 0.0)
+    fixed = pinned_at(circuit, Stimulus.hold(inputs), 0.0)
     system, pins, x, v = engine._dc_system(circuit, fixed)
     x, v = system.relax(x, pins, v)
     prog = system.program
@@ -1377,13 +1380,58 @@ class TestSolverConfig:
                 SolverConfig(t_stop=t_stop)
 
 
+class TestRail:
+    """Levels drive at the circuit's own supply, and one rule says which
+    input ports a caller drives."""
+
+    def test_levels_pin_at_the_supply_rails(self, d13, monkeypatch):
+        d13_12 = parse(serialize(d13).replace("DC 1.0", "DC 1.2"))
+        assert engine.supply_voltage(d13_12) == 1.2
+        dc_system, pinned = engine._dc_system, []
+
+        def recording(circuit, fixed, *args):
+            pinned.append(fixed["X"])
+            return dc_system(circuit, fixed, *args)
+
+        monkeypatch.setattr(engine, "_dc_system", recording)
+        for level, volts in zip(LEVELS, (0.0, 0.6, 1.2)):
+            w = run_transient(d13_12, Stimulus.hold({"X": level}),
+                              SolverConfig(t_stop=0.1e-9))
+            assert w.probes["X"].tolist() == [volts, volts, volts]
+            steady_output(d13_12, {"X": level})
+            assert pinned.pop() == volts
+
+    def test_unvalidated_port_on_a_source_node_is_no_signal(self):
+        # validate() refuses this port; built without it, the source pins
+        # X's node and a stimulus on X is refused.
+        circuit = Circuit("r", (VSource("V1", "vdd", "0", dc=1.0),
+                                Resistor("R1", "vdd", "y", 1e3),
+                                Resistor("R2", "y", "0", 1e3)),
+                          (Port("X", "in", "vdd"), Port("Y", "out", "y")))
+        assert circuit.signal_inputs() == []
+        assert steady_output(circuit, {}, return_info=True)[1][
+            "voltages"]["Y"] == pytest.approx(0.5)
+        with pytest.raises(ValueError, match="stimulus port 'X' is not a "
+                                             "signal input of 'r'"):
+            steady_output(circuit, {"X": L2})
+
+    def test_two_ports_on_one_node_pinned_once(self):
+        circuit = parse("V1 vdd 0 DC 1\nR1 vdd x 1k\nR2 x 0 1k\n"
+                        ".port in P x\n.port in Q x\n")
+        assert [p.name for p in circuit.signal_inputs()] == ["P", "Q"]
+        assert steady_output(circuit, {"P": L1}) == {}
+        with pytest.raises(ValueError, match="stimulus port 'Q' node 'x' "
+                                             "is already pinned"):
+            steady_output(circuit, {"P": L1, "Q": L1})
+
+
 class TestStimulus:
     def test_slew_interpolation(self):
         stim = Stimulus({"X": ((0.0, L0), (10e-9, L2))}, slew=2e-9)
-        got = stim.voltages("X", np.array([0.0, 11e-9, 12e-9, 50e-9]))
+        got = stim.voltages("X", np.array([0.0, 11e-9, 12e-9, 50e-9]), 1.0)
         assert got.tolist() == pytest.approx([0.0, 0.5, 1.0, 1.0])
         assert got[[0, 2, 3]].tolist() == [0.0, 1.0, 1.0]
-        assert got.tolist() == [voltage_at(stim, "X", t)
+        assert got.tolist() == [voltage_at(stim, "X", t, 1.0)
                                 for t in (0.0, 11e-9, 12e-9, 50e-9)]
 
     def test_validation(self):
@@ -1415,14 +1463,20 @@ class TestStimulus:
             Stimulus({"X": schedule})
 
     @pytest.mark.parametrize("vdd", [math.nan, math.inf, 0.0, -1.0])
-    def test_bad_vdd_rejected(self, vdd):
-        with pytest.raises(ValueError, match="finite and positive"):
-            Stimulus.hold({"X": L1}, vdd=vdd)
+    def test_bad_vdd_rejected(self, d13, vdd):
+        # Levels drive at the circuit's supply: the source refuses a NaN or
+        # an inf, and the rails refuse a supply of 0 V or below.
+        assert d13.devices[0].name == "Vvdd"
+        with pytest.raises(ValueError, match="must be finite"):
+            supply = VSource("Vvdd", "vdd", "0", dc=vdd)
+            run_transient(Circuit("d13", (supply, *d13.devices[1:]),
+                                  d13.ports), Stimulus.hold({"X": L1}),
+                          SolverConfig(t_stop=1e-9))
 
     def test_integer_levels_accepted(self):
         stim = Stimulus({"X": ((0.0, 0), (1e-9, 2), (2e-9, 1))})
-        assert stim.voltages("X", np.array([0.0, 1e-9, 2e-9])).tolist() == [
-            0.0, 1.0, 0.5]
+        assert stim.voltages("X", np.array([0.0, 1e-9, 2e-9]),
+                             1.0).tolist() == [0.0, 1.0, 0.5]
 
     def test_event_times_merged(self):
         stim = Stimulus({"A": ((0.0, L0), (5e-9, L2)),
@@ -1438,7 +1492,7 @@ class TestSchedule:
         return Circuit(name="sched", devices=[
             VSource("V1", "vdd", "0", dc=1.2),
             VSource("V2", "p", "0", pwl=((1e-9, 0.0), (2e-9, 0.3),
-                                         (2e-9, 1.0), (3.5e-9, 0.25))),
+                                         (2.05e-9, 1.0), (3.5e-9, 0.25))),
             Memristor("M1", "x", "0", P), Memristor("M2", "y", "0", P),
             Memristor("M3", "p", "0", P), Memristor("M4", "vdd", "0", P),
         ], ports=[Port("X", "in", "x"), Port("Y", "in", "y")]).validate()
@@ -1446,7 +1500,7 @@ class TestSchedule:
     @staticmethod
     def instants(stim):
         """A grid, plus each event and ramp end and their neighbours."""
-        marks = [0.0, 1e-9, 2e-9, 3.5e-9]
+        marks = [0.0, 1e-9, 2e-9, 2.05e-9, 3.5e-9]
         for t in stim.event_times():
             marks += [t, t + stim.slew]
         times = [*(k * 0.05e-9 for k in range(121)), -1e-9, 9e-9]
@@ -1460,19 +1514,21 @@ class TestSchedule:
         circuit = self.circuit()
         stim = Stimulus({"X": ((0.5e-9, L1), (1.5e-9, L2), (2.5e-9, L0)),
                          "Y": ((0.0, L2), (2e-9, L2), (3e-9, 1))},
-                        slew=slew, vdd=1.2)
+                        slew=slew)
         times = self.instants(stim)
         sources = {s.pos: s for s in circuit.sources()}
-        names, table = _pinned(circuit, stim, times)
+        names, table = _pinned(circuit, stim, times, 1.2)
         assert names == ["vdd", "p", "x", "y"]
         for j, node in enumerate(names):
             if node in sources:
                 want = [sources[node].value_at(t) for t in times.tolist()]
             else:
                 port = {"x": "X", "y": "Y"}[node]
-                want = [voltage_at(stim, port, t) for t in times.tolist()]
+                want = [voltage_at(stim, port, t, 1.2)
+                        for t in times.tolist()]
             assert table[:, j].tobytes() == np.array(want).tobytes(), node
-        # before the first event, on the PWL's vertical step and mid-ramp
+        # before the first event, at the foot of the PWL's steep step and
+        # mid-ramp
         at = dict(zip(times.tolist(), table.tolist()))
         assert at[0.0][2] == 0.6 and at[2e-9][1] == 0.3
         ramp = table[(times > 1.5e-9) & (times < 1.5e-9 + slew), 2]
@@ -1482,11 +1538,11 @@ class TestSchedule:
     def test_run_transient_pins_the_schedule(self):
         circuit = self.circuit()
         stim = Stimulus({"X": ((0.0, L0), (1e-9, L2)), "Y": ((0.0, L1),)},
-                        slew=0.5e-9, vdd=1.2)
+                        slew=0.5e-9)
         w = run_transient(circuit, stim, SolverConfig(t_stop=4e-9))
         for node, port in (("x", "X"), ("y", "Y")):
             assert w.probes[node].tolist() == [
-                voltage_at(stim, port, t) for t in w.times.tolist()]
+                voltage_at(stim, port, t, 1.2) for t in w.times.tolist()]
         source = circuit.sources()[1]
         assert w.probes["p"].tolist() == [source.value_at(t)
                                           for t in w.times.tolist()]

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 
@@ -9,7 +10,7 @@ from ternsim.netlist import (CellKind, DuplicateNameError, NetlistError,
                              parse, serialize)
 from ternsim.netlist.cells import GateNetwork, InvalidArity
 from ternsim.netlist.parser import parse_value
-from ternsim.netlist.model import Resistor
+from ternsim.netlist.model import Resistor, VSource
 
 MINIMAL = """\
 Vdd vdd 0 DC 1.0
@@ -170,6 +171,47 @@ class TestParseErrors:
         with pytest.raises(NetlistSyntaxError, match="must be positive") as e:
             parse(f"V1 a 0 DC 1\nR1 a 0 1k\nR2 a 0 {ohms}\n")
         assert self._line_of(e) == 3
+
+
+class TestDeviceChecks:
+    """Devices built in Python are checked as parsed ones are."""
+
+    @pytest.mark.parametrize("ohms", [0.0, -1e3, 1e-320, math.nan])
+    def test_resistance_must_be_positive(self, ohms):
+        with pytest.raises(ValueError, match="ohms="):
+            Resistor("R1", "a", "0", ohms)
+
+    @pytest.mark.parametrize("kwargs,match", [
+        ({}, "exactly one of"),
+        ({"dc": 1.0, "pwl": ((0.0, 1.0),)}, "exactly one of"),
+        ({"pwl": ()}, "exactly one of"),
+        ({"dc": math.nan}, "must be finite"),
+        ({"dc": math.inf}, "must be finite"),
+        ({"pwl": ((0.0, 1.0), (1e-9, math.inf))}, "must be finite"),
+        ({"pwl": ((0.0, 1.0), (math.nan, 0.0))}, "must be finite"),
+        ({"pwl": ((2e-9, 1.0), (1e-9, 0.0))}, "strictly increasing"),
+        ({"pwl": ((1e-9, 1.0), (1e-9, 0.0))}, "strictly increasing"),
+    ])
+    def test_source_waveform_checked(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            VSource("Vvdd", "vdd", "0", **kwargs)
+
+    def test_pwl_order_error_keeps_its_line(self):
+        with pytest.raises(NetlistSyntaxError) as e:
+            parse("R1 a 0 1k\nV1 a 0 PWL(0 0 2n 1 1n 0)\n")
+        assert e.value.line == 2
+        assert e.value.reason == "PWL times must be strictly increasing"
+
+    def test_input_port_on_a_source_node(self):
+        # Only a port named after its source's node is a supply pin.
+        with pytest.raises(NetlistError) as e:
+            parse("V1 vdd 0 DC 1\nR1 vdd y 1k\nR2 y 0 1k\n"
+                  ".port in X vdd\n.port out Y y\n")
+        assert e.value.line == 4
+        assert all(w in e.value.reason for w in ("'X'", "'vdd'", "'V1'"))
+        supply = parse("V1 vdd 0 DC 1\nR1 vdd y 1k\nR2 y 0 1k\n"
+                       ".port in vdd vdd\n.port out Y y\n")
+        assert supply.signal_inputs() == []
 
 
 class TestSerialize:

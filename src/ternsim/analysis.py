@@ -19,8 +19,8 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .core import (INDETERMINATE, L0, L1, L2, LEVELS, REGIONS,
-                   TernaryLevel, VoltageBands, decode_2bit, encode_2bit)
-from .digital import eval_circuit, or_reduce_segment
+                   TernaryLevel, VoltageBands, encode_2bit)
+from .digital import _eval_levels, or_reduce_segment
 from .engine import (NotSettled, SolverError, Stimulus, Waveform,
                      steady_output)
 from .netlist.cells import (GateNetwork, SEGMENT_TERMS, builtin_network,
@@ -195,9 +195,9 @@ def verify(backend: str, decoder: str, *,
         results = []
         for key, expected in table.items():
             vec = dict(zip(ports, key))
-            encoded = {k: encode_2bit(lv) for k, lv in vec.items()}
-            out = eval_circuit(net, encoded)
-            observed = {port: decode_2bit(bp) for port, bp in out.items()}
+            out = _eval_levels(net, [vec[name] for name in net.inputs])
+            observed = {port: LEVELS[lv]
+                        for (port, _), lv in zip(net.outputs, out)}
             results.append(VectorResult(inputs=vec,
                                         expected=dict(expected),
                                         observed=observed,

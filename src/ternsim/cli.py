@@ -17,8 +17,8 @@ import tempfile
 from pathlib import Path
 
 from . import analysis
-from .core import TernaryLevel, VoltageBands, decode_2bit, encode_2bit
-from .digital import eval_circuit
+from .core import TernaryLevel, VoltageBands
+from .digital import _eval_levels
 from .engine import (NotSettled, SolverConfig, SolverError, Stimulus,
                      run_transient, supply_voltage)
 from .netlist import (builtin_network, elaborate, mutate_network, parse,
@@ -146,10 +146,10 @@ def cmd_verify(args) -> int:
 
 def cmd_decode(args) -> int:
     levels = _parse_levels(f"{args.a},{args.b}", ["A", "B"])
-    encoded = {k: encode_2bit(v) for k, v in levels.items()}
-    outs = eval_circuit(builtin_network("display"), encoded)
-    out_levels = {port: decode_2bit(bp) for port, bp in outs.items()}
-    segments = analysis.segments_from_levels(out_levels)
+    network = builtin_network("display")
+    outs = _eval_levels(network, [levels[name] for name in network.inputs])
+    segments = analysis.segments_from_levels(
+        {port: lv for (port, _), lv in zip(network.outputs, outs)})
     glyph, digit = analysis.seven_segment_render(segments)
     print(glyph)
     print(f"digit: {digit if digit is not None else 'unrecognized'}")

@@ -1,11 +1,11 @@
 """Two-bit-encoded gate-level backend.
 
 Mirrors the FPGA realization of the logic family: ternary values travel as
-two-bit codes ((0, 1, 2) = (00, 01, 10); 11 is reserved), each gate is a
-lookup table, like an FPGA LUT, and the gates evaluate in one zero-delay
-topological pass.  A :class:`GateNetwork` compiles its gates to these tables
-when it is built.  The tables come from ``eval_gate``, which states the gate
-semantics; it and ``truth_table`` live in :mod:`.netlist.cells` and are
+two-bit codes ((0, 1, 2) = (00, 01, 10); 11 is reserved), gates are lookup
+tables, like FPGA LUTs, and they evaluate in one zero-delay topological pass
+over integer levels.  A :class:`GateNetwork` compiles itself to two-input
+lookups when built.  The tables come from ``eval_gate``, which states the
+gate semantics; it and ``truth_table`` live in :mod:`.netlist.cells` and are
 re-exported here.  The memristor divider gates can also be emulated with the
 integer two-state memristance model (500 forward / 1500 reverse) to show
 both routes agree.
@@ -32,25 +32,27 @@ def build_dag(network: GateNetwork) -> GateNetwork:
     return network
 
 
-def eval_circuit(network: GateNetwork, inputs: Mapping) -> dict:
-    """One zero-delay topological pass over the network's lookup tables.
+def _eval_levels(network: GateNetwork, levels) -> list:
+    """One zero-delay pass over the network's two-input lookups: output
+    levels, as ints in ``network.outputs`` order, for input levels given in
+    ``network.inputs`` order."""
+    vals = [0] * network._size
+    # Plain ints keep the lookup's arithmetic on the interpreter's int path.
+    vals[1:len(levels) + 1] = map(int, levels)
+    for table, a, b, out in network._program:
+        vals[out] = table[3 * vals[a] + vals[b]]
+    return [vals[slot] for slot in network._output_slots]
 
-    Raises InvalidEncoding if a primary input carries the reserved code 11.
-    """
-    vals = [0] * (len(network.inputs) + len(network.gates))
-    for slot, name in enumerate(network.inputs):
-        try:
-            code = inputs[name]
-        except KeyError:
-            raise KeyError(f"missing value for primary input {name!r}") from None
-        vals[slot] = decode_2bit(code)
-    for table, ins, out in network._program:
-        idx = 0
-        for s in ins:
-            idx = 3 * idx + vals[s]
-        vals[out] = table[idx]
-    return {port: BIT_CODES[vals[slot]]
-            for port, slot in network._output_slots}
+
+def eval_circuit(network: GateNetwork, inputs: Mapping) -> dict:
+    """The network's outputs, port -> BitPair, on two-bit input codes.
+    Raises InvalidEncoding if a primary input carries the reserved code 11."""
+    try:
+        levels = [decode_2bit(inputs[name]) for name in network.inputs]
+    except KeyError as exc:
+        raise KeyError(f"missing value for primary input {exc.args[0]!r}") from None
+    out = _eval_levels(network, levels)
+    return {port: BIT_CODES[lv] for (port, _), lv in zip(network.outputs, out)}
 
 
 # Integer divider emulation: voltages scaled to {0, 500, 1000} millivolt

@@ -696,9 +696,9 @@ def _pinned(circuit: Circuit, stim: Optional[Stimulus], times: np.ndarray,
 
 
 def supply_voltage(circuit: Circuit) -> float:
-    """The circuit's supply: its highest DC source, else 1 V."""
-    dc = [s.dc for s in circuit.sources() if s.dc is not None]
-    return max(dc) if dc else 1.0
+    """The circuit's supply: the highest DC value or PWL point, else 1 V."""
+    return max((v for s in circuit.sources()
+                for _, v in s.pwl or ((0.0, s.dc),)), default=1.0)
 
 
 def _check_pins(circuit: Circuit, names) -> None:

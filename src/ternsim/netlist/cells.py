@@ -3,7 +3,7 @@
 Topology is described once, at gate level (:class:`GateNetwork`), and consumed
 by both backends: :func:`elaborate` expands a network into a transistor/
 memristor :class:`Circuit` for the analog engine, and the network compiles
-itself into per-gate lookup tables for the digital backend.  This module
+itself into two-input lookups for the digital backend.  This module
 defines each cell kind's arity, function (:func:`eval_gate`) and device
 expansion.
 
@@ -96,6 +96,10 @@ def truth_table(kind: CellKind, arity: int) -> tuple:
         for combo in itertools.product(range(3), repeat=arity))
 
 
+# The identity on 3 ** k entries, which packs k input levels into one.
+_packing_table = functools.cache(lambda k: tuple(range(3 ** k)))
+
+
 # Channel-length modulation keeps saturated devices from presenting an exactly
 # singular output node to the Newton solver.
 _LAMBDA = 0.05
@@ -139,10 +143,12 @@ class GateNetwork:
     inputs or outputs of earlier gates.  Primary inputs are also port names,
     so they and the output ports share one namespace.
 
-    Construction compiles the network to lookups, as an FPGA maps gates to
-    LUTs: every net gets an integer slot, primary inputs first and then gate
-    outputs in gate order, and every gate becomes ``(table, input_slots,
-    output_slot)`` with ``table`` from :func:`truth_table`.
+    Construction compiles it to two-input lookups, as FPGA flows map gates
+    to fixed fan-in LUTs: slot 0 holds level 0, then come primary inputs and
+    gate outputs, and a step ``(table, a, b, out)`` sets ``vals[out] =
+    table[3 * vals[a] + vals[b]]`` (:func:`truth_table`'s index).  A
+    one-input gate reads slot 0 as ``a``; an n-input TORN packs its inputs
+    into its output slot in n - 2 steps of ``range(3 ** k)`` first.
     """
 
     name: str
@@ -150,6 +156,7 @@ class GateNetwork:
     outputs: tuple  # ((port name, net name), ...)
     gates: tuple
     _program: tuple = field(init=False, repr=False, compare=False)
+    _size: int = field(init=False, repr=False, compare=False)
     _output_slots: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -159,23 +166,29 @@ class GateNetwork:
             if len(set(names)) < len(names):
                 dup = next(n for n in names if names.count(n) > 1)
                 raise ValueError(f"{what} name {dup!r} is used twice")
-        slots = {net: i for i, net in enumerate(self.inputs)}
+        slots = {net: i for i, net in enumerate(self.inputs, start=1)}
         program = []
         for g in self.gates:
+            ins = []
             for net in g.inputs:
                 if net not in slots:
                     raise ValueError(f"gate {g.name!r} reads undefined net {net!r}")
+                ins.append(slots[net])
             if g.output in slots:
                 raise ValueError(f"net {g.output!r} has multiple drivers")
-            slots[g.output] = len(slots)
-            program.append((truth_table(g.kind, len(g.inputs)),
-                            tuple(slots[n] for n in g.inputs), slots[g.output]))
+            out = slots[g.output] = len(slots) + 1
+            a = 0 if len(ins) == 1 else ins.pop(0)
+            for k in range(2, len(ins) + 1):  # a wide TORN packs into out
+                program.append((_packing_table(k), a, ins.pop(0), out))
+                a = out
+            program.append((truth_table(g.kind, len(g.inputs)), a, ins[0], out))
         for port, net in self.outputs:
             if net not in slots:
                 raise ValueError(f"output port {port!r} bound to undefined net {net!r}")
         object.__setattr__(self, "_program", tuple(program))
+        object.__setattr__(self, "_size", len(slots) + 1)
         object.__setattr__(self, "_output_slots", tuple(
-            (port, slots[net]) for port, net in self.outputs))
+            slots[net] for _, net in self.outputs))
 
     def census(self) -> dict:
         out: dict = {}

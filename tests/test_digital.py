@@ -1,5 +1,6 @@
 import io
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -8,12 +9,13 @@ from hypothesis import strategies as st
 from ternsim.core import (BitPair, InvalidEncoding, LEVELS, TernaryLevel,
                           decode_2bit, encode_2bit, ref_nti, ref_pti, ref_sti, ref_tand,
                           ref_tor)
-from ternsim.digital import (EncodedTrace, divider_emulation, eval_circuit,
-                             eval_gate, or_reduce_segment, run_trace,
-                             truth_table)
+from ternsim.digital import (EncodedTrace, _eval_levels, divider_emulation,
+                             eval_circuit, eval_gate, or_reduce_segment,
+                             run_trace, truth_table)
 from ternsim.netlist import CellKind, builtin_network, mutate_network
 from ternsim.netlist.cells import GateNetwork, GateSpec
 
+import digital_oracle as oracle
 from conftest import tiled_display
 
 L0, L1, L2 = LEVELS
@@ -246,10 +248,9 @@ class TestCompiledPass:
     @pytest.mark.parametrize("name", ["d13", "d29", "display"])
     def test_builtin_and_swap_faults_match_reference(self, name):
         network = builtin_network(name)
-        ports = [p for p, _ in network.outputs]
         assert_matches_reference(network)
-        for a, b in itertools.combinations(ports, 2):
-            assert_matches_reference(mutate_network(network, f"swap:{a},{b}"))
+        for fault in swap_faults(network):
+            assert_matches_reference(fault)
 
     def test_tiled_display_matches_reference(self):
         assert_matches_reference(tiled_display(8))
@@ -325,3 +326,84 @@ class TestEvalCircuitErrors:
         with pytest.raises(ValueError) as exc:
             GateNetwork(name="n", inputs=inputs, outputs=outputs, gates=gates)
         assert str(exc.value) == f"{dup} is used twice"
+
+
+def swap_faults(network):
+    ports = [p for p, _ in network.outputs]
+    return [mutate_network(network, f"swap:{a},{b}")
+            for a, b in itertools.combinations(ports, 2)]
+
+
+def random_network(seed):
+    """A seeded topologically ordered network over every cell kind."""
+    rng = random.Random(seed)
+    nets = [f"i{k}" for k in range(rng.randint(1, 3))]
+    inputs = tuple(nets)
+    gates = []
+    for k in range(rng.randint(1, 12)):
+        kind = rng.choice(list(CellKind))
+        arity = (rng.randint(2, 6) if kind is CellKind.TORN
+                 else 2 if kind in TWO_INPUT else 1)
+        gates.append(GateSpec(kind, f"u{k}",
+                              tuple(rng.choice(nets) for _ in range(arity)),
+                              f"g{k}"))
+        nets.append(f"g{k}")
+    ports = rng.sample(nets, min(len(nets), 5))
+    return GateNetwork(f"random{seed}", inputs,
+                       tuple((f"P{j}", n) for j, n in enumerate(ports)),
+                       tuple(gates))
+
+
+def assert_matches_oracle(network):
+    for levels in itertools.product(range(3), repeat=len(network.inputs)):
+        assert (_eval_levels(network, levels)
+                == oracle.eval_levels(network, levels)), (network.name, levels)
+
+
+def outcome(fn, *args):
+    """What ``fn`` returns, or the type and text of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return type(exc), str(exc)
+
+
+class TestGatePassOracle:
+    """The two-input program against the variable-arity pass it replaced."""
+
+    @pytest.mark.parametrize("name", ["d13", "d29", "display"])
+    def test_builtin(self, name):
+        assert_matches_oracle(builtin_network(name))
+
+    def test_all_60_swap_faults(self):
+        faults = [f for name in ("d13", "d29", "display")
+                  for f in swap_faults(builtin_network(name))]
+        assert len(faults) == 60
+        for network in faults:
+            assert_matches_oracle(network)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_tiled(self, k):
+        assert_matches_oracle(tiled_display(k))
+
+    def test_seeded_random_networks(self):
+        torn_arities = set()
+        for seed in range(300):
+            network = random_network(seed)
+            torn_arities |= {len(g.inputs) for g in network.gates
+                             if g.kind is CellKind.TORN}
+            assert_matches_oracle(network)
+        assert torn_arities == {2, 3, 4, 5, 6}
+
+    @pytest.mark.parametrize("name", ["d13", "d29", "display"])
+    def test_codes_and_errors_match(self, name):
+        # Every input takes each level, the reserved code 11, or is missing.
+        network = builtin_network(name)
+        codes = [*BITS, BitPair(1, 1), None]
+        for combo in itertools.product(codes, repeat=len(network.inputs)):
+            vec = {n: c for n, c in zip(network.inputs, combo) if c is not None}
+            assert (outcome(eval_circuit, network, vec)
+                    == outcome(oracle.eval_circuit, network, vec)), combo
+        assert outcome(eval_circuit, network, {})[0] is KeyError
+        bad = dict.fromkeys(network.inputs, BitPair(1, 1))
+        assert outcome(eval_circuit, network, bad)[0] is InvalidEncoding

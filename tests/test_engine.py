@@ -1384,9 +1384,11 @@ class TestRail:
     """Levels drive at the circuit's own supply, and one rule says which
     input ports a caller drives."""
 
-    def test_levels_pin_at_the_supply_rails(self, d13, monkeypatch):
-        d13_12 = parse(serialize(d13).replace("DC 1.0", "DC 1.2"))
-        assert engine.supply_voltage(d13_12) == 1.2
+    @staticmethod
+    def assert_pins_at_1v2(circuit, monkeypatch):
+        """``circuit``, d13 on a 1.2 V supply, pins X at 0, 0.6 and 1.2 V in
+        both ``run_transient`` and ``steady_output``."""
+        assert engine.supply_voltage(circuit) == 1.2
         dc_system, pinned = engine._dc_system, []
 
         def recording(circuit, fixed, *args):
@@ -1395,11 +1397,35 @@ class TestRail:
 
         monkeypatch.setattr(engine, "_dc_system", recording)
         for level, volts in zip(LEVELS, (0.0, 0.6, 1.2)):
-            w = run_transient(d13_12, Stimulus.hold({"X": level}),
+            w = run_transient(circuit, Stimulus.hold({"X": level}),
                               SolverConfig(t_stop=0.1e-9))
             assert w.probes["X"].tolist() == [volts, volts, volts]
-            steady_output(d13_12, {"X": level})
+            steady_output(circuit, {"X": level})
             assert pinned.pop() == volts
+
+    def test_levels_pin_at_the_supply_rails(self, d13, monkeypatch):
+        d13_12 = parse(serialize(d13).replace("DC 1.0", "DC 1.2"))
+        self.assert_pins_at_1v2(d13_12, monkeypatch)
+
+    def test_a_pwl_supply_is_the_rail(self, d13, monkeypatch):
+        # Only DC sources used to count: this supply read as 1 V, and
+        # run_transient pinned L1 at 0.5 V under a 1.2 V vdd.
+        text = serialize(d13)
+        pwl = parse(text.replace("DC 1.0", "PWL(0 1.2 1n 1.2)"))
+        dc = parse(text.replace("DC 1.0", "DC 1.2"))
+        for x in LEVELS:
+            assert steady_output(pwl, {"X": x}) == steady_output(dc, {"X": x})
+        self.assert_pins_at_1v2(pwl, monkeypatch)
+
+    @pytest.mark.parametrize("sources,supply", [
+        ("", 1.0),
+        ("V1 a 0 PWL(0 0 1n 1.5 2n 1.0)\n", 1.5),
+        ("V1 a 0 DC 0.8\nV2 b 0 PWL(0 0.5 1n 0.7)\n", 0.8),
+        ("V1 a 0 DC 0.8\nV2 b 0 PWL(0 0 1n 0.9)\n", 0.9),
+    ], ids=["no-source", "pwl-peak", "dc-above-pwl", "pwl-above-dc"])
+    def test_supply_is_the_highest_source_value(self, sources, supply):
+        circuit = parse(sources + "R1 a b 1k\nR2 b 0 1k\nR3 a 0 1k\n")
+        assert engine.supply_voltage(circuit) == supply
 
     def test_unvalidated_port_on_a_source_node_is_no_signal(self):
         # validate() refuses this port; built without it, the source pins

@@ -364,7 +364,7 @@ def outcome(fn, *args):
     """What ``fn`` returns, or the type and text of what it raises."""
     try:
         return fn(*args)
-    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+    except Exception as exc:  # compared by the caller, not swallowed
         return type(exc), str(exc)
 
 

@@ -90,7 +90,7 @@ def cmd_simulate(args) -> int:
         vectors = [None]  # netlist drives itself (PWL sources)
     supply = supply_voltage(circuit)
     if not supply > 0:
-        raise ValueError(f"supply voltage (highest DC source) must be "
+        raise ValueError(f"supply voltage (highest source value) must be "
                          f"positive, got {supply}")
     out_dir = _out_dir(args)
     bands = VoltageBands.default(supply)

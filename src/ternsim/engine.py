@@ -359,16 +359,18 @@ def _frozen(program) -> None:
 
 
 class _Program:
-    """A circuit compiled for one ordered tuple of pinned nodes; read-only.
+    """A circuit compiled once, its drivers resolved; read-only.
 
-    Nodes are ordered ground, pinned nodes, then the free nodes, which are
-    the unknowns ``[nfix:]``.  No stamp couples two blocks of free nodes
-    (``_blocks``), so each block's equations solve alone: the block-diagonal
-    step of KLU's block triangular form (Davis & Palamadai Natarajan, ACM
-    TOMS 37(3), 2010).  A matrix is one flat array of the free rows: a
-    row holds the pinned columns, then its block's, so the blocks of one
-    size form a stack of (size, nfix + size) matrices.  The stamps on
-    pinned rows, which no equation reads, sum into a spare row at the end.
+    Nodes are ordered ground, the pinned nodes (``pinned``: source nodes in
+    device order, then signal-input nodes in port order), then the free
+    nodes, the unknowns ``[nfix:]``.  No stamp couples two blocks of free
+    nodes (``_blocks``), so each block's equations solve alone: the
+    block-diagonal step of KLU's block triangular form (Davis & Palamadai
+    Natarajan, ACM TOMS 37(3), 2010).  A matrix is one flat array of the
+    free rows: a row holds the pinned columns, then its block's, so the
+    blocks of one size form a stack of (size, nfix + size) matrices.  The
+    stamps on pinned rows, which no equation reads, sum into a spare row at
+    the end.
 
     Every stamp is compiled into one program, as in modified nodal analysis
     (Ho, Ruehli & Brennan, IEEE TCAS 22(6), 1975): the resistor and then
@@ -384,8 +386,19 @@ class _Program:
     so one program serves every call on its circuit (``_program``).
     """
 
-    def __init__(self, circuit: Circuit, pinned: tuple):
-        self.pinned = pinned = tuple(n for n in pinned if n != GND)
+    def __init__(self, circuit: Circuit):
+        self.name = circuit.name
+        self.sources = tuple(s for s in circuit.sources() if s.pos != GND)
+        self.signals = {p.name: p.node for p in circuit.signal_inputs()}
+        self.supply = supply_voltage(circuit)
+        # Each pinned node's driver, as the error for an unpinned one names it.
+        self.drivers = drivers = {}
+        for s in self.sources:
+            drivers.setdefault(s.pos, f"source {s.name!r} node {s.pos!r}")
+        for port, node in self.signals.items():
+            drivers.setdefault(node, f"input port {port!r} of {self.name!r}")
+        self.pinned = pinned = tuple(drivers)
+        self.grounded = any(GND in d.nodes for d in circuit.devices)
         order = list(dict.fromkeys(itertools.chain(
             (GND, *pinned), *[d.nodes for d in circuit.devices])))
         self.n = n = len(order)
@@ -501,21 +514,56 @@ class _Program:
     def state_dict(self, x: np.ndarray) -> dict:
         return dict(zip(self.mem_names, x.tolist()))
 
+    def pin_table(self, stim: Optional[Stimulus],
+                  times: np.ndarray) -> np.ndarray:
+        """The pinned voltages at ``times``, a row per time and a column per
+        node of ``pinned``.  ValueError for a stimulus port that is not a
+        signal input or whose node an earlier port drives, and for a signal
+        input left undriven."""
+        # Pinned node pinned[j] is node j + 1, and column j.
+        table = np.empty((len(times), len(self.pinned)))
+        for src in self.sources:
+            table[:, self.index[src.pos] - 1] = [src.value_at(t)
+                                                 for t in times.tolist()]
+        driven = {src.pos for src in self.sources}
+        for port in stim.schedules if stim is not None else ():
+            node = self.signals.get(port)
+            if node is None:
+                raise ValueError(f"stimulus port {port!r} is not a signal "
+                                 f"input of {self.name!r}")
+            if node in driven:
+                raise ValueError(f"stimulus port {port!r} node {node!r} is "
+                                 f"already pinned")
+            driven.add(node)
+            table[:, self.index[node] - 1] = stim.voltages(port, times,
+                                                           self.supply)
+        self._check_pinned(driven)
+        return table
 
-def _program(circuit: Circuit, fixed_nodes) -> _Program:
-    """The circuit's program for pinning ``fixed_nodes``, compiled once.
+    def fixed_values(self, fixed: Mapping) -> np.ndarray:
+        """``fixed``'s voltages for the nodes of ``pinned``.  ValueError for
+        a name that is no node or an internal one, or a pinned node left out."""
+        for node in fixed:
+            i = self.index.get(node)
+            if i is None or i == 0 and not self.grounded:
+                raise ValueError(f"pinned node {node!r} is not a node of "
+                                 f"{self.name!r}")
+            if i >= self.nfix:
+                raise ValueError(f"pinned node {node!r} of {self.name!r} is "
+                                 f"internal: no source or port drives it")
+        self._check_pinned(fixed)
+        return np.array([fixed[n] for n in self.pinned], dtype=float)
 
-    The circuit keeps it, keyed by the ordered tuple of pinned names, ground
-    included, which ``_check_pins`` checks once: their order sets the node
-    order, and so the rounding of every solve.  Threads that compile the
-    same key at once all get the program stored first.
-    """
-    key = tuple(fixed_nodes)
-    program = circuit._programs.get(key)
-    if program is None:
-        _check_pins(circuit, key)
-        program = circuit._programs.setdefault(key, _Program(circuit, key))
-    return program
+    def _check_pinned(self, pins) -> None:
+        for node, driver in self.drivers.items():
+            if node not in pins:
+                raise ValueError(f"{driver} is not pinned")
+
+
+def _program(circuit: Circuit) -> _Program:
+    """The circuit's one program; threads compiling it share the first."""
+    return (circuit._programs.get("analog")
+            or circuit._programs.setdefault("analog", _Program(circuit)))
 
 
 class _System:
@@ -528,8 +576,8 @@ class _System:
     Newton's new free voltages and the decays of the last ``dt``.
     """
 
-    def __init__(self, circuit: Circuit, fixed_nodes):
-        self.program = p = _program(circuit, fixed_nodes)
+    def __init__(self, program: _Program):
+        self.program = p = program
         nf = p.nfix
         self._mna = np.zeros(p.mna_size)
         rhs = self._mna[p.rhs_start:]
@@ -665,58 +713,10 @@ class _System:
         raise NotRelaxed(passes, self.program.mem_names[flipped[0]])
 
 
-def _pinned(circuit: Circuit, stim: Optional[Stimulus], times: np.ndarray,
-            vdd: float):
-    """Pinned nodes, sources first, and their voltages at ``times``.
-
-    Stimulus levels drive at the rails of ``vdd``.  Returns (names, table),
-    a row per time and a column per name.  ValueError for a stimulus port
-    that is not a signal input, or whose node an earlier port drives.
-    """
-    sources = [s for s in circuit.sources() if s.pos != GND]
-    names = [s.pos for s in sources]
-    ports = list(stim.schedules) if stim is not None else []
-    # Circuit.signal_inputs, on the sources already in hand.
-    signals = {p.name: p.node for p in circuit.input_ports()
-               if p.node not in names}
-    for port in ports:
-        if port not in signals:
-            raise ValueError(f"stimulus port {port!r} is not a signal "
-                             f"input of {circuit.name!r}")
-        if signals[port] in names:
-            raise ValueError(f"stimulus port {port!r} node "
-                             f"{signals[port]!r} is already pinned")
-        names.append(signals[port])
-    table = np.empty((len(times), len(names)))
-    for j, src in enumerate(sources):
-        table[:, j] = [src.value_at(t) for t in times.tolist()]
-    for j, port in enumerate(ports, len(sources)):
-        table[:, j] = stim.voltages(port, times, vdd)
-    return names, table
-
-
 def supply_voltage(circuit: Circuit) -> float:
     """The circuit's supply: the highest DC value or PWL point, else 1 V."""
     return max((v for s in circuit.sources()
                 for _, v in s.pwl or ((0.0, s.dc),)), default=1.0)
-
-
-def _check_pins(circuit: Circuit, names) -> None:
-    """Raise ValueError for a pinned name that is no node of the circuit,
-    or for a source or input port whose node ``names`` leaves unpinned."""
-    nodes = circuit.nodes
-    for node in names:
-        if node not in nodes:
-            raise ValueError(f"pinned node {node!r} is not a node of "
-                             f"{circuit.name!r}")
-    for src in circuit.sources():
-        if src.pos not in names:
-            raise ValueError(f"source {src.name!r} node {src.pos!r} is "
-                             f"not pinned")
-    for port in circuit.input_ports():
-        if port.node not in names:
-            raise ValueError(f"input port {port.name!r} of {circuit.name!r} "
-                             f"is not pinned")
 
 
 def _dc_system(circuit: Circuit, fixed: Mapping,
@@ -730,9 +730,8 @@ def _dc_system(circuit: Circuit, fixed: Mapping,
     """
     if GND in fixed and fixed[GND] != 0.0:  # a NaN fails too
         raise ValueError(f"ground {GND!r} is pinned at 0, got {fixed[GND]}")
-    system = _System(circuit, fixed)
-    p = system.program
-    fixed_vals = np.array([fixed[n] for n in p.pinned], dtype=float)
+    p = _program(circuit)
+    fixed_vals = p.fixed_values(fixed)
     v0 = np.full(p.n, 0.5 * max([*fixed_vals.tolist(), 0.0]))
     for node, val in (v_init or {}).items():
         if node in p.index:
@@ -743,7 +742,7 @@ def _dc_system(circuit: Circuit, fixed: Mapping,
         if bad.size:
             raise ValueError(f"{what} of {names[bad[0]]!r} must be finite, "
                              f"got {vals[bad[0]]}")
-    return system, fixed_vals, p.state_vector(states), v0
+    return _System(p), fixed_vals, p.state_vector(states), v0
 
 
 def solve_dc(circuit: Circuit, fixed: Mapping,
@@ -790,14 +789,14 @@ def run_transient(circuit: Circuit, stim: Optional[Stimulus] = None,
 
     Input ports named by the stimulus are pinned to its levels, on the rails
     of the circuit's supply; all other sources follow their own waveforms.
-    A ValueError names the first input port that neither drives.  Every memristor starts from its x0.
+    A ValueError names the first input port that neither drives.  Every
+    memristor starts from its x0.
     """
     cfg = cfg or SolverConfig()
     times = np.arange(cfg.steps + 1) * cfg.dt
-    supply = supply_voltage(circuit)
-    names, table = _pinned(circuit, stim, times, supply)
-    system = _System(circuit, names)
-    prog = system.program
+    prog = _program(circuit)
+    table = prog.pin_table(stim, times)
+    system = _System(prog)
     _warn_if_coarse(prog, cfg.dt)
     probe_nodes = list(dict.fromkeys([p.node for p in circuit.ports]
                                      + sorted(prog.nodes)))
@@ -812,7 +811,7 @@ def run_transient(circuit: Circuit, stim: Optional[Stimulus] = None,
                         port_nodes={p.name: p.node for p in circuit.ports})
 
     x = prog.state_vector(None)
-    v = np.full(prog.n, supply / 2.0)
+    v = np.full(prog.n, prog.supply / 2.0)
     try:
         for k, pins in enumerate(table):
             v = system.solve(x, pins, v)
@@ -847,23 +846,23 @@ def steady_output(circuit: Circuit, inputs: Mapping,
 
     ``inputs`` must give a level to every signal input, which drives at
     its rail of the circuit's supply; a ValueError names the first one left
-    out.  The memristors are relaxed, the network is solved once more with
-    their states, and a step of dt must leave every state unchanged, else
-    NotRelaxed names one that moves.  Every later step would repeat that solve, so the outputs hold
-    from t = 0 and the 20-tau settle window closes at step window - 1;
+    out.  Each source holds its long-time value, its DC value or last PWL
+    point.  The memristors are relaxed, the network is solved once more
+    with their states, and a step of dt must leave every state unchanged,
+    else NotRelaxed names one that moves.  Every later step would repeat
+    that solve, so the outputs hold from t = 0 and the 20-tau settle window
+    closes at step window - 1;
     NotSettled if that is past t_stop.  With ``return_info`` also returns a
     dict of settle_time (0.0), the output voltages, the states and t_run,
     the time the window closes.
     """
     cfg = cfg or SolverConfig()
-    supply = supply_voltage(circuit)
-    bands = bands or VoltageBands.default(supply)
-    names, table = _pinned(circuit, Stimulus.hold(dict(inputs)), np.zeros(1),
-                           supply)
-    system, fixed_vals, x, v = _dc_system(circuit,
-                                          dict(zip(names, table[0].tolist())))
-    prog = system.program
-    x, v = system.relax(x, fixed_vals, v)
+    prog = _program(circuit)
+    bands = bands or VoltageBands.default(prog.supply)
+    fixed_vals = prog.pin_table(Stimulus.hold(inputs), np.array([math.inf]))[0]
+    system = _System(prog)
+    v = np.full(prog.n, 0.5 * max([*fixed_vals.tolist(), 0.0]))
+    x, v = system.relax(prog.state_vector(None), fixed_vals, v)
     v = system.solve(x, fixed_vals, v)
     moved = np.flatnonzero(system.advance(x, v, cfg.dt) != x)
     if moved.size:

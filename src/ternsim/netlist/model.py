@@ -144,8 +144,8 @@ class Circuit:
     and ``cells`` as a read-only mapping.  ``cells`` is optional builder
     metadata: a census of gate instances by cell kind, for resource
     reporting.  Parsed circuits have an empty census.  Equality is
-    structural: name, devices and ports.  The engine keeps the solver
-    programs it compiles for the circuit in ``_programs``.
+    structural: name, devices and ports.  The engine keeps the one solver
+    program it compiles for the circuit in ``_programs``.
     """
 
     name: str = "circuit"
@@ -183,8 +183,8 @@ class Circuit:
         return [p for p in self.ports if p.direction == "in"]
 
     def signal_inputs(self) -> list:
-        """Input ports a stimulus drives: those on nodes no source drives."""
-        driven = {s.pos for s in self.sources()}
+        """Input ports a stimulus drives: off ground and the source nodes."""
+        driven = {GND, *(s.pos for s in self.sources())}
         return [p for p in self.input_ports() if p.node not in driven]
 
     def output_ports(self) -> list:
@@ -246,7 +246,7 @@ class Circuit:
                     f"pinned to {pinned[src.pos]}")
             pinned[src.pos] = f"source {src.name!r}"
         for p in self.input_ports():
-            if p.node in pinned and p.node != GND and p.name != p.node:
+            if p.node in pinned and p.name != p.node:
                 raise NetlistError(
                     lines.get(("port", p.name)),
                     f"input port {p.name!r} is on node {p.node!r}, which "

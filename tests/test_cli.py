@@ -234,6 +234,30 @@ class TestSimulate:
                        "after its node\n")
         assert not out_dir.exists()
 
+    def test_input_port_on_ground_exit_1(self, capsys, tmp_path):
+        # Before, numpy's "could not broadcast" error reached the user.
+        net = tmp_path / "ground.net"
+        net.write_text("V1 vdd 0 DC 1\nR1 vdd y 1k\nR2 y 0 1k\n"
+                       ".port in X 0\n.port out Y y\n.end\n")
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, "simulate", "--netlist", str(net),
+                             "--t-stop", "1e-9", "--out", str(out_dir))
+        assert (code, out) == (1, "")
+        assert err == ("error: line 4: input port 'X' is on node '0', "
+                       "which ground drives: a supply pin must be named "
+                       "after its node\n")
+        assert not out_dir.exists()
+
+    def test_nonpositive_supply_exit_1(self, capsys, tmp_path):
+        # A PWL point counts toward the supply as a DC value does.
+        net = tmp_path / "neg.net"
+        net.write_text("V1 a 0 PWL(0 -1 1n 0)\nR1 a 0 1k\n.end\n")
+        code, out, err = run(capsys, "simulate", "--netlist", str(net),
+                             "--out", str(tmp_path / "out"))
+        assert (code, out) == (1, "")
+        assert err == ("error: supply voltage (highest source value) must be "
+                       "positive, got 0.0\n")
+
     def test_bad_solver_setting_exit_1(self, capsys, tmp_path):
         code, _, err = run(capsys, "simulate", "--builtin", "d13", "--dt",
                            "-1", "--out", str(tmp_path))

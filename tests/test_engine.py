@@ -28,7 +28,7 @@ from ternsim.analysis import (detect_glitches, expected_outputs,
                               input_vectors, measure_settling)
 from ternsim.engine import (NonConvergence, NotRelaxed, NotSettled,
                             SingularSystem, SolverConfig, Stimulus,
-                            TransientError, Waveform, _System, _pinned,
+                            TransientError, Waveform, _System,
                             relax_states, run_transient, solve_dc,
                             steady_output, step)
 from ternsim.netlist import (CellKind, build_cell, builtin_network, parse,
@@ -47,9 +47,22 @@ BANDS = VoltageBands.default(1.0)
 
 def pinned_at(circuit, stim, t):
     """Node voltages pinned by the sources and ``stim`` at time t."""
-    names, table = _pinned(circuit, stim, np.array([t]),
-                           engine.supply_voltage(circuit))
-    return dict(zip(names, table[0].tolist()))
+    program = engine._program(circuit)
+    table = program.pin_table(stim, np.array([t]))
+    return dict(zip(program.pinned, table[0].tolist()))
+
+
+def counting_compiles(monkeypatch):
+    """Count the programs compiled from here on."""
+    compiles = []
+
+    class CountingProgram(engine._Program):
+        def __init__(self, *args):
+            compiles.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(engine, "_Program", CountingProgram)
+    return compiles
 
 
 def voltage_at(stim, port, t, vdd):
@@ -182,16 +195,28 @@ class TestCallerStates:
          "pinned node 'Q' is not a node of 'd13'"),
         ({"vdd": 1.0}, "input port 'X' of 'd13' is not pinned"),
     ])
-    def test_pins_cover_every_source_and_only_nodes(self, d13, fixed, match,
+    def test_pins_cover_every_source_and_only_nodes(self, fixed, match,
                                                     monkeypatch):
-        def no_compile(*args):
-            raise AssertionError("compiled a program")
-
-        monkeypatch.setattr(engine, "_Program", no_compile)
+        # Bad pins may compile the circuit's one program; good pins reuse it.
+        compiles = counting_compiles(monkeypatch)
+        d13 = elaborate(builtin_network("d13"))
         for call in (lambda: solve_dc(d13, fixed),
                      lambda: relax_states(d13, fixed),
                      lambda: step(d13, None, None, fixed, 1e-12)):
             with pytest.raises(ValueError, match=match):
+                call()
+        program = engine._program(d13)
+        solve_dc(d13, {"vdd": 1.0, "X": 0.5})
+        assert engine._program(d13) is program and len(compiles) == 1
+
+    @pytest.mark.parametrize("node", ["Y0", "pout"])
+    def test_internal_pins_refused(self, d13, node):
+        fixed = {"vdd": 1.0, "X": 0.5, node: 0.0}
+        for call in (lambda: solve_dc(d13, fixed),
+                     lambda: relax_states(d13, fixed),
+                     lambda: step(d13, None, None, fixed, 1e-12)):
+            with pytest.raises(ValueError, match=f"pinned node {node!r} of "
+                                                 f"'d13' is internal"):
                 call()
 
     @pytest.mark.parametrize("fixed,node", [
@@ -356,11 +381,9 @@ class TestTransient:
             diffs = np.diff(xs)
             assert (diffs >= -1e-12).all() or (diffs <= 1e-12).all(), name
 
-    def test_missing_input_port_rejected_before_compile(self, monkeypatch):
-        def no_compile(*args):
-            raise AssertionError("compiled a program")
-
-        monkeypatch.setattr(engine, "_Program", no_compile)
+    def test_missing_input_port_rejected_and_program_reused(self,
+                                                           monkeypatch):
+        compiles = counting_compiles(monkeypatch)
         d29 = elaborate(builtin_network("d29"))
         with pytest.raises(ValueError,
                            match="input port 'B' of 'd29' is not pinned"):
@@ -368,6 +391,10 @@ class TestTransient:
         with pytest.raises(ValueError,
                            match="input port 'X' of 'd13' is not pinned"):
             run_transient(elaborate(builtin_network("d13")))
+        assert len(compiles) == 2
+        run_transient(d29, Stimulus.hold({"A": L2, "B": L0}),
+                      SolverConfig(t_stop=1e-10))
+        assert len(compiles) == 2 and len(d29._programs) == 1
 
     def test_unknown_stimulus_port_rejected(self, d13):
         with pytest.raises(ValueError, match="stimulus port 'nope' is not a "
@@ -543,46 +570,35 @@ class TestSteadyOutput:
             assert 0 < len(calls) <= 24, x
 
     def test_one_system_per_call(self, monkeypatch):
-        # Nine d29 vectors on one circuit check their pins once and compile
-        # one program; each call still gets a workspace of its own.
-        checks, compiles, workspaces = [], [], []
-        check_pins = engine._check_pins
-
-        def counting_check(*args):
-            checks.append(1)
-            check_pins(*args)
-
-        class CountingProgram(engine._Program):
-            def __init__(self, *args):
-                compiles.append(1)
-                super().__init__(*args)
+        # Nine d29 vectors on one circuit compile one program; each call
+        # still gets a workspace of its own.
+        compiles, workspaces = counting_compiles(monkeypatch), []
 
         class Counting(_System):
             def __init__(self, *args):
                 workspaces.append(1)
                 super().__init__(*args)
 
-        monkeypatch.setattr(engine, "_check_pins", counting_check)
-        monkeypatch.setattr(engine, "_Program", CountingProgram)
         monkeypatch.setattr(engine, "_System", Counting)
         d29 = elaborate(builtin_network("d29"))
         for vec in input_vectors("d29"):
             assert steady_output(d29, vec) == expected_outputs("d29", vec)
-        assert len(checks) == 1
         assert len(compiles) == 1
         assert len(workspaces) == 9
 
-    def test_missing_input_port_rejected_before_compile(self, monkeypatch):
-        def no_compile(*args):
-            raise AssertionError("compiled a program")
-
-        monkeypatch.setattr(engine, "_Program", no_compile)
+    def test_missing_input_port_rejected_and_program_reused(self,
+                                                           monkeypatch):
+        compiles = counting_compiles(monkeypatch)
         d29 = elaborate(builtin_network("d29"))
         with pytest.raises(ValueError,
                            match="input port 'B' of 'd29' is not pinned"):
             steady_output(d29, {"A": L2})
         with pytest.raises(ValueError, match="input port 'X' of 'd13'"):
             steady_output(elaborate(builtin_network("d13")), {})
+        assert len(compiles) == 2
+        assert steady_output(d29, {"A": L2, "B": L1}) == expected_outputs(
+            "d29", {"A": L2, "B": L1})
+        assert len(compiles) == 2 and len(d29._programs) == 1
 
     def test_settle_info(self, d13):
         out, info = steady_output(d13, {"X": L1}, return_info=True)
@@ -635,7 +651,7 @@ def walked_settle(circuit, inputs, cfg):
 
 
 class TestCompileOnce:
-    """One program per circuit and ordered pin tuple, shared by every call."""
+    """One program per circuit, shared by every call."""
 
     def test_interleaved_vectors_match_fresh_circuits(self):
         circuits = {d: elaborate(builtin_network(d))
@@ -650,14 +666,15 @@ class TestCompileOnce:
             assert repr(got) == repr(want), (d, vec)
         assert all(len(c._programs) == 1 for c in circuits.values())
 
-    def test_pin_order_keys_its_own_program(self):
+    def test_pin_orders_share_one_program(self):
         d29 = elaborate(builtin_network("d29"))
         orders = ({"vdd": 1.0, "A": 0.5, "B": 0.0},
                   {"B": 0.0, "A": 0.5, "vdd": 1.0})
+        want = repr(solve_dc(elaborate(builtin_network("d29")), orders[0]))
         for fixed in orders + orders:
-            want = solve_dc(elaborate(builtin_network("d29")), fixed)
-            assert repr(solve_dc(d29, fixed)) == repr(want)
-        assert list(d29._programs) == [("vdd", "A", "B"), ("B", "A", "vdd")]
+            assert repr(solve_dc(d29, fixed)) == want
+        assert len(d29._programs) == 1
+        assert engine._program(d29).pinned == ("vdd", "A", "B")
 
     def test_copies_start_without_compiled_programs(self):
         circuit = elaborate(builtin_network("d13"))
@@ -671,7 +688,7 @@ class TestCompileOnce:
     def test_workspaces_keep_their_own_stamps(self, d29):
         rng = np.random.default_rng(3)
         pins = np.array([1.0, 0.5, 0.0])
-        first, second = (_System(d29, PINS["d29"]) for _ in range(2))
+        first, second = (_System(engine._program(d29)) for _ in range(2))
         assert first.program is second.program
         x1, x2 = (rng.random(len(first.program.mem_names)) for _ in range(2))
         v0 = np.full(first.program.n, 0.5)
@@ -709,7 +726,7 @@ class TestCompileOnce:
 
     def test_program_arrays_read_only(self, display):
         steady_output(display, {"A": L1, "B": L2})
-        program = _System(display, ["vdd", "A", "B"]).program
+        program = engine._program(display)
         arrays = [a for a in vars(program).values()
                   if isinstance(a, np.ndarray)]
         assert len(arrays) > 15
@@ -767,7 +784,7 @@ class TestBlocks:
     """Independent blocks of free nodes, solved one block size at a time."""
 
     def test_one_block_keeps_circuit_order(self, display):
-        system = _System(display, ["vdd", "A", "B"])
+        system = _System(engine._program(display))
         assert [a.shape for a, *_ in system._stacks] == [(1, 57, 57)]
         assert list(system.program.nodes) == list(dict.fromkeys(
             ["0", "vdd", "A", "B", *(n for d in display.devices
@@ -776,7 +793,7 @@ class TestBlocks:
     @pytest.mark.parametrize("k", [2, 3])
     def test_tiled_copies_equal_single_display(self, display, k):
         tiled = elaborate(tiled_display(k))
-        assert [a.shape for a, *_ in _System(tiled, ["vdd", "A", "B"])
+        assert [a.shape for a, *_ in _System(engine._program(tiled))
                 ._stacks] == [(k, 57, 57)]
         for vec in input_vectors("display"):
             _, one = steady_output(display, vec, return_info=True)
@@ -790,7 +807,7 @@ class TestBlocks:
                         for m in one["states"]} == one["states"], (vec, i)
 
     def test_blocks_of_two_sizes(self, d13, d29, d13_d29):
-        system = _System(d13_d29, ["vdd", "X", "A", "B"])
+        system = _System(engine._program(d13_d29))
         assert [a.shape for a, *_ in system._stacks] == [(1, 7, 7),
                                                           (1, 29, 29)]
         # Newton stops when the slower block converges, so the other block
@@ -969,8 +986,10 @@ class TestJacobian:
     def test_assembly_matches_dense_loop(self, request, name, seed,
                                          monkeypatch):
         circuit = request.getfixturevalue(name)
-        system = _System(circuit, PINS[name])
+        system = _System(engine._program(circuit))
         p = system.program
+        # Sources first, then the signal inputs in port order.
+        assert p.pinned == tuple(PINS[name])
         nf = p.nfix
         rng = np.random.default_rng(seed)
         x = rng.random(len(p.mem_names))
@@ -998,11 +1017,11 @@ class TestJacobian:
     def test_reused_system_matches_fresh_ones(self, d29):
         rng = np.random.default_rng(7)
         pins = np.array([1.0, 0.5, 0.0])
-        reused = _System(d29, PINS["d29"])
+        reused = _System(engine._program(d29))
         x1, x2 = (rng.random(len(reused.program.mem_names)) for _ in range(2))
         v0 = np.full(reused.program.n, 0.5)
         got = [reused.solve(x, pins, v0) for x in (x1, x2, x1)]
-        want = [_System(d29, PINS["d29"]).solve(x, pins, v0)
+        want = [_System(engine._program(d29)).solve(x, pins, v0)
                 for x in (x1, x2, x1)]
         assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
         assert not np.array_equal(got[0], got[1])
@@ -1108,7 +1127,7 @@ class TestCompiledKernels:
         for i, (p, x) in enumerate(pairs):
             devices.append(Memristor(f"M{i}", "top", "0", p))
             states[f"M{i}"] = float(x)
-        system = _System(Circuit(name="m", devices=devices), ("top",))
+        system = _System(engine._program(Circuit(name="m", devices=devices)))
         program = system.program
         # Every node is pinned, so solve writes the memristor stamps and
         # returns without a Newton iteration.
@@ -1131,9 +1150,9 @@ class TestCompiledKernels:
                  "-v_off": lambda p: -p.v_off,
                  "below v_on": lambda p: math.nextafter(p.v_on, 0.0),
                  "above -v_off": lambda p: math.nextafter(-p.v_off, 0.0)}
-        system = _System(Circuit(name="m", devices=[
+        system = _System(engine._program(Circuit(name="m", devices=[
             Memristor(f"M{i}", f"n{i}", "0", p)
-            for i, (p, _, _) in enumerate(draws)]), ())
+            for i, (p, _, _) in enumerate(draws)])))
         v = np.zeros(system.program.n)
         biases = []
         for i, (p, _, bias) in enumerate(draws):
@@ -1389,19 +1408,20 @@ class TestRail:
         """``circuit``, d13 on a 1.2 V supply, pins X at 0, 0.6 and 1.2 V in
         both ``run_transient`` and ``steady_output``."""
         assert engine.supply_voltage(circuit) == 1.2
-        dc_system, pinned = engine._dc_system, []
+        solve, pinned = _System.solve, []
 
-        def recording(circuit, fixed, *args):
-            pinned.append(fixed["X"])
-            return dc_system(circuit, fixed, *args)
+        def recording(system, x, fixed_vals, *args, **kwargs):
+            pinned.append(fixed_vals[system.program.pinned.index("X")])
+            return solve(system, x, fixed_vals, *args, **kwargs)
 
-        monkeypatch.setattr(engine, "_dc_system", recording)
+        monkeypatch.setattr(_System, "solve", recording)
         for level, volts in zip(LEVELS, (0.0, 0.6, 1.2)):
             w = run_transient(circuit, Stimulus.hold({"X": level}),
                               SolverConfig(t_stop=0.1e-9))
             assert w.probes["X"].tolist() == [volts, volts, volts]
+            pinned.clear()
             steady_output(circuit, {"X": level})
-            assert pinned.pop() == volts
+            assert pinned and set(pinned) == {volts}
 
     def test_levels_pin_at_the_supply_rails(self, d13, monkeypatch):
         d13_12 = parse(serialize(d13).replace("DC 1.0", "DC 1.2"))
@@ -1416,6 +1436,18 @@ class TestRail:
         for x in LEVELS:
             assert steady_output(pwl, {"X": x}) == steady_output(dc, {"X": x})
         self.assert_pins_at_1v2(pwl, monkeypatch)
+
+    def test_a_power_up_supply_holds_its_final_value(self, d13):
+        # steady_output used to pin each source at t = 0: this vdd sat at
+        # 0 V and every output read L0 on every vector.
+        text = serialize(d13)
+        ramp = parse(text.replace("DC 1.0", "PWL(0 0 1n 1.0)"))
+        dc = parse(text)
+        for x in LEVELS:
+            got = steady_output(ramp, {"X": x}, return_info=True)
+            assert got[0] == expected_outputs("d13", {"X": x})
+            assert repr(got) == repr(steady_output(dc, {"X": x},
+                                                   return_info=True))
 
     @pytest.mark.parametrize("sources,supply", [
         ("", 1.0),
@@ -1440,6 +1472,23 @@ class TestRail:
         with pytest.raises(ValueError, match="stimulus port 'X' is not a "
                                              "signal input of 'r'"):
             steady_output(circuit, {"X": L2})
+
+    def test_unvalidated_port_on_ground_is_no_signal(self):
+        # validate() refuses this port.  Before, run_transient failed inside
+        # numpy on a broadcast and steady_output pinned ground at X's level.
+        circuit = Circuit("r", (VSource("V1", "vdd", "0", dc=1.0),
+                                Resistor("R1", "vdd", "y", 1e3),
+                                Resistor("R2", "y", "0", 1e3)),
+                          (Port("X", "in", "0"), Port("Y", "out", "y")))
+        assert circuit.signal_inputs() == []
+        assert engine._program(circuit).pinned == ("vdd",)
+        assert steady_output(circuit, {}, return_info=True)[1][
+            "voltages"]["Y"] == pytest.approx(0.5)
+        for call in (lambda: steady_output(circuit, {"X": L2}),
+                     lambda: run_transient(circuit, Stimulus.hold({"X": L2}))):
+            with pytest.raises(ValueError, match="stimulus port 'X' is not "
+                                                 "a signal input of 'r'"):
+                call()
 
     def test_two_ports_on_one_node_pinned_once(self):
         circuit = parse("V1 vdd 0 DC 1\nR1 vdd x 1k\nR2 x 0 1k\n"
@@ -1543,8 +1592,10 @@ class TestSchedule:
                         slew=slew)
         times = self.instants(stim)
         sources = {s.pos: s for s in circuit.sources()}
-        names, table = _pinned(circuit, stim, times, 1.2)
-        assert names == ["vdd", "p", "x", "y"]
+        program = engine._program(circuit)
+        table = program.pin_table(stim, times)
+        names = program.pinned
+        assert names == ("vdd", "p", "x", "y")
         for j, node in enumerate(names):
             if node in sources:
                 want = [sources[node].value_at(t) for t in times.tolist()]

@@ -213,6 +213,16 @@ class TestDeviceChecks:
                        ".port in vdd vdd\n.port out Y y\n")
         assert supply.signal_inputs() == []
 
+    def test_input_port_on_ground(self):
+        # Ground is pinned like a source's node: a port on it is no signal.
+        with pytest.raises(NetlistError) as e:
+            parse("V1 vdd 0 DC 1\nR1 vdd y 1k\nR2 y 0 1k\n"
+                  ".port in X 0\n.port out Y y\n")
+        assert e.value.line == 4
+        assert e.value.reason == ("input port 'X' is on node '0', which "
+                                  "ground drives: a supply pin must be "
+                                  "named after its node")
+
 
 class TestSerialize:
     @pytest.mark.parametrize("name", ["d13", "d29", "display"])

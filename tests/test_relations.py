@@ -9,6 +9,10 @@ moved no voltage by more than 5.6e-16 V.  Shuffling also changes the order
 in which the solver joins nodes into blocks, so one seed exercises little
 of it: a union-find that halves each path once, rather than walking it to
 its root, mis-splits blocks only on some orders (display, seed 3).
+
+The order in which a caller lists its pins or stimulus ports must change
+nothing either: a circuit compiles one program, which pins its source
+nodes and then its signal inputs in the circuit's own order.
 """
 
 import dataclasses
@@ -17,7 +21,8 @@ import random
 import pytest
 
 from ternsim.analysis import input_vectors
-from ternsim.engine import steady_output
+from ternsim.core import LEVELS
+from ternsim.engine import Stimulus, run_transient, solve_dc, steady_output
 from ternsim.netlist import builtin_network, elaborate
 from ternsim.netlist.model import GND, Circuit
 
@@ -77,3 +82,39 @@ def test_device_order_and_node_names_keep_the_answers(builtin):
             for port, volts in info["voltages"].items():
                 assert copy_info["voltages"][port] == pytest.approx(
                     volts, rel=0, abs=VOLTS_ABS), (seed, vec, port)
+
+
+def reversed_dict(mapping):
+    return dict(reversed(mapping.items()))
+
+
+def test_pin_order_keeps_the_answers(builtin):
+    name, _ = builtin
+    circuit = elaborate(builtin_network(name))
+    for vec in input_vectors(name):
+        assert repr(steady_output(circuit, reversed_dict(vec),
+                                  return_info=True)) == repr(
+            steady_output(circuit, vec, return_info=True)), vec
+    fixed = {**{s.pos: s.dc for s in circuit.sources()},
+             **{p.node: 0.5 for p in circuit.signal_inputs()}}
+    assert repr(solve_dc(circuit, reversed_dict(fixed))) == repr(
+        solve_dc(circuit, fixed))
+    assert len(circuit._programs) == 1
+
+
+def test_stimulus_order_keeps_the_waveform():
+    # The benchmark's display switching run (its sequence 3): a new (A, B)
+    # every 10 ns with a 0.5 ns slew.
+    seq = [(0, 2), (2, 0), (1, 2), (2, 0), (1, 1),
+           (2, 0), (0, 2), (1, 2), (2, 1), (1, 2)]
+    schedules = {port: tuple((i * 10e-9, LEVELS[vec[k]])
+                             for i, vec in enumerate(seq))
+                 for k, port in enumerate("AB")}
+    circuit = elaborate(builtin_network("display"))
+    waves = [run_transient(circuit, Stimulus(order, slew=0.5e-9))
+             for order in (schedules, reversed_dict(schedules))]
+    for series in ("probes", "states"):
+        want, got = (getattr(w, series) for w in waves)
+        assert list(got) == list(want)
+        assert all(got[k].tobytes() == want[k].tobytes() for k in want)
+    assert len(circuit._programs) == 1

@@ -4,11 +4,13 @@ Mirrors the FPGA realization of the logic family: ternary values travel as
 two-bit codes ((0, 1, 2) = (00, 01, 10); 11 is reserved), gates are lookup
 tables, like FPGA LUTs, and they evaluate in one zero-delay topological pass
 over integer levels.  A :class:`GateNetwork` compiles itself to two-input
-lookups when built.  The tables come from ``eval_gate``, which states the
-gate semantics; it and ``truth_table`` live in :mod:`.netlist.cells` and are
-re-exported here.  The memristor divider gates can also be emulated with the
-integer two-state memristance model (500 forward / 1500 reverse) to show
-both routes agree.
+lookups when built, folding every one-input gate whose net is bound to no
+output port into the tables of the steps that read it, so such a net is
+never materialized.  The tables come from ``eval_gate``, which states the
+gate semantics, and are composed only by lookups into each other; it and
+``truth_table`` live in :mod:`.netlist.cells` and are re-exported here.  The
+memristor divider gates can also be emulated with the integer two-state
+memristance model (500 forward / 1500 reverse) to show both routes agree.
 """
 
 from __future__ import annotations

@@ -98,6 +98,18 @@ def truth_table(kind: CellKind, arity: int) -> tuple:
 
 # The identity on 3 ** k entries, which packs k input levels into one.
 _packing_table = functools.cache(lambda k: tuple(range(3 ** k)))
+_IDENTITY = _packing_table(1)
+
+
+# Cached because fault variants recompile the same tables; the keys are
+# cached tables and one of 27 one-input functions per operand.
+@functools.cache
+def _compose(table: tuple, fa, fb) -> tuple:
+    """``table`` read through one-input functions on its operands: entry
+    ``3 * i + j`` is ``table[3 * fa[i] + fb[j]]``, where ``None`` is the
+    identity."""
+    return tuple(table[3 * i + j] for i in fa or range(len(table) // 3)
+                 for j in fb or _IDENTITY)
 
 
 # Channel-length modulation keeps saturated devices from presenting an exactly
@@ -149,6 +161,14 @@ class GateNetwork:
     table[3 * vals[a] + vals[b]]`` (:func:`truth_table`'s index).  A
     one-input gate reads slot 0 as ``a``; an n-input TORN packs its inputs
     into its output slot in n - 2 steps of ``range(3 ** k)`` first.
+
+    As a LUT mapper absorbs buffers and inverters into the LUTs that read
+    them, a one-input gate whose net is bound to no output port emits no
+    step: its function is composed into each reader's table (on ``a`` or
+    ``b``; a TORN's later packing steps read its own slot as ``a``), so its
+    net is never materialized.  A one-input gate on a ported net emits one
+    step, reading its folded source.  d13 compiles to 3 steps, d29 to 11
+    and display to 31.
     """
 
     name: str
@@ -166,7 +186,10 @@ class GateNetwork:
             if len(set(names)) < len(names):
                 dup = next(n for n in names if names.count(n) > 1)
                 raise ValueError(f"{what} name {dup!r} is used twice")
-        slots = {net: i for i, net in enumerate(self.inputs, start=1)}
+        ported = {net for _, net in self.outputs}
+        # Net -> (slot, function): the net's level is function[vals[slot]],
+        # where None is the identity.  A folded net names its source's slot.
+        slots = {net: (i, None) for i, net in enumerate(self.inputs, start=1)}
         program = []
         for g in self.gates:
             ins = []
@@ -176,19 +199,31 @@ class GateNetwork:
                 ins.append(slots[net])
             if g.output in slots:
                 raise ValueError(f"net {g.output!r} has multiple drivers")
-            out = slots[g.output] = len(slots) + 1
-            a = 0 if len(ins) == 1 else ins.pop(0)
+            out = len(slots) + 1
+            a, fa = (0, None) if len(ins) == 1 else ins.pop(0)
             for k in range(2, len(ins) + 1):  # a wide TORN packs into out
-                program.append((_packing_table(k), a, ins.pop(0), out))
-                a = out
-            program.append((truth_table(g.kind, len(g.inputs)), a, ins[0], out))
+                b, fb = ins.pop(0)
+                table = _packing_table(k)
+                if fa or fb:
+                    table = _compose(table, fa, fb)
+                program.append((table, a, b, out))
+                a, fa = out, None
+            b, fb = ins[0]
+            table = truth_table(g.kind, len(g.inputs))
+            if fa or fb:
+                table = _compose(table, fa, fb)
+            if a == 0 and g.output not in ported:  # folded into its readers
+                slots[g.output] = (b, None if table == _IDENTITY else table)
+            else:
+                slots[g.output] = (out, None)
+                program.append((table, a, b, out))
         for port, net in self.outputs:
             if net not in slots:
                 raise ValueError(f"output port {port!r} bound to undefined net {net!r}")
         object.__setattr__(self, "_program", tuple(program))
         object.__setattr__(self, "_size", len(slots) + 1)
         object.__setattr__(self, "_output_slots", tuple(
-            slots[net] for _, net in self.outputs))
+            slots[net][0] for _, net in self.outputs))
 
     def census(self) -> dict:
         out: dict = {}

@@ -407,3 +407,88 @@ class TestGatePassOracle:
         assert outcome(eval_circuit, network, {})[0] is KeyError
         bad = dict.fromkeys(network.inputs, BitPair(1, 1))
         assert outcome(eval_circuit, network, bad)[0] is InvalidEncoding
+
+    # Folding corner cases: each network is checked on every input vector,
+    # and the step count shows that the foldable gates were folded.
+
+    def chain(self, net, prefix):
+        """NTI -> PTI -> STI -> SFBUF on ``net``; returns its gates and net."""
+        gates, src = [], net
+        for k, kind in enumerate((CellKind.NTI, CellKind.PTI, CellKind.STI,
+                                  CellKind.SFBUF)):
+            gates.append(GateSpec(kind, f"{prefix}{k}", (src,), f"{prefix}n{k}"))
+            src = f"{prefix}n{k}"
+        return gates, src
+
+    def test_ported_one_input_net_read_downstream(self):
+        # n and s are ported and also read by later gates, so both are
+        # materialized; m is folded into the TAND.
+        gates = (GateSpec(CellKind.NTI, "u1", ("X",), "n"),
+                 GateSpec(CellKind.SFBUF, "u2", ("n",), "s"),
+                 GateSpec(CellKind.PTI, "u3", ("s",), "m"),
+                 GateSpec(CellKind.TAND2, "u4", ("m", "Z"), "y"),
+                 GateSpec(CellKind.TOR2, "u5", ("s", "n"), "w"))
+        network = GateNetwork("ported", ("X", "Z"),
+                              (("P", "n"), ("Q", "s"), ("Y", "y"), ("W", "w")),
+                              gates)
+        assert_matches_oracle(network)
+        assert len(network._program) == 4
+
+    @pytest.mark.parametrize("order", ["a-first", "b-later"])
+    def test_chains_into_torn_packing_steps(self, order):
+        # A folded chain on the first packing step's a operand, another on
+        # the b operand of the second packing step, and a third on the
+        # final step's b.
+        g1, c1 = self.chain("X", "p")
+        g2, c2 = self.chain("Z", "q")
+        g3, c3 = self.chain("Z", "r")
+        ins = (c1, "Z", c2, c3) if order == "a-first" else ("Z", c1, c2, c3)
+        gates = (*g1, *g2, *g3, GateSpec(CellKind.TORN, "or", ins, "y"),
+                 GateSpec(CellKind.STI, "inv", ("y",), "Yn"))
+        network = GateNetwork("torn", ("X", "Z"), (("Y", "y"), ("N", "Yn")),
+                              gates)
+        assert_matches_oracle(network)
+        assert len(network._program) == 4
+
+    def test_tand_reads_one_folded_net_twice(self):
+        g1, c1 = self.chain("X", "p")
+        gates = (*g1, GateSpec(CellKind.STI, "inv", (c1,), "m"),
+                 GateSpec(CellKind.TAND2, "and", ("m", "m"), "y"),
+                 GateSpec(CellKind.TNOR, "nor", (c1, "m"), "z"))
+        network = GateNetwork("same", ("X",), (("Y", "y"), ("Z", "z")), gates)
+        assert_matches_oracle(network)
+        assert len(network._program) == 2
+
+    def test_ports_on_a_primary_input_and_its_buffer(self):
+        gates = (GateSpec(CellKind.SFBUF, "buf", ("X",), "s"),
+                 GateSpec(CellKind.SFBUF, "buf2", ("s",), "t"),
+                 GateSpec(CellKind.NTI, "inv", ("t",), "u"))
+        network = GateNetwork("pins", ("X", "Z"),
+                              (("P", "X"), ("Q", "s"), ("R", "Z"), ("U", "u")),
+                              gates)
+        assert_matches_oracle(network)
+        assert len(network._program) == 2
+
+
+def one_input_unported_steps(network):
+    """Compiled one-input steps (``a`` is slot 0) whose net no port reads."""
+    ported = set(network._output_slots)
+    return [s for s in network._program if s[1] == 0 and s[3] not in ported]
+
+
+class TestFoldedProgram:
+    """Every unported one-input gate is folded into the steps that read it."""
+
+    @pytest.mark.parametrize("name,steps", [
+        ("d13", 3), ("d29", 11), ("display", 31)])
+    def test_builtin_and_swap_faults(self, name, steps):
+        network = builtin_network(name)
+        for net in [network, *swap_faults(network)]:
+            assert one_input_unported_steps(net) == [], net.name
+            assert len(net._program) <= steps, net.name
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8])
+    def test_tiled(self, k):
+        network = tiled_display(k)
+        assert one_input_unported_steps(network) == []
+        assert len(network._program) <= 31 * k

@@ -20,7 +20,7 @@ from .engine import (NonConvergence, NotRelaxed, NotSettled, SingularSystem,
                      SolverConfig, SolverError, Stimulus, TransientError,
                      Waveform, run_transient, solve_dc, steady_output, step)
 from .digital import (EncodedTrace, divider_emulation, eval_circuit,
-                      eval_gate, or_reduce_segment, run_trace)
+                      eval_gate, eval_levels, or_reduce_segment, run_trace)
 from .analysis import (GlitchEvent, ResourceReport, TruthTableReport,
                        detect_glitches, measure_settling, resource_report,
                        seven_segment_render, verify)

@@ -11,6 +11,7 @@ never recomputed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import asdict, dataclass, field
@@ -20,7 +21,7 @@ import numpy as np
 
 from .core import (INDETERMINATE, L0, L1, L2, LEVELS, REGIONS,
                    TernaryLevel, VoltageBands, encode_2bit)
-from .digital import _eval_levels, or_reduce_segment
+from .digital import eval_levels, or_reduce_segment
 from .engine import (NotSettled, SolverError, Stimulus, Waveform,
                      steady_output)
 from .netlist.cells import (GateNetwork, SEGMENT_TERMS, builtin_network,
@@ -114,13 +115,11 @@ class VectorResult:
     inputs: dict
     expected: dict
     observed: dict
-    settled: bool
-    settle_time: Optional[float]
-    error: Optional[str] = None  # why it did not settle
+    error: Optional[str] = None  # why the backend gave no answer
 
     @property
     def ok(self) -> bool:
-        return self.settled and self.observed == self.expected
+        return self.error is None and self.observed == self.expected
 
 
 @dataclass
@@ -145,10 +144,8 @@ class TruthTableReport:
             ins = " ".join(f"{k}={int(lv)}" for k, lv in v.inputs.items())
             obs = " ".join(f"{k}={_fmt_level(lv)}" for k, lv in v.observed.items())
             mark = "ok" if v.ok else "MISMATCH"
-            settle = (f" settle={v.settle_time * 1e9:.2f}ns"
-                      if v.settle_time is not None else "")
             error = f" error: {v.error}" if v.error else ""
-            lines.append(f"  [{mark}] {ins} -> {obs}{settle}{error}")
+            lines.append(f"  [{mark}] {ins} -> {obs}{error}")
         lines += [f"  note: {n}" for n in self.notes]
         return "\n".join(lines)
 
@@ -162,8 +159,6 @@ class TruthTableReport:
                 "inputs": {k: int(lv) for k, lv in v.inputs.items()},
                 "expected": {k: _fmt_level(lv) for k, lv in v.expected.items()},
                 "observed": {k: _fmt_level(lv) for k, lv in v.observed.items()},
-                "settled": v.settled,
-                "settle_time_s": v.settle_time,
                 "error": v.error,
                 "ok": v.ok,
             } for v in self.vectors],
@@ -185,42 +180,27 @@ def verify(backend: str, decoder: str, *,
     """Exhaustive truth-table check of one decoder on one backend.
 
     ``network`` overrides the builtin topology (used for fault injection).
+    Both backends map each vector's input levels to output levels by port; a
+    solver failure reads INDETERMINATE on every output, with its ``error``.
     """
     if backend not in BACKENDS:
         raise KeyError(f"unknown backend {backend!r}")
     net = network if network is not None else builtin_network(decoder)
+    observe = (functools.partial(eval_levels, net) if backend == "digital"
+               else functools.partial(steady_output, elaborate(net)))
     ports, table = _reference(decoder)
+    results = []
+    for key, expected in table.items():
+        vec = dict(zip(ports, key))
+        try:
+            result = VectorResult(vec, dict(expected), observe(vec))
+        except SolverError as exc:
+            result = VectorResult(vec, dict(expected),
+                                  dict.fromkeys(expected, INDETERMINATE),
+                                  f"{type(exc).__name__}: {exc}")
+        results.append(result)
     notes = (_D29_ERRATUM,) if decoder in ("d29", "display") else ()
-    if backend == "digital":
-        results = []
-        for key, expected in table.items():
-            vec = dict(zip(ports, key))
-            out = _eval_levels(net, [vec[name] for name in net.inputs])
-            observed = {port: LEVELS[lv]
-                        for (port, _), lv in zip(net.outputs, out)}
-            results.append(VectorResult(inputs=vec,
-                                        expected=dict(expected),
-                                        observed=observed,
-                                        settled=True, settle_time=None))
-        return TruthTableReport(decoder, backend, results, notes)
-    circuit = elaborate(net)
-    results = [_analog_vector(circuit, dict(zip(ports, key)), dict(expected))
-               for key, expected in table.items()]
     return TruthTableReport(decoder, backend, results, notes)
-
-
-def _analog_vector(circuit: Circuit, vec: dict,
-                   expected: dict) -> VectorResult:
-    try:
-        observed, info = steady_output(circuit, vec, return_info=True)
-    except SolverError as exc:
-        return VectorResult(inputs=vec, expected=expected,
-                            observed={p: INDETERMINATE for p in expected},
-                            settled=False, settle_time=None,
-                            error=f"{type(exc).__name__}: {exc}")
-    return VectorResult(inputs=vec, expected=expected,
-                        observed=observed, settled=True,
-                        settle_time=info["settle_time"])
 
 
 @dataclass(frozen=True)

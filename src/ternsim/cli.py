@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import analysis
 from .core import TernaryLevel, VoltageBands
-from .digital import _eval_levels
+from .digital import eval_levels
 from .engine import (NotSettled, SolverConfig, SolverError, Stimulus,
                      run_transient, supply_voltage)
 from .netlist import (builtin_network, elaborate, mutate_network, parse,
@@ -146,10 +146,8 @@ def cmd_verify(args) -> int:
 
 def cmd_decode(args) -> int:
     levels = _parse_levels(f"{args.a},{args.b}", ["A", "B"])
-    network = builtin_network("display")
-    outs = _eval_levels(network, [levels[name] for name in network.inputs])
     segments = analysis.segments_from_levels(
-        {port: lv for (port, _), lv in zip(network.outputs, outs)})
+        eval_levels(builtin_network("display"), levels))
     glyph, digit = analysis.seven_segment_render(segments)
     print(glyph)
     print(f"digit: {digit if digit is not None else 'unrecognized'}")

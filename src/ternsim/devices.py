@@ -53,6 +53,9 @@ class MemristorParams:
         _positive(self, "r_on", "r_off", "v_on", "v_off", "tau")
         if not self.r_on < self.r_off:
             raise ValueError(f"need 0 < r_on < r_off, got {self.r_on}, {self.r_off}")
+        if not 0 < self.r_on * self.r_off < math.inf:  # memristance's numerator
+            raise ValueError(f"r_on * r_off must be a positive finite float, "
+                             f"got {self.r_on} * {self.r_off}")
         if not 0.0 <= self.x0 <= 1.0:
             raise ValueError(f"x0 must lie in [0, 1], got {self.x0}")
 

@@ -8,7 +8,9 @@ lookups when built, folding every one-input gate whose net is bound to no
 output port into the tables of the steps that read it, so such a net is
 never materialized.  The tables come from ``eval_gate``, which states the
 gate semantics, and are composed only by lookups into each other; it and
-``truth_table`` live in :mod:`.netlist.cells` and are re-exported here.  The
+``truth_table`` live in :mod:`.netlist.cells` and are re-exported here.
+``eval_levels`` answers in levels per port, as ``engine.steady_output`` does
+on the analog side; ``eval_circuit`` and ``run_trace`` in two-bit codes.  The
 memristor divider gates can also be emulated with the integer two-state
 memristance model (500 forward / 1500 reverse) to show both routes agree.
 """
@@ -44,6 +46,30 @@ def _eval_levels(network: GateNetwork, levels) -> list:
     for table, a, b, out in network._program:
         vals[out] = table[3 * vals[a] + vals[b]]
     return [vals[slot] for slot in network._output_slots]
+
+
+_LEVEL_SET = frozenset(LEVELS)
+
+
+def eval_levels(network: GateNetwork, inputs: Mapping) -> dict:
+    """The network's outputs, port -> TernaryLevel, on input levels by port,
+    as ``engine.steady_output`` takes and gives them.  Raises KeyError naming
+    a missing primary input, and ValueError naming one that is not a level."""
+    try:
+        levels = [inputs[name] for name in network.inputs]
+    except KeyError as exc:
+        raise KeyError(f"missing value for primary input {exc.args[0]!r}") from None
+    try:
+        valid = _LEVEL_SET.issuperset(levels)
+    except TypeError:  # an unhashable value
+        valid = False
+    if not valid:
+        name, value = next((n, v) for n, v in zip(network.inputs, levels)
+                           if v not in LEVELS)
+        raise ValueError(f"primary input {name!r} must be a level 0-2, "
+                         f"got {value!r}")
+    out = _eval_levels(network, levels)
+    return {port: LEVELS[lv] for (port, _), lv in zip(network.outputs, out)}
 
 
 def eval_circuit(network: GateNetwork, inputs: Mapping) -> dict:

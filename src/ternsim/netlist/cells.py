@@ -157,7 +157,7 @@ class GateNetwork:
 
     Construction compiles it to two-input lookups, as FPGA flows map gates
     to fixed fan-in LUTs: slot 0 holds level 0, then come primary inputs and
-    gate outputs, and a step ``(table, a, b, out)`` sets ``vals[out] =
+    nets that steps write; a step ``(table, a, b, out)`` sets ``vals[out] =
     table[3 * vals[a] + vals[b]]`` (:func:`truth_table`'s index).  A
     one-input gate reads slot 0 as ``a``; an n-input TORN packs its inputs
     into its output slot in n - 2 steps of ``range(3 ** k)`` first.
@@ -166,9 +166,9 @@ class GateNetwork:
     them, a one-input gate whose net is bound to no output port emits no
     step: its function is composed into each reader's table (on ``a`` or
     ``b``; a TORN's later packing steps read its own slot as ``a``), so its
-    net is never materialized.  A one-input gate on a ported net emits one
-    step, reading its folded source.  d13 compiles to 3 steps, d29 to 11
-    and display to 31.
+    net takes no slot.  A one-input gate on a ported net emits one step,
+    reading its folded source.  d13 compiles to 3 steps over 5 slots, d29
+    to 11 over 14 and display to 31 over 27.
     """
 
     name: str
@@ -190,6 +190,7 @@ class GateNetwork:
         # Net -> (slot, function): the net's level is function[vals[slot]],
         # where None is the identity.  A folded net names its source's slot.
         slots = {net: (i, None) for i, net in enumerate(self.inputs, start=1)}
+        size = len(slots) + 1  # a slot is taken only by a net a step writes
         program = []
         for g in self.gates:
             ins = []
@@ -199,7 +200,7 @@ class GateNetwork:
                 ins.append(slots[net])
             if g.output in slots:
                 raise ValueError(f"net {g.output!r} has multiple drivers")
-            out = len(slots) + 1
+            out = size
             a, fa = (0, None) if len(ins) == 1 else ins.pop(0)
             for k in range(2, len(ins) + 1):  # a wide TORN packs into out
                 b, fb = ins.pop(0)
@@ -217,11 +218,12 @@ class GateNetwork:
             else:
                 slots[g.output] = (out, None)
                 program.append((table, a, b, out))
+                size += 1
         for port, net in self.outputs:
             if net not in slots:
                 raise ValueError(f"output port {port!r} bound to undefined net {net!r}")
         object.__setattr__(self, "_program", tuple(program))
-        object.__setattr__(self, "_size", len(slots) + 1)
+        object.__setattr__(self, "_size", size)
         object.__setattr__(self, "_output_slots", tuple(
             slots[net][0] for _, net in self.outputs))
 

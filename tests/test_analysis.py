@@ -101,8 +101,7 @@ def equation_report(decoder, net):
         out = eval_circuit(net, {k: encode_2bit(lv) for k, lv in vec.items()})
         results.append(VectorResult(
             inputs=dict(vec), expected=equation_outputs(decoder, vec),
-            observed={p: decode_2bit(bp) for p, bp in out.items()},
-            settled=True, settle_time=None))
+            observed={p: decode_2bit(bp) for p, bp in out.items()}))
     notes = (analysis._D29_ERRATUM,) if decoder != "d13" else ()
     return TruthTableReport(decoder, "digital", results, notes)
 
@@ -209,14 +208,14 @@ class TestVerify:
     def test_analog_d13_pass(self):
         report = verify("analog", "d13")
         assert report.passed
-        assert all(v.settle_time is not None for v in report.vectors)
+        assert "settle" not in report.to_text() + report.to_json()
 
     def test_solver_failure_reported_per_vector(self, monkeypatch):
         monkeypatch.setattr(engine, "NEWTON_MAX_ITER", 1)
         report = verify("analog", "d13")
         assert not report.passed
         failed = [v for v in report.vectors if v.error]
-        assert failed and all(not v.settled for v in failed)
+        assert failed and all(not v.ok for v in failed)
         assert all("NonConvergence" in v.error for v in failed)
         assert "error: NonConvergence" in report.to_text()
         doc = json.loads(report.to_json())
@@ -238,6 +237,26 @@ class TestVerify:
         assert len(doc["vectors"]) == 3
         assert "3/3" in report.summary()
         assert report.to_text().count("[ok]") == 3
+
+    @pytest.mark.parametrize("decoder,fault", [
+        ("d13", None), ("d29", None), ("display", None),
+        ("d13", "swap:Y0,Y2"), ("d29", "swap:Y7,Y5"), ("display", "swap:Ya,Yg"),
+    ])
+    def test_backends_report_alike(self, decoder, fault):
+        # The two reports differ only in the backend's name.
+        net = builtin_network(decoder)
+        if fault:
+            net = mutate_network(net, fault)
+        analog, digital = (verify(b, decoder, network=net)
+                           for b in ("analog", "digital"))
+        assert analog.passed == digital.passed == (fault is None)
+        assert (analog.to_text().split("\n", 1)[1]
+                == digital.to_text().split("\n", 1)[1])
+        docs = [json.loads(r.to_json()) for r in (analog, digital)]
+        assert [d.pop("backend") for d in docs] == ["analog", "digital"]
+        assert docs[0] == docs[1]
+        assert set(docs[0]["vectors"][0]) == {"inputs", "expected",
+                                              "observed", "error", "ok"}
 
     def test_d29_report_carries_erratum_note(self):
         report = verify("digital", "d29")

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -181,6 +182,21 @@ class TestSimulate:
                            "--inputs", "1,1", "--out", str(out_dir))
         assert code == 1
         assert err == "error: expected 1 input level(s) (X), got 2\n"
+
+    def test_memristance_overflow_exit_1(self, capsys, tmp_path):
+        # Warnings as errors: one leaked from numpy would escape main.
+        net = tmp_path / "overflow.net"
+        net.write_text("V1 vdd 0 DC 1\nM1 vdd y RON=1e160 ROFF=1e300\n"
+                       "R2 y 0 1k\n.port out Y y\n")
+        out_dir = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "simulate", "--netlist", str(net),
+                                 "--out", str(out_dir))
+        assert code == 1
+        assert err == ("error: line 2: r_on * r_off must be a positive "
+                       "finite float, got 1e+160 * 1e+300\n")
+        assert not out_dir.exists()
 
     def test_floating_island_exits_2(self, capsys, tmp_path):
         net = tmp_path / "d13_island.net"

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -173,6 +174,19 @@ class TestNonFiniteParams:
     def test_memristor_params(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
             MemristorParams(**kwargs)
+
+    @pytest.mark.parametrize("r_on,r_off", [(1e160, 1e300), (1e-200, 1e-150)])
+    def test_memristance_numerator_must_be_finite(self, r_on, r_off):
+        # The product is memristance's numerator: an overflow would read
+        # the device as open, an underflow as a short.
+        with pytest.raises(ValueError, match=r"r_on \* r_off"):
+            MemristorParams(r_on=r_on, r_off=r_off)
+
+    def test_largest_numerator_accepted(self):
+        p = MemristorParams(r_on=1e150, r_off=1e158)
+        with np.errstate(all="raise"):
+            r = memristance(np.array([0.0, 1.0]), p)
+        assert r.tolist() == pytest.approx([1e158, 1e150], rel=1e-15)
 
     @pytest.mark.parametrize("kwargs,field", [
         ({"vth": math.nan}, "vth"), ({"vth": math.inf}, "vth"),

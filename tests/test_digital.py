@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from ternsim.core import (BitPair, InvalidEncoding, LEVELS, TernaryLevel,
                           decode_2bit, encode_2bit, ref_nti, ref_pti, ref_sti, ref_tand,
                           ref_tor)
+from ternsim.analysis import input_vectors
 from ternsim.digital import (EncodedTrace, _eval_levels, divider_emulation,
-                             eval_circuit, eval_gate, or_reduce_segment,
-                             run_trace, truth_table)
+                             eval_circuit, eval_gate, eval_levels,
+                             or_reduce_segment, run_trace, truth_table)
 from ternsim.netlist import CellKind, builtin_network, mutate_network
 from ternsim.netlist.cells import GateNetwork, GateSpec
 
@@ -183,6 +184,38 @@ class TestEvalCircuit:
             if not ok:
                 bad.append((int(a), int(b)))
         assert sorted(bad) == [(1, 2), (2, 1)]
+
+
+class TestEvalLevels:
+    """``eval_levels`` is ``eval_circuit`` read in levels, not codes."""
+
+    @pytest.mark.parametrize("name", ["d13", "d29", "display"])
+    def test_matches_eval_circuit_clean_and_under_swaps(self, name):
+        network = builtin_network(name)
+        for net in [network, *swap_faults(network)]:
+            for vec in input_vectors(name):
+                codes = eval_circuit(net, {p: encode_2bit(lv)
+                                           for p, lv in vec.items()})
+                got = eval_levels(net, vec)
+                assert got == {p: decode_2bit(bp) for p, bp in codes.items()}
+                assert list(got) == [p for p, _ in net.outputs]
+                assert all(type(lv) is TernaryLevel for lv in got.values())
+
+    def test_missing_input_rejected(self, d29_network):
+        with pytest.raises(KeyError,
+                           match="missing value for primary input 'B'"):
+            eval_levels(d29_network, {"A": L0})
+
+    @pytest.mark.parametrize("value,shown", [
+        (3, "3"), (-1, "-1"), (1.5, "1.5"), (float("nan"), "nan"),
+        ("2", "'2'"), (None, "None"), ([1], r"\[1\]"),
+        (encode_2bit(L1), "BitPair"),
+    ])
+    def test_non_level_rejected(self, d29_network, value, shown):
+        with pytest.raises(ValueError,
+                           match=f"primary input 'B' must be a level 0-2, "
+                                 f"got {shown}"):
+            eval_levels(d29_network, {"A": L2, "B": value})
 
 
 class TestTrace:
@@ -468,6 +501,28 @@ class TestGatePassOracle:
                               gates)
         assert_matches_oracle(network)
         assert len(network._program) == 2
+
+
+def assert_slots_compact(network):
+    """Every slot below ``_size`` is 0, a primary input's, or some step's
+    ``out``: a folded net takes none."""
+    used = {0, *range(1, len(network.inputs) + 1),
+            *(out for *_, out in network._program)}
+    assert used == set(range(network._size)), network.name
+
+
+class TestCompactSlots:
+    @pytest.mark.parametrize("name,size", [
+        ("d13", 5), ("d29", 14), ("display", 27)])
+    def test_builtin_and_swap_faults(self, name, size):
+        network = builtin_network(name)
+        assert network._size == size
+        for net in [network, *swap_faults(network)]:
+            assert_slots_compact(net)
+
+    def test_seeded_random_networks(self):
+        for seed in range(300):
+            assert_slots_compact(random_network(seed))
 
 
 def one_input_unported_steps(network):

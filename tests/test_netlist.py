@@ -172,6 +172,13 @@ class TestParseErrors:
             parse(f"V1 a 0 DC 1\nR1 a 0 1k\nR2 a 0 {ohms}\n")
         assert self._line_of(e) == 3
 
+    @pytest.mark.parametrize("ron,roff", [("1e160", "1e300"),
+                                          ("1e-200", "1e-150")])
+    def test_memristance_numerator_out_of_range(self, ron, roff):
+        with pytest.raises(NetlistSyntaxError, match=r"r_on \* r_off") as e:
+            parse(f"V1 a 0 DC 1\nR1 a 0 1k\nM1 a 0 RON={ron} ROFF={roff}\n")
+        assert self._line_of(e) == 3
+
 
 class TestDeviceChecks:
     """Devices built in Python are checked as parsed ones are."""

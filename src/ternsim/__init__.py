@@ -7,9 +7,9 @@ reference ternary semantics in :mod:`ternsim.core`.
 """
 
 from .core import (BitPair, INDETERMINATE, Indeterminate, InvalidEncoding,
-                   TernaryLevel, VoltageBands, decode_2bit, encode_2bit,
-                   level_to_voltage, ref_nti, ref_pti, ref_sti, ref_tand,
-                   ref_tor, voltage_to_level)
+                   TernaryLevel, VoltageBands, as_level, decode_2bit,
+                   encode_2bit, level_to_voltage, levels_of, ref_nti, ref_pti,
+                   ref_sti, ref_tand, ref_tor, voltage_to_level)
 from .devices import (MemristorParams, MosfetParams, NonpositiveTimestep,
                       digital_memristance, memristance, mosfet_current,
                       update_state)

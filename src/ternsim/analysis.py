@@ -20,7 +20,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .core import (INDETERMINATE, L0, L1, L2, LEVELS, REGIONS,
-                   TernaryLevel, VoltageBands, encode_2bit)
+                   TernaryLevel, VoltageBands, encode_2bit, levels_of)
 from .digital import eval_levels, or_reduce_segment
 from .engine import (NotSettled, SolverError, Stimulus, Waveform,
                      steady_output)
@@ -92,22 +92,15 @@ def input_vectors(decoder: str) -> list:
 
 
 def expected_outputs(decoder: str, inputs: Mapping) -> dict:
-    """Reference output levels for one input vector, as a new dict.
-
-    Raises KeyError for an unknown decoder or a missing input port, and
-    ValueError for an input value that is not a level 0-2.
-    """
+    """Reference output levels for one input vector, as a new dict.  Raises
+    KeyError for an unknown decoder, and ValueError as ``levels_of`` does."""
     ports, table = _reference(decoder)
-    key = tuple([inputs[p] for p in ports])
     try:
-        return dict(table[key])
+        if len(inputs) == len(ports):
+            return dict(table[tuple([inputs[p] for p in ports])])
     except (KeyError, TypeError):  # TypeError: an unhashable value
         pass
-    for port, value in zip(ports, key):
-        if value not in LEVELS:
-            break
-    raise ValueError(f"input {port!r} of decoder {decoder!r} must be a "
-                     f"level 0-2, got {value!r}")
+    return dict(table[tuple(levels_of(inputs, ports, decoder))])
 
 
 @dataclass

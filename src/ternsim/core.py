@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Mapping, Union
 
 import numpy as np
 
@@ -29,6 +29,37 @@ class TernaryLevel(enum.IntEnum):
 
 L0, L1, L2 = TernaryLevel.L0, TernaryLevel.L1, TernaryLevel.L2
 LEVELS = (L0, L1, L2)
+_LEVEL_OF = {lv: lv for lv in LEVELS}
+_LEVEL_SET = frozenset(LEVELS)
+
+
+def as_level(value) -> TernaryLevel:
+    """``value`` as a TernaryLevel; ValueError if it is not 0, 1 or 2."""
+    try:
+        return _LEVEL_OF[value]
+    except (KeyError, TypeError):  # TypeError: an unhashable value
+        raise ValueError(f"{value!r} is not a ternary level") from None
+
+
+def levels_of(inputs: Mapping, names, owner: str) -> list:
+    """The levels ``inputs`` gives the ports ``names``, in that order.  A
+    ValueError names an extra port, else a missing one, else a non-level."""
+    try:
+        levels = [inputs[name] for name in names]
+        if len(levels) == len(inputs) and _LEVEL_SET.issuperset(levels):
+            return levels
+    except (KeyError, TypeError):  # a port left out, or an unhashable value
+        pass
+    for port in (*inputs, *names):  # a port in one but not the other
+        if (port in inputs) != (port in names):
+            raise ValueError(f"{'unknown' if port in inputs else 'missing'} "
+                             f"input port {port!r} of {owner!r}")
+    for name in names:
+        try:
+            as_level(inputs[name])
+        except ValueError as exc:
+            raise ValueError(f"input port {name!r} of {owner!r}: {exc}") from None
+    return levels
 
 
 class Indeterminate:
@@ -123,9 +154,7 @@ def level_to_voltage(level: TernaryLevel, vdd: float) -> float:
     """Map a logic level onto its nominal rail: L0=0, L1=vdd/2, L2=vdd."""
     if not 0 < vdd < math.inf:
         raise ValueError(f"vdd must be finite and positive, got {vdd}")
-    if level not in LEVELS:
-        raise ValueError(f"{level!r} is not a ternary level")
-    return (0.0, vdd / 2.0, vdd)[int(level)]
+    return (0.0, vdd / 2.0, vdd)[as_level(level)]
 
 
 def voltage_to_level(v: float, bands: VoltageBands) -> Quantized:
@@ -135,15 +164,11 @@ def voltage_to_level(v: float, bands: VoltageBands) -> Quantized:
 
 # The canonical code of each level, indexed by level.
 BIT_CODES = (BitPair(0, 0), BitPair(0, 1), BitPair(1, 0))
-_CODE_OF = dict(zip(LEVELS, BIT_CODES))
 
 
 def encode_2bit(level: TernaryLevel) -> BitPair:
     """The level's two-bit code; ValueError for a value that is not a level."""
-    try:
-        return _CODE_OF[level]
-    except (KeyError, TypeError):  # TypeError: an unhashable value
-        raise ValueError(f"{level!r} is not a ternary level") from None
+    return BIT_CODES[as_level(level)]
 
 
 def decode_2bit(b: BitPair) -> TernaryLevel:

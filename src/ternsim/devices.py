@@ -86,9 +86,9 @@ class MosfetParams:
 def memristance(x, p):
     """Resistance of the conductance mix G = x/r_on + (1-x)/r_off.
 
-    Written as a product ratio so the endpoints are exact: x=1 -> r_on,
-    x=0 -> r_off.  Strictly decreasing in x.  Elementwise when ``x`` and
-    ``p.r_on``, ``p.r_off`` are arrays with one element per device.
+    A product ratio: x=1 gives r_on and x=0 r_off exactly when ``r_on *
+    r_off`` is exact, as for the default 500 ohm and 10 kohm.  Strictly
+    decreasing in x; elementwise over arrays of x, r_on, r_off per device.
     """
     return (p.r_on * p.r_off) / (x * p.r_off + (1.0 - x) * p.r_on)
 

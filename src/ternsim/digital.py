@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .core import (BIT_CODES, LEVELS, BitPair, InvalidEncoding, TernaryLevel,
-                   decode_2bit)
+                   as_level, decode_2bit, levels_of)
 from .devices import digital_memristance
 from .netlist.cells import GateNetwork, eval_gate, truth_table
 
@@ -48,44 +48,28 @@ def _eval_levels(network: GateNetwork, levels) -> list:
     return [vals[slot] for slot in network._output_slots]
 
 
-_LEVEL_SET = frozenset(LEVELS)
-
-
 def eval_levels(network: GateNetwork, inputs: Mapping) -> dict:
     """The network's outputs, port -> TernaryLevel, on input levels by port,
-    as ``engine.steady_output`` takes and gives them.  Raises KeyError naming
-    a missing primary input, and ValueError naming one that is not a level."""
-    try:
-        levels = [inputs[name] for name in network.inputs]
-    except KeyError as exc:
-        raise KeyError(f"missing value for primary input {exc.args[0]!r}") from None
-    try:
-        valid = _LEVEL_SET.issuperset(levels)
-    except TypeError:  # an unhashable value
-        valid = False
-    if not valid:
-        name, value = next((n, v) for n, v in zip(network.inputs, levels)
-                           if v not in LEVELS)
-        raise ValueError(f"primary input {name!r} must be a level 0-2, "
-                         f"got {value!r}")
-    out = _eval_levels(network, levels)
+    as ``engine.steady_output`` takes them; ValueError as ``levels_of``."""
+    out = _eval_levels(network, levels_of(inputs, network.inputs, network.name))
     return {port: LEVELS[lv] for (port, _), lv in zip(network.outputs, out)}
 
 
 def eval_circuit(network: GateNetwork, inputs: Mapping) -> dict:
-    """The network's outputs, port -> BitPair, on two-bit input codes.
-    Raises InvalidEncoding if a primary input carries the reserved code 11."""
+    """The network's outputs, port -> BitPair, on two-bit input codes.  Raises
+    InvalidEncoding for code 11, and ValueError as ``levels_of`` for a port."""
     try:
         levels = [decode_2bit(inputs[name]) for name in network.inputs]
-    except KeyError as exc:
-        raise KeyError(f"missing value for primary input {exc.args[0]!r}") from None
+    except KeyError:  # a port left out: levels_of names it
+        levels = None
+    if levels is None or len(levels) != len(inputs):
+        levels_of(inputs, network.inputs, network.name)
     out = _eval_levels(network, levels)
     return {port: BIT_CODES[lv] for (port, _), lv in zip(network.outputs, out)}
 
 
 # Integer divider emulation: voltages scaled to {0, 500, 1000} millivolt
 # integers, quantized with a low band at <= 250 and a high band at >= 750.
-_MV = dict(zip(LEVELS, (0, 500, 1000)))
 _LO_MAX_MV = 250
 _HI_MIN_MV = 750
 
@@ -97,16 +81,12 @@ def divider_emulation(v_a: TernaryLevel, v_b: TernaryLevel,
     The bias implied by the input pair sets each memristance (forward 500,
     reverse 1500); the output is the integer resistive divider between the
     two input voltages, quantized back to a level.  Agrees with min/max on
-    all nine input pairs for both orientations.  Raises ValueError for an
-    input that is not a level.
+    all nine input pairs for both orientations.  Raises ValueError, as
+    ``as_level`` does, for a non-level input.
     """
     if orientation not in ("AND", "OR"):
         raise ValueError(f"orientation must be AND or OR, got {orientation!r}")
-    try:
-        va, vb = _MV[v_a], _MV[v_b]
-    except (KeyError, TypeError):  # TypeError: an unhashable value
-        bad = v_a if v_a not in LEVELS else v_b
-        raise ValueError(f"{bad!r} is not a ternary level") from None
+    va, vb = 500 * as_level(v_a), 500 * as_level(v_b)
     if va == vb:
         return TernaryLevel(va // 500)
     if orientation == "OR":

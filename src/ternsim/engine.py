@@ -22,7 +22,7 @@ from typing import Mapping, Optional
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .core import LEVELS, REGION_LEVELS, VoltageBands, level_to_voltage
+from .core import REGION_LEVELS, VoltageBands, as_level, level_to_voltage
 from .devices import (NonpositiveTimestep, advance_states, memristance,
                       mosfet_companion)
 from .netlist.model import GND, Circuit, Memristor, Mosfet, Resistor
@@ -135,11 +135,12 @@ class Stimulus:
         for port, events in self.schedules.items():
             if not events:
                 raise ValueError(f"stimulus schedule for {port!r} is empty")
-            for _, level in events:
-                if level not in LEVELS:
-                    raise ValueError(f"stimulus level {level!r} for {port!r} "
-                                     f"is not a ternary level")
-            times = [t for t, _ in events]
+            times, levels = zip(*events)
+            try:
+                for lv in levels:
+                    as_level(lv)
+            except ValueError as exc:
+                raise ValueError(f"stimulus level {lv!r} for {port!r}: {exc}") from None
             if not all(map(math.isfinite, times)):
                 raise ValueError(f"stimulus times for {port!r} must be finite")
             if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):

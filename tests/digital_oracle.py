@@ -32,7 +32,7 @@ def eval_levels(network: GateNetwork, levels) -> list:
 def eval_circuit(network: GateNetwork, inputs: Mapping) -> dict:
     """``eval_levels`` on two-bit codes, port -> BitPair.
 
-    A missing primary input raises ``KeyError`` naming it; the reserved code
+    A missing primary input raises ``ValueError`` naming it; the reserved code
     11 raises ``InvalidEncoding``.  Inputs are read in ``network.inputs``
     order, so the first bad one decides the error.
     """
@@ -41,7 +41,8 @@ def eval_circuit(network: GateNetwork, inputs: Mapping) -> dict:
         try:
             code = inputs[name]
         except KeyError:
-            raise KeyError(f"missing value for primary input {name!r}") from None
+            raise ValueError(f"missing input port {name!r} of "
+                             f"{network.name!r}") from None
         levels.append(decode_2bit(code))
     out = eval_levels(network, levels)
     return {port: BIT_CODES[lv] for (port, _), lv in zip(network.outputs, out)}

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,11 +16,11 @@ from ternsim.analysis import (DECODERS, DIGIT_SEGMENTS, GlitchEvent,
 from ternsim import analysis, engine
 from ternsim.core import (LEVELS, TernaryLevel, VoltageBands, decode_2bit,
                           encode_2bit)
-from ternsim.digital import eval_circuit
+from ternsim.digital import eval_circuit, eval_levels
 from ternsim.engine import (NotSettled, SolverConfig, Stimulus, Waveform,
-                            run_transient)
-from ternsim.netlist import (builtin_network, mutate_network, parse,
-                             serialize)
+                            run_transient, steady_output)
+from ternsim.netlist import (builtin_network, elaborate, mutate_network,
+                             parse, serialize)
 from ternsim.netlist.cells import SEGMENT_TERMS
 
 L0, L1, L2 = LEVELS
@@ -156,18 +157,18 @@ class TestReferenceTable:
         # Before, {"A": 0, "B": 5} on d29 returned Y5 high and {"X": 7} on
         # d13 returned all L0.
         with pytest.raises(ValueError,
-                           match=f"input {port!r} of decoder {decoder!r} "
-                                 f"must be a level 0-2, got {value}$"):
+                           match=f"input port {port!r} of {decoder!r}: "
+                                 f"{value} is not a ternary level$"):
             expected_outputs(decoder, inputs)
 
-    def test_unknown_decoder_and_missing_port_raise_key_error(self):
+    def test_unknown_decoder_key_error_bad_port_value_error(self):
         with pytest.raises(KeyError, match="unknown decoder 'd39'"):
             expected_outputs("d39", {"A": L0, "B": L0})
         with pytest.raises(KeyError, match="unknown decoder 'd39'"):
             input_vectors("d39")
-        with pytest.raises(KeyError, match="'B'"):
+        with pytest.raises(ValueError, match="missing input port 'B'"):
             expected_outputs("d29", {"A": L0})
-        with pytest.raises(KeyError, match="'X'"):
+        with pytest.raises(ValueError, match="unknown input port 'A'"):
             expected_outputs("d13", {"A": L0})
 
     @pytest.mark.parametrize("decoder", DECODERS)
@@ -195,6 +196,60 @@ class TestReferenceTable:
             want = equation_report(decoder, faulty)
             assert got.to_text() == want.to_text(), fault
             assert got.to_json() == want.to_json(), fault
+
+
+class TestInputContract:
+    """Both backends and the reference table take one input vector, port ->
+    level, and refuse a bad one alike: a ValueError naming the port."""
+
+    CALLERS = ("steady_output", "eval_levels", "eval_circuit",
+               "expected_outputs")
+
+    @staticmethod
+    def call(caller, decoder, vec, request):
+        net = builtin_network(decoder)
+        if caller == "steady_output":
+            return steady_output(request.getfixturevalue(decoder), vec)
+        if caller == "eval_levels":
+            return eval_levels(net, vec)
+        if caller == "eval_circuit":
+            codes = eval_circuit(net, {p: encode_2bit(lv)
+                                       for p, lv in vec.items()})
+            return {p: decode_2bit(c) for p, c in codes.items()}
+        return expected_outputs(decoder, vec)
+
+    @pytest.mark.parametrize("decoder", DECODERS)
+    @pytest.mark.parametrize("caller", CALLERS)
+    def test_missing_port_refused(self, caller, decoder, request):
+        ports = builtin_network(decoder).inputs
+        for port in ports:
+            vec = {p: L1 for p in ports if p != port}
+            with pytest.raises(ValueError, match=repr(port)):
+                self.call(caller, decoder, vec, request)
+
+    @pytest.mark.parametrize("decoder", DECODERS)
+    @pytest.mark.parametrize("caller", CALLERS)
+    def test_unknown_port_refused(self, caller, decoder, request):
+        # Before, the digital backend and the table ignored the extra port:
+        # d29 on {"A": 2, "B": 1, "C": 1} answered Y7 = 2.
+        vec = dict.fromkeys(builtin_network(decoder).inputs, L1)
+        assert self.call(caller, decoder, vec, request) == expected_outputs(
+            decoder, vec)
+        for extra in ("C", "Q"):
+            with pytest.raises(ValueError, match=repr(extra)):
+                self.call(caller, decoder, {**vec, extra: L1}, request)
+
+    @pytest.mark.parametrize("decoder", DECODERS)
+    @pytest.mark.parametrize("caller", ["eval_levels", "expected_outputs"])
+    @pytest.mark.parametrize("value", [3, -1, 1.5, math.nan, "2", None, [1],
+                                       encode_2bit(L1)])
+    def test_non_level_refused(self, value, caller, decoder, request):
+        ports = builtin_network(decoder).inputs
+        for port in ports:
+            vec = {**dict.fromkeys(ports, L1), port: value}
+            with pytest.raises(ValueError,
+                               match=f"{port!r}.*{re.escape(repr(value))}"):
+                self.call(caller, decoder, vec, request)
 
 
 class TestVerify:

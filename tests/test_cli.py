@@ -1,4 +1,6 @@
 import json
+import math
+import random
 import warnings
 
 import pytest
@@ -7,6 +9,7 @@ from ternsim import analysis
 from ternsim.cli import main
 from ternsim.engine import (NonConvergence, NotRelaxed, NotSettled,
                             SingularSystem, TransientError, Waveform)
+from ternsim.netlist import builtin_network, elaborate, serialize
 
 
 def run(capsys, *argv):
@@ -421,3 +424,77 @@ class TestErrorBoundary:
         code, out, _ = run(capsys, "verify", "--help")
         assert code == 0
         assert out.startswith("usage: ternsim verify")
+
+
+# Extreme values a mutant netlist may carry in place of any number.
+EXTREMES = ("0", "-1", "1e-300", "1e300", "1e160", "1e-30", "3e9", "-0.5",
+            "nan", "inf")
+
+
+def mutant(lines, rng):
+    """``lines`` with one to three seeded edits: a line deleted, tokens cut,
+    a node rewired, a device's two first nodes swapped, or an extreme value
+    set."""
+    lines = list(lines)
+    nodes = sorted({t for ln in lines if ln[:1] in "MRTV"
+                    for t in ln.split()[1:4] if "=" not in t} | {"fresh"})
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        tokens = lines[i].split()
+        op = rng.choice(("delete", "cut", "rewire", "swap", "extreme"))
+        if op == "delete" or not tokens:
+            del lines[i]
+            if not lines:
+                return lines
+            continue
+        if op == "cut":
+            tokens = tokens[:rng.randrange(len(tokens))]
+        elif op == "rewire" and len(tokens) > 1:
+            tokens[rng.randrange(1, min(4, len(tokens)))] = rng.choice(nodes)
+        elif op == "swap" and len(tokens) > 2:
+            tokens[1], tokens[2] = tokens[2], tokens[1]
+        elif op == "extreme":
+            j = rng.randrange(len(tokens))
+            key, eq, _ = tokens[j].rpartition("=")
+            tokens[j] = key + eq + rng.choice(EXTREMES)
+        lines[i] = " ".join(tokens)
+    return lines
+
+
+class TestNetlistFuzz:
+    """Seeded mutants of the d13 and d29 netlists through ``simulate``.
+
+    The contract: ``main`` returns 0, 1 or 2, nothing escapes it (numpy
+    warnings are errors under the test settings), and every value in a
+    written CSV is finite.  75 mutants per decoder take about 0.4 s.
+    """
+
+    @pytest.mark.parametrize("decoder", ["d13", "d29"])
+    def test_mutants_keep_the_cli_contract(self, capsys, tmp_path, decoder):
+        lines = serialize(elaborate(builtin_network(decoder))).splitlines()
+        rng = random.Random(f"fuzz-{decoder}")
+        codes = []
+        for k in range(75):
+            text = "\n".join(mutant(lines, rng)) + "\n"
+            path, out = tmp_path / f"m{k}.net", tmp_path / f"m{k}"
+            path.write_text(text)
+            try:
+                with warnings.catch_warnings():
+                    # A TAU below dt/2 draws the engine's documented advice
+                    # on stderr; any other warning stays an error.
+                    warnings.filterwarnings("ignore", "dt=.* exceeds tau/2",
+                                            UserWarning)
+                    code = main(["simulate", "--netlist", str(path),
+                                 "--t-stop", "2e-9", "--out", str(out)])
+            except Exception as exc:
+                pytest.fail(f"{type(exc).__name__}: {exc} escaped main on "
+                            f"mutant {k}:\n{text}")
+            assert code in (0, 1, 2), (k, text)
+            codes.append(code)
+            for csv_path in out.glob("*.csv"):
+                rows = csv_path.read_text().splitlines()[1:]
+                values = [float(v) for row in rows for v in row.split(",")]
+                assert values and all(map(math.isfinite, values)), (k, text)
+        capsys.readouterr()
+        # The mutants reach the solver as well as the parser.
+        assert {0, 1} <= set(codes), codes

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ternsim.core import (BIT_CODES, BitPair, INDETERMINATE, InvalidEncoding,
-                          LEVELS, REGIONS, VoltageBands, decode_2bit,
-                          encode_2bit, level_to_voltage, ref_nti, ref_pti,
-                          ref_sti, ref_tand, ref_tor, voltage_to_level)
+                          LEVELS, REGIONS, TernaryLevel, VoltageBands,
+                          as_level, decode_2bit, encode_2bit, level_to_voltage,
+                          levels_of, ref_nti, ref_pti, ref_sti, ref_tand,
+                          ref_tor, voltage_to_level)
 
 L0, L1, L2 = LEVELS
 
@@ -36,6 +37,42 @@ class TestLevels:
     def test_level_to_voltage_rejects_non_levels(self, level):
         with pytest.raises(ValueError, match="not a ternary level"):
             level_to_voltage(level, 1.0)
+
+
+class TestLevelCheck:
+    """``as_level`` and ``levels_of`` are the one definition of a level."""
+
+    @pytest.mark.parametrize("value,level", [
+        (0, L0), (1, L1), (2, L2), (L2, L2), (1.0, L1), (np.int64(2), L2)])
+    def test_as_level_accepts_levels(self, value, level):
+        got = as_level(value)
+        assert got is level and type(got) is TernaryLevel
+
+    @pytest.mark.parametrize("value", [
+        3, -1, 1.5, math.nan, "2", None, [1], BitPair(0, 1), np.array([1])])
+    def test_as_level_rejects_non_levels(self, value):
+        with pytest.raises(ValueError) as e:
+            as_level(value)
+        assert str(e.value) == f"{value!r} is not a ternary level"
+
+    def test_levels_of_in_port_order(self):
+        assert levels_of({"B": 2, "A": L0}, ("A", "B"), "n") == [L0, 2]
+        assert levels_of({}, (), "n") == []
+
+    @pytest.mark.parametrize("inputs,message", [
+        ({"A": 0, "B": 0, "C": 9}, "unknown input port 'C' of 'n'"),
+        ({"A": 9, "C": 0}, "unknown input port 'C' of 'n'"),
+        ({"A": 9}, "missing input port 'B' of 'n'"),
+        ({"B": 0}, "missing input port 'A' of 'n'"),
+        ({"A": 0, "B": 3}, "input port 'B' of 'n': 3 is not a ternary level"),
+        ({"A": [1], "B": 3},
+         "input port 'A' of 'n': [1] is not a ternary level"),
+    ])
+    def test_levels_of_names_the_first_bad_port(self, inputs, message):
+        # An unknown port is named first, then a missing one, then a value.
+        with pytest.raises(ValueError) as e:
+            levels_of(inputs, ("A", "B"), "n")
+        assert str(e.value) == message
 
 
 class TestBands:

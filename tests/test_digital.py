@@ -168,8 +168,8 @@ class TestEvalCircuit:
                 assert not (bp.hi and bp.lo)
 
     def test_missing_input_rejected(self, d29_network):
-        with pytest.raises(KeyError,
-                           match="missing value for primary input 'B'"):
+        with pytest.raises(ValueError,
+                           match="missing input port 'B' of 'd29'"):
             eval_circuit(d29_network, {"A": encode_2bit(L0)})
 
     def test_fault_injection_fails_expected_vectors(self, d29_network):
@@ -202,8 +202,8 @@ class TestEvalLevels:
                 assert all(type(lv) is TernaryLevel for lv in got.values())
 
     def test_missing_input_rejected(self, d29_network):
-        with pytest.raises(KeyError,
-                           match="missing value for primary input 'B'"):
+        with pytest.raises(ValueError,
+                           match="missing input port 'B' of 'd29'"):
             eval_levels(d29_network, {"A": L0})
 
     @pytest.mark.parametrize("value,shown", [
@@ -213,8 +213,8 @@ class TestEvalLevels:
     ])
     def test_non_level_rejected(self, d29_network, value, shown):
         with pytest.raises(ValueError,
-                           match=f"primary input 'B' must be a level 0-2, "
-                                 f"got {shown}"):
+                           match=f"input port 'B' of 'd29': {shown}.* is not "
+                                 f"a ternary level$"):
             eval_levels(d29_network, {"A": L2, "B": value})
 
 
@@ -437,7 +437,7 @@ class TestGatePassOracle:
             vec = {n: c for n, c in zip(network.inputs, combo) if c is not None}
             assert (outcome(eval_circuit, network, vec)
                     == outcome(oracle.eval_circuit, network, vec)), combo
-        assert outcome(eval_circuit, network, {})[0] is KeyError
+        assert outcome(eval_circuit, network, {})[0] is ValueError
         bad = dict.fromkeys(network.inputs, BitPair(1, 1))
         assert outcome(eval_circuit, network, bad)[0] is InvalidEncoding
 

@@ -1532,6 +1532,7 @@ class TestStimulus:
         (((0.0, L0), (1e-9, 2.9)), "level 2.9 for 'X'"),
         (((0.0, 7),), "level 7 for 'X'"),
         (((0.0, "L1"),), "level 'L1' for 'X'"),
+        (((0.0, 3),), "level 3 for 'X': 3 is not a ternary level$"),
     ])
     def test_bad_schedule_rejected(self, schedule, match):
         with pytest.raises(ValueError, match=match):

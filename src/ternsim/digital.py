@@ -3,11 +3,12 @@
 Mirrors the FPGA realization of the logic family: ternary values travel as
 two-bit codes ((0, 1, 2) = (00, 01, 10); 11 is reserved), gates are lookup
 tables, like FPGA LUTs, and they evaluate in one zero-delay topological pass
-over integer levels.  A :class:`GateNetwork` compiles itself to two-input
-lookups when built, folding every one-input gate whose net is bound to no
-output port into the tables of the steps that read it, so such a net is
-never materialized.  The tables come from ``eval_gate``, which states the
-gate semantics, and are composed only by lookups into each other; it and
+in which every slot holds a level.  A :class:`GateNetwork` compiles itself
+to two-input lookups of 9 entries (3 for a one-input gate) when built: a
+wide TORN folds pairwise, and every one-input gate whose net is bound to no
+output port is folded into the tables of the steps that read it, so such a
+net is never materialized.  The tables come from ``eval_gate``, which states
+the gate semantics, and are composed only by lookups into each other; it and
 ``truth_table`` live in :mod:`.netlist.cells` and are re-exported here.
 ``eval_levels`` answers in levels per port, as ``engine.steady_output`` does
 on the analog side; ``eval_circuit`` and ``run_trace`` in two-bit codes.  The
@@ -57,12 +58,16 @@ def eval_levels(network: GateNetwork, inputs: Mapping) -> dict:
 
 def eval_circuit(network: GateNetwork, inputs: Mapping) -> dict:
     """The network's outputs, port -> BitPair, on two-bit input codes.  Raises
-    InvalidEncoding for code 11, and ValueError as ``levels_of`` for a port."""
+    ValueError as ``levels_of`` for an unknown or missing port, else
+    InvalidEncoding naming the first port with code 11."""
     try:
         levels = [decode_2bit(inputs[name]) for name in network.inputs]
-    except KeyError:  # a port left out: levels_of names it
-        levels = None
-    if levels is None or len(levels) != len(inputs):
+    except (KeyError, InvalidEncoding) as exc:  # a port fault is named first
+        levels_of(dict.fromkeys(inputs, 0), network.inputs, network.name)
+        port = next(p for p in network.inputs if inputs[p] == BitPair(1, 1))
+        raise InvalidEncoding(f"input port {port!r} of {network.name!r}: "
+                              f"{exc}") from None
+    if len(levels) != len(inputs):  # an unknown port: levels_of names it
         levels_of(inputs, network.inputs, network.name)
     out = _eval_levels(network, levels)
     return {port: BIT_CODES[lv] for (port, _), lv in zip(network.outputs, out)}

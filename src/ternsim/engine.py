@@ -846,21 +846,26 @@ def steady_output(circuit: Circuit, inputs: Mapping,
     """Output levels at the relaxed fixed point under constant input levels.
 
     ``inputs`` must give a level to every signal input, which drives at
-    its rail of the circuit's supply; a ValueError names the first one left
-    out.  Each source holds its long-time value, its DC value or last PWL
-    point.  The memristors are relaxed, the network is solved once more
-    with their states, and a step of dt must leave every state unchanged,
-    else NotRelaxed names one that moves.  Every later step would repeat
-    that solve, so the outputs hold from t = 0 and the 20-tau settle window
-    closes at step window - 1;
-    NotSettled if that is past t_stop.  With ``return_info`` also returns a
-    dict of settle_time (0.0), the output voltages, the states and t_run,
-    the time the window closes.
+    its rail of the circuit's supply; a ValueError names an unknown port or
+    one left out before a bad level.  Each source holds its long-time value,
+    its DC value or last PWL point.  The memristors are relaxed, the network
+    is solved once more with their states, and a step of dt must leave every
+    state unchanged, else NotRelaxed names one that moves.  Every later step
+    would repeat that solve, so the outputs hold from t = 0 and the 20-tau
+    settle window closes at step window - 1; NotSettled if that is past
+    t_stop.  With ``return_info`` also returns a dict of settle_time (0.0),
+    the output voltages, the states and t_run, the time the window closes.
     """
     cfg = cfg or SolverConfig()
     prog = _program(circuit)
     bands = bands or VoltageBands.default(prog.supply)
-    fixed_vals = prog.pin_table(Stimulus.hold(inputs), np.array([math.inf]))[0]
+    times = np.array([math.inf])
+    try:
+        stim = Stimulus.hold(inputs)
+    except ValueError:  # a port fault is named before a bad level
+        prog.pin_table(Stimulus.hold(dict.fromkeys(inputs, 0)), times)
+        raise
+    fixed_vals = prog.pin_table(stim, times)[0]
     system = _System(prog)
     v = np.full(prog.n, 0.5 * max([*fixed_vals.tolist(), 0.0]))
     x, v = system.relax(prog.state_vector(None), fixed_vals, v)

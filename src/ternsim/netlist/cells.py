@@ -96,20 +96,18 @@ def truth_table(kind: CellKind, arity: int) -> tuple:
         for combo in itertools.product(range(3), repeat=arity))
 
 
-# The identity on 3 ** k entries, which packs k input levels into one.
-_packing_table = functools.cache(lambda k: tuple(range(3 ** k)))
-_IDENTITY = _packing_table(1)
+# An operand reads its slot through a one-input function indexed by level: a
+# written slot through the identity, a one-input gate's ``a`` through (0,).
+_IDENTITY = (0, 1, 2)
 
 
 # Cached because fault variants recompile the same tables; the keys are
 # cached tables and one of 27 one-input functions per operand.
 @functools.cache
-def _compose(table: tuple, fa, fb) -> tuple:
+def _compose(table: tuple, fa: tuple, fb: tuple) -> tuple:
     """``table`` read through one-input functions on its operands: entry
-    ``3 * i + j`` is ``table[3 * fa[i] + fb[j]]``, where ``None`` is the
-    identity."""
-    return tuple(table[3 * i + j] for i in fa or range(len(table) // 3)
-                 for j in fb or _IDENTITY)
+    ``3 * i + j`` is ``table[3 * fa[i] + fb[j]]``."""
+    return tuple(table[3 * i + j] for i in fa for j in fb)
 
 
 # Channel-length modulation keeps saturated devices from presenting an exactly
@@ -157,18 +155,18 @@ class GateNetwork:
 
     Construction compiles it to two-input lookups, as FPGA flows map gates
     to fixed fan-in LUTs: slot 0 holds level 0, then come primary inputs and
-    nets that steps write; a step ``(table, a, b, out)`` sets ``vals[out] =
-    table[3 * vals[a] + vals[b]]`` (:func:`truth_table`'s index).  A
-    one-input gate reads slot 0 as ``a``; an n-input TORN packs its inputs
-    into its output slot in n - 2 steps of ``range(3 ** k)`` first.
+    nets that steps write.  A step ``(table, a, b, out)`` sets ``vals[out] =
+    table[3 * vals[a] + vals[b]]`` (:func:`truth_table`'s index), a level, so
+    a table has 9 entries, or 3 for a one-input gate, which reads slot 0 as
+    ``a``.  As max is associative, an n-input TORN folds pairwise, in n - 1
+    steps of the two-input TORN table; the later ones read its slot as ``a``.
 
     As a LUT mapper absorbs buffers and inverters into the LUTs that read
     them, a one-input gate whose net is bound to no output port emits no
     step: its function is composed into each reader's table (on ``a`` or
-    ``b``; a TORN's later packing steps read its own slot as ``a``), so its
-    net takes no slot.  A one-input gate on a ported net emits one step,
-    reading its folded source.  d13 compiles to 3 steps over 5 slots, d29
-    to 11 over 14 and display to 31 over 27.
+    ``b``), so its net takes no slot.  A one-input gate on a ported net
+    emits one step, reading its folded source.  d13 compiles to 3 steps
+    over 5 slots, d29 to 11 over 14 and display to 31 over 27.
     """
 
     name: str
@@ -187,38 +185,29 @@ class GateNetwork:
                 dup = next(n for n in names if names.count(n) > 1)
                 raise ValueError(f"{what} name {dup!r} is used twice")
         ported = {net for _, net in self.outputs}
-        # Net -> (slot, function): the net's level is function[vals[slot]],
-        # where None is the identity.  A folded net names its source's slot.
-        slots = {net: (i, None) for i, net in enumerate(self.inputs, start=1)}
+        # Net -> (slot, function): the net's level is function[vals[slot]];
+        # a folded net names its source's slot.
+        slots = {net: (i, _IDENTITY) for i, net in enumerate(self.inputs, 1)}
         size = len(slots) + 1  # a slot is taken only by a net a step writes
         program = []
         for g in self.gates:
-            ins = []
             for net in g.inputs:
                 if net not in slots:
                     raise ValueError(f"gate {g.name!r} reads undefined net {net!r}")
-                ins.append(slots[net])
             if g.output in slots:
                 raise ValueError(f"net {g.output!r} has multiple drivers")
-            out = size
-            a, fa = (0, None) if len(ins) == 1 else ins.pop(0)
-            for k in range(2, len(ins) + 1):  # a wide TORN packs into out
-                b, fb = ins.pop(0)
-                table = _packing_table(k)
-                if fa or fb:
-                    table = _compose(table, fa, fb)
-                program.append((table, a, b, out))
-                a, fa = out, None
-            b, fb = ins[0]
-            table = truth_table(g.kind, len(g.inputs))
-            if fa or fb:
-                table = _compose(table, fa, fb)
+            ins = [slots[net] for net in g.inputs]
+            table = truth_table(g.kind, min(len(ins), 2))
+            a, fa = (0, (0,)) if len(ins) == 1 else ins.pop(0)
             if a == 0 and g.output not in ported:  # folded into its readers
-                slots[g.output] = (b, None if table == _IDENTITY else table)
-            else:
-                slots[g.output] = (out, None)
-                program.append((table, a, b, out))
-                size += 1
+                b, fb = ins[0]
+                slots[g.output] = (b, _compose(table, fa, fb))
+                continue
+            for b, fb in ins:  # a wide TORN folds pairwise into its slot
+                program.append((_compose(table, fa, fb), a, b, size))
+                a, fa = size, _IDENTITY
+            slots[g.output] = (size, _IDENTITY)
+            size += 1
         for port, net in self.outputs:
             if net not in slots:
                 raise ValueError(f"output port {port!r} bound to undefined net {net!r}")

@@ -1,19 +1,19 @@
 """Variable-arity gate pass: the oracle of ``ternsim.digital._eval_levels``.
 
 The digital backend compiles each ``GateNetwork`` into two-input lookups,
-packing the inputs of a wide TORN in extra steps.  This module keeps the
-plainer pass those replaced: one lookup per gate, indexed by all of the gate's
-inputs at once, ``sum(level_i * 3 ** (n - 1 - i))``.  It reads only a
-network's public fields and ``truth_table``, so it shares no compiled state
-with the pass it checks.  ``eval_circuit`` wraps it in the two-bit encoding,
-with the errors the backend documents.
+folding a wide TORN pairwise.  This module keeps the plainer pass those
+replaced: one lookup per gate, indexed by all of the gate's inputs at once,
+``sum(level_i * 3 ** (n - 1 - i))``.  It reads only a network's public
+fields and ``truth_table``, so it shares no compiled state with the pass it
+checks.  ``eval_circuit`` wraps it in the two-bit encoding, with the errors
+the backend documents.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from ternsim.core import BIT_CODES, decode_2bit
+from ternsim.core import BIT_CODES, InvalidEncoding, decode_2bit
 from ternsim.netlist.cells import GateNetwork, truth_table
 
 
@@ -32,17 +32,21 @@ def eval_levels(network: GateNetwork, levels) -> list:
 def eval_circuit(network: GateNetwork, inputs: Mapping) -> dict:
     """``eval_levels`` on two-bit codes, port -> BitPair.
 
-    A missing primary input raises ``ValueError`` naming it; the reserved code
-    11 raises ``InvalidEncoding``.  Inputs are read in ``network.inputs``
-    order, so the first bad one decides the error.
+    A missing primary input raises ``ValueError`` naming it; otherwise the
+    reserved code 11 raises ``InvalidEncoding`` naming its port.  Each check
+    reads the inputs in ``network.inputs`` order, so the first bad one
+    decides the error.
     """
+    for name in network.inputs:
+        if name not in inputs:
+            raise ValueError(f"missing input port {name!r} of "
+                             f"{network.name!r}")
     levels = []
     for name in network.inputs:
         try:
-            code = inputs[name]
-        except KeyError:
-            raise ValueError(f"missing input port {name!r} of "
-                             f"{network.name!r}") from None
-        levels.append(decode_2bit(code))
+            levels.append(decode_2bit(inputs[name]))
+        except InvalidEncoding as exc:
+            raise InvalidEncoding(f"input port {name!r} of {network.name!r}: "
+                                  f"{exc}") from None
     out = eval_levels(network, levels)
     return {port: BIT_CODES[lv] for (port, _), lv in zip(network.outputs, out)}

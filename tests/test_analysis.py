@@ -14,8 +14,8 @@ from ternsim.analysis import (DECODERS, DIGIT_SEGMENTS, GlitchEvent,
                               segments_from_levels, seven_segment_render,
                               verify)
 from ternsim import analysis, engine
-from ternsim.core import (LEVELS, TernaryLevel, VoltageBands, decode_2bit,
-                          encode_2bit)
+from ternsim.core import (LEVELS, BitPair, InvalidEncoding, TernaryLevel,
+                          VoltageBands, decode_2bit, encode_2bit)
 from ternsim.digital import eval_circuit, eval_levels
 from ternsim.engine import (NotSettled, SolverConfig, Stimulus, Waveform,
                             run_transient, steady_output)
@@ -212,9 +212,10 @@ class TestInputContract:
             return steady_output(request.getfixturevalue(decoder), vec)
         if caller == "eval_levels":
             return eval_levels(net, vec)
-        if caller == "eval_circuit":
-            codes = eval_circuit(net, {p: encode_2bit(lv)
-                                       for p, lv in vec.items()})
+        if caller == "eval_circuit":  # a BitPair value is passed as it is
+            codes = eval_circuit(net, {
+                p: lv if isinstance(lv, BitPair) else encode_2bit(lv)
+                for p, lv in vec.items()})
             return {p: decode_2bit(c) for p, c in codes.items()}
         return expected_outputs(decoder, vec)
 
@@ -251,6 +252,35 @@ class TestInputContract:
                                match=f"{port!r}.*{re.escape(repr(value))}"):
                 self.call(caller, decoder, vec, request)
 
+    @pytest.mark.parametrize("decoder", DECODERS)
+    @pytest.mark.parametrize("caller", CALLERS)
+    def test_port_fault_named_before_bad_value(self, caller, decoder,
+                                               request):
+        # The first port has a bad value (code 11 for eval_circuit, which
+        # takes codes), and an unknown port is added or the second port
+        # left out: every caller names the port fault.
+        ports = builtin_network(decoder).inputs
+        bad = BitPair(1, 1) if caller == "eval_circuit" else 3
+        cases = [({**dict.fromkeys(ports, L1), ports[0]: bad, "Q": L1}, "Q")]
+        if len(ports) > 1:  # d29 on {"A": 3} names the missing B
+            cases.append(({ports[0]: bad}, ports[1]))
+        for vec, port in cases:
+            with pytest.raises(ValueError, match=repr(port)) as exc:
+                self.call(caller, decoder, vec, request)
+            assert repr(ports[0]) not in str(exc.value)
+
+    @pytest.mark.parametrize("decoder", DECODERS)
+    def test_reserved_code_names_port(self, decoder):
+        ports = builtin_network(decoder).inputs
+        for k, port in enumerate(ports):
+            # Code 11 on this port and every later one: the first is named.
+            vec = {p: BitPair(1, 1) if j >= k else encode_2bit(L1)
+                   for j, p in enumerate(ports)}
+            with pytest.raises(InvalidEncoding) as exc:
+                eval_circuit(builtin_network(decoder), vec)
+            assert str(exc.value) == (f"input port {port!r} of {decoder!r}: "
+                                      "two-bit code 11 is reserved")
+
 
 class TestVerify:
     @pytest.mark.parametrize("decoder,n", [("d13", 3), ("d29", 9),
@@ -259,6 +289,10 @@ class TestVerify:
         report = verify("digital", decoder)
         assert report.passed
         assert len(report.vectors) == n
+
+    def test_unknown_backend_named(self):
+        with pytest.raises(KeyError, match="unknown backend 'bogus'"):
+            verify("bogus", "d13")
 
     def test_analog_d13_pass(self):
         report = verify("analog", "d13")

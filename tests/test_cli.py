@@ -149,6 +149,26 @@ class TestSimulate:
                            "--t-stop", "20e-9", "--out", str(tmp_path))
         assert code == 0
 
+    def test_netlist_sweep_refused(self, capsys, tmp_path):
+        net = tmp_path / "div.net"
+        net.write_text("V1 a 0 DC 1\nR1 a b 1k\nR2 b 0 1k\n.port out Y b\n")
+        code, out, err = run(capsys, "simulate", "--netlist", str(net),
+                             "--sweep-inputs", "--out", str(tmp_path / "o"))
+        assert (code, out) == (1, "")
+        assert "--sweep-inputs requires --builtin" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_unsettled_output_exits_2(self, capsys, tmp_path):
+        # The source ramps until 2 ns, so the output is still moving when
+        # the run stops there.
+        net = tmp_path / "ramp.net"
+        net.write_text("V1 a 0 PWL(0 0 2n 1)\nR1 a b 1k\nR2 b 0 1k\n"
+                       ".port out Y b\n")
+        code, out, _ = run(capsys, "simulate", "--netlist", str(net),
+                           "--t-stop", "2e-9", "--out", str(tmp_path))
+        assert code == 2
+        assert "Y NOT SETTLED" in out
+
     def test_inputs_driven_at_netlist_supply(self, capsys, tmp_path):
         net = tmp_path / "d13_12.net"
         code, _, _ = run(capsys, "emit-netlist", "--builtin", "d13",

@@ -525,6 +525,34 @@ class TestCompactSlots:
             assert_slots_compact(random_network(seed))
 
 
+def assert_tables_on_levels(network):
+    """Every step's table has 9 entries, 3 when ``a`` is slot 0, and holds
+    only levels: every slot holds a level, never a packed value."""
+    for table, a, _, _ in network._program:
+        assert len(table) == (3 if a == 0 else 9), network.name
+        assert set(table) <= {0, 1, 2}, network.name
+
+
+class TestLevelTables:
+    def test_builtins_swap_faults_and_tiles(self):
+        networks = [tiled_display(k) for k in (1, 2, 3, 8)]
+        for name in ("d13", "d29", "display"):
+            networks += [builtin_network(name),
+                         *swap_faults(builtin_network(name))]
+        assert len(networks) == 67
+        for network in networks:
+            assert_tables_on_levels(network)
+
+    def test_seeded_random_networks(self):
+        torn_arities = set()
+        for seed in range(300):
+            network = random_network(seed)
+            torn_arities |= {len(g.inputs) for g in network.gates
+                             if g.kind is CellKind.TORN}
+            assert_tables_on_levels(network)
+        assert torn_arities == {2, 3, 4, 5, 6}
+
+
 def one_input_unported_steps(network):
     """Compiled one-input steps (``a`` is slot 0) whose net no port reads."""
     ported = set(network._output_slots)

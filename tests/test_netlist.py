@@ -10,7 +10,7 @@ from ternsim.netlist import (CellKind, DuplicateNameError, NetlistError,
                              parse, serialize)
 from ternsim.netlist.cells import GateNetwork, InvalidArity
 from ternsim.netlist.parser import parse_value
-from ternsim.netlist.model import Resistor, VSource
+from ternsim.netlist.model import Port, Resistor, VSource
 
 MINIMAL = """\
 Vdd vdd 0 DC 1.0
@@ -122,6 +122,16 @@ class TestParseErrors:
             parse("V1 a 0 DC 1\nM1 a 0 RON=500 T=350\n")
         assert self._line_of(e) == 2
         assert "unknown parameter" in str(e.value)
+
+    @pytest.mark.parametrize("text,line,match", [
+        ("V1 a 0 DC 1\n.foo x\n", 2, "unknown directive '.foo'"),
+        ("V1 a 0 PWL(0 0 1n 1\nR1 a 0 1k\n", 1, r"malformed PWL\(\.\.\.\)"),
+        ("V1 a 0 DC 1\nM1 a 0 RON=\n", 2, "missing value for 'RON'"),
+    ])
+    def test_refused_at_its_line(self, text, line, match):
+        with pytest.raises(NetlistSyntaxError, match=match) as e:
+            parse(text)
+        assert self._line_of(e) == line
 
     def test_dangling_node(self):
         with pytest.raises(UnboundNodeError) as e:
@@ -247,6 +257,13 @@ class TestSerialize:
         circuit = build_cell(kind, n=n)
         assert parse(serialize(circuit)) == circuit
 
+    def test_roundtrip_pwl_source(self):
+        circuit = parse("V1 a 0 PWL(0 0 2n 1)\nR1 a b 1k\nR2 b 0 1k\n"
+                        ".port out Y b\n")
+        text = serialize(circuit)
+        assert "V1 a 0 PWL(0.0 0.0 2e-09 1.0)" in text.splitlines()
+        assert parse(text) == circuit
+
     def test_serialize_idempotent_through_parse(self):
         circuit = elaborate(builtin_network("d13"))
         text = serialize(circuit)
@@ -269,6 +286,20 @@ class TestCircuit:
                 setattr(circuit, name, value)
         with pytest.raises(TypeError):
             elaborate(builtin_network("d13")).cells["TAND2"] = 1
+
+
+    def test_validate_refusals(self):
+        from ternsim.netlist.model import Circuit
+        loop = (VSource("V1", "a", "b", dc=1.0), Resistor("R1", "a", "b", 1e3))
+        with pytest.raises(UnboundNodeError,
+                           match=r"no device is connected to ground \(node 0\)"):
+            Circuit("floating", loop).validate()
+        grounded = (VSource("V1", "a", "0", dc=1.0),
+                    Resistor("R1", "a", "0", 1e3))
+        twice = (Port("Y", "out", "a"), Port("Y", "out", "a"))
+        with pytest.raises(DuplicateNameError,
+                           match="duplicate port name 'Y'"):
+            Circuit("twice", grounded, twice).validate()
 
 
 class TestCells:
@@ -382,6 +413,10 @@ class TestBuilders:
     def test_all_builders_validate(self, d13, d29, display):
         for c in (d13, d29, display):
             assert c.validate() is c
+
+    def test_unknown_builtin_named(self):
+        with pytest.raises(KeyError, match="unknown builtin 'bogus'"):
+            builtin_network("bogus")
 
     def test_mutate_network_swaps_outputs(self, d29_network):
         bad = mutate_network(d29_network, "swap:Y7,Y5")

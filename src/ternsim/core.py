@@ -50,16 +50,22 @@ def levels_of(inputs: Mapping, names, owner: str) -> list:
             return levels
     except (KeyError, TypeError):  # a port left out, or an unhashable value
         pass
-    for port in (*inputs, *names):  # a port in one but not the other
-        if (port in inputs) != (port in names):
-            raise ValueError(f"{'unknown' if port in inputs else 'missing'} "
-                             f"input port {port!r} of {owner!r}")
+    check_ports(inputs, names, owner)
     for name in names:
         try:
             as_level(inputs[name])
         except ValueError as exc:
             raise ValueError(f"input port {name!r} of {owner!r}: {exc}") from None
     return levels
+
+
+def check_ports(given, names, owner: str) -> None:
+    """ValueError naming a port of ``given`` that is not in ``names``, else
+    one of ``names`` that is not in ``given``."""
+    for port in (*given, *names):  # a port in one but not the other
+        if (port in given) != (port in names):
+            raise ValueError(f"{'unknown' if port in given else 'missing'} "
+                             f"input port {port!r} of {owner!r}")
 
 
 class Indeterminate:

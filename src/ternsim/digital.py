@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .core import (BIT_CODES, LEVELS, BitPair, InvalidEncoding, TernaryLevel,
-                   as_level, decode_2bit, levels_of)
+                   as_level, check_ports, decode_2bit, levels_of)
 from .devices import digital_memristance
 from .netlist.cells import GateNetwork, eval_gate, truth_table
 
@@ -58,17 +58,21 @@ def eval_levels(network: GateNetwork, inputs: Mapping) -> dict:
 
 def eval_circuit(network: GateNetwork, inputs: Mapping) -> dict:
     """The network's outputs, port -> BitPair, on two-bit input codes.  Raises
-    ValueError as ``levels_of`` for an unknown or missing port, else
-    InvalidEncoding naming the first port with code 11."""
+    ValueError as ``check_ports`` for an unknown or missing port, else
+    InvalidEncoding naming the first port whose value is code 11 or no
+    BitPair."""
     try:
         levels = [decode_2bit(inputs[name]) for name in network.inputs]
-    except (KeyError, InvalidEncoding) as exc:  # a port fault is named first
-        levels_of(dict.fromkeys(inputs, 0), network.inputs, network.name)
-        port = next(p for p in network.inputs if inputs[p] == BitPair(1, 1))
-        raise InvalidEncoding(f"input port {port!r} of {network.name!r}: "
-                              f"{exc}") from None
-    if len(levels) != len(inputs):  # an unknown port: levels_of names it
-        levels_of(inputs, network.inputs, network.name)
+    except (KeyError, AttributeError, InvalidEncoding):  # port faults first
+        check_ports(inputs, network.inputs, network.name)
+        port = next(p for p in network.inputs if not isinstance(
+            inputs[p], BitPair) or inputs[p] == BitPair(1, 1))
+        code = inputs[port]
+        raise InvalidEncoding(f"input port {port!r} of {network.name!r}: " + (
+            "two-bit code 11 is reserved" if isinstance(code, BitPair)
+            else f"{code!r} is not a two-bit code")) from None
+    if len(levels) != len(inputs):  # an unknown port: check_ports names it
+        check_ports(inputs, network.inputs, network.name)
     out = _eval_levels(network, levels)
     return {port: BIT_CODES[lv] for (port, _), lv in zip(network.outputs, out)}
 

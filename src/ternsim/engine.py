@@ -22,7 +22,8 @@ from typing import Mapping, Optional
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .core import REGION_LEVELS, VoltageBands, as_level, level_to_voltage
+from .core import (REGION_LEVELS, VoltageBands, as_level, check_ports,
+                   level_to_voltage, levels_of)
 from .devices import (NonpositiveTimestep, advance_states, memristance,
                       mosfet_companion)
 from .netlist.model import GND, Circuit, Memristor, Mosfet, Resistor
@@ -394,10 +395,14 @@ class _Program:
         self.supply = supply_voltage(circuit)
         # Each pinned node's driver, as the error for an unpinned one names it.
         self.drivers = drivers = {}
-        for s in self.sources:
-            drivers.setdefault(s.pos, f"source {s.name!r} node {s.pos!r}")
-        for port, node in self.signals.items():
-            drivers.setdefault(node, f"input port {port!r} of {self.name!r}")
+        for node, driver in [*((s.pos, f"source {s.name!r} node {s.pos!r}")
+                               for s in self.sources),
+                             *((n, f"input port {p!r} of {self.name!r}")
+                               for p, n in self.signals.items())]:
+            if node in drivers:
+                raise ValueError(f"node {node!r} has two drivers: "
+                                 f"{drivers[node]} and {driver}")
+            drivers[node] = driver
         self.pinned = pinned = tuple(drivers)
         self.grounded = any(GND in d.nodes for d in circuit.devices)
         order = list(dict.fromkeys(itertools.chain(
@@ -518,27 +523,18 @@ class _Program:
     def pin_table(self, stim: Optional[Stimulus],
                   times: np.ndarray) -> np.ndarray:
         """The pinned voltages at ``times``, a row per time and a column per
-        node of ``pinned``.  ValueError for a stimulus port that is not a
-        signal input or whose node an earlier port drives, and for a signal
-        input left undriven."""
+        node of ``pinned``.  ValueError as ``check_ports`` unless the
+        stimulus drives exactly the signal inputs."""
+        check_ports(stim.schedules if stim is not None else (), self.signals,
+                    self.name)
         # Pinned node pinned[j] is node j + 1, and column j.
         table = np.empty((len(times), len(self.pinned)))
         for src in self.sources:
             table[:, self.index[src.pos] - 1] = [src.value_at(t)
                                                  for t in times.tolist()]
-        driven = {src.pos for src in self.sources}
-        for port in stim.schedules if stim is not None else ():
-            node = self.signals.get(port)
-            if node is None:
-                raise ValueError(f"stimulus port {port!r} is not a signal "
-                                 f"input of {self.name!r}")
-            if node in driven:
-                raise ValueError(f"stimulus port {port!r} node {node!r} is "
-                                 f"already pinned")
-            driven.add(node)
+        for port, node in self.signals.items():
             table[:, self.index[node] - 1] = stim.voltages(port, times,
                                                            self.supply)
-        self._check_pinned(driven)
         return table
 
     def fixed_values(self, fixed: Mapping) -> np.ndarray:
@@ -552,13 +548,10 @@ class _Program:
             if i >= self.nfix:
                 raise ValueError(f"pinned node {node!r} of {self.name!r} is "
                                  f"internal: no source or port drives it")
-        self._check_pinned(fixed)
-        return np.array([fixed[n] for n in self.pinned], dtype=float)
-
-    def _check_pinned(self, pins) -> None:
         for node, driver in self.drivers.items():
-            if node not in pins:
+            if node not in fixed:
                 raise ValueError(f"{driver} is not pinned")
+        return np.array([fixed[n] for n in self.pinned], dtype=float)
 
 
 def _program(circuit: Circuit) -> _Program:
@@ -788,10 +781,10 @@ def run_transient(circuit: Circuit, stim: Optional[Stimulus] = None,
                   cfg: Optional[SolverConfig] = None) -> Waveform:
     """Transient run over [0, t_stop], sampling every node each dt.
 
-    Input ports named by the stimulus are pinned to its levels, on the rails
-    of the circuit's supply; all other sources follow their own waveforms.
-    A ValueError names the first input port that neither drives.  Every
-    memristor starts from its x0.
+    The stimulus pins every signal input to its levels, on the rails of the
+    circuit's supply; all other sources follow their own waveforms.  A
+    ValueError, as ``check_ports``, names an unknown port, else one left
+    out.  Every memristor starts from its x0.
     """
     cfg = cfg or SolverConfig()
     times = np.arange(cfg.steps + 1) * cfg.dt
@@ -846,26 +839,21 @@ def steady_output(circuit: Circuit, inputs: Mapping,
     """Output levels at the relaxed fixed point under constant input levels.
 
     ``inputs`` must give a level to every signal input, which drives at
-    its rail of the circuit's supply; a ValueError names an unknown port or
-    one left out before a bad level.  Each source holds its long-time value,
-    its DC value or last PWL point.  The memristors are relaxed, the network
-    is solved once more with their states, and a step of dt must leave every
-    state unchanged, else NotRelaxed names one that moves.  Every later step
-    would repeat that solve, so the outputs hold from t = 0 and the 20-tau
-    settle window closes at step window - 1; NotSettled if that is past
-    t_stop.  With ``return_info`` also returns a dict of settle_time (0.0),
-    the output voltages, the states and t_run, the time the window closes.
+    its rail of the circuit's supply; ValueError as ``levels_of``.  Each
+    source holds its long-time value, its DC value or last PWL point.  The
+    memristors are relaxed, the network is solved once more with their
+    states, and a step of dt must leave every state unchanged, else
+    NotRelaxed names one that moves.  Every later step would repeat that
+    solve, so the outputs hold from t = 0 and the 20-tau settle window
+    closes at step window - 1; NotSettled if that is past t_stop.  With
+    ``return_info`` also returns a dict of settle_time (0.0), the output
+    voltages, the states and t_run, the time the window closes.
     """
     cfg = cfg or SolverConfig()
     prog = _program(circuit)
     bands = bands or VoltageBands.default(prog.supply)
-    times = np.array([math.inf])
-    try:
-        stim = Stimulus.hold(inputs)
-    except ValueError:  # a port fault is named before a bad level
-        prog.pin_table(Stimulus.hold(dict.fromkeys(inputs, 0)), times)
-        raise
-    fixed_vals = prog.pin_table(stim, times)[0]
+    levels_of(inputs, prog.signals, prog.name)
+    fixed_vals = prog.pin_table(Stimulus.hold(inputs), np.array([math.inf]))[0]
     system = _System(prog)
     v = np.full(prog.n, 0.5 * max([*fixed_vals.tolist(), 0.0]))
     x, v = system.relax(prog.state_vector(None), fixed_vals, v)

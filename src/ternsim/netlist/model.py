@@ -199,12 +199,6 @@ class Circuit:
     def sources(self) -> list:
         return [d for d in self.devices if isinstance(d, VSource)]
 
-    def device(self, name: str):
-        for d in self.devices:
-            if d.name == name:
-                return d
-        raise KeyError(f"no device named {name!r}")
-
     def validate(self, lines: Optional[dict] = None) -> "Circuit":
         """Check structural invariants; raise a NetlistError subclass on failure.
 
@@ -245,6 +239,7 @@ class Circuit:
                     f"source {src.name!r}: node {src.pos!r} is already "
                     f"pinned to {pinned[src.pos]}")
             pinned[src.pos] = f"source {src.name!r}"
+        inputs = {}
         for p in self.input_ports():
             if p.node in pinned and p.name != p.node:
                 raise NetlistError(
@@ -252,6 +247,12 @@ class Circuit:
                     f"input port {p.name!r} is on node {p.node!r}, which "
                     f"{pinned[p.node]} drives: a supply pin must be named "
                     f"after its node")
+            if p.node in inputs:
+                raise NetlistError(
+                    lines.get(("port", p.name)),
+                    f"input port {p.name!r}: node {p.node!r} is already "
+                    f"pinned to input port {inputs[p.node]!r}")
+            inputs[p.node] = p.name
         # Every non-port node needs at least two device terminals on it.
         port_nodes = {p.node for p in self.ports}
         counts: dict = {}

@@ -241,7 +241,8 @@ class TestInputContract:
                 self.call(caller, decoder, {**vec, extra: L1}, request)
 
     @pytest.mark.parametrize("decoder", DECODERS)
-    @pytest.mark.parametrize("caller", ["eval_levels", "expected_outputs"])
+    @pytest.mark.parametrize("caller", ["eval_levels", "expected_outputs",
+                                        "steady_output"])
     @pytest.mark.parametrize("value", [3, -1, 1.5, math.nan, "2", None, [1],
                                        encode_2bit(L1)])
     def test_non_level_refused(self, value, caller, decoder, request):
@@ -280,6 +281,55 @@ class TestInputContract:
                 eval_circuit(builtin_network(decoder), vec)
             assert str(exc.value) == (f"input port {port!r} of {decoder!r}: "
                                       "two-bit code 11 is reserved")
+
+    @pytest.mark.parametrize("decoder", DECODERS)
+    @pytest.mark.parametrize("value", [1, None, (0, 1), "01"])
+    def test_non_code_names_port(self, value, decoder):
+        # Before, eval_circuit raised AttributeError: 'int' object has no
+        # attribute 'hi'.
+        ports = builtin_network(decoder).inputs
+        for port in ports:
+            vec = {**dict.fromkeys(ports, encode_2bit(L1)), port: value}
+            with pytest.raises(InvalidEncoding) as exc:
+                eval_circuit(builtin_network(decoder), vec)
+            assert str(exc.value) == (f"input port {port!r} of {decoder!r}: "
+                                      f"{value!r} is not a two-bit code")
+
+    @staticmethod
+    def refusal(call) -> str:
+        with pytest.raises(ValueError) as exc:
+            call()
+        return str(exc.value)
+
+    @pytest.mark.parametrize("decoder", DECODERS)
+    def test_one_text_per_refusal(self, decoder, request):
+        # Every caller words a port fault through core.check_ports, and
+        # every caller that takes levels a bad level through levels_of.
+        # run_transient takes the vector as a held stimulus.  The supply
+        # pin vdd is an input port of the circuit but no signal input.
+        circuit = request.getfixturevalue(decoder)
+        ports = builtin_network(decoder).inputs
+        full = dict.fromkeys(ports, L1)
+        cases = [({**full, extra: L1}, f"unknown input port {extra!r}")
+                 for extra in ("C", "vdd")]
+        cases += [({p: L1 for p in ports if p != port},
+                   f"missing input port {port!r}") for port in ports]
+        for vec, text in cases:
+            texts = {caller: self.refusal(
+                lambda: self.call(caller, decoder, vec, request))
+                for caller in self.CALLERS}
+            texts["run_transient"] = self.refusal(lambda: run_transient(
+                circuit, Stimulus.hold(vec), SolverConfig(t_stop=1e-10)))
+            assert set(texts.values()) == {f"{text} of {decoder!r}"}, texts
+        for port in ports:
+            vec = {**full, port: 3}
+            texts = {caller: self.refusal(
+                lambda: self.call(caller, decoder, vec, request))
+                for caller in ("steady_output", "eval_levels",
+                               "expected_outputs")}
+            assert set(texts.values()) == {
+                f"input port {port!r} of {decoder!r}: 3 is not a ternary "
+                f"level"}, texts
 
 
 class TestVerify:
@@ -401,6 +451,17 @@ class TestGlitchScan:
             GlitchEvent("y", t[13], t[16], "L1"),
             GlitchEvent("y", t[17], t[19], "gap12"),
         ]
+
+    def test_windows_start_at_zero(self):
+        # The first event is at 5 ns, so the samples before it form a window
+        # of their own, and Y's excursion at 2-3 ns is found in it.
+        times = np.arange(10) * 1e-9
+        y = [0.0, 0.0, 0.5, 0.5] + [0.0] * 6
+        w = Waveform(dt=1e-9, times=times, probes={"y": np.array(y)},
+                     states={}, port_nodes={"Y": "y"})
+        stim = Stimulus({"X": ((5e-9, L1),)})
+        assert detect_glitches(w, stim, BANDS) == [
+            GlitchEvent("y", times[2], times[4], "L1")]
 
     def test_blip_and_approach_ignored(self, scan_run):
         w, stim = scan_run

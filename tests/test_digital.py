@@ -402,7 +402,8 @@ def outcome(fn, *args):
 
 
 class TestGatePassOracle:
-    """The two-input program against the variable-arity pass it replaced."""
+    """The two-input program against the variable-arity pass of
+    ``digital_oracle``, one lookup per gate."""
 
     @pytest.mark.parametrize("name", ["d13", "d29", "display"])
     def test_builtin(self, name):
@@ -468,10 +469,10 @@ class TestGatePassOracle:
         assert len(network._program) == 4
 
     @pytest.mark.parametrize("order", ["a-first", "b-later"])
-    def test_chains_into_torn_packing_steps(self, order):
-        # A folded chain on the first packing step's a operand, another on
-        # the b operand of the second packing step, and a third on the
-        # final step's b.
+    def test_chains_into_torn_fold_steps(self, order):
+        # A folded chain on the first fold step's a operand, another on the
+        # b operand of the second fold step, and a third on the final
+        # step's b.
         g1, c1 = self.chain("X", "p")
         g2, c2 = self.chain("Z", "q")
         g3, c3 = self.chain("Z", "r")

@@ -19,6 +19,11 @@ R1 out 0 1k
 """
 
 
+def device(circuit, name):
+    """The device of ``circuit`` called ``name``."""
+    return next(d for d in circuit.devices if d.name == name)
+
+
 def gate_driving(net, name):
     """The gate of ``net`` whose output is ``name``."""
     return next(g for g in net.gates if g.output == name)
@@ -29,18 +34,18 @@ class TestParse:
         c = parse(MINIMAL)
         assert len(c.devices) == 3
         assert c.nodes == {"vdd", "out", "0"}
-        m = c.device("M1")
+        m = device(c, "M1")
         assert m.params.r_off == 10_000.0
         assert m.params.tau == pytest.approx(500e-12)
 
     def test_si_suffixes(self):
         c = parse("V1 a 0 DC 1.0\nR1 a b 4.7k\nR2 b 0 220m\n")
-        assert c.device("R1").ohms == pytest.approx(4700.0)
-        assert c.device("R2").ohms == pytest.approx(0.22)
+        assert device(c, "R1").ohms == pytest.approx(4700.0)
+        assert device(c, "R2").ohms == pytest.approx(0.22)
 
     def test_case_insensitive_keywords(self):
         c = parse("v1 a 0 dc 1.0\nr1 a 0 1K\n")
-        assert c.device("v1").dc == 1.0
+        assert device(c, "v1").dc == 1.0
 
     def test_comments_and_blank_lines(self):
         c = parse("* a comment\n\n" + MINIMAL + "\n* trailing\n")
@@ -48,7 +53,7 @@ class TestParse:
 
     def test_pwl_source(self):
         c = parse("V1 a 0 PWL(0 0 1n 1.0 2n 0.5)\nR1 a 0 1k\n")
-        src = c.device("V1")
+        src = device(c, "V1")
         assert src.value_at(0.0) == 0.0
         assert src.value_at(0.5e-9) == pytest.approx(0.5)
         assert src.value_at(5e-9) == 0.5
@@ -152,6 +157,14 @@ class TestParseErrors:
         with pytest.raises(NetlistError, match=match) as e:
             parse(text)
         assert self._line_of(e) == line
+
+    def test_input_ports_on_one_node(self):
+        # Before, both were signal inputs, and either one alone pinned x.
+        with pytest.raises(NetlistError, match="input port 'Q': node 'x' is "
+                           "already pinned to input port 'P'") as e:
+            parse("V1 vdd 0 DC 1\nR1 vdd x 1k\nR2 x 0 1k\n"
+                  ".port in P x\n.port in Q x\n")
+        assert self._line_of(e) == 5
 
     def test_bad_port_direction(self):
         with pytest.raises(NetlistSyntaxError) as e:

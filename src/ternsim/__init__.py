@@ -18,7 +18,7 @@ from .netlist import (CellKind, Circuit, GateNetwork, build_cell,
                       serialize)
 from .engine import (NonConvergence, NotRelaxed, NotSettled, SingularSystem,
                      SolverConfig, SolverError, Stimulus, TransientError,
-                     Waveform, run_transient, solve_dc, steady_output, step)
+                     Waveform, run_transient, steady_output)
 from .digital import (EncodedTrace, divider_emulation, eval_circuit,
                       eval_gate, eval_levels, or_reduce_segment, run_trace)
 from .analysis import (GlitchEvent, ResourceReport, TruthTableReport,

@@ -38,17 +38,19 @@ def _out_dir(args) -> Path:
 
 
 def _atomic_write(path: Path, text: str) -> None:
+    tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    except OSError as exc:  # name the path asked for, not the temp file
-        raise OSError(exc.errno, exc.strerror, str(path)) from exc
-    try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    except BaseException as exc:
+        if tmp is not None:
+            os.unlink(tmp)
+        if not isinstance(exc, OSError):
+            raise
+        # Name the path asked for, not the temp file.
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 def _parse_levels(text: str, names) -> dict:

@@ -24,8 +24,7 @@ from numpy.linalg import LinAlgError, _umath_linalg
 
 from .core import (REGION_LEVELS, VoltageBands, as_level, check_ports,
                    level_to_voltage, levels_of)
-from .devices import (NonpositiveTimestep, advance_states, memristance,
-                      mosfet_companion)
+from .devices import advance_states, memristance, mosfet_companion
 from .netlist.model import GND, Circuit, Memristor, Mosfet, Resistor
 
 
@@ -393,8 +392,8 @@ class _Program:
         self.sources = tuple(s for s in circuit.sources() if s.pos != GND)
         self.signals = {p.name: p.node for p in circuit.signal_inputs()}
         self.supply = supply_voltage(circuit)
-        # Each pinned node's driver, as the error for an unpinned one names it.
-        self.drivers = drivers = {}
+        # Each pinned node's driver, as the two-driver error names it.
+        drivers = {}
         for node, driver in [*((s.pos, f"source {s.name!r} node {s.pos!r}")
                                for s in self.sources),
                              *((n, f"input port {p!r} of {self.name!r}")
@@ -404,7 +403,6 @@ class _Program:
                                  f"{drivers[node]} and {driver}")
             drivers[node] = driver
         self.pinned = pinned = tuple(drivers)
-        self.grounded = any(GND in d.nodes for d in circuit.devices)
         order = list(dict.fromkeys(itertools.chain(
             (GND, *pinned), *[d.nodes for d in circuit.devices])))
         self.n = n = len(order)
@@ -500,23 +498,6 @@ class _Program:
         self.min_tau = min(self.tau.tolist(), default=500e-12)
         _frozen(self)
 
-    def state_vector(self, states: Optional[Mapping]) -> np.ndarray:
-        """States in circuit order; a device missing from ``states`` has x0.
-
-        Raises ValueError naming the device for a state outside [0, 1] or
-        not finite, and for a name that is not a memristor of the circuit.
-        """
-        x = self.x0.copy()
-        at = {name: i for i, name in enumerate(self.mem_names)}
-        for name, value in (states or {}).items():
-            if name not in at:
-                raise ValueError(f"{name!r} is not a memristor of the circuit")
-            if not 0.0 <= value <= 1.0:  # NaN fails too
-                raise ValueError(f"state of {name!r} must lie in [0, 1], "
-                                 f"got {value}")
-            x[at[name]] = value
-        return x
-
     def state_dict(self, x: np.ndarray) -> dict:
         return dict(zip(self.mem_names, x.tolist()))
 
@@ -536,22 +517,6 @@ class _Program:
             table[:, self.index[node] - 1] = stim.voltages(port, times,
                                                            self.supply)
         return table
-
-    def fixed_values(self, fixed: Mapping) -> np.ndarray:
-        """``fixed``'s voltages for the nodes of ``pinned``.  ValueError for
-        a name that is no node or an internal one, or a pinned node left out."""
-        for node in fixed:
-            i = self.index.get(node)
-            if i is None or i == 0 and not self.grounded:
-                raise ValueError(f"pinned node {node!r} is not a node of "
-                                 f"{self.name!r}")
-            if i >= self.nfix:
-                raise ValueError(f"pinned node {node!r} of {self.name!r} is "
-                                 f"internal: no source or port drives it")
-        for node, driver in self.drivers.items():
-            if node not in fixed:
-                raise ValueError(f"{driver} is not pinned")
-        return np.array([fixed[n] for n in self.pinned], dtype=float)
 
 
 def _program(circuit: Circuit) -> _Program:
@@ -624,7 +589,7 @@ class _System:
         # the invalid flag (and LinAlgError).
         with np.errstate(call=_singular, invalid="call", over="ignore",
                          divide="ignore", under="ignore"):
-            for _ in range(NEWTON_MAX_ITER):
+            for it in range(1, NEWTON_MAX_ITER + 1):
                 vgds = v[p.gds]
                 i_d, dg, dd, ds = mosfet_companion(
                     p.fet_sign, p.vth, p.k, p.lam, vgds)
@@ -645,7 +610,8 @@ class _System:
                 step = x - free
                 dmax = np.abs(step).max()
                 if not math.isfinite(dmax):  # x holds a NaN or an inf
-                    raise NonConvergence(NEWTON_MAX_ITER, self._worst(delta))
+                    bad = int(np.flatnonzero(~np.isfinite(x))[0])
+                    raise NonConvergence(it, p.nodes[nf + bad])
                 delta = step
                 if dmax < 0.05 and damping != RETRY_DAMPING:
                     free += delta
@@ -713,70 +679,6 @@ def supply_voltage(circuit: Circuit) -> float:
                 for _, v in s.pwl or ((0.0, s.dc),)), default=1.0)
 
 
-def _dc_system(circuit: Circuit, fixed: Mapping,
-               states: Optional[Mapping] = None,
-               v_init: Optional[Mapping] = None):
-    """System pinning ``fixed``: (system, pinned values, states, start guess).
-
-    The guess is half the highest pinned voltage, overlaid with ``v_init``.
-    Raises ValueError naming the node for a pinned voltage or a guess that
-    is not finite, and for a ground pin that is not 0.
-    """
-    if GND in fixed and fixed[GND] != 0.0:  # a NaN fails too
-        raise ValueError(f"ground {GND!r} is pinned at 0, got {fixed[GND]}")
-    p = _program(circuit)
-    fixed_vals = p.fixed_values(fixed)
-    v0 = np.full(p.n, 0.5 * max([*fixed_vals.tolist(), 0.0]))
-    for node, val in (v_init or {}).items():
-        if node in p.index:
-            v0[p.index[node]] = val
-    for what, names, vals in (("pinned voltage", p.pinned, fixed_vals),
-                              ("start voltage", p.nodes, v0)):
-        bad = np.flatnonzero(~np.isfinite(vals))
-        if bad.size:
-            raise ValueError(f"{what} of {names[bad[0]]!r} must be finite, "
-                             f"got {vals[bad[0]]}")
-    return _System(p), fixed_vals, p.state_vector(states), v0
-
-
-def solve_dc(circuit: Circuit, fixed: Mapping,
-             states: Optional[Mapping] = None) -> dict:
-    """DC operating point with frozen memristor states.
-
-    ``fixed`` maps node names to pinned voltages; ground is always pinned
-    at 0 (a ground entry must be 0), and every source's node and input
-    port's node must be pinned.
-    Returns a voltage for every node.
-    """
-    system, fixed_vals, x, v0 = _dc_system(circuit, fixed, states)
-    return dict(zip(system.program.nodes,
-                    system.solve(x, fixed_vals, v0).tolist()))
-
-
-def step(circuit: Circuit, states: Mapping, voltages: Mapping, fixed: Mapping,
-         dt: float):
-    """One semi-implicit transient step: DC solve, then state integration.
-
-    Returns (voltages', states').  ``fixed`` holds the pinned node voltages
-    for this instant and must pin every source's node and input port's
-    node.  Raises NonpositiveTimestep unless dt > 0.
-    """
-    if not dt > 0:
-        raise NonpositiveTimestep(f"dt must be positive, got {dt}")
-    system, fixed_vals, x, v0 = _dc_system(circuit, fixed, states, voltages)
-    p = system.program
-    _warn_if_coarse(p, dt)
-    v = system.solve(x, fixed_vals, v0)
-    return (dict(zip(p.nodes, v.tolist())),
-            p.state_dict(system.advance(x, v, dt)))
-
-
-def _warn_if_coarse(program: _Program, dt: float) -> None:
-    if program.mem_names and dt > program.min_tau / 2:
-        warnings.warn(f"dt={dt:.2e} exceeds tau/2={program.min_tau / 2:.2e}; "
-                      f"state integration may be inaccurate", stacklevel=3)
-
-
 def run_transient(circuit: Circuit, stim: Optional[Stimulus] = None,
                   cfg: Optional[SolverConfig] = None) -> Waveform:
     """Transient run over [0, t_stop], sampling every node each dt.
@@ -791,7 +693,9 @@ def run_transient(circuit: Circuit, stim: Optional[Stimulus] = None,
     prog = _program(circuit)
     table = prog.pin_table(stim, times)
     system = _System(prog)
-    _warn_if_coarse(prog, cfg.dt)
+    if prog.mem_names and cfg.dt > prog.min_tau / 2:
+        warnings.warn(f"dt={cfg.dt:.2e} exceeds tau/2={prog.min_tau / 2:.2e}; "
+                      f"state integration may be inaccurate", stacklevel=2)
     probe_nodes = list(dict.fromkeys([p.node for p in circuit.ports]
                                      + sorted(prog.nodes)))
     probe_idx = np.array([prog.index[n] for n in probe_nodes], dtype=np.intp)
@@ -804,7 +708,7 @@ def run_transient(circuit: Circuit, stim: Optional[Stimulus] = None,
                         states=dict(zip(prog.mem_names, xs[:, :n])),
                         port_nodes={p.name: p.node for p in circuit.ports})
 
-    x = prog.state_vector(None)
+    x = prog.x0
     v = np.full(prog.n, prog.supply / 2.0)
     try:
         for k, pins in enumerate(table):
@@ -815,21 +719,6 @@ def run_transient(circuit: Circuit, stim: Optional[Stimulus] = None,
     except SolverError as exc:  # step k failed: k samples are recorded
         raise TransientError(exc, float(times[k]), recorded(k)) from exc
     return recorded(len(times))
-
-
-def relax_states(circuit: Circuit, fixed: Mapping,
-                 states: Optional[Mapping] = None) -> dict:
-    """Long-time-limit memristor states under constant bias.
-
-    Iterates the polarity rule (sustained forward bias completes a set,
-    sustained reverse bias a reset) against the DC network until a fixed
-    point.  This is the steady state of the underlying thermally-activated
-    device, which the finite-time threshold dynamics approach but cannot
-    always reach within a hard-threshold model.  ``fixed`` must pin every
-    source's node and input port's node.
-    """
-    system, fixed_vals, x, v = _dc_system(circuit, fixed, states)
-    return system.program.state_dict(system.relax(x, fixed_vals, v)[0])
 
 
 def steady_output(circuit: Circuit, inputs: Mapping,
@@ -856,7 +745,7 @@ def steady_output(circuit: Circuit, inputs: Mapping,
     fixed_vals = prog.pin_table(Stimulus.hold(inputs), np.array([math.inf]))[0]
     system = _System(prog)
     v = np.full(prog.n, 0.5 * max([*fixed_vals.tolist(), 0.0]))
-    x, v = system.relax(prog.state_vector(None), fixed_vals, v)
+    x, v = system.relax(prog.x0, fixed_vals, v)
     v = system.solve(x, fixed_vals, v)
     moved = np.flatnonzero(system.advance(x, v, cfg.dt) != x)
     if moved.size:

@@ -421,13 +421,15 @@ class TestErrorBoundary:
         assert ".d13.net." not in err
 
     def test_failed_write_leaves_no_temp_file(self, capsys, tmp_path):
-        # The report's path is a directory: the rename onto it fails, and
-        # the temp file written beside it is removed.
+        # The report's path is a directory: the rename onto it fails, the
+        # temp file written beside it is removed, and the error names the
+        # report's path, not the temp file.
         (tmp_path / "verify_d13_digital.txt").mkdir()
         code, _, err = run(capsys, "verify", "--decoder", "d13", "--backend",
                            "digital", "--out", str(tmp_path))
         assert code == 1
         assert "verify_d13_digital.txt" in err and "Traceback" not in err
+        assert ".verify_d13_digital.txt." not in err
         assert not list(tmp_path.glob(".verify_d13_digital.txt.*"))
 
     @pytest.mark.parametrize("error", [

@@ -20,17 +20,15 @@ from hypothesis import strategies as st
 from ternsim.core import (LEVELS, VoltageBands, level_to_voltage, ref_nti,
                           ref_pti, ref_sti, ref_tand, ref_tor,
                           voltage_to_level)
-from ternsim.devices import (MemristorParams, MosfetParams,
-                             NonpositiveTimestep, memristance,
+from ternsim.devices import (MemristorParams, MosfetParams, memristance,
                              mosfet_companion, mosfet_current, update_state)
-from ternsim import cli, engine
+from ternsim import analysis, cli, engine
 from ternsim.analysis import (detect_glitches, expected_outputs,
                               input_vectors, measure_settling)
 from ternsim.engine import (NonConvergence, NotRelaxed, NotSettled,
                             SingularSystem, SolverConfig, Stimulus,
                             TransientError, Waveform, _System,
-                            relax_states, run_transient, solve_dc,
-                            steady_output, step)
+                            run_transient, steady_output)
 from ternsim.netlist import (CellKind, build_cell, builtin_network, parse,
                              serialize)
 from ternsim.netlist.cells import GateNetwork, GateSpec, elaborate
@@ -50,6 +48,23 @@ def pinned_at(circuit, stim, t):
     program = engine._program(circuit)
     table = program.pin_table(stim, np.array([t]))
     return dict(zip(program.pinned, table[0].tolist()))
+
+
+def dc_system(circuit, fixed, states=None):
+    """A workspace on ``circuit``, and its (pins, states, start voltages).
+
+    ``fixed`` gives a voltage to each node of ``program.pinned``, and
+    ``states`` a state to some memristors by name; the others keep x0.
+    The start is half the highest pin, as in ``steady_output``.  Nothing
+    is checked: this is the engine's seam, below its input contract.
+    """
+    program = engine._program(circuit)
+    pins = np.array([fixed[node] for node in program.pinned], dtype=float)
+    x = program.x0.copy()
+    for name, value in (states or {}).items():
+        x[program.mem_names.index(name)] = value
+    v0 = np.full(program.n, 0.5 * max([*pins.tolist(), 0.0]))
+    return _System(program), pins, x, v0
 
 
 def counting_compiles(monkeypatch):
@@ -101,28 +116,33 @@ def divider_circuit():
 
 
 class TestSolveDC:
+    """DC solves with frozen states, on the engine's workspace."""
+
     def test_two_memristor_divider(self):
         # closed form: 1 V across 500 (on) over 10k (off)
-        v = solve_dc(divider_circuit(), {"top": 1.0},
-                     {"Mtop": 1.0, "Mbot": 0.0})
-        assert v["mid"] == pytest.approx(10_000.0 / 10_500.0, abs=1e-9)
+        system, pins, x, v0 = dc_system(divider_circuit(), {"top": 1.0},
+                                        {"Mtop": 1.0, "Mbot": 0.0})
+        v = system.solve(x, pins, v0)
+        assert v[system.program.index["mid"]] == pytest.approx(
+            10_000.0 / 10_500.0, abs=1e-9)
 
     def test_fixed_node_passthrough(self):
         c = Circuit(name="r", devices=[
             VSource("V1", "a", "0", dc=1.0),
             Resistor("R1", "a", "0", 1000.0),
         ]).validate()
-        v = solve_dc(c, {"a": 1.0})
-        assert v["a"] == 1.0
+        system, pins, x, v0 = dc_system(c, {"a": 1.0})
+        assert system.solve(x, pins, v0)[system.program.index["a"]] == 1.0
 
     def test_tand_divider_with_frozen_states(self):
         cell = build_cell(CellKind.TAND2)
         # low-side device set, high-side off: the canonical AND steady state
-        states = {"Mu1_a": 0.0, "Mu1_b": 1.0}
-        v = solve_dc(cell, {"a": 1.0, "b": 0.5}, states)
+        system, pins, x, v0 = dc_system(cell, {"a": 1.0, "b": 0.5},
+                                        {"Mu1_a": 0.0, "Mu1_b": 1.0})
+        out = system.solve(x, pins, v0)[system.program.index["out"]]
         expected = 0.5 + (500.0 / 10_500.0) * 0.5
-        assert 0.5 <= v["out"] <= 0.55
-        assert v["out"] == pytest.approx(expected, abs=1e-9)
+        assert 0.5 <= out <= 0.55
+        assert out == pytest.approx(expected, abs=1e-9)
 
     def test_divider_law_many_state_pairs(self):
         c = divider_circuit()
@@ -130,15 +150,21 @@ class TestSolveDC:
             g_top = x_top / 500.0 + (1 - x_top) / 10_000.0
             g_bot = x_bot / 500.0 + (1 - x_bot) / 10_000.0
             expected = g_top / (g_top + g_bot)
-            v = solve_dc(c, {"top": 1.0}, {"Mtop": x_top, "Mbot": x_bot})
-            assert v["mid"] == pytest.approx(expected, abs=1e-9)
+            system, pins, x, v0 = dc_system(c, {"top": 1.0},
+                                            {"Mtop": x_top, "Mbot": x_bot})
+            v = system.solve(x, pins, v0)
+            assert v[system.program.index["mid"]] == pytest.approx(
+                expected, abs=1e-9)
 
     def test_kcl_residual_bound(self, d13):
-        for x in LEVELS:
-            fixed = pinned_at(d13, Stimulus.hold({"X": x}), 0.0)
-            states = relax_states(d13, fixed)
-            v = solve_dc(d13, fixed, states)
-            res = oracle.kcl_residual(d13, v, states)
+        for level in LEVELS:
+            fixed = pinned_at(d13, Stimulus.hold({"X": level}), 0.0)
+            system, pins, x, v0 = dc_system(d13, fixed)
+            x = system.relax(x, pins, v0)[0]
+            v = system.solve(x, pins, v0)
+            res = oracle.kcl_residual(
+                d13, dict(zip(system.program.nodes, v.tolist())),
+                system.program.state_dict(x))
             g_max = 1.0 / 500.0
             for node, r in res.items():
                 if node not in fixed and node != "0":
@@ -157,7 +183,7 @@ class TestSolveDC:
                    .MosfetParams("NMOS", vth=0.3)),
         ])
         with pytest.raises(SingularSystem) as e:
-            solve_dc(c, {"a": 1.0})
+            dc_system(c, {"a": 1.0})
         assert e.value.node == "g1"
 
     def test_floating_island_is_singular(self):
@@ -165,183 +191,52 @@ class TestSolveDC:
         c = parse("V1 top 0 DC 1\nR0 top mid 1k\nR1 mid 0 1k\n"
                   "R2 a b 1k\nR3 a b 1k\n.end\n")
         with pytest.raises(SingularSystem) as e:
-            solve_dc(c, {"top": 1.0})
+            dc_system(c, {"top": 1.0})
         assert e.value.node == "a"
 
 
-class TestCallerStates:
-    """States given by the caller are checked once, at the boundary."""
-
-    @pytest.mark.parametrize("states,name", [
-        ({"Mu1_in1": 1.5, "Mu1_in2": -0.5}, "Mu1_in1"),
-        ({"Mu1_in2": -0.5}, "Mu1_in2"),
-        ({"Mu1_in1": 7.0}, "Mu1_in1"),
-        ({"Mu1_in1": math.nan}, "Mu1_in1"),
-        ({"Mu1_in2": math.inf}, "Mu1_in2"),
-        ({"Mx": 0.5}, "Mx"),
-    ])
-    def test_bad_state_names_device(self, states, name):
-        cell = build_cell(CellKind.TOR2)
-        fixed = {"a": 1.0, "b": 0.0}
-        for call in (lambda: solve_dc(cell, fixed, states),
-                     lambda: relax_states(cell, fixed, states),
-                     lambda: step(cell, states, None, fixed, 1e-12)):
-            with pytest.raises(ValueError, match=repr(name)):
-                call()
-
-    @pytest.mark.parametrize("fixed,match", [
-        ({"X": 1.0}, "source 'Vvdd' node 'vdd' is not pinned"),
-        ({"vdd": 1.0, "X": 1.0, "Q": 0.0},
-         "pinned node 'Q' is not a node of 'd13'"),
-        ({"vdd": 1.0}, "input port 'X' of 'd13' is not pinned"),
-    ])
-    def test_pins_cover_every_source_and_only_nodes(self, fixed, match,
-                                                    monkeypatch):
-        # Bad pins may compile the circuit's one program; good pins reuse it.
-        compiles = counting_compiles(monkeypatch)
-        d13 = elaborate(builtin_network("d13"))
-        for call in (lambda: solve_dc(d13, fixed),
-                     lambda: relax_states(d13, fixed),
-                     lambda: step(d13, None, None, fixed, 1e-12)):
-            with pytest.raises(ValueError, match=match):
-                call()
-        program = engine._program(d13)
-        solve_dc(d13, {"vdd": 1.0, "X": 0.5})
-        assert engine._program(d13) is program and len(compiles) == 1
-
-    @pytest.mark.parametrize("node", ["Y0", "pout"])
-    def test_internal_pins_refused(self, d13, node):
-        fixed = {"vdd": 1.0, "X": 0.5, node: 0.0}
-        for call in (lambda: solve_dc(d13, fixed),
-                     lambda: relax_states(d13, fixed),
-                     lambda: step(d13, None, None, fixed, 1e-12)):
-            with pytest.raises(ValueError, match=f"pinned node {node!r} of "
-                                                 f"'d13' is internal"):
-                call()
-
-    @pytest.mark.parametrize("fixed,node", [
-        ({"vdd": math.nan, "X": 0.5}, "vdd"),
-        ({"vdd": 1.0, "X": math.inf}, "X"),
-        ({"vdd": 1.0, "X": -math.inf}, "X"),
-    ])
-    def test_non_finite_pin_names_node(self, d13, fixed, node, monkeypatch):
-        # Rejected before Newton runs; before, NaN and inf pins ran 200
-        # iterations into NonConvergence (inf with RuntimeWarnings).
-        def no_newton(*args):
-            raise AssertionError("ran Newton")
-
-        monkeypatch.setattr(_System, "newton", no_newton)
-        for call in (lambda: solve_dc(d13, fixed),
-                     lambda: relax_states(d13, fixed),
-                     lambda: step(d13, None, None, fixed, 1e-12)):
-            with pytest.raises(ValueError,
-                               match=f"pinned voltage of {node!r} must be "
-                                     f"finite"):
-                call()
-
-    @pytest.mark.parametrize("guess", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("node", ["Y0", "X"])
-    def test_non_finite_start_voltage_names_node(self, d13, guess, node,
-                                                 monkeypatch):
-        def no_newton(*args):
-            raise AssertionError("ran Newton")
-
-        monkeypatch.setattr(_System, "newton", no_newton)
-        with pytest.raises(ValueError, match=f"start voltage of {node!r} "
-                                             f"must be finite"):
-            step(d13, {}, {node: guess}, {"vdd": 1.0, "X": 0.5}, 1e-12)
-
-    def test_start_voltage_off_the_circuit_is_ignored(self, d13):
-        want = step(d13, {}, None, {"vdd": 1.0, "X": 0.5}, 1e-12)
-        assert step(d13, {}, {"Q": math.nan}, {"vdd": 1.0, "X": 0.5},
-                    1e-12) == want
-
-    @pytest.mark.parametrize("ground", [5.0, math.nan, math.inf, -1e-300])
-    def test_nonzero_ground_pin_rejected(self, d13, ground, monkeypatch):
-        # Before, the value was dropped: 5.0 and NaN both solved with "0" at
-        # 0.0 and Y1 at 0.98900487 V.
-        def no_newton(*args):
-            raise AssertionError("ran Newton")
-
-        monkeypatch.setattr(_System, "newton", no_newton)
-        fixed = {"0": ground, "vdd": 1.0, "X": 0.5}
-        for call in (lambda: solve_dc(d13, fixed),
-                     lambda: relax_states(d13, fixed),
-                     lambda: step(d13, None, None, fixed, 1e-12)):
-            with pytest.raises(ValueError, match=f"ground '0' is pinned at "
-                                                 f"0, got {ground}"):
-                call()
-
-    @pytest.mark.parametrize("ground", [0.0, -0.0, 0])
-    def test_zero_ground_pin_accepted(self, d13, ground):
-        pins = {"vdd": 1.0, "X": 0.5}
-        fixed = {"0": ground, **pins}
-        assert solve_dc(d13, fixed) == solve_dc(d13, pins)
-        assert relax_states(d13, fixed) == relax_states(d13, pins)
-        assert (step(d13, None, None, fixed, 1e-12)
-                == step(d13, None, None, pins, 1e-12))
-
-    def test_pinned_ground_must_be_a_node(self):
-        # The cell has no ground node; pinning one is still an error after
-        # the same pins without ground compiled a program.
-        cell = build_cell(CellKind.TOR2)
-        solve_dc(cell, {"a": 1.0, "b": 0.0})
-        fixed = {"0": 0.0, "a": 1.0, "b": 0.0}
-        for call in (lambda: solve_dc(cell, fixed),
-                     lambda: relax_states(cell, fixed),
-                     lambda: step(cell, None, None, fixed, 1e-12)):
-            with pytest.raises(ValueError, match="pinned node '0' is not a "
-                                                 "node of 'tor2'"):
-                call()
-
-
 class TestStep:
-    @pytest.mark.parametrize("dt", [0.0, -1e-9, math.nan])
-    def test_nonpositive_timestep_rejected_before_solve(self, dt, monkeypatch):
-        def no_compile(*args):
-            raise AssertionError("compiled a system")
-
-        monkeypatch.setattr(engine, "_System", no_compile)
-        c = parse("V1 top 0 DC 1\nR1 top mid 1k\nR2 mid 0 1k\n.end\n")
-        with pytest.raises(NonpositiveTimestep):
-            step(c, None, None, {"top": 1.0}, dt)
+    """One transient step on the workspace: a solve, then ``advance``."""
 
     def test_state_advance_matches_device_model(self):
         c = Circuit(name="m", devices=[
             VSource("V1", "a", "0", dc=1.0),
             Memristor("M1", "a", "0", P),
         ]).validate()
-        with pytest.warns(UserWarning):
-            volts, states = step(c, {"M1": 0.0}, None, {"a": 1.0}, dt=P.tau)
-        assert states["M1"] == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
-        assert volts["a"] == 1.0
+        system, pins, x, v0 = dc_system(c, {"a": 1.0}, {"M1": 0.0})
+        v = system.solve(x, pins, v0)
+        x = system.advance(x, v, P.tau)
+        assert x[0] == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
+        assert v[system.program.index["a"]] == 1.0
 
     def test_subthreshold_states_unchanged(self, d13):
-        fixed = {"vdd": 0.0, "X": 0.0}
-        volts, states = step(d13, None, None, fixed, dt=1e-12)
-        assert all(x == 0.0 for x in states.values())
+        system, pins, x, v0 = dc_system(d13, {"vdd": 0.0, "X": 0.0})
+        x = system.advance(x, system.solve(x, pins, v0), 1e-12)
+        assert x.tolist() == [0.0] * len(x)
 
     def test_iterated_step_reproduces_run_transient(self, d13):
         stim = Stimulus.hold({"X": L2})
         cfg = SolverConfig(t_stop=2e-9)
         w = run_transient(d13, stim, cfg)
         assert len(w.times) == 41
-        x0 = {m.name: m.params.x0 for m in d13.memristors()}
-        states, volts = None, None
-        for k, t in enumerate(w.times):
-            for name, series in w.states.items():
-                assert series[k] == (states or x0)[name], (k, name)
-            fixed = pinned_at(d13, stim, float(t))
-            volts, states = step(d13, states, volts, fixed, cfg.dt)
+        system, _, x, v = dc_system(d13, pinned_at(d13, stim, 0.0))
+        program = system.program
+        for k, pins in enumerate(program.pin_table(stim, w.times)):
+            for name, state in program.state_dict(x).items():
+                assert w.states[name][k] == state, (k, name)
+            v = system.solve(x, pins, v)
             for node, series in w.probes.items():
-                assert series[k] == volts[node], (k, node)
+                assert series[k] == v[program.index[node]], (k, node)
+            x = system.advance(x, v, cfg.dt)
 
     def test_finite_branch_power(self):
         c = divider_circuit()
-        volts, states = step(c, None, None, {"top": 1.0}, dt=1e-12)
+        system, pins, x, v0 = dc_system(c, {"top": 1.0})
+        v = system.solve(x, pins, v0)
+        at = system.program.index
         for dev in c.memristors():
-            v = volts[dev.anode] - volts[dev.cathode]
-            assert math.isfinite(v * v)  # |power| = v^2 / r, r >= 500
+            bias = v[at[dev.anode]] - v[at[dev.cathode]]
+            assert math.isfinite(bias * bias)  # |power| = v^2 / r, r >= 500
 
 
 class TestTransient:
@@ -443,6 +338,33 @@ class TestTransient:
         with pytest.raises(NotSettled):
             measure_settling(w, "Y0", BANDS)
         assert detect_glitches(w, Stimulus.hold({"X": L1}), BANDS) == []
+
+    def test_non_finite_solve_fails_at_its_first_iteration(self, d13,
+                                                           monkeypatch):
+        # No builtin reaches this: a linear solve that returns NaN stops
+        # Newton at once, naming the first free node, on both attempts.
+        calls = []
+
+        def nan_solve(a, b):
+            calls.append(1)
+            return np.full(b.shape, np.nan)
+
+        monkeypatch.setattr(engine, "_solve_stack", nan_solve)
+        program = engine._program(d13)
+        first = program.nodes[program.nfix]
+        with pytest.raises(NonConvergence) as e:
+            steady_output(d13, {"X": L1})
+        assert (e.value.iterations, e.value.worst_node) == (1, first)
+        assert len(calls) == 2
+        text = str(e.value)
+        with pytest.raises(TransientError) as e:
+            run_transient(d13, Stimulus.hold({"X": L1}),
+                          SolverConfig(t_stop=1e-9))
+        assert str(e.value.cause) == text
+        assert len(e.value.waveform.times) == 0
+        report = analysis.verify("analog", "d13")
+        assert [r.error for r in report.vectors] == [
+            f"NonConvergence: {text}"] * 3
 
     def test_failure_mid_run_keeps_the_steps_before(self, d13, monkeypatch):
         stim, cfg = Stimulus.hold({"X": L1}), SolverConfig(t_stop=1e-9)
@@ -627,7 +549,7 @@ def walked_settle(circuit, inputs, cfg):
     supply = engine.supply_voltage(circuit)
     bands = VoltageBands.default(supply)
     fixed = pinned_at(circuit, Stimulus.hold(inputs), 0.0)
-    system, pins, x, v = engine._dc_system(circuit, fixed)
+    system, pins, x, v = dc_system(circuit, fixed)
     x, v = system.relax(x, pins, v)
     prog = system.program
     window = max(2, round(20.0 * prog.min_tau / cfg.dt))
@@ -668,11 +590,11 @@ class TestCompileOnce:
 
     def test_pin_orders_share_one_program(self):
         d29 = elaborate(builtin_network("d29"))
-        orders = ({"vdd": 1.0, "A": 0.5, "B": 0.0},
-                  {"B": 0.0, "A": 0.5, "vdd": 1.0})
-        want = repr(solve_dc(elaborate(builtin_network("d29")), orders[0]))
-        for fixed in orders + orders:
-            assert repr(solve_dc(d29, fixed)) == want
+        orders = ({"A": L1, "B": L0}, {"B": L0, "A": L1})
+        want = repr(steady_output(elaborate(builtin_network("d29")),
+                                  orders[0], return_info=True))
+        for vec in orders + orders:
+            assert repr(steady_output(d29, vec, return_info=True)) == want
         assert len(d29._programs) == 1
         assert engine._program(d29).pinned == ("vdd", "A", "B")
 
@@ -826,7 +748,9 @@ class TestBlocks:
             # Largest KCL residual at a free node: below NEWTON_TOL volts
             # across the largest conductance (1/500 S), as for d13 alone.
             fixed = pinned_at(d13_d29, Stimulus.hold(vec), 0.0)
-            volts = solve_dc(d13_d29, fixed, info["states"])
+            system, pins, x, v0 = dc_system(d13_d29, fixed, info["states"])
+            volts = dict(zip(system.program.nodes,
+                             system.solve(x, pins, v0).tolist()))
             res = oracle.kcl_residual(d13_d29, volts, info["states"])
             assert max(abs(r) for node, r in res.items()
                        if node not in fixed and node != "0") < (
@@ -839,8 +763,9 @@ class TestBlocks:
         monkeypatch.setattr(engine, "_solve_stack", singular_at_size)
         fixed = pinned_at(circuit, Stimulus.hold({"X": L1, "A": L0, "B": L2}),
                           0.0)
+        system, pins, x, v0 = dc_system(circuit, fixed)
         with pytest.raises(SingularSystem) as e:
-            solve_dc(circuit, fixed)
+            system.solve(x, pins, v0)
         monkeypatch.undo()
         assert e.value.node in circuit.nodes and e.value.node not in fixed
         return e.value.node
@@ -1123,16 +1048,13 @@ class TestCompiledKernels:
                   MemristorParams(r_on=1e3, r_off=1.5e3)]
         pairs = list(itertools.product(params, np.linspace(0.0, 1.0, 11)))
         devices = [VSource("V1", "top", "0", dc=1.0)]
-        states = {}
-        for i, (p, x) in enumerate(pairs):
+        for i, (p, _) in enumerate(pairs):
             devices.append(Memristor(f"M{i}", "top", "0", p))
-            states[f"M{i}"] = float(x)
         system = _System(engine._program(Circuit(name="m", devices=devices)))
-        program = system.program
         # Every node is pinned, so solve writes the memristor stamps and
         # returns without a Newton iteration.
-        system.solve(program.state_vector(states), np.array([1.0]),
-                     np.zeros(program.n))
+        system.solve(np.array([x for _, x in pairs]), np.array([1.0]),
+                     np.zeros(system.program.n))
         want = [oracle.memristance(x, p) for p, x in pairs]
         assert system._mem_stamps[:, 0].tolist() == [1.0 / r for r in want]
         assert [memristance(x, p) for p, x in pairs] == want
@@ -1168,14 +1090,17 @@ class TestCompiledKernels:
 
 class TestRelaxation:
     def test_tand_adjacent_levels_reach_divider_state(self):
-        cell = build_cell(CellKind.TAND2)
-        states = relax_states(cell, {"a": 1.0, "b": 0.5})
-        assert states == {"Mu1_a": 0.0, "Mu1_b": 1.0}
+        system, pins, x, v = dc_system(build_cell(CellKind.TAND2),
+                                       {"a": 1.0, "b": 0.5})
+        x = system.relax(x, pins, v)[0]
+        assert system.program.state_dict(x) == {"Mu1_a": 0.0, "Mu1_b": 1.0}
 
     def test_equal_inputs_hold_initial_state(self):
-        cell = build_cell(CellKind.TOR2)
-        states = relax_states(cell, {"a": 0.5, "b": 0.5})
-        assert states == {"Mu1_in1": 0.0, "Mu1_in2": 0.0}
+        system, pins, x, v = dc_system(build_cell(CellKind.TOR2),
+                                       {"a": 0.5, "b": 0.5})
+        x = system.relax(x, pins, v)[0]
+        assert system.program.state_dict(x) == {"Mu1_in1": 0.0,
+                                                "Mu1_in2": 0.0}
 
     def test_pass_cap_raises_not_relaxed(self, d13, monkeypatch, tmp_path):
         # A solve whose first memristor is reverse-biased when set and
@@ -1191,8 +1116,9 @@ class TestRelaxation:
 
         monkeypatch.setattr(_System, "solve", flipping)
         first = d13.memristors()[0].name
+        system, pins, x, v = dc_system(d13, {"vdd": 1.0, "X": 0.5})
         with pytest.raises(NotRelaxed) as e:
-            relax_states(d13, {"vdd": 1.0, "X": 0.5})
+            system.relax(x, pins, v)
         assert (e.value.passes, e.value.memristor) == (8, first)
         assert f"{first!r} still flips" in str(e.value)
         with pytest.raises(NotRelaxed):
@@ -1208,7 +1134,9 @@ class TestRelaxation:
         # grows it.  steady_output names it rather than report a state
         # that is still moving.
         circuit = parse(NEAR_TIE_NETLIST)
-        assert relax_states(circuit, {"vdd": 1.0}) == {"M1": 0.0}
+        system, pins, x, v = dc_system(circuit, {"vdd": 1.0})
+        x = system.relax(x, pins, v)[0]
+        assert system.program.state_dict(x) == {"M1": 0.0}
         walked = walked_settle(circuit, {}, SolverConfig())
         assert 0.0 < walked["states"]["M1"] < 1.0
         with pytest.raises(NotRelaxed) as e:
@@ -1283,7 +1211,7 @@ class TestRelaxPath:
 
     def check_same_path(self, circuit, vec, monkeypatch):
         fixed = pinned_at(circuit, Stimulus.hold(vec), 0.0)
-        system, pins, x, v = engine._dc_system(circuit, fixed)
+        system, pins, x, v = dc_system(circuit, fixed)
         seen = []
         solve = system.solve
 
@@ -1293,8 +1221,7 @@ class TestRelaxPath:
 
         system.solve = recording
         x, v = system.relax(x, pins, v)
-        want_seen, want_x, want_v = damped_relax(
-            *engine._dc_system(circuit, fixed))
+        want_seen, want_x, want_v = damped_relax(*dc_system(circuit, fixed))
         assert distinct(seen) == distinct(want_seen)
         assert x.tolist() == want_x.tolist()
         # Two solves converged to NEWTON_TOL differ by about the step after
@@ -1730,6 +1657,8 @@ class TestExports:
         ({"a": np.zeros(3)}, {"m": np.array([0.5, -0.5, 0.5])},
          "state series 'm' leaves"),
         ({"a": np.zeros(2)}, {}, "series 'a' length 2 != 3"),
+        ({"a": np.zeros(3)}, {"m": np.full(2, 0.5)},
+         "series 'm' length 2 != 3"),
     ])
     def test_bad_series_rejected(self, probes, states, match):
         with pytest.raises(ValueError, match=match):

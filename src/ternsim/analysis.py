@@ -1,12 +1,12 @@
 """Verification and reporting: truth tables, settling/glitch metrics,
 seven-segment rendering, and the resource/power comparison report.
 
-Expected decoder outputs are derived from the reference gate semantics (the
-2-9 table follows the product equations Yk = Ai AND Bj with k = 3i + j; the
-published tabulation of that decoder carries transcription errata and is not
-reproduced).  Power and FPGA utilization figures for the comparison report
-are carried as constants quoted from the reference implementation report,
-never recomputed.
+Expected decoder outputs follow the product equations (the 2-9 table has
+Yk = Ai AND Bj with k = 3i + j; the published tabulation of that decoder
+carries transcription errata and is not reproduced), and the display's
+follow the glyph of digit k.  Power and FPGA utilization figures for the
+comparison report are carried as constants quoted from the reference
+implementation report, never recomputed.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from .core import (INDETERMINATE, L0, L1, L2, LEVELS, REGIONS,
 from .digital import eval_levels, or_reduce_segment
 from .engine import (NotSettled, SolverError, Stimulus, Waveform,
                      steady_output)
-from .netlist.cells import (GateNetwork, SEGMENT_TERMS, builtin_network,
-                            elaborate)
+from .netlist.cells import GateNetwork, builtin_network, elaborate
 from .netlist.model import Circuit
 
 DECODERS = ("d13", "d29", "display")
@@ -53,7 +52,9 @@ def _reference_table(decoder: str) -> tuple:
     """A decoder's input ports, and its reference outputs per input vector.
 
     The table maps each vector's input levels, in ``input_vectors`` order,
-    to its expected output levels, following the product equations.
+    to its expected output levels, following the product equations: line
+    3A+B is high.  Display's segments come from the glyph of digit 3A+B in
+    ``DIGIT_SEGMENTS``, not from the cell library's segment wiring.
     """
     if decoder == "d13":
         return ("X",), {(x,): {f"Y{i}": L2 if i == x else L0
@@ -62,13 +63,10 @@ def _reference_table(decoder: str) -> tuple:
     table = {}
     for a, b in itertools.product((L2, L1, L0), repeat=2):
         hot = 3 * a + b
-        lines = {k: L2 if k == hot else L0 for k in range(9)}
         if decoder == "d29":
-            table[a, b] = {f"Y{k}": lines[k] for k in range(9)}
-        else:
-            table[a, b] = {f"Y{s}": (L2 if any(lines[t] == L2
-                                               for t in SEGMENT_TERMS[s])
-                                     else L0)
+            table[a, b] = {f"Y{k}": L2 if k == hot else L0 for k in range(9)}
+        else:  # active low: a segment is driven high where digit 3A+B is unlit
+            table[a, b] = {f"Y{s}": L0 if s in DIGIT_SEGMENTS[hot] else L2
                            for s in SEGMENTS}
     return ("A", "B"), table
 

@@ -1,9 +1,11 @@
-"""Ternary value domain: logic levels, voltage/binary encodings, reference gates.
+"""Ternary value domain: logic levels, voltage/binary encodings, inverters.
 
 The logic family is unbalanced positive ternary: levels 0, 1, 2 map onto the
-voltage rails GND, VDD/2 and VDD.  Every gate in the cell library has a pure
-functional reference defined here (``ref_sti`` .. ``ref_tor``); both simulator
-backends are verified against these functions.
+voltage rails GND, VDD/2 and VDD.  The three inverters have their functional
+semantics here (``ref_sti``, ``ref_nti``, ``ref_pti``); the memristor
+gates' come from the divider model in :mod:`.netlist.cells`.  Both simulator
+backends are verified against the decoders' product equations in
+:mod:`.analysis`, not against these functions.
 """
 
 from __future__ import annotations
@@ -183,8 +185,8 @@ def decode_2bit(b: BitPair) -> TernaryLevel:
     return LEVELS[2 * b.hi + b.lo]
 
 
-# Reference (functional) gate semantics.  The three inverters differ only in
-# how they treat the middle level; TAND/TOR are min/max under L0 < L1 < L2.
+# Functional inverter semantics.  The three differ only in how they treat the
+# middle level.
 
 def ref_sti(a: TernaryLevel) -> TernaryLevel:
     """Standard ternary inverter: 0->2, 1->1, 2->0 (an involution)."""
@@ -199,11 +201,3 @@ def ref_nti(a: TernaryLevel) -> TernaryLevel:
 def ref_pti(a: TernaryLevel) -> TernaryLevel:
     """Positive ternary inverter: everything below a hard 2 reads as low."""
     return L0 if a == L2 else L2
-
-
-def ref_tand(a: TernaryLevel, b: TernaryLevel) -> TernaryLevel:
-    return min(a, b)
-
-
-def ref_tor(a: TernaryLevel, b: TernaryLevel) -> TernaryLevel:
-    return max(a, b)

@@ -9,11 +9,12 @@ wide TORN folds pairwise, and every one-input gate whose net is bound to no
 output port is folded into the tables of the steps that read it, so such a
 net is never materialized.  The tables come from ``eval_gate``, which states
 the gate semantics, and are composed only by lookups into each other; it and
-``truth_table`` live in :mod:`.netlist.cells` and are re-exported here.
+``truth_table`` live in :mod:`.netlist.cells` and are re-exported here.  The
+memristor divider gates' tables come from the paper's FPGA model, the
+integer two-state memristance divider (500 forward / 1500 reverse) of
+``cells.divider_emulation``, so a digital verify runs that model.
 ``eval_levels`` answers in levels per port, as ``engine.steady_output`` does
-on the analog side; ``eval_circuit`` and ``run_trace`` in two-bit codes.  The
-memristor divider gates can also be emulated with the integer two-state
-memristance model (500 forward / 1500 reverse) to show both routes agree.
+on the analog side; ``eval_circuit`` and ``run_trace`` in two-bit codes.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .core import (BIT_CODES, LEVELS, BitPair, InvalidEncoding, TernaryLevel,
-                   as_level, check_ports, decode_2bit, levels_of)
-from .devices import digital_memristance
+                   check_ports, decode_2bit, levels_of)
 from .netlist.cells import GateNetwork, eval_gate, truth_table
 
 
@@ -75,45 +75,6 @@ def eval_circuit(network: GateNetwork, inputs: Mapping) -> dict:
         check_ports(inputs, network.inputs, network.name)
     out = _eval_levels(network, levels)
     return {port: BIT_CODES[lv] for (port, _), lv in zip(network.outputs, out)}
-
-
-# Integer divider emulation: voltages scaled to {0, 500, 1000} millivolt
-# integers, quantized with a low band at <= 250 and a high band at >= 750.
-_LO_MAX_MV = 250
-_HI_MIN_MV = 750
-
-
-def divider_emulation(v_a: TernaryLevel, v_b: TernaryLevel,
-                      orientation: str) -> TernaryLevel:
-    """Re-derive a TAND/TOR output from the two-state memristance divider.
-
-    The bias implied by the input pair sets each memristance (forward 500,
-    reverse 1500); the output is the integer resistive divider between the
-    two input voltages, quantized back to a level.  Agrees with min/max on
-    all nine input pairs for both orientations.  Raises ValueError, as
-    ``as_level`` does, for a non-level input.
-    """
-    if orientation not in ("AND", "OR"):
-        raise ValueError(f"orientation must be AND or OR, got {orientation!r}")
-    va, vb = 500 * as_level(v_a), 500 * as_level(v_b)
-    if va == vb:
-        return TernaryLevel(va // 500)
-    if orientation == "OR":
-        # Anodes face the inputs: the higher input's device is forward-biased.
-        r_a = digital_memristance(va, vb)
-        r_b = digital_memristance(vb, va)
-    else:
-        # Anodes face the output: the lower input's device is forward-biased.
-        r_a = digital_memristance(vb, va)
-        r_b = digital_memristance(va, vb)
-    v_hi, r_lo_side = (va, r_b) if va > vb else (vb, r_a)
-    v_lo = min(va, vb)
-    out_mv = v_lo + r_lo_side * (v_hi - v_lo) // (r_a + r_b)
-    if out_mv <= _LO_MAX_MV:
-        return TernaryLevel.L0
-    if out_mv >= _HI_MIN_MV:
-        return TernaryLevel.L2
-    return TernaryLevel.L1
 
 
 def or_reduce_segment(out: BitPair) -> int:

@@ -42,6 +42,15 @@ class NonConvergence(SolverError):
                          f"(worst node {worst_node!r})")
 
 
+class NonFiniteIterate(SolverError):
+    """A Newton iterate is not finite, so a retry would repeat the solve."""
+
+    def __init__(self, iteration: int, node: str):
+        self.iteration, self.node = iteration, node
+        super().__init__(f"Newton iterate {iteration} is not finite at node "
+                         f"{node!r}")
+
+
 class SingularSystem(SolverError):
     """The conductance matrix is not solvable (typically a floating node)."""
 
@@ -570,7 +579,8 @@ class _System:
         is taken in full once max|dv| < 0.05 V: there it is safe, lands linear
         subnetworks exactly, and damping would stall a residual of order
         (1 - damping) * tol.  RETRY_DAMPING damps every step, breaking the
-        two-cycles a full step can fall into at a device's threshold.
+        two-cycles a full step can fall into at a device's threshold.  A new
+        value that is not finite raises NonFiniteIterate, naming its node.
         """
         p = self.program
         nf, n = p.nfix, p.n
@@ -583,7 +593,6 @@ class _System:
         mna, at, solve = self._mna, p.targets, _solve_stack
         sg, sd, ss, pos, neg, into_d, out_of_s = self._fet_views
         x = self._x
-        delta = None
         # The error state np.linalg.solve sets around each solve, set once:
         # with finite pins and start voltages only a singular block raises
         # the invalid flag (and LinAlgError).
@@ -611,27 +620,22 @@ class _System:
                 dmax = np.abs(step).max()
                 if not math.isfinite(dmax):  # x holds a NaN or an inf
                     bad = int(np.flatnonzero(~np.isfinite(x))[0])
-                    raise NonConvergence(it, p.nodes[nf + bad])
-                delta = step
+                    raise NonFiniteIterate(it, p.nodes[nf + bad])
                 if dmax < 0.05 and damping != RETRY_DAMPING:
-                    free += delta
+                    free += step
                 else:  # np.clip's bits, without its overhead
                     free += np.minimum(
-                        np.maximum(damping * delta, -MAX_STEP_VOLTS),
+                        np.maximum(damping * step, -MAX_STEP_VOLTS),
                         MAX_STEP_VOLTS)
                 if dmax < NEWTON_TOL:
                     return v
-        raise NonConvergence(NEWTON_MAX_ITER, self._worst(delta))
-
-    def _worst(self, delta: Optional[np.ndarray]) -> str:
-        """The free node of largest |delta|; the first one before any step."""
-        p = self.program
-        return p.nodes[p.nfix + (0 if delta is None else
-                                 int(np.abs(delta).argmax()))]
+        worst = int(np.abs(step).argmax())  # of the last step
+        raise NonConvergence(NEWTON_MAX_ITER, p.nodes[nf + worst])
 
     def solve(self, x: np.ndarray, fixed_vals: np.ndarray, v0: np.ndarray,
               damping: float = DAMPING) -> np.ndarray:
-        """Newton at ``damping``, retried at RETRY_DAMPING from ``v0``."""
+        """Newton at ``damping``, retried at RETRY_DAMPING from ``v0`` on
+        NonConvergence; a NonFiniteIterate is raised as it is."""
         np.multiply.outer(1.0 / memristance(x, self.program), _PAIR_SIGNS,
                           out=self._mem_stamps)
         try:

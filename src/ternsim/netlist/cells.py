@@ -21,7 +21,10 @@ Cell topologies:
 * TAND/TOR are memristor-ratioed dividers.  TOR points every anode at its
   input, TAND at the output, so the forward-biased device ends up on-state
   toward the higher (OR) or lower (AND) input and the divider approximates
-  max/min.
+  max/min.  Their functions come from :func:`divider_emulation`, the
+  paper's FPGA model of that divider over the two-state integer memristance
+  (:func:`~ternsim.devices.digital_memristance`); a TNOR is an STI after the
+  OR divider and a TORN folds the OR divider pairwise.
 * SFBUF is an NMOS source follower with a pull-down resistor.  Its device is
   sized wide with a near-native threshold so the follower drop stays inside
   the downstream quantization margins.
@@ -35,9 +38,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..core import (BIT_CODES, BitPair, decode_2bit, encode_2bit, ref_nti,
-                    ref_pti, ref_sti, ref_tand, ref_tor)
-from ..devices import MemristorParams, MosfetParams
+from ..core import (BIT_CODES, LEVELS, BitPair, TernaryLevel, as_level,
+                    decode_2bit, encode_2bit, ref_nti, ref_pti, ref_sti)
+from ..devices import MemristorParams, MosfetParams, digital_memristance
 from .model import GND, Circuit, Memristor, Mosfet, Port, Resistor, VSource
 
 
@@ -60,12 +63,45 @@ class CellKind(enum.Enum):
 _ARITY = {CellKind.STI: 1, CellKind.NTI: 1, CellKind.PTI: 1, CellKind.SFBUF: 1,
           CellKind.TAND2: 2, CellKind.TOR2: 2, CellKind.TNOR: 2}
 
-# Each kind's function on input levels: the gate semantics.
+# Integer divider emulation: voltages scaled to {0, 500, 1000} millivolt
+# integers, quantized with a low band at <= 250 and a high band at >= 750.
+_LO_MAX_MV = 250
+_HI_MIN_MV = 750
+
+
+def divider_emulation(v_a: TernaryLevel, v_b: TernaryLevel,
+                      orientation: str) -> TernaryLevel:
+    """A TAND ("AND") or TOR ("OR") output from the two-state memristance
+    divider, the FPGA model of the memristor gates.
+
+    The bias implied by the input pair sets each memristance (forward 500,
+    reverse 1500); the output is the integer resistive divider between the
+    two input voltages, quantized back to a level.  Raises ValueError, as
+    ``as_level`` does, for a non-level input.
+    """
+    if orientation not in ("AND", "OR"):
+        raise ValueError(f"orientation must be AND or OR, got {orientation!r}")
+    hi, lo = sorted((500 * as_level(v_a), 500 * as_level(v_b)), reverse=True)
+    # A TOR's anodes face its inputs, so the higher input's device is
+    # forward-biased; a TAND's face its output, so the lower input's is.
+    bias = (hi, lo) if orientation == "OR" else (lo, hi)
+    r_hi, r_lo = digital_memristance(*bias), digital_memristance(*bias[::-1])
+    out_mv = lo + r_lo * (hi - lo) // (r_hi + r_lo)
+    return LEVELS[(out_mv > _LO_MAX_MV) + (out_mv >= _HI_MIN_MV)]
+
+
+def _tor(a: TernaryLevel, b: TernaryLevel) -> TernaryLevel:
+    return divider_emulation(a, b, "OR")
+
+
+# Each kind's function on input levels: the gate semantics.  The inverters
+# and the buffer are functional; the memristor gates run the divider model.
 _FUNCTION = {
     CellKind.STI: ref_sti, CellKind.NTI: ref_nti, CellKind.PTI: ref_pti,
-    CellKind.SFBUF: lambda a: a, CellKind.TAND2: ref_tand,
-    CellKind.TOR2: ref_tor, CellKind.TNOR: lambda a, b: ref_sti(ref_tor(a, b)),
-    CellKind.TORN: lambda *levels: max(levels),
+    CellKind.SFBUF: lambda a: a,
+    CellKind.TAND2: lambda a, b: divider_emulation(a, b, "AND"),
+    CellKind.TOR2: _tor, CellKind.TNOR: lambda a, b: ref_sti(_tor(a, b)),
+    CellKind.TORN: lambda *levels: functools.reduce(_tor, levels),
 }
 
 
@@ -158,8 +194,9 @@ class GateNetwork:
     nets that steps write.  A step ``(table, a, b, out)`` sets ``vals[out] =
     table[3 * vals[a] + vals[b]]`` (:func:`truth_table`'s index), a level, so
     a table has 9 entries, or 3 for a one-input gate, which reads slot 0 as
-    ``a``.  As max is associative, an n-input TORN folds pairwise, in n - 1
-    steps of the two-input TORN table; the later ones read its slot as ``a``.
+    ``a``.  As a TORN is the OR divider folded pairwise, an n-input TORN
+    compiles to n - 1 steps of the two-input TORN table; the later ones read
+    its slot as ``a``.
 
     As a LUT mapper absorbs buffers and inverters into the LUTs that read
     them, a one-input gate whose net is bound to no output port emits no

@@ -6,7 +6,8 @@ replaced: one lookup per gate, indexed by all of the gate's inputs at once,
 ``sum(level_i * 3 ** (n - 1 - i))``.  It reads only a network's public
 fields and ``truth_table``, so it shares no compiled state with the pass it
 checks.  ``eval_circuit`` wraps it in the two-bit encoding, with the errors
-the backend documents.
+the backend documents.  ``ref_tand`` and ``ref_tor`` state the memristor
+gates as min and max, apart from the divider model the backend runs.
 """
 
 from __future__ import annotations
@@ -15,6 +16,17 @@ from typing import Mapping
 
 from ternsim.core import BIT_CODES, InvalidEncoding, decode_2bit
 from ternsim.netlist.cells import GateNetwork, truth_table
+
+
+# TAND and TOR are min and max under L0 < L1 < L2: the functional oracle of
+# the tables that ``ternsim.netlist.cells`` builds from the divider model.
+
+def ref_tand(a, b):
+    return min(a, b)
+
+
+def ref_tor(a, b):
+    return max(a, b)
 
 
 def eval_levels(network: GateNetwork, levels) -> list:

@@ -12,15 +12,16 @@ from ternsim.analysis import (detect_glitches, expected_outputs,
                               input_vectors, measure_settling,
                               resource_report, segments_from_levels,
                               seven_segment_render, verify)
-from ternsim.core import (LEVELS, VoltageBands, ref_nti, ref_pti,
-                          ref_sti, ref_tand, ref_tor)
+from ternsim.core import LEVELS, VoltageBands, ref_nti, ref_pti, ref_sti
 from ternsim.devices import (MemristorParams, digital_memristance,
                              memristance, update_state)
-from ternsim.digital import divider_emulation
 from ternsim.engine import (SolverConfig, Stimulus, run_transient,
                             steady_output)
 from ternsim.netlist import (CellKind, NetlistError, build_cell,
                              builtin_network, elaborate, parse, serialize)
+from ternsim.netlist.cells import divider_emulation
+
+from digital_oracle import ref_tand, ref_tor
 
 L0, L1, L2 = LEVELS
 BANDS = VoltageBands.default(1.0)

@@ -185,6 +185,17 @@ class TestReferenceTable:
         expected_outputs(decoder, input_vectors(decoder)[0])
         assert calls == []
 
+    def test_display_reference_reads_no_wiring(self, monkeypatch):
+        # The display table comes from the glyphs, so a miswired segment
+        # does not carry its wrong answer into the table that checks it.
+        want = analysis._reference_table("display")
+        monkeypatch.setitem(SEGMENT_TERMS, "a", (1, 5))
+        assert analysis._reference_table("display") == want
+        assert not verify("digital", "display").passed
+        for seg in SEGMENTS:
+            monkeypatch.setitem(SEGMENT_TERMS, seg, (0,))
+        assert analysis._reference_table("display") == want
+
     @pytest.mark.parametrize("decoder", DECODERS)
     def test_reports_match_oracle_clean_and_under_swaps(self, decoder):
         net = builtin_network(decoder)

@@ -8,8 +8,10 @@ from hypothesis import given, strategies as st
 from ternsim.core import (BIT_CODES, BitPair, INDETERMINATE, InvalidEncoding,
                           LEVELS, REGIONS, TernaryLevel, VoltageBands,
                           as_level, decode_2bit, encode_2bit, level_to_voltage,
-                          levels_of, ref_nti, ref_pti, ref_sti, ref_tand,
-                          ref_tor, voltage_to_level)
+                          levels_of, ref_nti, ref_pti, ref_sti,
+                          voltage_to_level)
+
+from digital_oracle import ref_tand, ref_tor
 
 L0, L1, L2 = LEVELS
 
@@ -89,6 +91,18 @@ class TestBands:
     def test_bad_ordering_rejected(self):
         with pytest.raises(ValueError):
             VoltageBands(vdd=1.0, lo_max=0.5, mid_lo=0.4, mid_hi=0.6, hi_min=0.8)
+
+    @pytest.mark.parametrize("lo_max,hi_min", [(0.0, 0.8), (0.2, 1.0)])
+    def test_outer_edges_may_touch_the_rails(self, lo_max, hi_min):
+        b = VoltageBands(vdd=1.0, lo_max=lo_max, mid_lo=0.4, mid_hi=0.6,
+                         hi_min=hi_min)
+        assert (b.lo_max, b.hi_min) == (lo_max, hi_min)
+
+    @pytest.mark.parametrize("edges", [
+        (0.4, 0.4, 0.6, 0.8), (0.2, 0.5, 0.5, 0.8), (0.2, 0.4, 0.6, 0.6)])
+    def test_bands_may_not_touch(self, edges):
+        with pytest.raises(ValueError, match="ordered and disjoint"):
+            VoltageBands(1.0, *edges)
 
     # Each band edge, and one ulp past it, with the region it reads as.
     # Edges belong to their band; the guard gaps are open.

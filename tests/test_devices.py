@@ -46,6 +46,30 @@ class TestMemristance:
             MemristorParams(x0=1.5)
 
 
+class TestParamBoundaries:
+    """Each parameter check at its boundary value."""
+
+    @pytest.mark.parametrize("name", ["r_on", "r_off", "v_on", "v_off", "tau"])
+    def test_memristor_zero_is_not_positive(self, name):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be finite and positive, got 0"):
+            MemristorParams(**{name: 0.0})
+
+    @pytest.mark.parametrize("name", ["vth", "k"])
+    def test_mosfet_zero_is_not_positive(self, name):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be finite and positive, got 0"):
+            MosfetParams("NMOS", **{"vth": 0.3, name: 0.0})
+
+    def test_equal_on_and_off_resistance_refused(self):
+        with pytest.raises(ValueError, match="need 0 < r_on < r_off"):
+            MemristorParams(r_on=500.0, r_off=500.0)
+
+    @pytest.mark.parametrize("x0", [0.0, 1.0])
+    def test_state_may_start_at_either_end(self, x0):
+        assert MemristorParams(x0=x0).x0 == x0
+
+
 class TestStateUpdate:
     def test_set_closed_form(self):
         s = update_state(0.0, 0.5, P.tau, P)

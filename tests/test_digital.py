@@ -7,16 +7,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ternsim.core import (BitPair, InvalidEncoding, LEVELS, TernaryLevel,
-                          decode_2bit, encode_2bit, ref_nti, ref_pti, ref_sti, ref_tand,
-                          ref_tor)
+                          decode_2bit, encode_2bit, ref_nti, ref_pti, ref_sti)
 from ternsim.analysis import input_vectors
-from ternsim.digital import (EncodedTrace, _eval_levels, divider_emulation,
-                             eval_circuit, eval_gate, eval_levels,
-                             or_reduce_segment, run_trace, truth_table)
+from ternsim.digital import (EncodedTrace, _eval_levels, eval_circuit,
+                             eval_gate, eval_levels, or_reduce_segment,
+                             run_trace, truth_table)
 from ternsim.netlist import CellKind, builtin_network, mutate_network
-from ternsim.netlist.cells import GateNetwork, GateSpec
+from ternsim.netlist.cells import GateNetwork, GateSpec, divider_emulation
 
 import digital_oracle as oracle
+from digital_oracle import ref_tand, ref_tor
 from conftest import tiled_display
 
 L0, L1, L2 = LEVELS

@@ -18,17 +18,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ternsim.core import (LEVELS, VoltageBands, level_to_voltage, ref_nti,
-                          ref_pti, ref_sti, ref_tand, ref_tor,
-                          voltage_to_level)
+                          ref_pti, ref_sti, voltage_to_level)
 from ternsim.devices import (MemristorParams, MosfetParams, memristance,
                              mosfet_companion, mosfet_current, update_state)
 from ternsim import analysis, cli, engine
 from ternsim.analysis import (detect_glitches, expected_outputs,
                               input_vectors, measure_settling)
-from ternsim.engine import (NonConvergence, NotRelaxed, NotSettled,
-                            SingularSystem, SolverConfig, Stimulus,
-                            TransientError, Waveform, _System,
-                            run_transient, steady_output)
+from ternsim.engine import (NonConvergence, NonFiniteIterate, NotRelaxed,
+                            NotSettled, SingularSystem, SolverConfig,
+                            SolverError, Stimulus, TransientError, Waveform,
+                            _System, run_transient, steady_output)
 from ternsim.netlist import (CellKind, build_cell, builtin_network, parse,
                              serialize)
 from ternsim.netlist.cells import GateNetwork, GateSpec, elaborate
@@ -36,6 +35,7 @@ from ternsim.netlist.model import (Circuit, Memristor, Mosfet, Port, Resistor,
                                    VSource)
 
 import device_oracle as oracle
+from digital_oracle import ref_tand, ref_tor
 from conftest import tiled_display
 
 L0, L1, L2 = LEVELS
@@ -194,6 +194,16 @@ class TestSolveDC:
             dc_system(c, {"top": 1.0})
         assert e.value.node == "a"
 
+    def test_island_holding_the_first_free_node_is_singular(self):
+        # The island holds the first free node, a.  A grounding test that
+        # took index nfix for a pinned node would miss the island and answer
+        # a = b = 0 V through gmin.
+        c = parse("V1 vdd 0 DC 1\nR1 a b 1k\nR4 a b 2k\nR2 vdd x 1k\n"
+                  "R3 x 0 1k\n.port out X x\n")
+        with pytest.raises(SingularSystem) as e:
+            steady_output(c, {})
+        assert e.value.node == "a"
+
 
 class TestStep:
     """One transient step on the workspace: a solve, then ``advance``."""
@@ -342,7 +352,8 @@ class TestTransient:
     def test_non_finite_solve_fails_at_its_first_iteration(self, d13,
                                                            monkeypatch):
         # No builtin reaches this: a linear solve that returns NaN stops
-        # Newton at once, naming the first free node, on both attempts.
+        # Newton at once, naming the first free node, and the damped retry,
+        # which would repeat the same solve, is not made.
         calls = []
 
         def nan_solve(a, b):
@@ -352,11 +363,14 @@ class TestTransient:
         monkeypatch.setattr(engine, "_solve_stack", nan_solve)
         program = engine._program(d13)
         first = program.nodes[program.nfix]
-        with pytest.raises(NonConvergence) as e:
+        with pytest.raises(NonFiniteIterate) as e:
             steady_output(d13, {"X": L1})
-        assert (e.value.iterations, e.value.worst_node) == (1, first)
-        assert len(calls) == 2
+        assert not isinstance(e.value, NonConvergence)
+        assert isinstance(e.value, SolverError)
+        assert (e.value.iteration, e.value.node) == (1, first)
+        assert len(calls) == 1
         text = str(e.value)
+        assert text == f"Newton iterate 1 is not finite at node {first!r}"
         with pytest.raises(TransientError) as e:
             run_transient(d13, Stimulus.hold({"X": L1}),
                           SolverConfig(t_stop=1e-9))
@@ -364,7 +378,7 @@ class TestTransient:
         assert len(e.value.waveform.times) == 0
         report = analysis.verify("analog", "d13")
         assert [r.error for r in report.vectors] == [
-            f"NonConvergence: {text}"] * 3
+            f"NonFiniteIterate: {text}"] * 3
 
     def test_failure_mid_run_keeps_the_steps_before(self, d13, monkeypatch):
         stim, cfg = Stimulus.hold({"X": L1}), SolverConfig(t_stop=1e-9)
@@ -387,6 +401,12 @@ class TestTransient:
             assert series.tolist() == want.probes[name][:5].tolist()
         for name, series in w.states.items():
             assert series.tolist() == want.states[name][:5].tolist()
+
+    def test_dt_of_tau_over_2_does_not_warn(self, d13):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_transient(d13, Stimulus.hold({"X": L1}),
+                          SolverConfig(dt=250e-12, t_stop=500e-12))
 
     def test_coarse_dt_warns_at_the_caller(self, d13):
         cfg = SolverConfig(dt=300e-12, t_stop=600e-12)
@@ -1445,6 +1465,8 @@ class TestStimulus:
             Stimulus({"X": ((0.0, L0), (0.0, L2))})
         with pytest.raises(ValueError):
             Stimulus({"X": ((0.0, L0), (1e-9, L2))}, slew=2e-9)
+        with pytest.raises(ValueError, match="shorter than the minimum dwell"):
+            Stimulus({"X": ((0.0, L0), (1e-9, L2))}, slew=1e-9)
 
     @pytest.mark.parametrize("kwargs", [
         {"slew": math.nan}, {"slew": math.inf},
@@ -1664,6 +1686,12 @@ class TestExports:
         with pytest.raises(ValueError, match=match):
             Waveform(dt=1e-12, times=np.arange(3) * 1e-12, probes=probes,
                      states=states)
+
+    def test_states_may_reach_0_and_1(self):
+        xs = np.array([0.0, 0.5, 1.0])
+        w = Waveform(dt=1e-12, times=np.arange(3) * 1e-12, probes={},
+                     states={"m": xs, "n": xs[::-1]})
+        assert w.states["m"] is xs
 
     def test_vcd_structure(self, d13):
         w = run_transient(d13, Stimulus.hold({"X": L2}),

@@ -336,15 +336,14 @@ _FMAX_NOTE = ("the reference report's timing discussion is garbled; "
 
 @dataclass
 class ResourceReport:
-    """Counts measured from a circuit alongside quoted reference figures."""
+    """Counts measured from a circuit alongside the quoted reference
+    figures (``REFERENCE_CONSTANTS``) and the note on reading them."""
 
     measured: dict
-    reference: tuple = REFERENCE_CONSTANTS
     derived: dict = field(default_factory=dict)
-    notes: tuple = (_FMAX_NOTE,)
 
     def constant(self, key: str) -> ReferenceConstant:
-        for c in self.reference:
+        for c in REFERENCE_CONSTANTS:
             if c.key == key:
                 return c
         raise KeyError(key)
@@ -356,22 +355,22 @@ class ResourceReport:
             lines.append(f"  {k:<24} {v}")
         lines.append("")
         lines.append("Reported for the reference FPGA implementation:")
-        for c in self.reference:
+        for c in REFERENCE_CONSTANTS:
             val = f"{c.value} {c.unit}".strip()
             lines.append(f"  {c.key:<28} {val:<32} [{c.source}]")
         lines.append("")
         lines.append("Derived ratios:")
         for k, v in self.derived.items():
             lines.append(f"  {k:<28} {v}")
-        lines += ["", "Notes:"] + [f"  - {n}" for n in self.notes]
+        lines += ["", "Notes:", f"  - {_FMAX_NOTE}"]
         return "\n".join(lines)
 
     def to_json(self) -> str:
         return json.dumps({
             "measured": self.measured,
-            "reference": [asdict(c) for c in self.reference],
+            "reference": [asdict(c) for c in REFERENCE_CONSTANTS],
             "derived": self.derived,
-            "notes": list(self.notes),
+            "notes": [_FMAX_NOTE],
         }, indent=2)
 
 

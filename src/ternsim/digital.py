@@ -7,9 +7,10 @@ in which every slot holds a level.  A :class:`GateNetwork` compiles itself
 to two-input lookups of 9 entries (3 for a one-input gate) when built: a
 wide TORN folds pairwise, and every one-input gate whose net is bound to no
 output port is folded into the tables of the steps that read it, so such a
-net is never materialized.  The tables come from ``eval_gate``, which states
-the gate semantics, and are composed only by lookups into each other; it and
-``truth_table`` live in :mod:`.netlist.cells` and are re-exported here.  The
+net is never materialized.  The tables come from ``truth_table``, which
+tabulates each cell kind's function on levels, the statement of the gate
+semantics, and are composed only by lookups into each other; it and
+``eval_gate`` live in :mod:`.netlist.cells` and are re-exported here.  The
 memristor divider gates' tables come from the paper's FPGA model, the
 integer two-state memristance divider (500 forward / 1500 reverse) of
 ``cells.divider_emulation``, so a digital verify runs that model.

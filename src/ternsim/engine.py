@@ -369,18 +369,19 @@ def _frozen(program) -> None:
 
 
 class _Program:
-    """A circuit compiled once, its drivers resolved; read-only.
+    """A circuit compiled once; read-only.
 
     Nodes are ordered ground, the pinned nodes (``pinned``: source nodes in
     device order, then signal-input nodes in port order), then the free
-    nodes, the unknowns ``[nfix:]``.  No stamp couples two blocks of free
-    nodes (``_blocks``), so each block's equations solve alone: the
-    block-diagonal step of KLU's block triangular form (Davis & Palamadai
-    Natarajan, ACM TOMS 37(3), 2010).  A matrix is one flat array of the
-    free rows: a row holds the pinned columns, then its block's, so the
-    blocks of one size form a stack of (size, nfix + size) matrices.  The
-    stamps on pinned rows, which no equation reads, sum into a spare row at
-    the end.
+    nodes, the unknowns ``[nfix:]``.  A ``Circuit`` is checked when built,
+    so every source is grounded and each pinned node has one driver.  No
+    stamp couples two blocks of free nodes (``_blocks``), so each block's
+    equations solve alone: the block-diagonal step of KLU's block
+    triangular form (Davis & Palamadai Natarajan, ACM TOMS 37(3), 2010).
+    A matrix is one flat array of the free rows: a row holds the pinned
+    columns, then its block's, so the blocks of one size form a stack of
+    (size, nfix + size) matrices.  The stamps on pinned rows, which no
+    equation reads, sum into a spare row at the end.
 
     Every stamp is compiled into one program, as in modified nodal analysis
     (Ho, Ruehli & Brennan, IEEE TCAS 22(6), 1975): the resistor and then
@@ -398,20 +399,11 @@ class _Program:
 
     def __init__(self, circuit: Circuit):
         self.name = circuit.name
-        self.sources = tuple(s for s in circuit.sources() if s.pos != GND)
+        self.sources = tuple(circuit.sources())
         self.signals = {p.name: p.node for p in circuit.signal_inputs()}
         self.supply = supply_voltage(circuit)
-        # Each pinned node's driver, as the two-driver error names it.
-        drivers = {}
-        for node, driver in [*((s.pos, f"source {s.name!r} node {s.pos!r}")
-                               for s in self.sources),
-                             *((n, f"input port {p!r} of {self.name!r}")
-                               for p, n in self.signals.items())]:
-            if node in drivers:
-                raise ValueError(f"node {node!r} has two drivers: "
-                                 f"{drivers[node]} and {driver}")
-            drivers[node] = driver
-        self.pinned = pinned = tuple(drivers)
+        self.pinned = pinned = (*(s.pos for s in self.sources),
+                                *self.signals.values())
         order = list(dict.fromkeys(itertools.chain(
             (GND, *pinned), *[d.nodes for d in circuit.devices])))
         self.n = n = len(order)
@@ -519,12 +511,10 @@ class _Program:
                     self.name)
         # Pinned node pinned[j] is node j + 1, and column j.
         table = np.empty((len(times), len(self.pinned)))
-        for src in self.sources:
-            table[:, self.index[src.pos] - 1] = [src.value_at(t)
-                                                 for t in times.tolist()]
-        for port, node in self.signals.items():
-            table[:, self.index[node] - 1] = stim.voltages(port, times,
-                                                           self.supply)
+        for j, src in enumerate(self.sources):
+            table[:, j] = [src.value_at(t) for t in times.tolist()]
+        for j, port in enumerate(self.signals, len(self.sources)):
+            table[:, j] = stim.voltages(port, times, self.supply)
         return table
 
 

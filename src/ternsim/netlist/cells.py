@@ -4,8 +4,8 @@ Topology is described once, at gate level (:class:`GateNetwork`), and consumed
 by both backends: :func:`elaborate` expands a network into a transistor/
 memristor :class:`Circuit` for the analog engine, and the network compiles
 itself into two-input lookups for the digital backend.  This module
-defines each cell kind's arity, function (:func:`eval_gate`) and device
-expansion.
+defines each cell kind's arity, function on levels (``_FUNCTION``, the gate
+semantics, which :func:`truth_table` tabulates) and device expansion.
 
 Cell topologies:
 
@@ -38,8 +38,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..core import (BIT_CODES, LEVELS, BitPair, TernaryLevel, as_level,
-                    decode_2bit, encode_2bit, ref_nti, ref_pti, ref_sti)
+from ..core import (LEVELS, BitPair, TernaryLevel, as_level, decode_2bit,
+                    encode_2bit, ref_nti, ref_pti, ref_sti)
 from ..devices import MemristorParams, MosfetParams, digital_memristance
 from .model import GND, Circuit, Memristor, Mosfet, Port, Resistor, VSource
 
@@ -124,12 +124,12 @@ def eval_gate(kind: CellKind, inputs) -> BitPair:
 def truth_table(kind: CellKind, arity: int) -> tuple:
     """Output level (0..2) of a gate for every input combination.
 
-    Entry ``sum(level_i * 3 ** (arity - 1 - i))`` holds the output for input
-    levels ``level_0 .. level_{arity-1}``, as :func:`eval_gate` gives it.
+    Entry ``sum(level_i * 3 ** (arity - 1 - i))`` holds the kind's function
+    on input levels ``level_0 .. level_{arity-1}``.
     """
-    return tuple(
-        int(decode_2bit(eval_gate(kind, [BIT_CODES[c] for c in combo])))
-        for combo in itertools.product(range(3), repeat=arity))
+    _check_arity(kind, arity, kind.value)
+    return tuple(int(_FUNCTION[kind](*levels))
+                 for levels in itertools.product(LEVELS, repeat=arity))
 
 
 # An operand reads its slot through a one-input function indexed by level: a
@@ -165,6 +165,8 @@ STI_RAIL_OHMS = 100e3
 SFBUF_NMOS = MosfetParams("NMOS", vth=0.05, k=1.0, channel_mod=_LAMBDA)
 SFBUF_LOAD_OHMS = 1e3
 MEM_CELL = MemristorParams()
+# The supply net of every elaborated circuit, and its port's name.
+VDD = "vdd"
 
 
 @dataclass(frozen=True)
@@ -260,7 +262,7 @@ class GateNetwork:
         return out
 
 
-def _expand_gate(gate: GateSpec, devices: list, vdd_net: str):
+def _expand_gate(gate: GateSpec, devices: list):
     """Append the device-level expansion of one gate instance."""
     g = gate.name
     ins, out = gate.inputs, gate.output
@@ -268,11 +270,11 @@ def _expand_gate(gate: GateSpec, devices: list, vdd_net: str):
     if kind in (CellKind.NTI, CellKind.PTI):
         npar, ppar = (NTI_NMOS, NTI_PMOS) if kind is CellKind.NTI else (PTI_NMOS, PTI_PMOS)
         devices.append(Mosfet(f"T{g}_n", out, ins[0], GND, npar))
-        devices.append(Mosfet(f"T{g}_p", out, ins[0], vdd_net, ppar))
+        devices.append(Mosfet(f"T{g}_p", out, ins[0], VDD, ppar))
     elif kind is CellKind.STI:
-        _expand_sti(g, ins[0], out, devices, vdd_net)
+        _expand_sti(g, ins[0], out, devices)
     elif kind is CellKind.SFBUF:
-        devices.append(Mosfet(f"T{g}_n", vdd_net, ins[0], out, SFBUF_NMOS))
+        devices.append(Mosfet(f"T{g}_n", VDD, ins[0], out, SFBUF_NMOS))
         devices.append(Resistor(f"R{g}_load", out, GND, SFBUF_LOAD_OHMS))
     elif kind is CellKind.TAND2:
         for label, net in zip("ab", ins):
@@ -284,15 +286,15 @@ def _expand_gate(gate: GateSpec, devices: list, vdd_net: str):
         mid = f"{g}.or"
         for i, net in enumerate(ins, start=1):
             devices.append(Memristor(f"M{g}_in{i}", net, mid, MEM_CELL))
-        _expand_sti(f"{g}_sti", mid, out, devices, vdd_net)
+        _expand_sti(f"{g}_sti", mid, out, devices)
     else:  # pragma: no cover - exhaustive over kinds
         raise InvalidArity(f"cannot expand cell kind {kind}")
 
 
-def _expand_sti(name: str, inp: str, out: str, devices: list, vdd_net: str):
+def _expand_sti(name: str, inp: str, out: str, devices: list):
     devices.append(Mosfet(f"T{name}_n", out, inp, GND, STI_NMOS))
-    devices.append(Mosfet(f"T{name}_p", out, inp, vdd_net, STI_PMOS))
-    devices.append(Resistor(f"R{name}_t", vdd_net, out, STI_RAIL_OHMS))
+    devices.append(Mosfet(f"T{name}_p", out, inp, VDD, STI_PMOS))
+    devices.append(Resistor(f"R{name}_t", VDD, out, STI_RAIL_OHMS))
     devices.append(Resistor(f"R{name}_b", out, GND, STI_RAIL_OHMS))
 
 
@@ -304,17 +306,16 @@ def elaborate(network: GateNetwork) -> Circuit:
     """
     devices: list = []
     for gate in network.gates:
-        _expand_gate(gate, devices, "vdd")
-    uses_vdd = any("vdd" in dev.nodes for dev in devices)
+        _expand_gate(gate, devices)
+    uses_vdd = any(VDD in dev.nodes for dev in devices)
     if uses_vdd:
-        devices.insert(0, VSource("Vvdd", "vdd", GND, dc=1.0))
+        devices.insert(0, VSource("Vvdd", VDD, GND, dc=1.0))
     ports = [Port(name, "in", name) for name in network.inputs]
     ports += [Port(port, "out", net) for port, net in network.outputs]
     if uses_vdd:
-        ports.append(Port("vdd", "in", "vdd"))
-    circuit = Circuit(name=network.name, devices=devices, ports=ports,
-                      cells=network.census())
-    return circuit.validate()
+        ports.append(Port(VDD, "in", VDD))
+    return Circuit(name=network.name, devices=devices, ports=ports,
+                   cells=network.census())
 
 
 def build_cell(kind: CellKind, n: Optional[int] = None) -> Circuit:

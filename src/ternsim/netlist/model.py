@@ -2,13 +2,13 @@
 
 Circuits are flat (no hierarchy); builders in :mod:`ternsim.netlist.cells`
 expand gate-level networks into these device lists.  Node ``"0"`` is ground.
-Circuits are immutable.
+Circuits are immutable, and checked when built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -138,7 +138,7 @@ class Port:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Node/device graph with named input/output ports; immutable.
+    """Node/device graph with named input/output ports; immutable and valid.
 
     ``devices`` and ``ports`` are kept as tuples (any iterable is accepted)
     and ``cells`` as a read-only mapping.  ``cells`` is optional builder
@@ -146,6 +146,12 @@ class Circuit:
     reporting.  Parsed circuits have an empty census.  Equality is
     structural: name, devices and ports.  The engine keeps the one solver
     program it compiles for the circuit in ``_programs``.
+
+    Every circuit is checked when it is built (a constructor call, a
+    ``dataclasses.replace``, a copy or an unpickle): a broken rule raises a
+    NetlistError subclass.  ``lines`` maps device names and ``("port",
+    name)`` keys to source line numbers, so that a parsed circuit's errors
+    name their line; it is not kept.
     """
 
     name: str = "circuit"
@@ -155,11 +161,13 @@ class Circuit:
     cells: Mapping = field(default_factory=dict, compare=False)
     _programs: dict = field(default_factory=dict, init=False, compare=False,
                             repr=False)
+    lines: InitVar[Optional[Mapping]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, lines):
         object.__setattr__(self, "devices", tuple(self.devices))
         object.__setattr__(self, "ports", tuple(self.ports))
         object.__setattr__(self, "cells", MappingProxyType(dict(self.cells)))
+        self._check(lines or {})
 
     def __reduce__(self):
         # A copy or a pickle starts with no compiled programs.
@@ -199,13 +207,9 @@ class Circuit:
     def sources(self) -> list:
         return [d for d in self.devices if isinstance(d, VSource)]
 
-    def validate(self, lines: Optional[dict] = None) -> "Circuit":
-        """Check structural invariants; raise a NetlistError subclass on failure.
-
-        ``lines`` optionally maps device/port names to source line numbers so
-        parse-time validation can report locations.
-        """
-        lines = lines or {}
+    def _check(self, lines: Mapping) -> None:
+        """Raise a NetlistError subclass, at its line in ``lines`` where
+        known, unless every structural rule holds."""
         names = set()
         for dev in self.devices:
             if dev.name in names:
@@ -266,4 +270,3 @@ class Circuit:
                 raise UnboundNodeError(
                     lines.get(owner[node]),
                     f"node {node!r} is dangling (single terminal, not a port)")
-        return self

@@ -120,7 +120,7 @@ def _parse_port(args, line):
 
 
 def parse(text: str) -> Circuit:
-    """Parse netlist text into a validated Circuit."""
+    """Parse netlist text into a Circuit; its errors name their line."""
     name, devices, ports = "netlist", [], []
     lines_of: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -156,7 +156,7 @@ def parse(text: str) -> Circuit:
             raise NetlistSyntaxError(lineno, str(exc)) from exc
         devices.append(dev)
         lines_of[dev.name] = lineno
-    return Circuit(name, devices, ports).validate(lines_of)
+    return Circuit(name, devices, ports, lines=lines_of)
 
 
 def _fmt(v: float) -> str:

@@ -112,7 +112,7 @@ def divider_circuit():
         VSource("V1", "top", "0", dc=1.0),
         Memristor("Mtop", "top", "mid", P),
         Memristor("Mbot", "mid", "0", P),
-    ], ports=[Port("mid", "out", "mid")]).validate()
+    ], ports=[Port("mid", "out", "mid")])
 
 
 class TestSolveDC:
@@ -130,7 +130,7 @@ class TestSolveDC:
         c = Circuit(name="r", devices=[
             VSource("V1", "a", "0", dc=1.0),
             Resistor("R1", "a", "0", 1000.0),
-        ]).validate()
+        ])
         system, pins, x, v0 = dc_system(c, {"a": 1.0})
         assert system.solve(x, pins, v0)[system.program.index["a"]] == 1.0
 
@@ -212,7 +212,7 @@ class TestStep:
         c = Circuit(name="m", devices=[
             VSource("V1", "a", "0", dc=1.0),
             Memristor("M1", "a", "0", P),
-        ]).validate()
+        ])
         system, pins, x, v0 = dc_system(c, {"a": 1.0}, {"M1": 0.0})
         v = system.solve(x, pins, v0)
         x = system.advance(x, v, P.tau)
@@ -1094,7 +1094,8 @@ class TestCompiledKernels:
                  "above -v_off": lambda p: math.nextafter(-p.v_off, 0.0)}
         system = _System(engine._program(Circuit(name="m", devices=[
             Memristor(f"M{i}", f"n{i}", "0", p)
-            for i, (p, _, _) in enumerate(draws)])))
+            for i, (p, _, _) in enumerate(draws)], ports=[
+            Port(f"n{i}", "out", f"n{i}") for i in range(len(draws))])))
         v = np.zeros(system.program.n)
         biases = []
         for i, (p, _, bias) in enumerate(draws):
@@ -1406,50 +1407,6 @@ class TestRail:
         circuit = parse(sources + "R1 a b 1k\nR2 b 0 1k\nR3 a 0 1k\n")
         assert engine.supply_voltage(circuit) == supply
 
-    def test_unvalidated_port_on_a_source_node_is_no_signal(self):
-        # validate() refuses this port; built without it, the source pins
-        # X's node and a stimulus on X is refused.
-        circuit = Circuit("r", (VSource("V1", "vdd", "0", dc=1.0),
-                                Resistor("R1", "vdd", "y", 1e3),
-                                Resistor("R2", "y", "0", 1e3)),
-                          (Port("X", "in", "vdd"), Port("Y", "out", "y")))
-        assert circuit.signal_inputs() == []
-        assert steady_output(circuit, {}, return_info=True)[1][
-            "voltages"]["Y"] == pytest.approx(0.5)
-        with pytest.raises(ValueError, match="unknown input port 'X' of 'r'"):
-            steady_output(circuit, {"X": L2})
-
-    def test_unvalidated_port_on_ground_is_no_signal(self):
-        # validate() refuses this port.  Before, run_transient failed inside
-        # numpy on a broadcast and steady_output pinned ground at X's level.
-        circuit = Circuit("r", (VSource("V1", "vdd", "0", dc=1.0),
-                                Resistor("R1", "vdd", "y", 1e3),
-                                Resistor("R2", "y", "0", 1e3)),
-                          (Port("X", "in", "0"), Port("Y", "out", "y")))
-        assert circuit.signal_inputs() == []
-        assert engine._program(circuit).pinned == ("vdd",)
-        assert steady_output(circuit, {}, return_info=True)[1][
-            "voltages"]["Y"] == pytest.approx(0.5)
-        for call in (lambda: steady_output(circuit, {"X": L2}),
-                     lambda: run_transient(circuit, Stimulus.hold({"X": L2}))):
-            with pytest.raises(ValueError,
-                               match="unknown input port 'X' of 'r'"):
-                call()
-
-    def test_two_ports_on_one_node_refused(self):
-        # validate() refuses Q at its line.  Built without it, the program
-        # refuses the node's second driver, whichever vector is given.
-        circuit = Circuit("r", (VSource("V1", "vdd", "0", dc=1.0),
-                                Resistor("R1", "vdd", "x", 1e3),
-                                Resistor("R2", "x", "0", 1e3)),
-                          (Port("P", "in", "x"), Port("Q", "in", "x")))
-        both = ("node 'x' has two drivers: input port 'P' of 'r' and "
-                "input port 'Q' of 'r'")
-        for call in (lambda: steady_output(circuit, {"P": L1, "Q": L1}),
-                     lambda: run_transient(circuit, Stimulus.hold({"P": L1}))):
-            with pytest.raises(ValueError, match=both):
-                call()
-
 
 class TestStimulus:
     def test_slew_interpolation(self):
@@ -1524,7 +1481,7 @@ class TestSchedule:
                                          (2.05e-9, 1.0), (3.5e-9, 0.25))),
             Memristor("M1", "x", "0", P), Memristor("M2", "y", "0", P),
             Memristor("M3", "p", "0", P), Memristor("M4", "vdd", "0", P),
-        ], ports=[Port("X", "in", "x"), Port("Y", "in", "y")]).validate()
+        ], ports=[Port("X", "in", "x"), Port("Y", "in", "y")])
 
     @staticmethod
     def instants(stim):

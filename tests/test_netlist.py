@@ -1,8 +1,11 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import pytest
 
+from ternsim.devices import MemristorParams
 from ternsim.netlist import (CellKind, DuplicateNameError, NetlistError,
                              NetlistSyntaxError, SEGMENT_TERMS,
                              UnboundNodeError, UnknownDeviceError, build_cell,
@@ -10,13 +13,15 @@ from ternsim.netlist import (CellKind, DuplicateNameError, NetlistError,
                              parse, serialize)
 from ternsim.netlist.cells import GateNetwork, InvalidArity
 from ternsim.netlist.parser import parse_value
-from ternsim.netlist.model import Port, Resistor, VSource
+from ternsim.netlist.model import (Circuit, Memristor, Port, Resistor,
+                                   VSource)
 
 MINIMAL = """\
 Vdd vdd 0 DC 1.0
 M1 vdd out RON=500 ROFF=10k VON=0.27 VOFF=0.27 TAU=500p X0=0
 R1 out 0 1k
 """
+P = MemristorParams()
 
 
 def device(circuit, name):
@@ -283,7 +288,6 @@ class TestSerialize:
         assert serialize(parse(text)) == text
 
     def test_empty_circuit_header_only(self):
-        from ternsim.netlist.model import Circuit
         text = serialize(Circuit(name="empty"))
         assert text == "* circuit: empty\n.end\n"
 
@@ -302,17 +306,62 @@ class TestCircuit:
 
 
     def test_validate_refusals(self):
-        from ternsim.netlist.model import Circuit
         loop = (VSource("V1", "a", "b", dc=1.0), Resistor("R1", "a", "b", 1e3))
         with pytest.raises(UnboundNodeError,
                            match=r"no device is connected to ground \(node 0\)"):
-            Circuit("floating", loop).validate()
+            Circuit("floating", loop)
         grounded = (VSource("V1", "a", "0", dc=1.0),
                     Resistor("R1", "a", "0", 1e3))
         twice = (Port("Y", "out", "a"), Port("Y", "out", "a"))
         with pytest.raises(DuplicateNameError,
                            match="duplicate port name 'Y'"):
-            Circuit("twice", grounded, twice).validate()
+            Circuit("twice", grounded, twice)
+
+    # Each breaks a rule that the solver, given the circuit, would get
+    # wrong without a word: V1 pinned as if grounded (Y 0.5 V, not 1/3 V),
+    # one M1 series kept, Y reporting node z, a bare KeyError.
+    @pytest.mark.parametrize("devices,ports,error,match", [
+        ((VSource("V1", "a", "m", dc=1.0), Resistor("R0", "m", "0", 1e3),
+          Resistor("R1", "a", "y", 1e3), Resistor("R2", "y", "0", 1e3)),
+         (Port("Y", "out", "y"),), UnboundNodeError,
+         "source 'V1': negative terminal must be ground"),
+        ((VSource("V1", "a", "0", dc=1.0), Memristor("M1", "a", "y", P),
+          Memristor("M1", "y", "0", P)),
+         (Port("Y", "out", "y"),), DuplicateNameError,
+         "duplicate device name 'M1'"),
+        ((VSource("V1", "a", "0", dc=1.0), Resistor("R1", "a", "y", 1e3),
+          Resistor("R2", "y", "z", 1e3), Resistor("R3", "z", "0", 1e3)),
+         (Port("Y", "out", "y"), Port("Y", "out", "z")), DuplicateNameError,
+         "duplicate port name 'Y'"),
+        ((VSource("V1", "a", "0", dc=1.0), Resistor("R1", "a", "y", 1e3),
+          Resistor("R2", "y", "0", 1e3)),
+         (Port("Y", "out", "q"),), UnboundNodeError,
+         "port 'Y' binds unknown node 'q'"),
+    ], ids=["source-off-ground", "two-M1", "two-Y", "unknown-node"])
+    def test_malformed_circuit_refused_when_built(self, devices, ports,
+                                                   error, match):
+        with pytest.raises(error, match=match) as e:
+            Circuit("bad", devices, ports)
+        assert e.value.line is None
+
+    def test_replace_is_checked(self, d13):
+        stray = (*d13.ports, Port("Z", "out", "nowhere"))
+        with pytest.raises(UnboundNodeError,
+                           match="port 'Z' binds unknown node 'nowhere'"):
+            dataclasses.replace(d13, ports=stray)
+        assert dataclasses.replace(d13, name="again") == Circuit(
+            "again", d13.devices, d13.ports)
+
+    def test_copies_are_checked(self, d13):
+        # TestCompileOnce::test_copies_start_without_compiled_programs (in
+        # test_engine.py) checks that a valid circuit's copies are equal.
+        broken = copy.copy(d13)
+        object.__setattr__(broken, "ports",
+                           (*d13.ports, Port("Z", "out", "nowhere")))
+        for rebuild in (copy.copy, copy.deepcopy,
+                        lambda c: pickle.loads(pickle.dumps(c))):
+            with pytest.raises(UnboundNodeError):
+                rebuild(broken)
 
 
 class TestCells:
@@ -422,10 +471,6 @@ class TestBuilders:
         a = elaborate(builtin_network("d29"))
         b = elaborate(builtin_network("d29"))
         assert a == b
-
-    def test_all_builders_validate(self, d13, d29, display):
-        for c in (d13, d29, display):
-            assert c.validate() is c
 
     def test_unknown_builtin_named(self):
         with pytest.raises(KeyError, match="unknown builtin 'bogus'"):

@@ -40,6 +40,11 @@ GUARDS = {
     # verify's display reference comes from the digit glyphs, not from the
     # segment wiring of the cell library that it checks.
     "display reference reads no wiring": (r"SEGMENT_TERMS", "netlist", None),
+    # A Circuit checks itself when built: no other src/ file validates one
+    # or words its own driver rule.
+    "one netlist validator": (
+        r"\.validate\(|two drivers|already pinned|supply pin must be named",
+        "model.py", None),
 }
 
 
@@ -73,6 +78,9 @@ def test_src_keeps_the_design(guard):
     ("one analog input contract", "def solve_dc(circuit):"),
     ("display reference reads no wiring",
      "from .netlist.cells import SEGMENT_TERMS"),
+    ("one netlist validator", "return circuit.validate()"),
+    ("one netlist validator",
+     "raise ValueError(f\"node {node!r} has two drivers\")"),
 ])
 def test_guard_fires(tmp_path, guard, offender):
     files = ("analysis.py", "core.py", "netlist/cells.py")

@@ -18,9 +18,8 @@ from .netlist import (CellKind, Circuit, GateNetwork, build_cell,
                       serialize)
 from .netlist.cells import divider_emulation
 from .engine import (NonConvergence, NonFiniteIterate, NotRelaxed,
-                     NotSettled, SingularSystem, SolverConfig, SolverError,
-                     Stimulus, TransientError, Waveform, run_transient,
-                     steady_output)
+                     SingularSystem, SolverConfig, SolverError, Stimulus,
+                     TransientError, Waveform, run_transient, steady_output)
 from .digital import (EncodedTrace, eval_circuit, eval_gate, eval_levels,
                       or_reduce_segment, run_trace)
 from .analysis import (GlitchEvent, ResourceReport, TruthTableReport,

@@ -22,8 +22,7 @@ import numpy as np
 from .core import (INDETERMINATE, L0, L1, L2, LEVELS, REGIONS,
                    TernaryLevel, VoltageBands, encode_2bit, levels_of)
 from .digital import eval_levels, or_reduce_segment
-from .engine import (NotSettled, SolverError, Stimulus, Waveform,
-                     steady_output)
+from .engine import SolverError, Stimulus, Waveform, steady_output
 from .netlist.cells import GateNetwork, builtin_network, elaborate
 from .netlist.model import Circuit
 
@@ -249,23 +248,23 @@ def detect_glitches(w: Waveform, stim: Stimulus, bands: VoltageBands) -> list:
 
 def measure_settling(w: Waveform, node: str, bands: VoltageBands,
                      stim: Optional[Stimulus] = None,
-                     min_hold: Optional[float] = None) -> float:
+                     min_hold: Optional[float] = None) -> Optional[float]:
     """Seconds from the last stimulus event to the final entry into the
-    settled band.  Raises NotSettled when the trailing stable run is shorter
-    than ``min_hold``, by default the lesser of 10 ns and half the run, but
-    at least one step."""
+    settled band.  None when the node did not settle: the waveform has no
+    samples, or the trailing stable run is shorter than ``min_hold``, by
+    default the lesser of 10 ns and half the run, but at least one step."""
     if node in w.port_nodes:
         node = w.port_nodes[node]
     codes = bands.codes(w.probes[node])
     if not codes.size:  # a transient that failed before its first sample
-        raise NotSettled(0.0)
+        return None
     unsettled = np.flatnonzero(codes != codes[-1])
     entry = int(unsettled[-1]) + 1 if unsettled.size else 0
     hold = float(w.times[-1] - w.times[entry])
     if min_hold is None:
         min_hold = max(w.dt, min(10e-9, 0.5 * float(w.times[-1])))
     if hold < min_hold:
-        raise NotSettled(float(w.times[-1]))
+        return None
     last_event = 0.0
     if stim is not None:
         past = [t for t in stim.event_times() if t <= w.times[-1]]

@@ -19,8 +19,8 @@ from pathlib import Path
 from . import analysis
 from .core import TernaryLevel, VoltageBands
 from .digital import eval_levels
-from .engine import (NotSettled, SolverConfig, SolverError, Stimulus,
-                     run_transient, supply_voltage)
+from .engine import (SolverConfig, SolverError, Stimulus, run_transient,
+                     supply_voltage)
 from .netlist import (builtin_network, elaborate, mutate_network, parse,
                       serialize)
 from .netlist.cells import BUILTIN_NETWORKS
@@ -111,14 +111,14 @@ def cmd_simulate(args) -> int:
             _atomic_write(path, buf.getvalue())
             print(f"wrote {path}")
         for port in circuit.output_ports():
-            try:
-                t = analysis.measure_settling(wave, port.name, bands, stim)
+            t = analysis.measure_settling(wave, port.name, bands, stim)
+            if t is None:
+                print(f"  {tag}: {port.name} NOT SETTLED by {cfg.t_stop:.2e} s")
+                status = EXIT_SOLVER
+            else:
                 v_final = wave.port_voltage(port.name)[-1]
                 print(f"  {tag}: {port.name} settled {t * 1e9:.2f} ns after "
                       f"last event at {v_final:.3f} V")
-            except NotSettled:
-                print(f"  {tag}: {port.name} NOT SETTLED by {cfg.t_stop:.2e} s")
-                status = EXIT_SOLVER
     return status
 
 

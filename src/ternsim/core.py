@@ -99,7 +99,7 @@ REGION_LEVELS = (L0, INDETERMINATE, L1, INDETERMINATE, L2)
 
 
 class InvalidEncoding(ValueError):
-    """Raised when decoding the reserved two-bit code 11."""
+    """Raised when decoding the reserved two-bit code 11 or a non-code."""
 
 
 @dataclass(frozen=True)
@@ -180,9 +180,14 @@ def encode_2bit(level: TernaryLevel) -> BitPair:
 
 
 def decode_2bit(b: BitPair) -> TernaryLevel:
-    if b.hi and b.lo:
+    """The code's level; InvalidEncoding for code 11 or a non-code."""
+    try:
+        hi, lo = b.hi, b.lo
+    except AttributeError:
+        raise InvalidEncoding(f"{b!r} is not a two-bit code") from None
+    if hi and lo:
         raise InvalidEncoding("two-bit code 11 is reserved")
-    return LEVELS[2 * b.hi + b.lo]
+    return LEVELS[2 * hi + lo]
 
 
 # Functional inverter semantics.  The three differ only in how they treat the

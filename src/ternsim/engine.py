@@ -59,14 +59,6 @@ class SingularSystem(SolverError):
         super().__init__(f"singular system: node {node!r} has no DC path")
 
 
-class NotSettled(SolverError):
-    """No settle window was found before the simulation deadline."""
-
-    def __init__(self, t_stop: float):
-        self.t_stop = t_stop
-        super().__init__(f"outputs did not settle within {t_stop:.3e} s")
-
-
 class NotRelaxed(SolverError):
     """The polarity rule still flipped a memristor when its passes ran out,
     or (``passes`` None) a state moved at the relaxed fixed point."""
@@ -727,10 +719,10 @@ def steady_output(circuit: Circuit, inputs: Mapping,
     memristors are relaxed, the network is solved once more with their
     states, and a step of dt must leave every state unchanged, else
     NotRelaxed names one that moves.  Every later step would repeat that
-    solve, so the outputs hold from t = 0 and the 20-tau settle window
-    closes at step window - 1; NotSettled if that is past t_stop.  With
-    ``return_info`` also returns a dict of settle_time (0.0), the output
-    voltages, the states and t_run, the time the window closes.
+    solve, so the answer, a DC operating point, holds from t = 0 whatever
+    tau and ``cfg.t_stop``.  With ``return_info`` also returns a dict of the
+    output voltages, the states, and, for the benchmark only, settle_time
+    (0.0) and t_run, (window - 1) * dt for a 20-tau window.
     """
     cfg = cfg or SolverConfig()
     prog = _program(circuit)
@@ -744,13 +736,11 @@ def steady_output(circuit: Circuit, inputs: Mapping,
     moved = np.flatnonzero(system.advance(x, v, cfg.dt) != x)
     if moved.size:
         raise NotRelaxed(None, prog.mem_names[moved[0]])
-    window = max(2, int(round(20.0 * prog.min_tau / cfg.dt)))
-    if window - 1 > cfg.steps:
-        raise NotSettled(cfg.t_stop)
     levels = {p: REGION_LEVELS[code] for p, code
               in zip(prog.outputs, bands.codes(v[prog.out_rows]).tolist())}
     if not return_info:
         return levels
+    window = max(2, round(20.0 * prog.min_tau / cfg.dt))
     info = {"settle_time": 0.0,
             "voltages": dict(zip(prog.outputs, v[prog.out_rows].tolist())),
             "states": prog.state_dict(x), "t_run": (window - 1) * cfg.dt}

@@ -179,6 +179,9 @@ class GateSpec:
     output: str
 
     def __post_init__(self):
+        if not isinstance(self.kind, CellKind):
+            raise ValueError(f"gate {self.name!r}: kind {self.kind!r} is not "
+                             f"a CellKind")
         _check_arity(self.kind, len(self.inputs),
                      f"{self.kind.value} {self.name!r}")
 

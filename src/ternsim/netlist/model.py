@@ -217,11 +217,6 @@ class Circuit:
                                          f"duplicate device name {dev.name!r}")
             names.add(dev.name)
         nodes = self.nodes
-        if GND not in nodes and self.sources():
-            # A self-powered circuit needs a ground reference; a passive
-            # subcircuit (e.g. a bare memristor gate) is referenced by
-            # whatever drives its ports.
-            raise UnboundNodeError(None, "no device is connected to ground (node 0)")
         port_names = set()
         for p in self.ports:
             if p.name in port_names:

@@ -17,8 +17,8 @@ from ternsim import analysis, engine
 from ternsim.core import (LEVELS, BitPair, InvalidEncoding, TernaryLevel,
                           VoltageBands, decode_2bit, encode_2bit)
 from ternsim.digital import eval_circuit, eval_levels
-from ternsim.engine import (NotSettled, SolverConfig, Stimulus, Waveform,
-                            run_transient, steady_output)
+from ternsim.engine import (SolverConfig, Stimulus, Waveform, run_transient,
+                            steady_output)
 from ternsim.netlist import (builtin_network, elaborate, mutate_network,
                              parse, serialize)
 from ternsim.netlist.cells import SEGMENT_TERMS
@@ -487,8 +487,7 @@ class TestGlitchScan:
         assert measure_settling(w, "Y", BANDS, stim, min_hold=3e-9) == (
             w.times[19] - 10e-9)
         assert measure_settling(w, "X", BANDS, stim, min_hold=3e-9) == 0.0
-        with pytest.raises(NotSettled):
-            measure_settling(w, "Y", BANDS, stim, min_hold=5e-9)
+        assert measure_settling(w, "Y", BANDS, stim, min_hold=5e-9) is None
 
 
 class TestGlitches:
@@ -541,14 +540,12 @@ class TestSettling:
     def test_not_settled_when_run_too_short(self, d13):
         stim = Stimulus({"X": ((0.0, L0), (3e-9, L2))}, slew=1e-9)
         w = run_transient(d13, stim, SolverConfig(t_stop=4e-9))
-        with pytest.raises(NotSettled):
-            measure_settling(w, "Y2", BANDS, stim)
+        assert measure_settling(w, "Y2", BANDS, stim) is None
 
     def test_zero_length_run_not_settled(self, d13):
         stim = Stimulus.hold({"X": L2})
         w = run_transient(d13, stim, SolverConfig(t_stop=0.0))
-        with pytest.raises(NotSettled):
-            measure_settling(w, "Y1", BANDS, stim)
+        assert measure_settling(w, "Y1", BANDS, stim) is None
 
 
 class TestResourceReport:

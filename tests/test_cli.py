@@ -7,7 +7,7 @@ import pytest
 
 from ternsim import analysis
 from ternsim.cli import main
-from ternsim.engine import (NonConvergence, NotRelaxed, NotSettled,
+from ternsim.engine import (NonConvergence, NonFiniteIterate, NotRelaxed,
                             SingularSystem, TransientError, Waveform)
 from ternsim.netlist import builtin_network, elaborate, serialize
 
@@ -435,7 +435,7 @@ class TestErrorBoundary:
     @pytest.mark.parametrize("error", [
         NonConvergence(200, "Y2"),
         SingularSystem("g"),
-        NotSettled(100e-9),
+        NonFiniteIterate(3, "y"),
         NotRelaxed(8, "Mu1"),
         TransientError(NonConvergence(200, "Y2"), 1e-9,
                        Waveform(dt=50e-12, times=[], probes={}, states={})),

@@ -160,6 +160,12 @@ class TestTwoBitEncoding:
         with pytest.raises(InvalidEncoding):
             decode_2bit(BitPair(1, 1))
 
+    @pytest.mark.parametrize("value", ["01", None, 1, (0, 1)])
+    def test_non_code(self, value):
+        with pytest.raises(InvalidEncoding) as exc:
+            decode_2bit(value)
+        assert str(exc.value) == f"{value!r} is not a two-bit code"
+
     def test_roundtrip(self):
         for lv in LEVELS:
             assert decode_2bit(encode_2bit(lv)) is lv

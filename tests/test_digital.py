@@ -125,6 +125,10 @@ class TestOrReduce:
         with pytest.raises(InvalidEncoding):
             or_reduce_segment(BitPair(1, 1))
 
+    def test_non_code(self):
+        with pytest.raises(InvalidEncoding, match="1 is not a two-bit code"):
+            or_reduce_segment(1)
+
 
 class TestEvalCircuit:
     def test_d13_mid_input(self, d13_network):
@@ -231,9 +235,15 @@ class TestTrace:
         assert lines[3] == "2,2,0,0,2"
 
     def test_trace_rejects_reserved_output(self):
-        with pytest.raises(InvalidEncoding):
+        with pytest.raises(InvalidEncoding) as exc:
             EncodedTrace(inputs=({"A": BitPair(0, 0)},),
                          outputs=({"Y": BitPair(1, 1)},))
+        assert str(exc.value) == "output 'Y': two-bit code 11 is reserved"
+
+    def test_trace_rejects_non_code_output(self):
+        with pytest.raises(InvalidEncoding) as exc:
+            EncodedTrace(inputs=({"A": BitPair(0, 0)},), outputs=({"Y": "10"},))
+        assert str(exc.value) == "output 'Y': '10' is not a two-bit code"
 
 
 def reference_walk(network, inputs):

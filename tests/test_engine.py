@@ -25,9 +25,9 @@ from ternsim import analysis, cli, engine
 from ternsim.analysis import (detect_glitches, expected_outputs,
                               input_vectors, measure_settling)
 from ternsim.engine import (NonConvergence, NonFiniteIterate, NotRelaxed,
-                            NotSettled, SingularSystem, SolverConfig,
-                            SolverError, Stimulus, TransientError, Waveform,
-                            _System, run_transient, steady_output)
+                            SingularSystem, SolverConfig, SolverError,
+                            Stimulus, TransientError, Waveform, _System,
+                            run_transient, steady_output)
 from ternsim.netlist import (CellKind, build_cell, builtin_network, parse,
                              serialize)
 from ternsim.netlist.cells import GateNetwork, GateSpec, elaborate
@@ -345,8 +345,7 @@ class TestTransient:
         w = e.value.waveform
         assert len(w.times) == 0
         # The analysis functions take the empty waveform too.
-        with pytest.raises(NotSettled):
-            measure_settling(w, "Y0", BANDS)
+        assert measure_settling(w, "Y0", BANDS) is None
         assert detect_glitches(w, Stimulus.hold({"X": L1}), BANDS) == []
 
     def test_non_finite_solve_fails_at_its_first_iteration(self, d13,
@@ -488,10 +487,6 @@ class TestSteadyOutput:
         assert out["Yg"] == L2
         assert all(v == L0 for k, v in out.items() if k != "Yg")
 
-    def test_not_settled_when_deadline_too_short(self, d13):
-        with pytest.raises(NotSettled):
-            steady_output(d13, {"X": L0}, cfg=SolverConfig(t_stop=1e-9))
-
     def test_settle_skips_quiescent_steps(self, d13, monkeypatch):
         # One settle solve at the relaxed fixed point stands for the whole
         # 20-tau window: few solves, not one per step.
@@ -563,8 +558,8 @@ def walked_settle(circuit, inputs, cfg):
     From the relaxed states, each step solves the network with its states
     and then advances them; a step whose states repeat the last step's
     reuses its voltages, since it would solve the same system.  The window
-    closes once every output has held one region for 20 tau.  Returns
-    ``steady_output``'s info dict, or raises NotSettled.
+    closes once every output has held one region for 20 tau, however short
+    ``cfg.t_stop`` is.  Returns ``steady_output``'s info dict.
     """
     supply = engine.supply_voltage(circuit)
     bands = VoltageBands.default(supply)
@@ -574,7 +569,7 @@ def walked_settle(circuit, inputs, cfg):
     prog = system.program
     window = max(2, round(20.0 * prog.min_tau / cfg.dt))
     run_len, regions, settle_time, last_x = 0, None, 0.0, None
-    for k in range(cfg.steps + 1):
+    for k in range(engine.MAX_STEPS):
         t = k * cfg.dt
         if last_x is None or x.tolist() != last_x.tolist():
             v = system.solve(x, pins, v)
@@ -589,7 +584,7 @@ def walked_settle(circuit, inputs, cfg):
                                          v[prog.out_rows].tolist())),
                     "states": prog.state_dict(x), "t_run": t}
         last_x, x = x, system.advance(x, v, cfg.dt)
-    raise NotSettled(cfg.t_stop)
+    raise AssertionError(f"no settle window in {engine.MAX_STEPS} steps")
 
 
 class TestCompileOnce:
@@ -683,16 +678,11 @@ class TestCompileOnce:
         dt = SolverConfig().dt
         k_end = round(walked_settle(circuit, vec, SolverConfig())["t_run"]
                       / dt)
+        # A t_stop short of the window changes neither answer.
         for steps in range(k_end - 3, k_end + 3):
             cfg = SolverConfig(t_stop=steps * dt)
-            if steps < k_end:
-                for settle in (walked_settle, steady_output):
-                    with pytest.raises(NotSettled):
-                        settle(circuit, vec, cfg=cfg)
-            else:
-                _, info = steady_output(circuit, vec, cfg=cfg,
-                                        return_info=True)
-                assert repr(info) == repr(walked_settle(circuit, vec, cfg))
+            _, info = steady_output(circuit, vec, cfg=cfg, return_info=True)
+            assert repr(info) == repr(walked_settle(circuit, vec, cfg))
 
 
 def side_by_side(*names):

@@ -11,7 +11,7 @@ from ternsim.netlist import (CellKind, DuplicateNameError, NetlistError,
                              UnboundNodeError, UnknownDeviceError, build_cell,
                              builtin_network, elaborate, mutate_network,
                              parse, serialize)
-from ternsim.netlist.cells import GateNetwork, InvalidArity
+from ternsim.netlist.cells import GateNetwork, GateSpec, InvalidArity
 from ternsim.netlist.parser import parse_value
 from ternsim.netlist.model import (Circuit, Memristor, Port, Resistor,
                                    VSource)
@@ -305,11 +305,15 @@ class TestCircuit:
             elaborate(builtin_network("d13")).cells["TAND2"] = 1
 
 
-    def test_validate_refusals(self):
+    def test_construction_refusals(self):
         loop = (VSource("V1", "a", "b", dc=1.0), Resistor("R1", "a", "b", 1e3))
-        with pytest.raises(UnboundNodeError,
-                           match=r"no device is connected to ground \(node 0\)"):
+        with pytest.raises(UnboundNodeError) as e:
             Circuit("floating", loop)
+        assert str(e.value) == "source 'V1': negative terminal must be ground"
+        with pytest.raises(UnboundNodeError) as e:
+            parse("V1 a b DC 1\nR1 a b 1k\n")
+        assert str(e.value) == ("line 1: source 'V1': negative terminal "
+                                "must be ground")
         grounded = (VSource("V1", "a", "0", dc=1.0),
                     Resistor("R1", "a", "0", 1e3))
         twice = (Port("Y", "out", "a"), Port("Y", "out", "a"))
@@ -388,6 +392,13 @@ class TestCells:
             build_cell(CellKind.TORN, n=1)
         with pytest.raises(InvalidArity):
             build_cell(CellKind.TAND2, n=3)
+
+    @pytest.mark.parametrize("kind", ["TOR2", None])
+    def test_gate_kind_must_be_a_cell_kind(self, kind):
+        # Checked before the arity, which reads kind.value.
+        with pytest.raises(ValueError) as e:
+            GateSpec(kind, "u", ("a", "b"), "y")
+        assert str(e.value) == f"gate 'u': kind {kind!r} is not a CellKind"
 
 
 class TestBuilders:

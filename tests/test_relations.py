@@ -13,17 +13,24 @@ its root, mis-splits blocks only on some orders (display, seed 3).
 The order in which a caller lists its input ports or stimulus ports must
 change nothing either: a circuit compiles one program, which pins its
 source nodes and then its signal inputs in the circuit's own order.
+
+Nor may time scales change a steady answer, which is a DC operating point
+(SPICE's ``.op``; Nagel, UCB/ERL M520, 1975): the memristors' TAU, slowed
+from 0.5 ns to 6 ns and to 1 us, or a t_stop of 1 ns, far short of 20 tau.
+A settle-window refusal put back into ``steady_output`` fails this.
 """
 
 import dataclasses
 import random
+import re
 
 import pytest
 
 from ternsim.analysis import input_vectors
 from ternsim.core import LEVELS
-from ternsim.engine import Stimulus, run_transient, steady_output
-from ternsim.netlist import builtin_network, elaborate
+from ternsim.engine import (SolverConfig, Stimulus, run_transient,
+                            steady_output)
+from ternsim.netlist import builtin_network, elaborate, parse, serialize
 from ternsim.netlist.model import GND, Circuit
 
 SEEDS = range(8)
@@ -82,6 +89,30 @@ def test_device_order_and_node_names_keep_the_answers(builtin):
             for port, volts in info["voltages"].items():
                 assert copy_info["voltages"][port] == pytest.approx(
                     volts, rel=0, abs=VOLTS_ABS), (seed, vec, port)
+
+
+@pytest.mark.parametrize("tau", [6e-9, 1e-6])
+def test_tau_keeps_the_steady_answer(builtin, tau):
+    name, circuit = builtin
+    text, n = re.subn(r"\bTAU=\S+", f"TAU={tau!r}", serialize(circuit))
+    assert n == len(circuit.memristors()) > 0
+    slow = parse(text)
+    assert {m.params.tau for m in slow.memristors()} == {tau}
+    for vec in input_vectors(name):
+        want, info = steady_output(circuit, vec, return_info=True)
+        got, slow_info = steady_output(slow, vec, return_info=True)
+        assert repr(got) == repr(want), vec
+        for key in ("voltages", "states"):
+            assert repr(slow_info[key]) == repr(info[key]), (vec, key)
+
+
+def test_t_stop_keeps_the_steady_answer(builtin):
+    name, circuit = builtin
+    short = SolverConfig(t_stop=1e-9)
+    for vec in input_vectors(name):
+        assert repr(steady_output(circuit, vec, cfg=short,
+                                  return_info=True)) == repr(
+            steady_output(circuit, vec, return_info=True)), vec
 
 
 def reversed_dict(mapping):

@@ -20,7 +20,7 @@ from .netlist.cells import divider_emulation
 from .engine import (NonConvergence, NonFiniteIterate, NotRelaxed,
                      SingularSystem, SolverConfig, SolverError, Stimulus,
                      TransientError, Waveform, run_transient, steady_output)
-from .digital import (EncodedTrace, eval_circuit, eval_gate, eval_levels,
+from .digital import (EncodedTrace, eval_circuit, eval_levels,
                       or_reduce_segment, run_trace)
 from .analysis import (GlitchEvent, ResourceReport, TruthTableReport,
                        detect_glitches, measure_settling, resource_report,

@@ -217,9 +217,8 @@ def detect_glitches(w: Waveform, stim: Stimulus, bands: VoltageBands) -> list:
     """
     if not len(w.times):  # a transient that failed before its first sample
         return []
-    events = [t for t in stim.event_times() if t <= w.times[-1]]
-    if not events or events[0] > 0.0:
-        events = [0.0] + events
+    # The first window starts at sample 0, also after an event before 0.
+    events = [0.0, *(t for t in stim.event_times() if 0.0 < t <= w.times[-1])]
     bounds = []
     for i, t in enumerate(events):
         t_next = events[i + 1] if i + 1 < len(events) else w.times[-1] + w.dt

@@ -9,10 +9,11 @@ wide TORN folds pairwise, and every one-input gate whose net is bound to no
 output port is folded into the tables of the steps that read it, so such a
 net is never materialized.  The tables come from ``truth_table``, which
 tabulates each cell kind's function on levels, the statement of the gate
-semantics, and are composed only by lookups into each other; it and
-``eval_gate`` live in :mod:`.netlist.cells` and are re-exported here.  The
-memristor divider gates' tables come from the paper's FPGA model, the
-integer two-state memristance divider (500 forward / 1500 reverse) of
+semantics, and are composed only by lookups into each other; these lookups
+are the package's one gate evaluator.  ``truth_table`` lives in
+:mod:`.netlist.cells`, which works on levels only.  The memristor divider
+gates' tables come from the paper's FPGA model, the integer two-state
+memristance divider (500 forward / 1500 reverse) of
 ``cells.divider_emulation``, so a digital verify runs that model.
 ``eval_levels`` answers in levels per port, as ``engine.steady_output`` does
 on the analog side; ``eval_circuit`` and ``run_trace`` in two-bit codes.
@@ -20,13 +21,12 @@ on the analog side; ``eval_circuit`` and ``run_trace`` in two-bit codes.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .core import (BIT_CODES, LEVELS, BitPair, InvalidEncoding, TernaryLevel,
                    check_ports, decode_2bit, levels_of)
-from .netlist.cells import GateNetwork, eval_gate, truth_table
+from .netlist.cells import GateNetwork
 
 
 def build_dag(network: GateNetwork) -> GateNetwork:
@@ -102,19 +102,6 @@ class EncodedTrace:
                     decode_2bit(b)
                 except InvalidEncoding as exc:
                     raise InvalidEncoding(f"output {port!r}: {exc}") from None
-
-    def to_csv(self, fh) -> None:
-        """Write a ``time,<inputs>,<outputs>`` header, each group of ports
-        sorted by name, then a row per step: its index in ``time`` and each
-        port's level as 0, 1 or 2."""
-        writer = csv.writer(fh)
-        in_names = sorted(self.inputs[0]) if self.inputs else []
-        out_names = sorted(self.outputs[0]) if self.outputs else []
-        writer.writerow(["time"] + in_names + out_names)
-        for i, (ins, outs) in enumerate(zip(self.inputs, self.outputs)):
-            row = [int(decode_2bit(ins[n])) for n in in_names]
-            row += [int(decode_2bit(outs[n])) for n in out_names]
-            writer.writerow([i] + row)
 
 
 def run_trace(network: GateNetwork, vectors: Iterable) -> EncodedTrace:

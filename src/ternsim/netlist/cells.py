@@ -5,7 +5,8 @@ by both backends: :func:`elaborate` expands a network into a transistor/
 memristor :class:`Circuit` for the analog engine, and the network compiles
 itself into two-input lookups for the digital backend.  This module
 defines each cell kind's arity, function on levels (``_FUNCTION``, the gate
-semantics, which :func:`truth_table` tabulates) and device expansion.
+semantics, which :func:`truth_table` tabulates) and device expansion.  It
+works on levels only: the two-bit code belongs to :mod:`ternsim.digital`.
 
 Cell topologies:
 
@@ -38,8 +39,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..core import (LEVELS, BitPair, TernaryLevel, as_level, decode_2bit,
-                    encode_2bit, ref_nti, ref_pti, ref_sti)
+from ..core import LEVELS, TernaryLevel, as_level, ref_nti, ref_pti, ref_sti
 from ..devices import MemristorParams, MosfetParams, digital_memristance
 from .model import GND, Circuit, Memristor, Mosfet, Port, Resistor, VSource
 
@@ -111,13 +111,6 @@ def _check_arity(kind: CellKind, n: int, who: str) -> None:
     if (n != want) if want else (n < 2):
         raise InvalidArity(f"{who} takes {want or 'at least 2'} inputs, "
                            f"got {n}")
-
-
-def eval_gate(kind: CellKind, inputs) -> BitPair:
-    """Evaluate one gate on encoded inputs via the reference semantics."""
-    levels = [decode_2bit(b) for b in inputs]
-    _check_arity(kind, len(levels), kind.value)
-    return encode_2bit(_FUNCTION[kind](*levels))
 
 
 @functools.cache

@@ -76,8 +76,9 @@ class Resistor:
     ohms: float
 
     def __post_init__(self):
-        if not (0 < self.ohms and math.isfinite(1.0 / self.ohms)):
-            raise ValueError(f"resistance must be positive, "  # 1e-320 too
+        # 1e-320 is refused too: its conductance overflows.
+        if not (0 < self.ohms < math.inf and math.isfinite(1.0 / self.ohms)):
+            raise ValueError(f"resistance must be positive and finite, "
                              f"got ohms={self.ohms}")
 
     @property
@@ -180,12 +181,6 @@ class Circuit:
         for dev in self.devices:
             out.update(dev.nodes)
         return out
-
-    def port(self, name: str) -> Port:
-        for p in self.ports:
-            if p.name == name:
-                return p
-        raise KeyError(f"no port named {name!r}")
 
     def input_ports(self) -> list:
         return [p for p in self.ports if p.direction == "in"]

@@ -55,6 +55,9 @@ def _split_kv(tokens, keymap, line, what):
             raise NetlistSyntaxError(line, f"{what}: unknown parameter {key!r}")
         if not val:
             raise NetlistSyntaxError(line, f"{what}: missing value for {key!r}")
+        if field in out:
+            raise NetlistSyntaxError(line, f"{what}: parameter {key!r} is "
+                                           f"given twice")
         out[field] = parse_value(val, line)
     return out
 

@@ -457,11 +457,15 @@ class TestGlitchScan:
     def test_exact_events(self, scan_run):
         w, stim = scan_run
         t = w.times
-        assert detect_glitches(w, stim, BANDS) == [
-            GlitchEvent("y", t[6], t[8], "gap01"),
-            GlitchEvent("y", t[13], t[16], "L1"),
-            GlitchEvent("y", t[17], t[19], "gap12"),
-        ]
+        want = [GlitchEvent("y", t[6], t[8], "gap01"),
+                GlitchEvent("y", t[13], t[16], "L1"),
+                GlitchEvent("y", t[17], t[19], "gap12")]
+        assert detect_glitches(w, stim, BANDS) == want
+        # An event before 0 still starts the first window at sample 0, so
+        # the same glitches are found: no lost gap01, no L1 approach.
+        for first in (-1e-9, -3e-9, -30e-9):
+            shifted = Stimulus({"X": ((first, L0), (10e-9, L2))})
+            assert detect_glitches(w, shifted, BANDS) == want, first
 
     def test_windows_start_at_zero(self):
         # The first event is at 5 ns, so the samples before it form a window

@@ -65,7 +65,7 @@ class TestParse:
 
     def test_ports(self):
         c = parse(MINIMAL + ".port out result out\n.end\n")
-        assert c.port("result").node == "out"
+        assert c.ports == (Port("result", "out", "out"),)
 
     def test_end_stops_parsing(self):
         c = parse(MINIMAL + ".end\nthis is not a netlist line\n")
@@ -137,6 +137,13 @@ class TestParseErrors:
         ("V1 a 0 DC 1\n.foo x\n", 2, "unknown directive '.foo'"),
         ("V1 a 0 PWL(0 0 1n 1\nR1 a 0 1k\n", 1, r"malformed PWL\(\.\.\.\)"),
         ("V1 a 0 DC 1\nM1 a 0 RON=\n", 2, "missing value for 'RON'"),
+        # A repeated parameter is refused, not read as its last value.
+        ("V1 a 0 DC 1\nM1 a 0 RON=500 RON=700 ROFF=10k\n", 2,
+         "memristor: parameter 'RON' is given twice"),
+        ("V1 a 0 DC 1\nM1 a 0 RON=500 ROFF=10k ron=700\n", 2,
+         "memristor: parameter 'ron' is given twice"),
+        ("V1 a 0 DC 1\nT1 a a 0 NMOS VTH=0.3 K=1m VTH=0.4\n", 2,
+         "mosfet: parameter 'VTH' is given twice"),
     ])
     def test_refused_at_its_line(self, text, line, match):
         with pytest.raises(NetlistSyntaxError, match=match) as e:
@@ -211,7 +218,7 @@ class TestParseErrors:
 class TestDeviceChecks:
     """Devices built in Python are checked as parsed ones are."""
 
-    @pytest.mark.parametrize("ohms", [0.0, -1e3, 1e-320, math.nan])
+    @pytest.mark.parametrize("ohms", [0.0, -1e3, 1e-320, math.nan, math.inf])
     def test_resistance_must_be_positive(self, ohms):
         with pytest.raises(ValueError, match="ohms="):
             Resistor("R1", "a", "0", ohms)

@@ -19,11 +19,12 @@ GUARDS = {
     # One device model, one transient loop and one gate pass, with no scalar
     # copy or test code in src/; the memristor gates' semantics are the
     # divider model's, with no min/max copy beside it; settling is measured,
-    # not raised as a solver failure.
+    # not raised as a solver failure; the compiled lookups are the one gate
+    # evaluator.
     "deleted names": (
         r"device_oracle|digital_oracle|mosfet_small_signal|_square_law|"
         r"_mosfet_companion|bypass|_unchanged|def march|_packing_table|"
-        r"def ref_(tand|tor)\b|NotSettled", None, None),
+        r"def ref_(tand|tor)\b|NotSettled|def eval_gate\b", None, None),
     # Only core.as_level and core.levels_of decide what a level is.
     # Iterating over LEVELS is fine.
     "one level check": (
@@ -75,6 +76,7 @@ def test_src_keeps_the_design(guard):
     ("deleted names", "def ref_tand(a, b):"),
     ("deleted names", "def ref_tor(a, b):"),
     ("deleted names", "class NotSettled(SolverError):"),
+    ("deleted names", "def eval_gate(kind, inputs):"),
     ("one level check", "ok = value in LEVELS"),
     ("one port check", "raise ValueError('missing input port')"),
     ("one analog input contract", "def solve_dc(circuit):"),

@@ -207,18 +207,23 @@ class GlitchEvent:
             raise ValueError("glitch must have t_end > t_start")
 
 
+def _events(w: Waveform, stim: Optional[Stimulus]) -> list:
+    """The stimulus events a run reached: 0, then each in (0, end of run]."""
+    times = stim.event_times() if stim is not None else ()
+    return [0.0, *(t for t in times if 0.0 < t <= w.times[-1])]
+
+
 def detect_glitches(w: Waveform, stim: Stimulus, bands: VoltageBands) -> list:
     """Find band excursions that leave and re-enter a port node's settled band.
 
-    Windows run from each stimulus event to the next; within a window a node
-    must first reach its final band, and any later run of at least two
-    samples outside that band that returns to it is reported.  The minimum
-    width suppresses single-sample solver jitter.
+    Windows run from 0, and from each stimulus event inside the run, to the
+    next; within a window a node must first reach its final band, and any
+    later run of at least two samples outside that band that returns to it
+    is reported.  The minimum width suppresses single-sample solver jitter.
     """
     if not len(w.times):  # a transient that failed before its first sample
         return []
-    # The first window starts at sample 0, also after an event before 0.
-    events = [0.0, *(t for t in stim.event_times() if 0.0 < t <= w.times[-1])]
+    events = _events(w, stim)
     bounds = []
     for i, t in enumerate(events):
         t_next = events[i + 1] if i + 1 < len(events) else w.times[-1] + w.dt
@@ -248,9 +253,9 @@ def detect_glitches(w: Waveform, stim: Stimulus, bands: VoltageBands) -> list:
 def measure_settling(w: Waveform, node: str, bands: VoltageBands,
                      stim: Optional[Stimulus] = None,
                      min_hold: Optional[float] = None) -> Optional[float]:
-    """Seconds from the last stimulus event to the final entry into the
-    settled band.  None when the node did not settle: the waveform has no
-    samples, or the trailing stable run is shorter than ``min_hold``, by
+    """Seconds from the last stimulus event inside the run, or from 0, to the
+    final entry into the settled band.  None when the node did not settle:
+    no samples, or a trailing stable run shorter than ``min_hold``, by
     default the lesser of 10 ns and half the run, but at least one step."""
     if node in w.port_nodes:
         node = w.port_nodes[node]
@@ -264,12 +269,7 @@ def measure_settling(w: Waveform, node: str, bands: VoltageBands,
         min_hold = max(w.dt, min(10e-9, 0.5 * float(w.times[-1])))
     if hold < min_hold:
         return None
-    last_event = 0.0
-    if stim is not None:
-        past = [t for t in stim.event_times() if t <= w.times[-1]]
-        if past:
-            last_event = max(past)
-    return max(0.0, float(w.times[entry]) - last_event)
+    return max(0.0, float(w.times[entry]) - _events(w, stim)[-1])
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,8 @@ class NonConvergence(SolverError):
 
 
 class NonFiniteIterate(SolverError):
-    """A Newton iterate is not finite, so a retry would repeat the solve."""
+    """A Newton iterate, or a device stamp at it, is not finite, so a
+    retry would repeat the solve."""
 
     def __init__(self, iteration: int, node: str):
         self.iteration, self.node = iteration, node
@@ -562,7 +563,7 @@ class _System:
         subnetworks exactly, and damping would stall a residual of order
         (1 - damping) * tol.  RETRY_DAMPING damps every step, breaking the
         two-cycles a full step can fall into at a device's threshold.  A new
-        value that is not finite raises NonFiniteIterate, naming its node.
+        value or a device stamp that is not finite raises NonFiniteIterate.
         """
         p = self.program
         nf, n = p.nfix, p.n
@@ -576,20 +577,24 @@ class _System:
         sg, sd, ss, pos, neg, into_d, out_of_s = self._fet_views
         x = self._x
         # The error state np.linalg.solve sets around each solve, set once:
-        # with finite pins and start voltages only a singular block raises
-        # the invalid flag (and LinAlgError).
+        # the invalid flag raises LinAlgError.  In a solve it means a
+        # singular block; in the stamps, inf - inf from a huge voltage.
         with np.errstate(call=_singular, invalid="call", over="ignore",
                          divide="ignore", under="ignore"):
             for it in range(1, NEWTON_MAX_ITER + 1):
-                vgds = v[p.gds]
-                i_d, dg, dd, ds = mosfet_companion(
-                    p.fet_sign, p.vth, p.k, p.lam, vgds)
-                sg[...], sd[...], ss[...] = dg, dd, ds
-                np.negative(pos, out=neg)
-                np.subtract(dg * vgds[0] + dd * vgds[1] + ds * vgds[2], i_d,
-                            out=into_d)
-                np.negative(into_d, out=out_of_s)
-                mna[at] = np.bincount(p.bins, self._weights)
+                try:
+                    vgds = v[p.gds]
+                    i_d, dg, dd, ds = mosfet_companion(
+                        p.fet_sign, p.vth, p.k, p.lam, vgds)
+                    sg[...], sd[...], ss[...] = dg, dd, ds
+                    np.negative(pos, out=neg)
+                    np.subtract(dg * vgds[0] + dd * vgds[1] + ds * vgds[2],
+                                i_d, out=into_d)
+                    np.negative(into_d, out=out_of_s)
+                    mna[at] = np.bincount(p.bins, self._weights)
+                except LinAlgError:  # name the largest voltage's node
+                    bad = int(np.abs(v).argmax())
+                    raise NonFiniteIterate(it, p.nodes[bad]) from None
                 for a, coupling, rhs, rows in self._stacks:
                     try:
                         x[rows] = solve(

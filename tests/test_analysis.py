@@ -453,6 +453,10 @@ def scan_run():
     return w, Stimulus({"X": ((0.0, L0), (10e-9, L2))})
 
 
+# scan_run's stimulus with one more event, after the run's 23 ns end.
+LATE = Stimulus({"X": ((0.0, L0), (10e-9, L2), (30e-9, L0))})
+
+
 class TestGlitchScan:
     def test_exact_events(self, scan_run):
         w, stim = scan_run
@@ -466,6 +470,8 @@ class TestGlitchScan:
         for first in (-1e-9, -3e-9, -30e-9):
             shifted = Stimulus({"X": ((first, L0), (10e-9, L2))})
             assert detect_glitches(w, shifted, BANDS) == want, first
+        # An event after the end of the run opens no window.
+        assert detect_glitches(w, LATE, BANDS) == want
 
     def test_windows_start_at_zero(self):
         # The first event is at 5 ns, so the samples before it form a window
@@ -492,6 +498,18 @@ class TestGlitchScan:
             w.times[19] - 10e-9)
         assert measure_settling(w, "X", BANDS, stim, min_hold=3e-9) == 0.0
         assert measure_settling(w, "Y", BANDS, stim, min_hold=5e-9) is None
+        # Settling counts from 0 after an event before 0, as detect_glitches
+        # starts its first window there: the run never simulated earlier.
+        at_zero = Stimulus({"X": ((0.0, L0),)})
+        for first in (-1e-9, -3e-9, -30e-9):
+            shifted = Stimulus({"X": ((first, L0),)})
+            for port in ("X", "Y"):
+                assert measure_settling(w, port, BANDS, shifted, 3e-9) == (
+                    measure_settling(w, port, BANDS, at_zero, 3e-9)), first
+        assert measure_settling(w, "Y", BANDS, at_zero, 3e-9) == w.times[19]
+        # Nor does it count from an event after the end of the run.
+        assert measure_settling(w, "Y", BANDS, LATE, 3e-9) == (
+            w.times[19] - 10e-9)
 
 
 class TestGlitches:

@@ -221,6 +221,18 @@ class TestSimulate:
                        "finite float, got 1e+160 * 1e+300\n")
         assert not out_dir.exists()
 
+    def test_huge_supply_exits_2(self, capsys, tmp_path):
+        # The FET's stamps overflow to inf - inf: a solver failure, not the
+        # "Singular matrix" of a bare numpy error.
+        net = tmp_path / "huge.net"
+        net.write_text("V1 vdd 0 DC 1e160\nR1 vdd y 1k\n"
+                       "T1 y vdd 0 NMOS VTH=0.3 K=2m\n.port out Y y\n")
+        code, _, err = run(capsys, "simulate", "--netlist", str(net),
+                           "--t-stop", "1e-10", "--out", str(tmp_path))
+        assert code == 2
+        assert "Newton iterate 1 is not finite at node 'vdd'" in err
+        assert "Singular matrix" not in err and "Traceback" not in err
+
     def test_floating_island_exits_2(self, capsys, tmp_path):
         net = tmp_path / "d13_island.net"
         run(capsys, "emit-netlist", "--builtin", "d13", "--out-file", str(net))

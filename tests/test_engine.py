@@ -379,6 +379,17 @@ class TestTransient:
         assert [r.error for r in report.vectors] == [
             f"NonFiniteIterate: {text}"] * 3
 
+    def test_huge_pin_fails_as_non_finite(self):
+        # u * e - 0.5 * e * e is inf - inf at a 1e160 V pin: the invalid flag
+        # outside the solve is a NonFiniteIterate naming that pin, not the
+        # singular-block LinAlgError.
+        circuit = parse("V1 vdd 0 DC 1e160\nR1 vdd y 1k\n"
+                        "T1 y vdd 0 NMOS VTH=0.3 K=2m\n.port out Y y\n")
+        with pytest.raises(NonFiniteIterate) as e:
+            steady_output(circuit, {})
+        assert isinstance(e.value, SolverError)
+        assert (e.value.iteration, e.value.node) == (1, "vdd")
+
     def test_failure_mid_run_keeps_the_steps_before(self, d13, monkeypatch):
         stim, cfg = Stimulus.hold({"X": L1}), SolverConfig(t_stop=1e-9)
         want = run_transient(d13, stim, cfg)

@@ -47,6 +47,9 @@ GUARDS = {
     "one netlist validator": (
         r"\.validate\(|two drivers|already pinned|supply pin must be named",
         "model.py", None),
+    # One rule decides which stimulus events a run reached: the glitch
+    # windows and the settling origin both come from analysis._events.
+    "one event rule": (r"\.event_times\(", "analysis.py", None),
 }
 
 
@@ -85,6 +88,7 @@ def test_src_keeps_the_design(guard):
     ("one netlist validator", "return circuit.validate()"),
     ("one netlist validator",
      "raise ValueError(f\"node {node!r} has two drivers\")"),
+    ("one event rule", "last = max(stim.event_times())"),
 ])
 def test_guard_fires(tmp_path, guard, offender):
     files = ("analysis.py", "core.py", "netlist/cells.py")

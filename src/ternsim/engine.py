@@ -225,8 +225,13 @@ class Waveform:
             fh.write(row_fmt * len(block) % tuple(block.ravel().tolist()))
 
     def to_vcd(self, fh, bands: VoltageBands) -> None:
-        """Write a VCD dump: per node a real voltage and a 2-bit level code."""
-        step_fs = max(1, round(self.dt / 1e-15))
+        """Write a VCD dump: per node a real voltage and a 2-bit level code,
+        each sample stamped at its time in whole fs (ValueError if two tie)."""
+        stamps = np.rint(np.asarray(self.times) / 1e-15)
+        if not np.all(np.diff(stamps) > 0):
+            raise ValueError(f"dt={self.dt!r} s puts two samples on one 1 fs "
+                             "VCD timestamp")
+        marks = ("#%.0f\n\0" * stamps.size % tuple(stamps.tolist())).split("\0")
         fh.write("$timescale 1fs $end\n$scope module ternsim $end\n")
         for j, node in enumerate(self.probes):
             fh.write(f"$var real 64 r{j} V({node}) $end\n")
@@ -253,8 +258,8 @@ class Waveform:
                      for text, key in zip(texts, keys.tolist())]
             ends = np.searchsorted(rows, np.arange(1, len(block) + 1))
             out, start = [], 0
-            for i, end in enumerate(ends.tolist(), lo):
-                out.append(f"#{i * step_fs}\n")
+            for mark, end in zip(marks[lo:lo + _VCD_BLOCK], ends.tolist()):
+                out.append(mark)
                 out += cells[start:end]
                 start = end
             fh.write("".join(out))

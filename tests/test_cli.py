@@ -1,10 +1,15 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import ternsim
 from ternsim import analysis
 from ternsim.cli import main
 from ternsim.engine import (NonConvergence, NonFiniteIterate, NotRelaxed,
@@ -19,13 +24,13 @@ def run(capsys, *argv):
 
 
 class TestDecode:
+    # The display decoder shows digit 3A + B for each input pair (A, B).
     @pytest.mark.parametrize("a,b,digit", [
-        ("0", "0", 0), ("1", "0", 3), ("2", "2", 8), ("2", "1", 7),
-    ])
+        (str(a), str(b), 3 * a + b) for a in range(3) for b in range(3)])
     def test_digits(self, capsys, a, b, digit):
-        code, out, _ = run(capsys, "decode", a, b)
-        assert code == 0
-        assert f"digit: {digit}" in out
+        code, out, err = run(capsys, "decode", a, b)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1] == f"digit: {digit}"
 
     def test_invalid_level(self, capsys):
         code, _, err = run(capsys, "decode", "3", "0")
@@ -42,13 +47,30 @@ class TestVerify:
         assert (tmp_path / "verify_d29_digital.json").exists()
 
     def test_fault_exits_3(self, capsys, tmp_path):
-        code, out, _ = run(capsys, "verify", "--decoder", "d29", "--backend",
-                           "digital", "--fault", "swap:Y7,Y5",
-                           "--out", str(tmp_path))
-        assert code == 3
-        doc = json.loads((tmp_path / "verify_d29_digital.json").read_text())
-        bad = [v for v in doc["vectors"] if not v["ok"]]
-        assert len(bad) == 2
+        # One detectable swap per decoder, each against its own reference.
+        for decoder, fault, failing in (("d13", "swap:Y0,Y2", 2),
+                                        ("d29", "swap:Y7,Y5", 2),
+                                        ("display", "swap:Ya,Yg", 3)):
+            code, out, _ = run(capsys, "verify", "--decoder", decoder,
+                               "--backend", "digital", "--fault", fault,
+                               "--out", str(tmp_path))
+            assert code == 3, decoder
+            doc = json.loads(
+                (tmp_path / f"verify_{decoder}_digital.json").read_text())
+            bad = [v for v in doc["vectors"] if not v["ok"]]
+            assert len(bad) == failing, decoder
+
+    def test_both_backends_reports_byte_equal_twice(self, capsys, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            code, _, _ = run(capsys, "verify", "--decoder", "all",
+                             "--backend", "both", "--out", str(out))
+            assert code == 0
+        names = sorted(p.name for p in a.iterdir())
+        assert len(names) == 12
+        assert names == sorted(p.name for p in b.iterdir())
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_analog_d13(self, capsys, tmp_path):
         code, out, _ = run(capsys, "verify", "--decoder", "d13", "--backend",
@@ -135,11 +157,14 @@ class TestSimulate:
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
             code, _, _ = run(capsys, "simulate", "--builtin", "d13",
-                             "--inputs", "1", "--t-stop", "20e-9",
-                             "--formats", "csv,vcd", "--out", str(out))
+                             "--sweep-inputs", "--formats", "csv,vcd",
+                             "--out", str(out))
             assert code == 0
-        for name in ("d13_X1.csv", "d13_X1.vcd"):
-            assert (a / name).read_bytes() == (b / name).read_bytes()
+        names = [f"d13_X{x}.{ext}" for x in range(3) for ext in ("csv", "vcd")]
+        assert sorted(p.name for p in a.iterdir()) == names
+        assert sorted(p.name for p in b.iterdir()) == names
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_netlist_file(self, capsys, tmp_path):
         net = tmp_path / "rc.net"
@@ -177,15 +202,19 @@ class TestSimulate:
         text = net.read_text()
         assert "Vvdd vdd 0 DC 1.0\n" in text
         net.write_text(text.replace("Vvdd vdd 0 DC 1.0\n", "Vvdd vdd 0 DC 1.2\n"))
-        run(capsys, "simulate", "--netlist", str(net), "--inputs", "2",
-            "--t-stop", "2e-9", "--out", str(tmp_path))
-        rows = (tmp_path / "d13_X2.csv").read_text().splitlines()
-        header = rows[0].split(",")
-        x, vdd = header.index("X"), header.index("vdd")
-        for row in rows[1:]:
-            cols = row.split(",")
-            assert float(cols[vdd]) == 1.2
-            assert cols[x] == cols[vdd]
+        # L1 drives half the netlist's supply, L2 all of it.
+        for level, volts in (("1", "0.600000000"), ("2", "1.200000000")):
+            code, _, _ = run(capsys, "simulate", "--netlist", str(net),
+                             "--inputs", level, "--t-stop", "2e-9",
+                             "--out", str(tmp_path))
+            assert code == 0
+            rows = (tmp_path / f"d13_X{level}.csv").read_text().splitlines()
+            header = rows[0].split(",")
+            x, vdd = header.index("X"), header.index("vdd")
+            for row in rows[1:]:
+                cols = row.split(",")
+                assert float(cols[vdd]) == 1.2
+                assert cols[x] == volts
 
     def test_supply_port_of_any_name(self, capsys, tmp_path):
         # A supply pin is the input port named after its source's node,
@@ -244,6 +273,16 @@ class TestSimulate:
                            "--inputs", "2", "--out", str(tmp_path))
         assert code == 2
         assert err == "error: singular system: node 'fl1' has no DC path\n"
+
+    def test_floating_gate_exits_2(self, capsys, tmp_path):
+        # Node g reaches only two FET gates, which conduct nothing.
+        net = tmp_path / "float.net"
+        net.write_text("V1 a 0 DC 1\nR1 a 0 1k\nT1 a g 0 NMOS VTH=0.3 K=2m\n"
+                       "T2 a g 0 NMOS VTH=0.3 K=2m\n")
+        code, _, err = run(capsys, "simulate", "--netlist", str(net),
+                           "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert err == "error: singular system: node 'g' has no DC path\n"
 
     def test_parse_error_exit_1(self, capsys, tmp_path):
         bad = tmp_path / "bad.net"
@@ -334,6 +373,16 @@ class TestSimulate:
         assert code == 1
         assert out == ""
         assert err.startswith("error: t_stop/dt = inf steps exceeds")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_vcd_stamp_collision_exit_1(self, capsys, tmp_path):
+        code, out, err = run(capsys, "simulate", "--builtin", "d13",
+                             "--inputs", "2", "--dt", "5e-16", "--t-stop",
+                             "2e-15", "--formats", "vcd",
+                             "--out", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err == ("error: dt=5e-16 s puts two samples on one 1 fs VCD "
+                       "timestamp\n")
         assert list(tmp_path.iterdir()) == []
 
     def test_unknown_format_rejected_before_simulating(self, capsys, tmp_path):
@@ -468,6 +517,30 @@ class TestErrorBoundary:
         code, out, _ = run(capsys, "verify", "--help")
         assert code == 0
         assert out.startswith("usage: ternsim verify")
+
+
+class TestScript:
+    """The process boundary, which tests of ``main`` in-process cannot see."""
+
+    def test_exit_code_reaches_the_process(self, tmp_path):
+        src = str(Path(ternsim.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "ternsim.cli", "verify", "--decoder", "d13",
+             "--backend", "digital", "--fault", "swap:Y0,Y2",
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 3
+        assert "d13/digital: 1/3 vectors FAIL" in done.stdout
+        assert "Traceback" not in done.stderr
+
+    def test_console_script_is_main(self):
+        # Read as text: Python 3.10 has no tomllib.
+        text = (Path(__file__).resolve().parents[1]
+                / "pyproject.toml").read_text()
+        table = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        assert 'ternsim = "ternsim.cli:main"' in table.splitlines()
 
 
 # Extreme values a mutant netlist may carry in place of any number.

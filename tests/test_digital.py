@@ -47,7 +47,9 @@ ORACLE = {
 
 
 class TestEvalGate:
-    """One gate evaluated in two-bit codes by the compiled pass."""
+    """One gate evaluated in two-bit codes by the compiled pass.  The
+    exhaustive check of every kind and arity is the table grid of
+    ``TestCompiledPass``."""
 
     def test_tand_example(self):
         assert one_gate(CellKind.TAND2, enc(L2, L1)) == encode_2bit(L1)
@@ -57,22 +59,6 @@ class TestEvalGate:
 
     def test_tor_identity(self):
         assert one_gate(CellKind.TOR2, enc(L0, L0)) == encode_2bit(L0)
-
-    @pytest.mark.parametrize("kind,fn", [
-        (k, ORACLE[k]) for k in (CellKind.STI, CellKind.NTI, CellKind.PTI,
-                                 CellKind.SFBUF)])
-    def test_single_input_exhaustive(self, kind, fn):
-        for a in LEVELS:
-            assert one_gate(kind, enc(a)) == encode_2bit(fn(a))
-
-    @pytest.mark.parametrize("kind,fn", [(k, ORACLE[k]) for k in TWO_INPUT])
-    def test_two_input_exhaustive(self, kind, fn):
-        for a, b in itertools.product(LEVELS, repeat=2):
-            assert one_gate(kind, enc(a, b)) == encode_2bit(fn(a, b))
-
-    def test_torn_exhaustive_3(self):
-        for combo in itertools.product(LEVELS, repeat=3):
-            assert one_gate(CellKind.TORN, enc(*combo)) == encode_2bit(max(combo))
 
     def test_reserved_code_rejected(self):
         with pytest.raises(InvalidEncoding):

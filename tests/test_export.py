@@ -36,7 +36,6 @@ def csv_per_cell(w: Waveform) -> str:
 
 def vcd_per_cell(w: Waveform, bands: VoltageBands) -> str:
     fh = io.StringIO()
-    step_fs = max(1, round(w.dt / 1e-15))
     fh.write("$timescale 1fs $end\n$scope module ternsim $end\n")
     for j, node in enumerate(w.probes):
         fh.write(f"$var real 64 r{j} V({node}) $end\n")
@@ -61,7 +60,7 @@ def vcd_per_cell(w: Waveform, bands: VoltageBands) -> str:
         ends = np.searchsorted(rows, np.arange(1, len(block) + 1))
         out, start = [], 0
         for i, end in enumerate(ends.tolist(), lo):
-            out.append(f"#{i * step_fs}\n")
+            out.append(f"#{round(float(w.times[i]) / 1e-15)}\n")
             out += cells[start:end]
             start = end
         fh.write("".join(out))
@@ -115,6 +114,35 @@ def test_no_probes():
         "time\r\n0.000000000000e+00\r\n1.000000000000e-12\r\n"
         "2.000000000000e-12\r\n")
     assert got_vcd == vcd_per_cell(w, BANDS)
+
+
+@pytest.mark.parametrize("dt,n,stamps", [
+    # Samples at 0, 1.5, 3, 4.5 and 6 fs (each a hair below, in binary).
+    (1.5e-15, 5, {0: 0, 1: 1, 2: 3, 3: 4, 4: 6}),
+    # Sample 4000 is at 6.25 ns, as the CSV's time column says.
+    (1.5625e-12, 4001, {1: 1562, 2: 3125, 3: 4688, 4000: 6_250_000}),
+])
+def test_stamps_are_the_sample_times(dt, n, stamps):
+    w = Waveform(dt=dt, times=np.arange(n) * dt,
+                 probes={"a": np.arange(n) * 1e-4}, states={})
+    got_csv, got_vcd = exports(w)
+    assert got_vcd == vcd_per_cell(w, BANDS)
+    marks = [ln for ln in got_vcd.splitlines() if ln.startswith("#")]
+    assert len(marks) == n
+    for i, fs in stamps.items():
+        assert marks[i] == f"#{fs}"
+    assert got_csv.split("\r\n")[n].startswith(f"{(n - 1) * dt:.12e},")
+
+
+def test_two_samples_on_one_stamp_refused():
+    # 0.5 fs rounds to even: the samples at 0 and 0.5 fs both read #0.
+    w = Waveform(dt=5e-16, times=np.arange(4) * 5e-16,
+                 probes={"a": np.zeros(4)}, states={})
+    fh = io.StringIO()
+    with pytest.raises(ValueError, match=r"^dt=5e-16 s puts two samples on "
+                       "one 1 fs VCD timestamp$"):
+        w.to_vcd(fh, BANDS)
+    assert fh.getvalue() == ""
 
 
 def display_sequence(index):

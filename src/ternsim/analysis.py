@@ -24,7 +24,7 @@ from .core import (INDETERMINATE, L0, L1, L2, LEVELS, REGIONS,
 from .digital import eval_levels, or_reduce_segment
 from .engine import SolverError, Stimulus, Waveform, steady_output
 from .netlist.cells import GateNetwork, builtin_network, elaborate
-from .netlist.model import Circuit
+from .netlist.model import Circuit, Resistor
 
 DECODERS = ("d13", "d29", "display")
 BACKENDS = ("analog", "digital")
@@ -386,8 +386,7 @@ def resource_report(ternary: Circuit) -> ResourceReport:
         "pins_out": pins_out,
         "memristor_count": len(ternary.memristors()),
         "mosfet_count": len(ternary.mosfets()),
-        "resistor_count": sum(1 for d in ternary.devices
-                              if type(d).__name__ == "Resistor"),
+        "resistor_count": sum(isinstance(d, Resistor) for d in ternary.devices),
         "gate_count": sum(ternary.cells.values()),
         "cells": dict(sorted(ternary.cells.items())),
     }

@@ -1,5 +1,7 @@
 import pytest
 
+from ternsim.core import LEVELS
+from ternsim.engine import Stimulus
 from ternsim.netlist import builtin_network, elaborate
 from ternsim.netlist.cells import GateNetwork, GateSpec
 
@@ -47,3 +49,16 @@ def tiled_display(k):
     outputs = tuple((f"t{i}_{p}", net(i, n))
                     for i in range(k) for p, n in base.outputs)
     return GateNetwork(f"display_x{k}", base.inputs, outputs, gates)
+
+
+# The benchmark's display switching sequence 3, (A, B) levels.
+SEQUENCE_3 = [(0, 2), (2, 0), (1, 2), (2, 0), (1, 1),
+              (2, 0), (0, 2), (1, 2), (2, 1), (1, 2)]
+
+
+def switching(seq):
+    """A new (A, B) from ``seq`` every 10 ns with a 0.5 ns slew, as the
+    benchmark's display switching runs drive the inputs."""
+    return Stimulus({port: tuple((i * 10e-9, LEVELS[vec[k]])
+                                 for i, vec in enumerate(seq))
+                     for k, port in enumerate("AB")}, slew=0.5e-9)

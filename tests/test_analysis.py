@@ -19,8 +19,7 @@ from ternsim.core import (LEVELS, BitPair, InvalidEncoding, TernaryLevel,
 from ternsim.digital import eval_circuit, eval_levels
 from ternsim.engine import (SolverConfig, Stimulus, Waveform, run_transient,
                             steady_output)
-from ternsim.netlist import (builtin_network, elaborate, mutate_network,
-                             parse, serialize)
+from ternsim.netlist import builtin_network, mutate_network, parse, serialize
 from ternsim.netlist.cells import SEGMENT_TERMS
 
 L0, L1, L2 = LEVELS
@@ -42,18 +41,6 @@ DISPLAY_TABLE = {
 
 
 class TestExpectedTables:
-    def test_d13_unary(self):
-        for x in LEVELS:
-            out = expected_outputs("d13", {"X": x})
-            assert out[f"Y{int(x)}"] == L2
-            assert sum(v == L2 for v in out.values()) == 1
-
-    def test_d29_one_hot(self):
-        for a, b in itertools.product(LEVELS, repeat=2):
-            out = expected_outputs("d29", {"A": a, "B": b})
-            hot = [k for k, v in out.items() if v == L2]
-            assert hot == [f"Y{3 * int(a) + int(b)}"]
-
     def test_display_matches_transcribed_table(self):
         for (a, b), (highs, _) in DISPLAY_TABLE.items():
             out = expected_outputs("display", {"A": TernaryLevel(a),
@@ -382,7 +369,9 @@ class TestVerify:
 
     def test_report_serializes(self):
         report = verify("digital", "d13")
-        doc = json.loads(report.to_json())
+        text = report.to_json()
+        assert text.startswith('{\n  "decoder": "d13",\n  "backend": ')
+        doc = json.loads(text)
         assert doc["passed"] is True
         assert len(doc["vectors"]) == 3
         assert "3/3" in report.summary()
@@ -475,14 +464,16 @@ class TestGlitchScan:
 
     def test_windows_start_at_zero(self):
         # The first event is at 5 ns, so the samples before it form a window
-        # of their own, and Y's excursion at 2-3 ns is found in it.
-        times = np.arange(10) * 1e-9
-        y = [0.0, 0.0, 0.5, 0.5] + [0.0] * 6
+        # of their own, and Y's excursion at 2-3 ns is found in it.  In the
+        # last window, excursions start at its second sample and end at the
+        # run's last sample.
+        times = np.arange(12) * 1e-9
+        y = [0.0, 0.0, 0.5, 0.5, 0.0, 0.0, 0.5, 0.5, 0.0, 0.5, 0.5, 0.0]
         w = Waveform(dt=1e-9, times=times, probes={"y": np.array(y)},
                      states={}, port_nodes={"Y": "y"})
         stim = Stimulus({"X": ((5e-9, L1),)})
         assert detect_glitches(w, stim, BANDS) == [
-            GlitchEvent("y", times[2], times[4], "L1")]
+            GlitchEvent("y", times[i], times[i + 2], "L1") for i in (2, 6, 9)]
 
     def test_blip_and_approach_ignored(self, scan_run):
         w, stim = scan_run
@@ -498,6 +489,15 @@ class TestGlitchScan:
             w.times[19] - 10e-9)
         assert measure_settling(w, "X", BANDS, stim, min_hold=3e-9) == 0.0
         assert measure_settling(w, "Y", BANDS, stim, min_hold=5e-9) is None
+        # A trailing run exactly min_hold long has settled.
+        hold = w.times[23] - w.times[19]
+        assert measure_settling(w, "Y", BANDS, stim, min_hold=hold) == (
+            w.times[19] - 10e-9)
+        # An event at the last sample is inside the run: settling counts
+        # from it.
+        at_end = Stimulus({"X": ((0.0, L0), (10e-9, L2),
+                                 (float(w.times[-1]), L0))})
+        assert measure_settling(w, "Y", BANDS, at_end, 3e-9) == 0.0
         # Settling counts from 0 after an event before 0, as detect_glitches
         # starts its first window there: the run never simulated earlier.
         at_zero = Stimulus({"X": ((0.0, L0),)})
@@ -587,6 +587,7 @@ class TestResourceReport:
         m = display_report.measured
         assert m["memristor_count"] == len(display.memristors())
         assert m["mosfet_count"] == len(display.mosfets())
+        assert m["resistor_count"] == 22
         assert m["gate_count"] == sum(display.cells.values())
 
     def test_reference_constants_pinned(self, display_report):
@@ -623,8 +624,9 @@ class TestResourceReport:
         text = display_report.to_text()
         assert "PowerPlay Early Power Estimator" in text
         assert "x7 measured I/O-pin-power model" in text
-        doc = json.loads(display_report.to_json())
-        assert doc["measured"]["pins_out"] == 7
+        text = display_report.to_json()
+        assert text.startswith('{\n  "measured": {\n    "pins_in_ternary": 2,')
+        assert json.loads(text)["measured"]["pins_out"] == 7
 
 
 class TestSevenSegment:

@@ -14,13 +14,29 @@ from ternsim import analysis
 from ternsim.cli import main
 from ternsim.engine import (NonConvergence, NonFiniteIterate, NotRelaxed,
                             SingularSystem, TransientError, Waveform)
-from ternsim.netlist import builtin_network, elaborate, serialize
+from ternsim.netlist import builtin_network, elaborate, parse, serialize
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def simulate_text(capsys, tmp_path, text, *argv):
+    """``simulate`` on netlist ``text``, with ``--out tmp_path/out``."""
+    net = tmp_path / "c.net"
+    net.write_text(text)
+    return run(capsys, "simulate", "--netlist", str(net), *argv,
+               "--out", str(tmp_path / "out"))
+
+
+def emitted_d13(capsys, tmp_path):
+    """The d13 netlist as ``emit-netlist`` writes it."""
+    net = tmp_path / "d13.net"
+    assert run(capsys, "emit-netlist", "--builtin", "d13",
+               "--out-file", str(net))[0] == 0
+    return net.read_text()
 
 
 class TestDecode:
@@ -79,9 +95,6 @@ class TestVerify:
         assert "d13/analog: 3/3" in out
 
     def test_solver_failure_exits_2(self, capsys, tmp_path, monkeypatch):
-        from ternsim import analysis
-        from ternsim.engine import NonConvergence
-
         def fail(*args, **kwargs):
             raise NonConvergence(1, "Y2")
 
@@ -132,13 +145,6 @@ class TestSimulate:
         assert code == 0
         assert len(list(tmp_path.glob("*.csv"))) == 3
 
-    def test_vcd_format(self, capsys, tmp_path):
-        code, out, _ = run(capsys, "simulate", "--builtin", "d13", "--inputs",
-                           "0", "--t-stop", "30e-9", "--formats", "csv,vcd",
-                           "--out", str(tmp_path))
-        assert code == 0
-        assert len(list(tmp_path.glob("*.vcd"))) == 1
-
     def test_display_waveform_matches_digit_7_column(self, capsys, tmp_path):
         from ternsim.core import TernaryLevel, VoltageBands, voltage_to_level
         code, _, _ = run(capsys, "simulate", "--builtin", "display",
@@ -167,12 +173,14 @@ class TestSimulate:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
     def test_netlist_file(self, capsys, tmp_path):
-        net = tmp_path / "rc.net"
-        net.write_text("Vs a 0 PWL(0 0 10n 1.0)\nR1 a mid 1k\nR2 mid 0 1k\n"
-                       ".port out mid mid\n.end\n")
-        code, out, _ = run(capsys, "simulate", "--netlist", str(net),
-                           "--t-stop", "20e-9", "--out", str(tmp_path))
+        # mid steps inside L0, from 0 to 0.15 V, at the last sample.
+        code, out, _ = simulate_text(
+            capsys, tmp_path, "V1 vdd 0 DC 1\nR3 vdd 0 1k\n"
+            "Vs a 0 PWL(0 0 19.95n 0 20n 0.3)\nR1 a mid 1k\nR2 mid 0 1k\n"
+            ".port out mid mid\n.end\n", "--t-stop", "20e-9")
         assert code == 0
+        assert out.endswith(": mid settled 0.00 ns after last event at "
+                            "0.150 V\n")
 
     def test_netlist_sweep_refused(self, capsys, tmp_path):
         net = tmp_path / "div.net"
@@ -186,20 +194,15 @@ class TestSimulate:
     def test_unsettled_output_exits_2(self, capsys, tmp_path):
         # The source ramps until 2 ns, so the output is still moving when
         # the run stops there.
-        net = tmp_path / "ramp.net"
-        net.write_text("V1 a 0 PWL(0 0 2n 1)\nR1 a b 1k\nR2 b 0 1k\n"
-                       ".port out Y b\n")
-        code, out, _ = run(capsys, "simulate", "--netlist", str(net),
-                           "--t-stop", "2e-9", "--out", str(tmp_path))
+        code, out, _ = simulate_text(
+            capsys, tmp_path, "V1 a 0 PWL(0 0 2n 1)\nR1 a b 1k\nR2 b 0 1k\n"
+            ".port out Y b\n", "--t-stop", "2e-9")
         assert code == 2
         assert "Y NOT SETTLED" in out
 
     def test_inputs_driven_at_netlist_supply(self, capsys, tmp_path):
         net = tmp_path / "d13_12.net"
-        code, _, _ = run(capsys, "emit-netlist", "--builtin", "d13",
-                         "--out-file", str(net))
-        assert code == 0
-        text = net.read_text()
+        text = emitted_d13(capsys, tmp_path)
         assert "Vvdd vdd 0 DC 1.0\n" in text
         net.write_text(text.replace("Vvdd vdd 0 DC 1.0\n", "Vvdd vdd 0 DC 1.2\n"))
         # L1 drives half the netlist's supply, L2 all of it.
@@ -220,8 +223,7 @@ class TestSimulate:
         # A supply pin is the input port named after its source's node,
         # whatever the name: renamed from vdd to vcc, d13 takes one level.
         net = tmp_path / "d13_vcc.net"
-        run(capsys, "emit-netlist", "--builtin", "d13", "--out-file", str(net))
-        net.write_text(net.read_text().replace("vdd", "vcc"))
+        net.write_text(emitted_d13(capsys, tmp_path).replace("vdd", "vcc"))
         out_dir = tmp_path / "out"
         for inputs in (["--inputs", "1"], []):
             code, _, err = run(capsys, "simulate", "--netlist", str(net),
@@ -237,58 +239,45 @@ class TestSimulate:
 
     def test_memristance_overflow_exit_1(self, capsys, tmp_path):
         # Warnings as errors: one leaked from numpy would escape main.
-        net = tmp_path / "overflow.net"
-        net.write_text("V1 vdd 0 DC 1\nM1 vdd y RON=1e160 ROFF=1e300\n"
-                       "R2 y 0 1k\n.port out Y y\n")
-        out_dir = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run(capsys, "simulate", "--netlist", str(net),
-                                 "--out", str(out_dir))
+            code, out, err = simulate_text(
+                capsys, tmp_path, "V1 vdd 0 DC 1\nM1 vdd y RON=1e160 "
+                "ROFF=1e300\nR2 y 0 1k\n.port out Y y\n")
         assert code == 1
         assert err == ("error: line 2: r_on * r_off must be a positive "
                        "finite float, got 1e+160 * 1e+300\n")
-        assert not out_dir.exists()
+        assert not (tmp_path / "out").exists()
 
     def test_huge_supply_exits_2(self, capsys, tmp_path):
         # The FET's stamps overflow to inf - inf: a solver failure, not the
         # "Singular matrix" of a bare numpy error.
-        net = tmp_path / "huge.net"
-        net.write_text("V1 vdd 0 DC 1e160\nR1 vdd y 1k\n"
-                       "T1 y vdd 0 NMOS VTH=0.3 K=2m\n.port out Y y\n")
-        code, _, err = run(capsys, "simulate", "--netlist", str(net),
-                           "--t-stop", "1e-10", "--out", str(tmp_path))
+        code, _, err = simulate_text(
+            capsys, tmp_path, "V1 vdd 0 DC 1e160\nR1 vdd y 1k\n"
+            "T1 y vdd 0 NMOS VTH=0.3 K=2m\n.port out Y y\n", "--t-stop", "1e-10")
         assert code == 2
         assert "Newton iterate 1 is not finite at node 'vdd'" in err
         assert "Singular matrix" not in err and "Traceback" not in err
 
     def test_floating_island_exits_2(self, capsys, tmp_path):
-        net = tmp_path / "d13_island.net"
-        run(capsys, "emit-netlist", "--builtin", "d13", "--out-file", str(net))
-        text = net.read_text()
+        text = emitted_d13(capsys, tmp_path)
         assert text.endswith(".end\n")
-        net.write_text(text[:-len(".end\n")]
-                       + "R9 fl1 fl2 1k\nR10 fl1 fl2 1k\n.end\n")
-        code, _, err = run(capsys, "simulate", "--netlist", str(net),
-                           "--inputs", "2", "--out", str(tmp_path))
+        code, _, err = simulate_text(
+            capsys, tmp_path, text[:-len(".end\n")]
+            + "R9 fl1 fl2 1k\nR10 fl1 fl2 1k\n.end\n", "--inputs", "2")
         assert code == 2
         assert err == "error: singular system: node 'fl1' has no DC path\n"
 
     def test_floating_gate_exits_2(self, capsys, tmp_path):
         # Node g reaches only two FET gates, which conduct nothing.
-        net = tmp_path / "float.net"
-        net.write_text("V1 a 0 DC 1\nR1 a 0 1k\nT1 a g 0 NMOS VTH=0.3 K=2m\n"
-                       "T2 a g 0 NMOS VTH=0.3 K=2m\n")
-        code, _, err = run(capsys, "simulate", "--netlist", str(net),
-                           "--out", str(tmp_path / "out"))
+        code, _, err = simulate_text(
+            capsys, tmp_path, "V1 a 0 DC 1\nR1 a 0 1k\n"
+            "T1 a g 0 NMOS VTH=0.3 K=2m\nT2 a g 0 NMOS VTH=0.3 K=2m\n")
         assert code == 2
         assert err == "error: singular system: node 'g' has no DC path\n"
 
     def test_parse_error_exit_1(self, capsys, tmp_path):
-        bad = tmp_path / "bad.net"
-        bad.write_text("M1 a\n")
-        code, _, err = run(capsys, "simulate", "--netlist", str(bad),
-                           "--out", str(tmp_path))
+        code, _, err = simulate_text(capsys, tmp_path, "M1 a\n")
         assert code == 1
         assert "line 1" in err
 
@@ -299,51 +288,38 @@ class TestSimulate:
         ((".end", "R9 Y0 0 -1k\n.end"), "resistance must be positive"),
     ])
     def test_bad_netlist_value_exit_1(self, capsys, tmp_path, edit, match):
-        net = tmp_path / "d13.net"
-        run(capsys, "emit-netlist", "--builtin", "d13", "--out-file", str(net))
-        net.write_text(net.read_text().replace(*edit))
-        out_dir = tmp_path / "out"
-        code, out, err = run(capsys, "simulate", "--netlist", str(net),
-                             "--inputs", "2", "--t-stop", "1e-9",
-                             "--out", str(out_dir))
+        code, out, err = simulate_text(
+            capsys, tmp_path, emitted_d13(capsys, tmp_path).replace(*edit),
+            "--inputs", "2", "--t-stop", "1e-9")
         assert code == 1
         assert out == "" and err.startswith("error: ") and match in err
-        assert not out_dir.exists()
+        assert not (tmp_path / "out").exists()
 
     def test_input_port_on_source_node_exit_1(self, capsys, tmp_path):
-        net = tmp_path / "port.net"
-        net.write_text("V1 vdd 0 DC 1\nR1 vdd y 1k\nR2 y 0 1k\n"
-                       ".port in X vdd\n.port out Y y\n.end\n")
-        out_dir = tmp_path / "out"
-        code, out, err = run(capsys, "simulate", "--netlist", str(net),
-                             "--t-stop", "1e-9", "--out", str(out_dir))
-        assert code == 1
-        assert out == ""
+        code, out, err = simulate_text(
+            capsys, tmp_path, "V1 vdd 0 DC 1\nR1 vdd y 1k\nR2 y 0 1k\n"
+            ".port in X vdd\n.port out Y y\n.end\n", "--t-stop", "1e-9")
+        assert (code, out) == (1, "")
         assert err == ("error: line 4: input port 'X' is on node 'vdd', "
                        "which source 'V1' drives: a supply pin must be named "
                        "after its node\n")
-        assert not out_dir.exists()
+        assert not (tmp_path / "out").exists()
 
     def test_input_port_on_ground_exit_1(self, capsys, tmp_path):
         # Before, numpy's "could not broadcast" error reached the user.
-        net = tmp_path / "ground.net"
-        net.write_text("V1 vdd 0 DC 1\nR1 vdd y 1k\nR2 y 0 1k\n"
-                       ".port in X 0\n.port out Y y\n.end\n")
-        out_dir = tmp_path / "out"
-        code, out, err = run(capsys, "simulate", "--netlist", str(net),
-                             "--t-stop", "1e-9", "--out", str(out_dir))
+        code, out, err = simulate_text(
+            capsys, tmp_path, "V1 vdd 0 DC 1\nR1 vdd y 1k\nR2 y 0 1k\n"
+            ".port in X 0\n.port out Y y\n.end\n", "--t-stop", "1e-9")
         assert (code, out) == (1, "")
         assert err == ("error: line 4: input port 'X' is on node '0', "
                        "which ground drives: a supply pin must be named "
                        "after its node\n")
-        assert not out_dir.exists()
+        assert not (tmp_path / "out").exists()
 
     def test_nonpositive_supply_exit_1(self, capsys, tmp_path):
         # A PWL point counts toward the supply as a DC value does.
-        net = tmp_path / "neg.net"
-        net.write_text("V1 a 0 PWL(0 -1 1n 0)\nR1 a 0 1k\n.end\n")
-        code, out, err = run(capsys, "simulate", "--netlist", str(net),
-                             "--out", str(tmp_path / "out"))
+        code, out, err = simulate_text(
+            capsys, tmp_path, "V1 a 0 PWL(0 -1 1n 0)\nR1 a 0 1k\n.end\n")
         assert (code, out) == (1, "")
         assert err == ("error: supply voltage (highest source value) must be "
                        "positive, got 0.0\n")
@@ -439,7 +415,6 @@ class TestEmitNetlist:
         code, _, _ = run(capsys, "emit-netlist", "--builtin", "display",
                          "--out-file", str(path))
         assert code == 0
-        from ternsim.netlist import parse, elaborate, builtin_network
         assert parse(path.read_text()) == elaborate(builtin_network("display"))
 
 

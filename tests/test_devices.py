@@ -207,10 +207,12 @@ class TestNonFiniteParams:
             MemristorParams(r_on=r_on, r_off=r_off)
 
     def test_largest_numerator_accepted(self):
-        p = MemristorParams(r_on=1e150, r_off=1e158)
-        with np.errstate(all="raise"):
-            r = memristance(np.array([0.0, 1.0]), p)
-        assert r.tolist() == pytest.approx([1e158, 1e150], rel=1e-15)
+        # and one far below 1
+        for r_on, r_off in ((1e150, 1e158), (1e-200, 1e-100)):
+            p = MemristorParams(r_on=r_on, r_off=r_off)
+            with np.errstate(all="raise"):
+                r = memristance(np.array([0.0, 1.0]), p)
+            assert r.tolist() == pytest.approx([r_off, r_on], rel=1e-15)
 
     @pytest.mark.parametrize("kwargs,field", [
         ({"vth": math.nan}, "vth"), ({"vth": math.inf}, "vth"),

@@ -46,36 +46,7 @@ ORACLE = {
 }
 
 
-class TestEvalGate:
-    """One gate evaluated in two-bit codes by the compiled pass.  The
-    exhaustive check of every kind and arity is the table grid of
-    ``TestCompiledPass``."""
-
-    def test_tand_example(self):
-        assert one_gate(CellKind.TAND2, enc(L2, L1)) == encode_2bit(L1)
-
-    def test_pti_example(self):
-        assert one_gate(CellKind.PTI, enc(L1)) == encode_2bit(L2)
-
-    def test_tor_identity(self):
-        assert one_gate(CellKind.TOR2, enc(L0, L0)) == encode_2bit(L0)
-
-    def test_reserved_code_rejected(self):
-        with pytest.raises(InvalidEncoding):
-            one_gate(CellKind.STI, [BitPair(1, 1)])
-
-    def test_arity_checked(self):
-        with pytest.raises(ValueError):
-            one_gate(CellKind.TAND2, enc(L0))
-
-
 class TestDividerEmulation:
-    def test_or_rail_pair(self):
-        assert divider_emulation(L2, L0, "OR") == L2
-
-    def test_and_equal_inputs_pass_through(self):
-        assert divider_emulation(L1, L1, "AND") == L1
-
     def test_and_matches_min_exhaustively(self):
         for a, b in itertools.product(LEVELS, repeat=2):
             assert divider_emulation(a, b, "AND") == ref_tand(a, b), (a, b)
@@ -133,17 +104,6 @@ class TestOrReduce:
 
 
 class TestEvalCircuit:
-    def test_d13_mid_input(self, d13_network):
-        out = eval_circuit(d13_network, {"X": encode_2bit(L1)})
-        assert out == {"Y0": encode_2bit(L0), "Y1": encode_2bit(L2),
-                       "Y2": encode_2bit(L0)}
-
-    def test_d29_rail_pair(self, d29_network):
-        out = eval_circuit(d29_network,
-                           {"A": encode_2bit(L2), "B": encode_2bit(L2)})
-        assert out["Y8"] == encode_2bit(L2)
-        assert all(out[f"Y{k}"] == encode_2bit(L0) for k in range(8))
-
     def test_display_digit_4(self, display_network):
         out = eval_circuit(display_network,
                            {"A": encode_2bit(L1), "B": encode_2bit(L1)})
@@ -280,7 +240,7 @@ class TestCompiledPass:
         *((k, 2) for k in TWO_INPUT),
         *((CellKind.TORN, n) for n in range(2, 7)),
     ])
-    def test_table_matches_eval_gate(self, kind, arity):
+    def test_table_matches_oracle(self, kind, arity):
         # The table states the kind's oracle function, and a gate of that
         # kind, compiled alone, evaluates to it: a wide TORN folds pairwise.
         table = truth_table(kind, arity)
@@ -307,6 +267,10 @@ class TestEvalCircuitErrors:
         vec = {"X": encode_2bit(L0), "U": encode_2bit(L0), port: BitPair(1, 1)}
         with pytest.raises(InvalidEncoding):
             eval_circuit(network, vec)
+
+    def test_arity_checked(self):
+        with pytest.raises(ValueError):
+            one_gate(CellKind.TAND2, enc(L0))
 
     def test_undefined_net_rejected(self):
         gate = GateSpec(CellKind.TAND2, "g1", ("X", "zz"), "y")
@@ -553,10 +517,10 @@ class TestFoldedProgram:
         network = builtin_network(name)
         for net in [network, *swap_faults(network)]:
             assert one_input_unported_steps(net) == [], net.name
-            assert len(net._program) <= steps, net.name
+            assert len(net._program) == steps, net.name
 
     @pytest.mark.parametrize("k", [1, 2, 3, 8])
     def test_tiled(self, k):
         network = tiled_display(k)
         assert one_input_unported_steps(network) == []
-        assert len(network._program) <= 31 * k
+        assert len(network._program) == 31 * k

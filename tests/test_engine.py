@@ -36,7 +36,7 @@ from ternsim.netlist.model import (Circuit, Memristor, Mosfet, Port, Resistor,
 
 import device_oracle as oracle
 from digital_oracle import ref_tand, ref_tor
-from conftest import tiled_display
+from conftest import SEQUENCE_3, switching, tiled_display
 
 L0, L1, L2 = LEVELS
 P = MemristorParams()
@@ -175,12 +175,8 @@ class TestSolveDC:
             VSource("V1", "a", "0", dc=1.0),
             Resistor("R1", "a", "0", 1000.0),
             # gate-only node: no DC path
-            Mosfet("T1", "a", "g1", "0",
-                   __import__("ternsim.devices", fromlist=["MosfetParams"])
-                   .MosfetParams("NMOS", vth=0.3)),
-            Mosfet("T2", "a", "g1", "0",
-                   __import__("ternsim.devices", fromlist=["MosfetParams"])
-                   .MosfetParams("NMOS", vth=0.3)),
+            Mosfet("T1", "a", "g1", "0", MosfetParams("NMOS", vth=0.3)),
+            Mosfet("T2", "a", "g1", "0", MosfetParams("NMOS", vth=0.3)),
         ])
         with pytest.raises(SingularSystem) as e:
             dc_system(c, {"a": 1.0})
@@ -447,30 +443,17 @@ class TestTransient:
         # At 70.3 ns A passes 0.7 V, where the A-side PTI NMOS sits at
         # threshold: the undamped close-in Newton step two-cycles on a_pout,
         # so only a retry that damps every step converges.
-        seq = [(0, 2), (2, 2), (2, 0), (1, 2), (1, 1),
-               (2, 0), (2, 1), (1, 1), (2, 1), (1, 0)]
-        stim = Stimulus({"A": tuple((i * 10e-9, LEVELS[a])
-                                    for i, (a, _) in enumerate(seq)),
-                         "B": tuple((i * 10e-9, LEVELS[b])
-                                    for i, (_, b) in enumerate(seq))},
-                        slew=0.5e-9)
+        stim = switching([(0, 2), (2, 2), (2, 0), (1, 2), (1, 1),
+                          (2, 0), (2, 1), (1, 1), (2, 1), (1, 0)])
         circuit = elaborate(builtin_network("display"))
         w = run_transient(circuit, stim, SolverConfig(t_stop=71e-9))
         assert len(w.times) == 1421
 
     def test_kcl_holds_along_a_switching_run(self, display):
-        # The display switching run of the benchmark (its sequence 3): a
-        # new (A, B) every 10 ns with a 0.5 ns slew.  Each sample's voltages
-        # solve KCL under the states that sample's solve used, as checked
-        # by the scalar device models.
-        seq = [(0, 2), (2, 0), (1, 2), (2, 0), (1, 1),
-               (2, 0), (0, 2), (1, 2), (2, 1), (1, 2)]
-        stim = Stimulus({"A": tuple((i * 10e-9, LEVELS[a])
-                                    for i, (a, _) in enumerate(seq)),
-                         "B": tuple((i * 10e-9, LEVELS[b])
-                                    for i, (_, b) in enumerate(seq))},
-                        slew=0.5e-9)
-        w = run_transient(display, stim)
+        # The display switching run of the benchmark (its sequence 3).
+        # Each sample's voltages solve KCL under the states that sample's
+        # solve used, as checked by the scalar device models.
+        w = run_transient(display, switching(SEQUENCE_3))
         assert len(w.times) == 2001
         pinned = {"0", "vdd", *(p.node for p in display.ports
                                 if p.name in ("A", "B"))}
@@ -485,11 +468,6 @@ class TestTransient:
 
 
 class TestSteadyOutput:
-    def test_d29_one_hot_example(self, d29):
-        out = steady_output(d29, {"A": L2, "B": L1})
-        assert out["Y7"] == L2
-        assert all(v == L0 for k, v in out.items() if k != "Y7")
-
     def test_display_all_dark_for_8(self, display):
         out = steady_output(display, {"A": L2, "B": L2})
         assert all(v == L0 for v in out.values())
@@ -499,19 +477,10 @@ class TestSteadyOutput:
         assert out["Yg"] == L2
         assert all(v == L0 for k, v in out.items() if k != "Yg")
 
-    def test_settle_skips_quiescent_steps(self, d13, monkeypatch):
-        # One settle solve at the relaxed fixed point stands for the whole
-        # 20-tau window: few solves, not one per step.
-        calls = count_linear_solves(monkeypatch)
-        for x in LEVELS:
-            calls.clear()
-            _, info = steady_output(d13, {"X": x}, return_info=True)
-            assert info["t_run"] >= 199 * SolverConfig().dt
-            assert 0 < len(calls) <= 40, x
-
     def test_settle_starts_from_relaxed_voltages(self, d13, monkeypatch):
         # The settle solve starts where relaxation ended, not from a cold
-        # supply/2 guess: each vector needs fewer linear solves.
+        # supply/2 guess, and one settle solve at the relaxed fixed point
+        # stands for the whole 20-tau window: few solves, not one per step.
         calls = count_linear_solves(monkeypatch)
         for x in LEVELS:
             calls.clear()
@@ -553,6 +522,10 @@ class TestSteadyOutput:
         out, info = steady_output(d13, {"X": L1}, return_info=True)
         assert info["settle_time"] < 20e-9
         assert set(info["voltages"]) == {"Y0", "Y1", "Y2"}
+        # 20 tau is one 10 ns step: the window still spans two samples.
+        _, info = steady_output(d13, {"X": L1}, cfg=SolverConfig(dt=10e-9),
+                                return_info=True)
+        assert info["t_run"] == 10e-9
 
 
 BUILTIN_VECTORS = [(name, vec) for name in ("d13", "d29", "display")
@@ -686,15 +659,13 @@ class TestCompileOnce:
 
     @pytest.mark.parametrize("name,vec", BUILTIN_VECTORS)
     def test_settle_jump_matches_walk(self, request, name, vec):
+        # Walking the window step by step moves no state and no voltage,
+        # and a t_stop short of the window does not change the answer.
         circuit = request.getfixturevalue(name)
-        dt = SolverConfig().dt
-        k_end = round(walked_settle(circuit, vec, SolverConfig())["t_run"]
-                      / dt)
-        # A t_stop short of the window changes neither answer.
-        for steps in range(k_end - 3, k_end + 3):
-            cfg = SolverConfig(t_stop=steps * dt)
-            _, info = steady_output(circuit, vec, cfg=cfg, return_info=True)
-            assert repr(info) == repr(walked_settle(circuit, vec, cfg))
+        walked = walked_settle(circuit, vec, SolverConfig())
+        short = SolverConfig(t_stop=walked["t_run"] - 3 * SolverConfig().dt)
+        _, info = steady_output(circuit, vec, cfg=short, return_info=True)
+        assert repr(info) == repr(walked)
 
 
 def side_by_side(*names):
@@ -1125,7 +1096,8 @@ class TestRelaxation:
         assert system.program.state_dict(x) == {"Mu1_in1": 0.0,
                                                 "Mu1_in2": 0.0}
 
-    def test_pass_cap_raises_not_relaxed(self, d13, monkeypatch, tmp_path):
+    def test_pass_cap_raises_not_relaxed(self, d13, d29, monkeypatch,
+                                         tmp_path):
         # A solve whose first memristor is reverse-biased when set and
         # forward-biased when reset flips it on every pass: the cap must
         # raise, not return states the voltages were not solved with.
@@ -1144,6 +1116,11 @@ class TestRelaxation:
             system.relax(x, pins, v)
         assert (e.value.passes, e.value.memristor) == (8, first)
         assert f"{first!r} still flips" in str(e.value)
+        # A circuit of more than six memristors gets two passes more.
+        system, pins, x, v = dc_system(d29, {"vdd": 1.0, "A": 0.5, "B": 0.5})
+        with pytest.raises(NotRelaxed) as e:
+            system.relax(x, pins, v)
+        assert e.value.passes == len(x) + 2 > 8
         with pytest.raises(NotRelaxed):
             steady_output(d13, {"X": L1})
         assert cli.main(["verify", "--decoder", "d13", "--backend",
@@ -1337,6 +1314,12 @@ class TestSolverConfig:
     def test_bad_settings_rejected(self, kwargs):
         with pytest.raises(ValueError, match="finite"):
             SolverConfig(**kwargs)
+
+    def test_constants_as_documented(self):
+        # The README states each of these.
+        assert (engine.NEWTON_TOL, engine.NEWTON_MAX_ITER, engine.DAMPING,
+                engine.RETRY_DAMPING, engine.GMIN, engine.MAX_STEP_VOLTS,
+                engine.MAX_STEPS) == (1e-6, 200, 0.7, 0.3, 1e-15, 0.5, 10**6)
 
     def test_zero_length_run_allowed(self):
         assert SolverConfig(t_stop=0.0).t_stop == 0.0
@@ -1645,6 +1628,15 @@ class TestExports:
         with pytest.raises(ValueError, match=match):
             Waveform(dt=1e-12, times=np.arange(3) * 1e-12, probes=probes,
                      states=states)
+
+    @pytest.mark.parametrize("times", [
+        [0.0, 1e-12, np.inf], [0.0, 2e-12, 1e-12], [0.0, np.nan, 2e-12],
+        [0.0, 1e-12, 1e-12], [np.nan]])
+    def test_bad_times_rejected(self, times):
+        with pytest.raises(ValueError, match="^times must be finite and "
+                                             "strictly increasing$"):
+            Waveform(dt=1e-12, times=np.array(times),
+                     probes={"a": np.zeros(len(times))}, states={})
 
     def test_states_may_reach_0_and_1(self):
         xs = np.array([0.0, 0.5, 1.0])

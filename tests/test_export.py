@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 from ternsim import engine
-from ternsim.core import TernaryLevel, VoltageBands
-from ternsim.engine import Stimulus, Waveform, run_transient
+from ternsim.core import VoltageBands
+from ternsim.engine import Waveform, run_transient
+
+from conftest import switching
 
 BANDS = VoltageBands.default(1.0)
 
@@ -161,14 +163,7 @@ def display_sequence(index):
 def test_display_switching_run_matches_oracle(display):
     # A new vector every 10 ns with 0.5 ns slew over 2001 steps: 61 probes,
     # several CSV and many VCD row blocks.
-    seq = display_sequence(1)
-    stim = Stimulus(
-        {"A": tuple((i * 10e-9, TernaryLevel(a)) for i, (a, _) in
-                    enumerate(seq)),
-         "B": tuple((i * 10e-9, TernaryLevel(b)) for i, (_, b) in
-                    enumerate(seq))},
-        slew=0.5e-9)
-    w = run_transient(display, stim)
+    w = run_transient(display, switching(display_sequence(1)))
     assert len(w.times) == 2001 and len(w.probes) == 61
     got_csv, got_vcd = exports(w)
     assert got_csv == csv_per_cell(w)

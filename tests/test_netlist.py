@@ -62,6 +62,14 @@ class TestParse:
         assert src.value_at(0.0) == 0.0
         assert src.value_at(0.5e-9) == pytest.approx(0.5)
         assert src.value_at(5e-9) == 0.5
+        # One point is enough.
+        src = device(parse("V1 a 0 PWL(0 1)\nR1 a 0 1k\n"), "V1")
+        assert src.pwl == ((0.0, 1.0),)
+        src = device(parse("V1 a 0 PWL(1n 0.2 2n 0.4)\nR1 a 0 1k\n"), "V1")
+        assert src.value_at(1.5e-9) == pytest.approx(0.3)
+
+    def test_memristor_without_parameters(self):
+        assert device(parse("V1 a 0 DC 1\nM1 a 0\n"), "M1").params == P
 
     def test_ports(self):
         c = parse(MINIMAL + ".port out result out\n.end\n")
@@ -73,67 +81,36 @@ class TestParse:
 
 
 class TestParseErrors:
-    def _line_of(self, exc_info):
-        return exc_info.value.line
-
-    def test_memristor_arity(self):
-        with pytest.raises(NetlistSyntaxError) as e:
-            parse("M1 a")
-        assert self._line_of(e) == 1
-        assert "2 nodes" in str(e.value)
-
     def test_unknown_device(self):
         with pytest.raises(UnknownDeviceError) as e:
             parse("V1 a 0 DC 1\nQ1 a b c\n")
-        assert self._line_of(e) == 2
+        assert e.value.line == 2
 
     def test_duplicate_name(self):
         with pytest.raises(DuplicateNameError) as e:
             parse("V1 a 0 DC 1\nR1 a b 1k\nR1 b 0 1k\n")
-        assert self._line_of(e) == 3
+        assert e.value.line == 3
 
     def test_port_unknown_node(self):
         with pytest.raises(UnboundNodeError) as e:
             parse(MINIMAL + ".port out y nowhere\n")
-        assert self._line_of(e) == 4
+        assert e.value.line == 4
         # a circuit with no devices still has its ports checked
         with pytest.raises(UnboundNodeError) as e:
             parse(".port in X x\n.port out Y y\n.end\n")
-        assert self._line_of(e) == 1
-
-    def test_bad_value(self):
-        with pytest.raises(NetlistSyntaxError) as e:
-            parse("V1 a 0 DC 1\nR1 a 0 12x3\n")
-        assert self._line_of(e) == 2
-
-    def test_missing_dc_value(self):
-        with pytest.raises(NetlistSyntaxError) as e:
-            parse("V1 a 0 DC\n")
-        assert self._line_of(e) == 1
-
-    def test_pwl_odd_points(self):
-        with pytest.raises(NetlistSyntaxError) as e:
-            parse("V1 a 0 PWL(0 0 1n)\n")
-        assert self._line_of(e) == 1
-
-    def test_bad_polarity(self):
-        with pytest.raises(NetlistSyntaxError) as e:
-            parse("T1 d g s CMOS VTH=0.3 K=1m\n")
-        assert self._line_of(e) == 1
-
-    def test_memristor_unknown_key(self):
-        with pytest.raises(NetlistSyntaxError) as e:
-            parse("M1 a b RON=500 BOGUS=1\n")
-        assert self._line_of(e) == 1
-
-    def test_memristor_temperature_key_rejected(self):
-        # T= is not part of the grammar; serialize could never emit it.
-        with pytest.raises(NetlistSyntaxError) as e:
-            parse("V1 a 0 DC 1\nM1 a 0 RON=500 T=350\n")
-        assert self._line_of(e) == 2
-        assert "unknown parameter" in str(e.value)
+        assert e.value.line == 1
 
     @pytest.mark.parametrize("text,line,match", [
+        ("M1 a", 1, "memristor requires 2 nodes"),
+        ("V1 a 0 DC 1\nR1 a 0 12x3\n", 2, "bad numeric value '12x3'"),
+        ("V1 a 0 DC\n", 1, "DC source requires exactly one value"),
+        ("V1 a 0 PWL(0 0 1n)\n", 1, "PWL needs an even number"),
+        ("T1 d g s CMOS VTH=0.3 K=1m\n", 1, "polarity must be NMOS or PMOS"),
+        ("T1 d g s NMOS\n", 1, "mosfet requires VTH="),
+        ("M1 a b RON=500 BOGUS=1\n", 1, "memristor: unknown parameter"),
+        # T= is not part of the grammar; serialize could never emit it.
+        ("V1 a 0 DC 1\nM1 a 0 RON=500 T=350\n", 2,
+         "memristor: unknown parameter 'T'"),
         ("V1 a 0 DC 1\n.foo x\n", 2, "unknown directive '.foo'"),
         ("V1 a 0 PWL(0 0 1n 1\nR1 a 0 1k\n", 1, r"malformed PWL\(\.\.\.\)"),
         ("V1 a 0 DC 1\nM1 a 0 RON=\n", 2, "missing value for 'RON'"),
@@ -148,12 +125,12 @@ class TestParseErrors:
     def test_refused_at_its_line(self, text, line, match):
         with pytest.raises(NetlistSyntaxError, match=match) as e:
             parse(text)
-        assert self._line_of(e) == line
+        assert e.value.line == line
 
     def test_dangling_node(self):
         with pytest.raises(UnboundNodeError) as e:
             parse("V1 a 0 DC 1\nR1 a 0 1k\nR2 a floater 1k\n")
-        assert self._line_of(e) == 3
+        assert e.value.line == 3
 
     def test_floating_source_negative_terminal(self):
         with pytest.raises(UnboundNodeError):
@@ -168,7 +145,7 @@ class TestParseErrors:
     def test_source_on_pinned_node(self, text, line, match):
         with pytest.raises(NetlistError, match=match) as e:
             parse(text)
-        assert self._line_of(e) == line
+        assert e.value.line == line
 
     def test_input_ports_on_one_node(self):
         # Before, both were signal inputs, and either one alone pinned x.
@@ -176,18 +153,18 @@ class TestParseErrors:
                            "already pinned to input port 'P'") as e:
             parse("V1 vdd 0 DC 1\nR1 vdd x 1k\nR2 x 0 1k\n"
                   ".port in P x\n.port in Q x\n")
-        assert self._line_of(e) == 5
+        assert e.value.line == 5
 
     def test_bad_port_direction(self):
         with pytest.raises(NetlistSyntaxError) as e:
             parse(MINIMAL + ".port inout x out\n")
-        assert self._line_of(e) == 4
+        assert e.value.line == 4
 
     @pytest.mark.parametrize("text", ["1e400", "-1e400", "1e398k"])
     def test_non_finite_value(self, text):
         with pytest.raises(NetlistSyntaxError, match="not finite") as e:
             parse_value(text, 7)
-        assert self._line_of(e) == 7
+        assert e.value.line == 7
 
     @pytest.mark.parametrize("line", [
         "R1 a 0 1e400",
@@ -199,20 +176,20 @@ class TestParseErrors:
         with pytest.raises(NetlistSyntaxError, match="'1e400' is not finite"
                            ) as e:
             parse(f"V1 a 0 DC 1\n{line}\n")
-        assert self._line_of(e) == 2
+        assert e.value.line == 2
 
     @pytest.mark.parametrize("ohms", ["0", "-1k", "0.0", "1e-400", "1e-320"])
     def test_nonpositive_resistance(self, ohms):
         with pytest.raises(NetlistSyntaxError, match="must be positive") as e:
             parse(f"V1 a 0 DC 1\nR1 a 0 1k\nR2 a 0 {ohms}\n")
-        assert self._line_of(e) == 3
+        assert e.value.line == 3
 
     @pytest.mark.parametrize("ron,roff", [("1e160", "1e300"),
                                           ("1e-200", "1e-150")])
     def test_memristance_numerator_out_of_range(self, ron, roff):
         with pytest.raises(NetlistSyntaxError, match=r"r_on \* r_off") as e:
             parse(f"V1 a 0 DC 1\nR1 a 0 1k\nM1 a 0 RON={ron} ROFF={roff}\n")
-        assert self._line_of(e) == 3
+        assert e.value.line == 3
 
 
 class TestDeviceChecks:
@@ -388,6 +365,7 @@ class TestCells:
                      if d.params.vth == pytest.approx(0.55)}
         assert len(sti_gates) == 1
         assert sti_gates <= mem_nodes
+        assert [d.name for d in c.memristors()] == ["Mu1_in1", "Mu1_in2"]
 
     def test_sfbuf_devices(self):
         c = build_cell(CellKind.SFBUF)
@@ -395,8 +373,10 @@ class TestCells:
         assert len([d for d in c.devices if isinstance(d, Resistor)]) == 1
 
     def test_torn_arity_validation(self):
-        with pytest.raises(InvalidArity):
+        with pytest.raises(InvalidArity, match="at least 2 inputs, got 1$"):
             build_cell(CellKind.TORN, n=1)
+        with pytest.raises(InvalidArity, match="at least 2 inputs, got 0$"):
+            build_cell(CellKind.TORN)
         with pytest.raises(InvalidArity):
             build_cell(CellKind.TAND2, n=3)
 
@@ -502,6 +482,9 @@ class TestBuilders:
             mutate_network(d29_network, "swap:Y7")
         with pytest.raises(ValueError):
             mutate_network(d29_network, "drop:Y7,Y5")
+        for fault in ("swap:Q,Y5", "swap:Y7,Q"):
+            with pytest.raises(ValueError, match="must be outputs of 'd29'"):
+                mutate_network(d29_network, fault)
 
     def test_mutate_network_rejects_swap_with_itself(self, d29_network):
         with pytest.raises(ValueError, match="two different port names"):

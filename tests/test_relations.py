@@ -27,11 +27,12 @@ import re
 import pytest
 
 from ternsim.analysis import input_vectors
-from ternsim.core import LEVELS
 from ternsim.engine import (SolverConfig, Stimulus, run_transient,
                             steady_output)
 from ternsim.netlist import builtin_network, elaborate, parse, serialize
 from ternsim.netlist.model import GND, Circuit
+
+from conftest import SEQUENCE_3, switching
 
 SEEDS = range(8)
 VOLTS_ABS = 1e-15
@@ -130,13 +131,8 @@ def test_pin_order_keeps_the_answers(builtin):
 
 
 def test_stimulus_order_keeps_the_waveform():
-    # The benchmark's display switching run (its sequence 3): a new (A, B)
-    # every 10 ns with a 0.5 ns slew.
-    seq = [(0, 2), (2, 0), (1, 2), (2, 0), (1, 1),
-           (2, 0), (0, 2), (1, 2), (2, 1), (1, 2)]
-    schedules = {port: tuple((i * 10e-9, LEVELS[vec[k]])
-                             for i, vec in enumerate(seq))
-                 for k, port in enumerate("AB")}
+    # The benchmark's display switching run (its sequence 3).
+    schedules = switching(SEQUENCE_3).schedules
     circuit = elaborate(builtin_network("display"))
     waves = [run_transient(circuit, Stimulus(order, slew=0.5e-9))
              for order in (schedules, reversed_dict(schedules))]

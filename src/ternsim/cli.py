@@ -94,12 +94,17 @@ def cmd_simulate(args) -> int:
     if not supply > 0:
         raise ValueError(f"supply voltage (highest source value) must be "
                          f"positive, got {supply}")
+    tags = ["_".join(f"{k}{int(v)}" for k, v in (vec or {}).items()) or "run"
+            for vec in vectors]
+    for name in (f"{circuit.name}_{tag}" for tag in tags):
+        if Path(name).parent != Path("."):
+            raise ValueError(f"circuit {circuit.name!r} would write {name}."
+                             f"{formats[0]} outside the output directory")
     out_dir = _out_dir(args)
     bands = VoltageBands.default(supply)
     status = EXIT_OK
-    for vec in vectors:
+    for vec, tag in zip(vectors, tags):
         stim = Stimulus.hold(vec) if vec else None
-        tag = "_".join(f"{k}{int(v)}" for k, v in (vec or {}).items()) or "run"
         wave = run_transient(circuit, stim, cfg)
         for fmt in formats:
             path = out_dir / f"{circuit.name}_{tag}.{fmt}"
@@ -190,9 +195,10 @@ def _build_parser() -> argparse.ArgumentParser:
     src = sim.add_mutually_exclusive_group(required=True)
     src.add_argument("--builtin", choices=sorted(BUILTIN_NETWORKS))
     src.add_argument("--netlist", help="netlist file path")
-    sim.add_argument("--inputs", help="comma-separated input levels, e.g. 2,1")
-    sim.add_argument("--sweep-inputs", action="store_true",
-                     help="simulate every input vector")
+    vecs = sim.add_mutually_exclusive_group()
+    vecs.add_argument("--inputs", help="comma-separated input levels, e.g. 2,1")
+    vecs.add_argument("--sweep-inputs", action="store_true",
+                      help="simulate every input vector")
     sim.add_argument("--t-stop", type=float, dest="t_stop",
                      default=SolverConfig.t_stop,
                      help="simulation length in seconds")

@@ -191,6 +191,17 @@ class TestSimulate:
         assert "--sweep-inputs requires --builtin" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("name", ["../escaped", "{tmp}/abs"],
+                             ids=["relative", "absolute"])
+    def test_output_outside_out_refused(self, capsys, tmp_path, name):
+        name = name.format(tmp=tmp_path)
+        code, out, err = simulate_text(
+            capsys, tmp_path, f"* circuit: {name}\nV1 a 0 DC 1\n"
+            "R1 a b 1k\nR2 b 0 1k\n.port out Y b\n")
+        assert (code, out) == (1, "")
+        assert f"circuit {name!r} would write " in err
+        assert [p.name for p in tmp_path.iterdir()] == ["c.net"]
+
     def test_unsettled_output_exits_2(self, capsys, tmp_path):
         # The source ramps until 2 ns, so the output is still moving when
         # the run stops there.
@@ -430,10 +441,12 @@ class TestErrorBoundary:
           "--out-file", "{tmp}/missing/d13.net"], None),
         (["simulate", "--netlist", "{latin1}"], None),
         (["verify", "--decoder", "bogus"], None),
+        (["simulate", "--builtin", "d13", "--sweep-inputs", "--inputs", "2",
+          "--out", "{tmp}/o"], None),
         ([], None),
     ], ids=["simulate-out-file", "verify-out-file", "compare-out-file",
             "env-out-file", "emit-missing-dir", "non-utf8-netlist",
-            "usage-error", "no-command"])
+            "usage-error", "sweep-and-inputs", "no-command"])
     def test_unusable_input_exits_1(self, capsys, tmp_path, monkeypatch,
                                     argv, env_out):
         paths = {"tmp": tmp_path, "file": tmp_path / "file",

@@ -1,14 +1,19 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from ternsim import engine
 from ternsim.devices import (MemristorParams, MosfetParams,
                              NonpositiveTimestep, digital_memristance,
-                             memristance, mosfet_current, update_state)
+                             memristance, mosfet_companion, mosfet_current,
+                             update_state)
+from ternsim.engine import _System
+from ternsim.netlist.model import Circuit, Memristor, Port, VSource
 
-from device_oracle import mosfet_small_signal
+import device_oracle as oracle
 
 P = MemristorParams()
 
@@ -107,9 +112,7 @@ class TestStateUpdate:
 
 
 class TestDigitalMemristance:
-    def test_forward_reverse(self):
-        assert digital_memristance(1.0, 0.0) == 500
-        assert digital_memristance(0.0, 1.0) == 1500
+    """Forward 500 and reverse 1500 are acceptance criterion 07."""
 
     def test_tie_reads_off(self):
         assert digital_memristance(0.7, 0.7) == 1500
@@ -162,7 +165,7 @@ class TestMosfet:
                 for vs in (0.0, 0.4, 1.0):
                     if abs(vd - vs) < 2 * h:  # skip the swap corner itself
                         continue
-                    i0, gg, gd, gs = mosfet_small_signal(p, vg, vd, vs)
+                    i0, gg, gd, gs = oracle.mosfet_small_signal(p, vg, vd, vs)
                     assert i0 == mosfet_current(p, vg, vd, vs)
                     fd_g = (mosfet_current(p, vg + h, vd, vs)
                             - mosfet_current(p, vg - h, vd, vs)) / (2 * h)
@@ -175,7 +178,7 @@ class TestMosfet:
                     assert gs == pytest.approx(fd_s, abs=1e-9)
 
     def test_partials_sum_to_zero(self):
-        _, gg, gd, gs = mosfet_small_signal(NM, 0.9, 0.4, 0.1)
+        _, gg, gd, gs = oracle.mosfet_small_signal(NM, 0.9, 0.4, 0.1)
         assert gg + gd + gs == pytest.approx(0.0, abs=1e-15)
 
     def test_param_validation(self):
@@ -224,3 +227,140 @@ class TestNonFiniteParams:
     def test_mosfet_params(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
             MosfetParams("NMOS", **kwargs)
+
+
+def _fet_params(polarity, lam):
+    return MosfetParams(polarity, vth=0.3, k=2e-3, channel_mod=lam)
+
+
+def _fet_reference(polarity, lam, biases):
+    p = _fet_params(polarity, lam)
+    return np.array([oracle.mosfet_small_signal(p, *b) for b in biases]).T
+
+
+def _fet_compiled(polarity, lam, biases):
+    n = len(biases)
+    sign = np.full(n, 1.0 if polarity == "NMOS" else -1.0)
+    return np.array(mosfet_companion(sign, np.full(n, 0.3), np.full(n, 2e-3),
+                                     np.full(n, lam),
+                                     np.array(biases, dtype=float).T))
+
+
+def _fet_currents(polarity, lam, biases):
+    """``mosfet_current`` at each bias, and the oracle's currents there."""
+    p = _fet_params(polarity, lam)
+    return ([mosfet_current(p, *b) for b in biases],
+            _fet_reference(polarity, lam, biases)[0].tolist())
+
+
+MEM_PARAMS = (P, MemristorParams(v_on=0.1, v_off=0.45, tau=80e-12),
+              MemristorParams(r_on=1e3, r_off=5e4, v_on=0.6, v_off=0.2,
+                              tau=3e-9, x0=0.5))
+
+
+class TestCompiledKernels:
+    """The array kernels, and their one-device calls, against the oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(("NMOS", "PMOS")),
+           st.sampled_from((0.0, 0.02, 0.3)),
+           st.lists(st.tuples(*[st.floats(-1.5, 1.5)] * 3),
+                    min_size=1, max_size=16))
+    def test_mosfet_companion_matches_scalar(self, polarity, lam, biases):
+        # Same arithmetic in the same order: equal, not merely close.
+        assert np.array_equal(_fet_compiled(polarity, lam, biases),
+                              _fet_reference(polarity, lam, biases))
+        got, want = _fet_currents(polarity, lam, biases)
+        assert got == want
+
+    @pytest.mark.parametrize("polarity", ["NMOS", "PMOS"])
+    @pytest.mark.parametrize("lam", [0.0, 0.05])
+    def test_mosfet_companion_at_threshold_and_ties(self, polarity, lam):
+        sign = 1.0 if polarity == "NMOS" else -1.0
+        lows = (-0.7, -0.2, 0.0, 0.1, 0.2, 0.45, 0.7)
+        biases = []
+        for lo, hi in itertools.product(lows, repeat=2):
+            if lo > hi:
+                continue
+            vg = lo + 0.3  # overdrive 0 when the low terminal is lo
+            if vg - lo - 0.3 == 0.0:
+                biases += [(vg, hi, lo), (vg, lo, hi)]
+            biases += [(vg, lo, lo), (vg + 0.1, lo, lo), (vg - 0.1, lo, lo)]
+        biases += [(0.5, 0.0, -0.0), (0.5, -0.0, 0.0), (-0.0, 0.0, 0.0)]
+        biases = [tuple(sign * b for b in bias) for bias in biases]
+        at_threshold = [b for b in biases
+                        if sign * b[0] - min(sign * b[1], sign * b[2]) - 0.3
+                        == 0.0]
+        assert len(at_threshold) > 10
+        assert sum(b[1] == b[2] for b in biases) > 10
+        assert np.array_equal(_fet_compiled(polarity, lam, biases),
+                              _fet_reference(polarity, lam, biases))
+        got, want = _fet_currents(polarity, lam, biases)
+        assert got == want
+
+    @pytest.mark.parametrize("polarity", ["NMOS", "PMOS"])
+    @pytest.mark.parametrize("lam", [0.0, 0.05])
+    def test_mosfet_companion_every_region(self, polarity, lam):
+        grid = (-1.0, -0.6, -0.2, 0.0, 0.1, 0.35, 0.5, 0.8, 1.0)
+        biases = list(itertools.product(grid, repeat=3))
+        # Same arithmetic in the same order: equal, not merely close.
+        assert np.array_equal(_fet_compiled(polarity, lam, biases),
+                              _fet_reference(polarity, lam, biases))
+        got, want = _fet_currents(polarity, lam, biases)
+        assert got == want
+        sign = 1.0 if polarity == "NMOS" else -1.0
+        regions = set()
+        for vg, vd, vs in biases:
+            vg, vd, vs = sign * vg, sign * vd, sign * vs
+            lo, hi = min(vd, vs), max(vd, vs)
+            u = vg - lo - 0.3
+            region = ("cutoff" if u <= 0 else
+                      "triode" if hi - lo < u else "saturation")
+            regions.add((vd >= vs, region))
+        assert regions == {(fwd, r) for fwd in (True, False)
+                           for r in ("cutoff", "triode", "saturation")}
+
+    def test_memristor_conductance_is_reciprocal_memristance(self):
+        params = [MemristorParams(), MemristorParams(r_on=120.0, r_off=7e4),
+                  MemristorParams(r_on=1e3, r_off=1.5e3)]
+        pairs = list(itertools.product(params, np.linspace(0.0, 1.0, 11)))
+        devices = [VSource("V1", "top", "0", dc=1.0)]
+        for i, (p, _) in enumerate(pairs):
+            devices.append(Memristor(f"M{i}", "top", "0", p))
+        system = _System(engine._program(Circuit(name="m", devices=devices)))
+        # Every node is pinned, so solve writes the memristor stamps and
+        # returns without a Newton iteration.
+        system.solve(np.array([x for _, x in pairs]), np.array([1.0]),
+                     np.zeros(system.program.n))
+        want = [oracle.memristance(x, p) for p, x in pairs]
+        assert system._mem_stamps[:, 0].tolist() == [1.0 / r for r in want]
+        assert [memristance(x, p) for p, x in pairs] == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(MEM_PARAMS),
+        st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)),
+        st.one_of(st.sampled_from(("v_on", "-v_off", "below v_on",
+                                   "above -v_off")),
+                  st.floats(-1.5, 1.5))), min_size=1, max_size=16),
+        st.floats(1e-13, 1e-8))
+    def test_state_advance_matches_scalar(self, draws, dt):
+        gates = {"v_on": lambda p: p.v_on,
+                 "-v_off": lambda p: -p.v_off,
+                 "below v_on": lambda p: math.nextafter(p.v_on, 0.0),
+                 "above -v_off": lambda p: math.nextafter(-p.v_off, 0.0)}
+        system = _System(engine._program(Circuit(name="m", devices=[
+            Memristor(f"M{i}", f"n{i}", "0", p)
+            for i, (p, _, _) in enumerate(draws)], ports=[
+            Port(f"n{i}", "out", f"n{i}") for i in range(len(draws))])))
+        v = np.zeros(system.program.n)
+        biases = []
+        for i, (p, _, bias) in enumerate(draws):
+            biases.append(gates[bias](p) if isinstance(bias, str) else bias)
+            v[system.program.index[f"n{i}"]] = biases[-1]
+        x = np.array([x for _, x, _ in draws])
+        want = [oracle.update_state(xi, b, dt, p)
+                for (p, xi, _), b in zip(draws, biases)]
+        assert system.advance(x, v, dt).tolist() == want
+        assert [update_state(xi, b, dt, p)
+                for (p, xi, _), b in zip(draws, biases)] == want

@@ -1,6 +1,4 @@
 import copy
-import csv
-import io
 import itertools
 import math
 import os
@@ -14,20 +12,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from ternsim.core import (LEVELS, VoltageBands, level_to_voltage, ref_nti,
-                          ref_pti, ref_sti, voltage_to_level)
-from ternsim.devices import (MemristorParams, MosfetParams, memristance,
-                             mosfet_companion, mosfet_current, update_state)
+from ternsim.core import (LEVELS, VoltageBands, level_to_voltage,
+                          voltage_to_level)
+from ternsim.devices import MemristorParams, MosfetParams
 from ternsim import analysis, cli, engine
 from ternsim.analysis import (detect_glitches, expected_outputs,
                               input_vectors, measure_settling)
 from ternsim.engine import (NonConvergence, NonFiniteIterate, NotRelaxed,
                             SingularSystem, SolverConfig, SolverError,
-                            Stimulus, TransientError, Waveform, _System,
-                            run_transient, steady_output)
+                            Stimulus, TransientError, _System, run_transient,
+                            steady_output)
 from ternsim.netlist import (CellKind, build_cell, builtin_network, parse,
                              serialize)
 from ternsim.netlist.cells import GateNetwork, GateSpec, elaborate
@@ -35,7 +30,6 @@ from ternsim.netlist.model import (Circuit, Memristor, Mosfet, Port, Resistor,
                                    VSource)
 
 import device_oracle as oracle
-from digital_oracle import ref_tand, ref_tor
 from conftest import SEQUENCE_3, switching, tiled_display
 
 L0, L1, L2 = LEVELS
@@ -945,143 +939,6 @@ class TestJacobian:
         assert not np.array_equal(got[0], got[1])
 
 
-def _fet_params(polarity, lam):
-    return MosfetParams(polarity, vth=0.3, k=2e-3, channel_mod=lam)
-
-
-def _fet_reference(polarity, lam, biases):
-    p = _fet_params(polarity, lam)
-    return np.array([oracle.mosfet_small_signal(p, *b) for b in biases]).T
-
-
-def _fet_compiled(polarity, lam, biases):
-    n = len(biases)
-    sign = np.full(n, 1.0 if polarity == "NMOS" else -1.0)
-    return np.array(mosfet_companion(sign, np.full(n, 0.3), np.full(n, 2e-3),
-                                     np.full(n, lam),
-                                     np.array(biases, dtype=float).T))
-
-
-def _fet_currents(polarity, lam, biases):
-    """``mosfet_current`` at each bias, and the oracle's currents there."""
-    p = _fet_params(polarity, lam)
-    return ([mosfet_current(p, *b) for b in biases],
-            _fet_reference(polarity, lam, biases)[0].tolist())
-
-
-MEM_PARAMS = (P, MemristorParams(v_on=0.1, v_off=0.45, tau=80e-12),
-              MemristorParams(r_on=1e3, r_off=5e4, v_on=0.6, v_off=0.2,
-                              tau=3e-9, x0=0.5))
-
-
-class TestCompiledKernels:
-    """The array kernels, and their one-device calls, against the oracle."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.sampled_from(("NMOS", "PMOS")),
-           st.sampled_from((0.0, 0.02, 0.3)),
-           st.lists(st.tuples(*[st.floats(-1.5, 1.5)] * 3),
-                    min_size=1, max_size=16))
-    def test_mosfet_companion_matches_scalar(self, polarity, lam, biases):
-        # Same arithmetic in the same order: equal, not merely close.
-        assert np.array_equal(_fet_compiled(polarity, lam, biases),
-                              _fet_reference(polarity, lam, biases))
-        got, want = _fet_currents(polarity, lam, biases)
-        assert got == want
-
-    @pytest.mark.parametrize("polarity", ["NMOS", "PMOS"])
-    @pytest.mark.parametrize("lam", [0.0, 0.05])
-    def test_mosfet_companion_at_threshold_and_ties(self, polarity, lam):
-        sign = 1.0 if polarity == "NMOS" else -1.0
-        lows = (-0.7, -0.2, 0.0, 0.1, 0.2, 0.45, 0.7)
-        biases = []
-        for lo, hi in itertools.product(lows, repeat=2):
-            if lo > hi:
-                continue
-            vg = lo + 0.3  # overdrive 0 when the low terminal is lo
-            if vg - lo - 0.3 == 0.0:
-                biases += [(vg, hi, lo), (vg, lo, hi)]
-            biases += [(vg, lo, lo), (vg + 0.1, lo, lo), (vg - 0.1, lo, lo)]
-        biases += [(0.5, 0.0, -0.0), (0.5, -0.0, 0.0), (-0.0, 0.0, 0.0)]
-        biases = [tuple(sign * b for b in bias) for bias in biases]
-        at_threshold = [b for b in biases
-                        if sign * b[0] - min(sign * b[1], sign * b[2]) - 0.3
-                        == 0.0]
-        assert len(at_threshold) > 10
-        assert sum(b[1] == b[2] for b in biases) > 10
-        assert np.array_equal(_fet_compiled(polarity, lam, biases),
-                              _fet_reference(polarity, lam, biases))
-        got, want = _fet_currents(polarity, lam, biases)
-        assert got == want
-
-    @pytest.mark.parametrize("polarity", ["NMOS", "PMOS"])
-    @pytest.mark.parametrize("lam", [0.0, 0.05])
-    def test_mosfet_companion_every_region(self, polarity, lam):
-        grid = (-1.0, -0.6, -0.2, 0.0, 0.1, 0.35, 0.5, 0.8, 1.0)
-        biases = list(itertools.product(grid, repeat=3))
-        # Same arithmetic in the same order: equal, not merely close.
-        assert np.array_equal(_fet_compiled(polarity, lam, biases),
-                              _fet_reference(polarity, lam, biases))
-        got, want = _fet_currents(polarity, lam, biases)
-        assert got == want
-        sign = 1.0 if polarity == "NMOS" else -1.0
-        regions = set()
-        for vg, vd, vs in biases:
-            vg, vd, vs = sign * vg, sign * vd, sign * vs
-            lo, hi = min(vd, vs), max(vd, vs)
-            u = vg - lo - 0.3
-            region = ("cutoff" if u <= 0 else
-                      "triode" if hi - lo < u else "saturation")
-            regions.add((vd >= vs, region))
-        assert regions == {(fwd, r) for fwd in (True, False)
-                           for r in ("cutoff", "triode", "saturation")}
-
-    def test_memristor_conductance_is_reciprocal_memristance(self):
-        params = [MemristorParams(), MemristorParams(r_on=120.0, r_off=7e4),
-                  MemristorParams(r_on=1e3, r_off=1.5e3)]
-        pairs = list(itertools.product(params, np.linspace(0.0, 1.0, 11)))
-        devices = [VSource("V1", "top", "0", dc=1.0)]
-        for i, (p, _) in enumerate(pairs):
-            devices.append(Memristor(f"M{i}", "top", "0", p))
-        system = _System(engine._program(Circuit(name="m", devices=devices)))
-        # Every node is pinned, so solve writes the memristor stamps and
-        # returns without a Newton iteration.
-        system.solve(np.array([x for _, x in pairs]), np.array([1.0]),
-                     np.zeros(system.program.n))
-        want = [oracle.memristance(x, p) for p, x in pairs]
-        assert system._mem_stamps[:, 0].tolist() == [1.0 / r for r in want]
-        assert [memristance(x, p) for p, x in pairs] == want
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(
-        st.sampled_from(MEM_PARAMS),
-        st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)),
-        st.one_of(st.sampled_from(("v_on", "-v_off", "below v_on",
-                                   "above -v_off")),
-                  st.floats(-1.5, 1.5))), min_size=1, max_size=16),
-        st.floats(1e-13, 1e-8))
-    def test_state_advance_matches_scalar(self, draws, dt):
-        gates = {"v_on": lambda p: p.v_on,
-                 "-v_off": lambda p: -p.v_off,
-                 "below v_on": lambda p: math.nextafter(p.v_on, 0.0),
-                 "above -v_off": lambda p: math.nextafter(-p.v_off, 0.0)}
-        system = _System(engine._program(Circuit(name="m", devices=[
-            Memristor(f"M{i}", f"n{i}", "0", p)
-            for i, (p, _, _) in enumerate(draws)], ports=[
-            Port(f"n{i}", "out", f"n{i}") for i in range(len(draws))])))
-        v = np.zeros(system.program.n)
-        biases = []
-        for i, (p, _, bias) in enumerate(draws):
-            biases.append(gates[bias](p) if isinstance(bias, str) else bias)
-            v[system.program.index[f"n{i}"]] = biases[-1]
-        x = np.array([x for _, x, _ in draws])
-        want = [oracle.update_state(xi, b, dt, p)
-                for (p, xi, _), b in zip(draws, biases)]
-        assert system.advance(x, v, dt).tolist() == want
-        assert [update_state(xi, b, dt, p)
-                for (p, xi, _), b in zip(draws, biases)] == want
-
-
 class TestRelaxation:
     def test_tand_adjacent_levels_reach_divider_state(self):
         system, pins, x, v = dc_system(build_cell(CellKind.TAND2),
@@ -1519,197 +1376,3 @@ class TestSchedule:
         source = circuit.sources()[1]
         assert w.probes["p"].tolist() == [source.value_at(t)
                                           for t in w.times.tolist()]
-
-
-class TestGateOracle:
-    """Analog steady state of every cell must match the reference functions."""
-
-    @pytest.mark.parametrize("kind,fn", [
-        (CellKind.STI, ref_sti),
-        (CellKind.NTI, ref_nti),
-        (CellKind.PTI, ref_pti),
-        (CellKind.SFBUF, lambda a: a),
-    ])
-    def test_single_input_cells(self, kind, fn):
-        cell = build_cell(kind)
-        for a in LEVELS:
-            assert steady_output(cell, {"in": a})["out"] == fn(a)
-
-    @pytest.mark.parametrize("kind,fn", [
-        (CellKind.TAND2, ref_tand),
-        (CellKind.TOR2, ref_tor),
-        (CellKind.TNOR, lambda a, b: ref_sti(ref_tor(a, b))),
-    ])
-    def test_two_input_cells(self, kind, fn):
-        cell = build_cell(kind)
-        for a, b in itertools.product(LEVELS, repeat=2):
-            assert steady_output(cell, {"a": a, "b": b})["out"] == fn(a, b)
-
-    def test_torn5_sampled(self):
-        cell = build_cell(CellKind.TORN, n=5)
-        combos = [(L0,) * 5, (L2,) + (L0,) * 4, (L0, L1, L0, L0, L0),
-                  (L1,) * 5, (L2, L1, L0, L1, L2), (L0, L0, L0, L0, L2)]
-        for combo in combos:
-            ins = {f"in{i + 1}": lv for i, lv in enumerate(combo)}
-            assert steady_output(cell, ins)["out"] == max(combo)
-
-    def test_tand_divider_intermediate_pinned(self):
-        cell = build_cell(CellKind.TAND2)
-        _, info = steady_output(cell, {"a": L2, "b": L1}, return_info=True)
-        assert abs(info["voltages"]["out"] - 0.524) < 0.05
-
-
-class TestExports:
-    def test_csv_columns(self, d13):
-        w = run_transient(d13, Stimulus.hold({"X": L0}),
-                          SolverConfig(t_stop=1e-9))
-        buf = io.StringIO()
-        w.to_csv(buf)
-        header = buf.getvalue().splitlines()[0].split(",")
-        assert header[0] == "time"
-        assert {"X", "Y0", "Y1", "Y2"} <= set(header)
-        assert len(buf.getvalue().splitlines()) == len(w.times) + 1
-
-    @staticmethod
-    def csv_reference(w) -> str:
-        """The row-by-row ``csv.writer`` export, as the byte reference."""
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        names = list(w.probes)
-        writer.writerow(["time"] + names)
-        cols = [w.probes[n] for n in names]
-        for i, t in enumerate(w.times):
-            writer.writerow([f"{t:.12e}"] + [f"{c[i]:.9f}" for c in cols])
-        return buf.getvalue()
-
-    def test_csv_bytes_match_csv_writer(self, d13):
-        # 401 rows: more than one of to_csv's row blocks
-        w = run_transient(d13, Stimulus({"X": ((0.0, L0), (10e-9, L2))},
-                                        slew=0.5e-9),
-                          SolverConfig(t_stop=20e-9))
-        assert len(w.times) > engine._CSV_BLOCK
-        buf = io.StringIO()
-        w.to_csv(buf)
-        assert buf.getvalue() == self.csv_reference(w)
-
-    def test_csv_bytes_by_hand(self):
-        w = Waveform(dt=1e-12, times=np.arange(4) * 1e-12,
-                     probes={"a": np.array([0.0, -0.0, 1e-10, 0.123456789012]),
-                             "b,c": np.array([1.0, 0.5, -2.5e-7, 123.4]),
-                             'q"d': np.array([0.3, 0.3, 0.3, 0.3])},
-                     states={})
-        buf = io.StringIO()
-        w.to_csv(buf)
-        assert buf.getvalue() == self.csv_reference(w) == (
-            'time,a,"b,c","q""d"\r\n'
-            "0.000000000000e+00,0.000000000,1.000000000,0.300000000\r\n"
-            "1.000000000000e-12,-0.000000000,0.500000000,0.300000000\r\n"
-            "2.000000000000e-12,0.000000000,-0.000000250,0.300000000\r\n"
-            "3.000000000000e-12,0.123456789,123.400000000,0.300000000\r\n")
-        empty = Waveform(dt=1e-12, times=np.arange(0) * 1e-12,
-                         probes={"a": np.array([])}, states={})
-        buf = io.StringIO()
-        empty.to_csv(buf)
-        assert buf.getvalue() == self.csv_reference(empty) == "time,a\r\n"
-
-    @pytest.mark.parametrize("probes,states,match", [
-        ({"a": np.array([0.0, np.nan, 0.0])}, {}, "probe 'a' carries"),
-        ({"a": np.zeros(3)}, {"m": np.array([0.5, np.nan, 0.5])},
-         "state series 'm' leaves"),
-        ({"a": np.zeros(3)}, {"m": np.array([0.5, 1.5, 0.5])},
-         "state series 'm' leaves"),
-        ({"a": np.zeros(3)}, {"m": np.array([0.5, -0.5, 0.5])},
-         "state series 'm' leaves"),
-        ({"a": np.zeros(2)}, {}, "series 'a' length 2 != 3"),
-        ({"a": np.zeros(3)}, {"m": np.full(2, 0.5)},
-         "series 'm' length 2 != 3"),
-    ])
-    def test_bad_series_rejected(self, probes, states, match):
-        with pytest.raises(ValueError, match=match):
-            Waveform(dt=1e-12, times=np.arange(3) * 1e-12, probes=probes,
-                     states=states)
-
-    @pytest.mark.parametrize("times", [
-        [0.0, 1e-12, np.inf], [0.0, 2e-12, 1e-12], [0.0, np.nan, 2e-12],
-        [0.0, 1e-12, 1e-12], [np.nan]])
-    def test_bad_times_rejected(self, times):
-        with pytest.raises(ValueError, match="^times must be finite and "
-                                             "strictly increasing$"):
-            Waveform(dt=1e-12, times=np.array(times),
-                     probes={"a": np.zeros(len(times))}, states={})
-
-    def test_states_may_reach_0_and_1(self):
-        xs = np.array([0.0, 0.5, 1.0])
-        w = Waveform(dt=1e-12, times=np.arange(3) * 1e-12, probes={},
-                     states={"m": xs, "n": xs[::-1]})
-        assert w.states["m"] is xs
-
-    def test_vcd_structure(self, d13):
-        w = run_transient(d13, Stimulus.hold({"X": L2}),
-                          SolverConfig(t_stop=1e-9))
-        buf = io.StringIO()
-        w.to_vcd(buf, BANDS)
-        text = buf.getvalue()
-        assert "$timescale 1fs $end" in text
-        assert "$var real 64" in text and "$var wire 2" in text
-        assert "#0\n" in text
-        # ternary codes are two bits; indeterminate renders as xx
-        assert "b10 " in text or "b00 " in text
-
-    def test_vcd_bytes_match_row_by_row(self):
-        # Several of to_vcd's row blocks; each probe changes at a third of
-        # the samples, so many samples write no entry.
-        rng = np.random.default_rng(5)
-        n = 5 * engine._VCD_BLOCK + 3
-        volts = rng.choice([0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0], (n, 3))
-        for i in range(1, n):
-            volts[i] = np.where(rng.random(3) < 0.3, volts[i], volts[i - 1])
-        w = Waveform(dt=1e-12, times=np.arange(n) * 1e-12,
-                     probes={name: volts[:, j].copy()
-                             for j, name in enumerate("abc")}, states={})
-        body = []
-        for i in range(n):
-            body.append(f"#{i * 1000}\n")
-            for j, s in enumerate(w.probes.values()):
-                if i == 0 or s[i] != s[i - 1]:
-                    code = engine._VCD_CODES[int(BANDS.codes(s[i]))]
-                    body.append(f"r{s[i]:.9g} r{j}\nb{code} w{j}\n")
-        assert sum(a[0] == b[0] == "#" for a, b in zip(body, body[1:])) > 50
-        buf = io.StringIO()
-        w.to_vcd(buf, BANDS)
-        _, sep, got = buf.getvalue().partition("$enddefinitions $end\n")
-        assert sep and got == "".join(body)
-
-    def test_vcd_bytes_at_band_edges(self):
-        # Probe a visits each band edge and one ulp past it, a gap value,
-        # a repeat (no line) and a same-code change (a line); b steps once.
-        b = BANDS
-        up, down = math.inf, -math.inf
-        a = [b.lo_max, np.nextafter(b.lo_max, up),
-             b.mid_lo, np.nextafter(b.mid_lo, down),
-             b.mid_hi, np.nextafter(b.mid_hi, up),
-             b.hi_min, np.nextafter(b.hi_min, down),
-             0.3, 0.3, 0.5, 0.55]
-        w = Waveform(dt=1e-12, times=np.arange(12) * 1e-12,
-                     probes={"a": np.array(a),
-                             "b": np.array([1.0] * 6 + [0.0] * 6)},
-                     states={})
-        buf = io.StringIO()
-        w.to_vcd(buf, BANDS)
-        assert buf.getvalue() == (
-            "$timescale 1fs $end\n$scope module ternsim $end\n"
-            "$var real 64 r0 V(a) $end\n$var wire 2 w0 L(a) $end\n"
-            "$var real 64 r1 V(b) $end\n$var wire 2 w1 L(b) $end\n"
-            "$upscope $end\n$enddefinitions $end\n"
-            "#0\nr0.2 r0\nb00 w0\nr1 r1\nb10 w1\n"
-            "#1000\nr0.2 r0\nbxx w0\n"
-            "#2000\nr0.4 r0\nb01 w0\n"
-            "#3000\nr0.4 r0\nbxx w0\n"
-            "#4000\nr0.6 r0\nb01 w0\n"
-            "#5000\nr0.6 r0\nbxx w0\n"
-            "#6000\nr0.8 r0\nb10 w0\nr0 r1\nb00 w1\n"
-            "#7000\nr0.8 r0\nbxx w0\n"
-            "#8000\nr0.3 r0\nbxx w0\n"
-            "#9000\n"
-            "#10000\nr0.5 r0\nb01 w0\n"
-            "#11000\nr0.55 r0\nb01 w0\n")

@@ -73,3 +73,12 @@ def switching(seq):
     return Stimulus({port: tuple((i * 10e-9, LEVELS[vec[k]])
                                  for i, vec in enumerate(seq))
                      for k, port in enumerate("AB")}, slew=0.5e-9)
+
+
+@pytest.fixture(scope="session")
+def sequence_3_run():
+    """A display circuit of its own and its ``switching(SEQUENCE_3)`` run
+    at the default settings, made once for the tests that read it."""
+    from ternsim.engine import run_transient
+    circuit = _circuit("display")
+    return circuit, run_transient(circuit, switching(SEQUENCE_3))

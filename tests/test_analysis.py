@@ -9,10 +9,8 @@ import pytest
 from ternsim.analysis import (DECODERS, DIGIT_SEGMENTS, GlitchEvent,
                               SEGMENTS, TruthTableReport, VectorResult,
                               detect_glitches, expected_outputs,
-                              input_vectors,
-                              measure_settling, resource_report,
-                              segments_from_levels, seven_segment_render,
-                              verify)
+                              input_vectors, measure_settling,
+                              resource_report, seven_segment_render, verify)
 from ternsim import analysis, engine
 from ternsim.core import (LEVELS, BitPair, InvalidEncoding, TernaryLevel,
                           VoltageBands, decode_2bit, encode_2bit)
@@ -25,24 +23,18 @@ from ternsim.netlist.cells import SEGMENT_TERMS
 L0, L1, L2 = LEVELS
 BANDS = VoltageBands.default(1.0)
 
-# Display decoder truth table: outputs driven high per input pair, and the
-# digit shown (active-low segments).  Independently transcribed.
+# Display decoder truth table: outputs driven high per input pair (the
+# segments are active-low).  Independently transcribed.
 DISPLAY_TABLE = {
-    (2, 2): ("", 8),
-    (2, 1): ("defg", 7),
-    (2, 0): ("b", 6),
-    (1, 2): ("be", 5),
-    (1, 1): ("ade", 4),
-    (1, 0): ("ef", 3),
-    (0, 2): ("cf", 2),
-    (0, 1): ("adefg", 1),
-    (0, 0): ("g", 0),
+    (2, 2): "", (2, 1): "defg", (2, 0): "b",
+    (1, 2): "be", (1, 1): "ade", (1, 0): "ef",
+    (0, 2): "cf", (0, 1): "adefg", (0, 0): "g",
 }
 
 
 class TestExpectedTables:
     def test_display_matches_transcribed_table(self):
-        for (a, b), (highs, _) in DISPLAY_TABLE.items():
+        for (a, b), highs in DISPLAY_TABLE.items():
             out = expected_outputs("display", {"A": TernaryLevel(a),
                                                "B": TernaryLevel(b)})
             got = {s for s in SEGMENTS if out[f"Y{s}"] == L2}
@@ -212,27 +204,6 @@ class TestInputContract:
         return expected_outputs(decoder, vec)
 
     @pytest.mark.parametrize("decoder", DECODERS)
-    @pytest.mark.parametrize("caller", CALLERS)
-    def test_missing_port_refused(self, caller, decoder, request):
-        ports = builtin_network(decoder).inputs
-        for port in ports:
-            vec = {p: L1 for p in ports if p != port}
-            with pytest.raises(ValueError, match=repr(port)):
-                self.call(caller, decoder, vec, request)
-
-    @pytest.mark.parametrize("decoder", DECODERS)
-    @pytest.mark.parametrize("caller", CALLERS)
-    def test_unknown_port_refused(self, caller, decoder, request):
-        # Before, the digital backend and the table ignored the extra port:
-        # d29 on {"A": 2, "B": 1, "C": 1} answered Y7 = 2.
-        vec = dict.fromkeys(builtin_network(decoder).inputs, L1)
-        assert self.call(caller, decoder, vec, request) == expected_outputs(
-            decoder, vec)
-        for extra in ("C", "Q"):
-            with pytest.raises(ValueError, match=repr(extra)):
-                self.call(caller, decoder, {**vec, extra: L1}, request)
-
-    @pytest.mark.parametrize("decoder", DECODERS)
     @pytest.mark.parametrize("caller", ["eval_levels", "expected_outputs",
                                         "steady_output"])
     @pytest.mark.parametrize("value", [3, -1, 1.5, math.nan, "2", None, [1],
@@ -299,11 +270,16 @@ class TestInputContract:
         # every caller that takes levels a bad level through levels_of.
         # run_transient takes the vector as a held stimulus.  The supply
         # pin vdd is an input port of the circuit but no signal input.
+        # Before, the digital backend and the table ignored an extra port:
+        # d29 on {"A": 2, "B": 1, "C": 1} answered Y7 = 2.
         circuit = request.getfixturevalue(decoder)
         ports = builtin_network(decoder).inputs
         full = dict.fromkeys(ports, L1)
+        for caller in self.CALLERS:
+            assert self.call(caller, decoder, full, request) == (
+                expected_outputs(decoder, full)), caller
         cases = [({**full, extra: L1}, f"unknown input port {extra!r}")
-                 for extra in ("C", "vdd")]
+                 for extra in ("C", "Q", "vdd")]
         cases += [({p: L1 for p in ports if p != port},
                    f"missing input port {port!r}") for port in ports]
         for vec, text in cases:
@@ -513,10 +489,6 @@ class TestGlitches:
         assert len(glitches) >= 1
         for g in glitches:
             assert g.t_end > g.t_start
-
-    def test_glitches_inside_windows_only(self, hazard_run):
-        w, stim = hazard_run
-        for g in detect_glitches(w, stim, BANDS):
             # transition happens at 50 ns; events are settled well before 100
             assert 50e-9 <= g.t_start < 100e-9
 
@@ -580,32 +552,16 @@ class TestResourceReport:
         assert m["gate_count"] == sum(display.cells.values())
 
     def test_reference_constants_pinned(self, display_report):
-        pins = {
-            "ternary_io_power_mw": (2.0, "Table V, thermal power: I/O"),
-            "ternary_static_power_mw": (60.0, "Table V, thermal power: static"),
-            "ternary_total_power_mw": (62.0, "Table V, thermal power: total FPGA"),
-            "baseline_io_power_mw": (14.0, "Sec. VI-C, baseline I/O power"),
-            "ternary_luts": (154, "Sec. VI-C, device utilization"),
-            "baseline_luts": (26, "Sec. VI-C, device utilization"),
-            "ternary_ffs": (154, "Sec. VI-C, device utilization"),
-            "baseline_ffs": (26, "Sec. VI-C, device utilization"),
-            "ternary_registers": (11, "Sec. VI-C, device utilization"),
-            "baseline_registers": (12, "Sec. VI-C, device utilization"),
-            "ternary_pins": (13, "Sec. VI-C, device utilization"),
-            "baseline_pins": (17, "Sec. VI-C, device utilization"),
-            "ternary_fmax_mhz": (293.8, "Sec. VI-C, timing report"),
-            "baseline_fmax_mhz": (577.7, "Sec. VI-C, timing report"),
-            "total_power_reduction_pct": (18.75, "Sec. VI-C, total power reduction"),
-            "speed_ratio": (1.98, "Sec. VI-C, baseline/ternary fmax ratio"),
-            "estimator": ("PowerPlay Early Power Estimator", "Table V footnote"),
-        }
+        # Acceptance criterion 08 pins the other constants, each with its
+        # source, and the measured x7 I/O ratio.
+        pins = {"ternary_ffs": (154, "Sec. VI-C, device utilization"),
+                "baseline_ffs": (26, "Sec. VI-C, device utilization")}
         for key, (value, source) in pins.items():
             c = display_report.constant(key)
             assert c.value == value, key
             assert c.source == source, key
 
     def test_derived_io_ratio(self, display_report):
-        assert display_report.derived["io_power_ratio_measured"] == 7.0
         assert "approximately 6 times" in display_report.constant(
             "io_power_ratio_reported").value
 
@@ -619,35 +575,20 @@ class TestResourceReport:
 
 
 class TestSevenSegment:
+    """The digit row that the display's nine vectors render is acceptance
+    criterion 10."""
+
     def test_all_dark_renders_eight(self):
         segments = {s: 0 for s in SEGMENTS}
         text, digit = seven_segment_render(segments)
         assert digit == 8
         assert text.splitlines()[0] == " _ "
 
-    def test_only_g_high_renders_zero(self):
-        segments = {s: (1 if s == "g" else 0) for s in SEGMENTS}
-        _, digit = seven_segment_render(segments)
-        assert digit == 0
-
-    def test_a_d_e_high_renders_four(self):
-        segments = {s: (1 if s in "ade" else 0) for s in SEGMENTS}
-        _, digit = seven_segment_render(segments)
-        assert digit == 4
-
     def test_unmatched_pattern_returns_none(self):
         segments = {s: 1 for s in SEGMENTS}
         text, digit = seven_segment_render(segments)
         assert digit is None
         assert set(text) <= {" ", "\n"}
-
-    def test_full_display_digit_row(self):
-        for (a, b), (_, digit) in DISPLAY_TABLE.items():
-            levels = expected_outputs("display", {"A": TernaryLevel(a),
-                                                  "B": TernaryLevel(b)})
-            segments = segments_from_levels(levels)
-            _, got = seven_segment_render(segments)
-            assert got == digit, (a, b)
 
     def test_digit_patterns_unique(self):
         assert len(set(DIGIT_SEGMENTS.values())) == len(DIGIT_SEGMENTS)

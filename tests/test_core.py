@@ -74,9 +74,7 @@ class TestLevelCheck:
 
 
 class TestBands:
-    def test_default_bands(self):
-        b = VoltageBands.default(1.0)
-        assert (b.lo_max, b.mid_lo, b.mid_hi, b.hi_min) == (0.2, 0.4, 0.6, 0.8)
+    """The default bands at 1 V are acceptance criterion 02."""
 
     def test_quantize(self):
         b = VoltageBands.default(1.0)
@@ -206,6 +204,8 @@ class TestInverters:
 
 
 class TestMinMaxGates:
+    """``ref_tand`` and ``ref_tor``, the tests' min and max oracle."""
+
     def test_examples(self):
         assert ref_tand(L2, L1) == L1
         assert ref_tor(L0, L0) == L0

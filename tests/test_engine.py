@@ -30,7 +30,7 @@ from ternsim.netlist.model import (Circuit, Memristor, Mosfet, Port, Resistor,
                                    VSource)
 
 import device_oracle as oracle
-from conftest import SEQUENCE_3, switching, tiled_display
+from conftest import switching, tiled_display
 
 L0, L1, L2 = LEVELS
 P = MemristorParams()
@@ -109,7 +109,7 @@ def divider_circuit():
     ], ports=[Port("mid", "out", "mid")])
 
 
-class TestSolveDC:
+class TestFrozenStateSolve:
     """DC solves with frozen states, on the engine's workspace."""
 
     def test_two_memristor_divider(self):
@@ -195,7 +195,7 @@ class TestSolveDC:
         assert e.value.node == "a"
 
 
-class TestStep:
+class TestSolveThenAdvance:
     """One transient step on the workspace: a solve, then ``advance``."""
 
     def test_state_advance_matches_device_model(self):
@@ -443,11 +443,11 @@ class TestTransient:
         w = run_transient(circuit, stim, SolverConfig(t_stop=71e-9))
         assert len(w.times) == 1421
 
-    def test_kcl_holds_along_a_switching_run(self, display):
+    def test_kcl_holds_along_a_switching_run(self, sequence_3_run):
         # The display switching run of the benchmark (its sequence 3).
         # Each sample's voltages solve KCL under the states that sample's
         # solve used, as checked by the scalar device models.
-        w = run_transient(display, switching(SEQUENCE_3))
+        display, w = sequence_3_run
         assert len(w.times) == 2001
         pinned = {"0", "vdd", *(p.node for p in display.ports
                                 if p.name in ("A", "B"))}

@@ -16,11 +16,14 @@ a temporary directory, writes each mutant there in turn and runs the whole
 tier-1 suite on the copy, without ``-x``, with no bytecode written and with a
 fixed hypothesis seed.  The repository itself is only read.  A mutant is
 killed when a test or a test module fails, when pytest exits nonzero with no
-failing id (an import error, say), or when the run takes longer than
-``TIMEOUT`` seconds.  A survivor listed in ``census_allow.json`` beside this
-file is equivalent: the entry names the file, the stripped source line and
-the mutation, and says why no test can tell the mutant apart.  Any other
-survivor is reported, and the exit status is 1.
+failing id (an import error, say), or when the run takes longer than its
+limit: ``TIMEOUT_FACTOR`` times the unmutated baseline run's wall time, and
+never less than ``TIMEOUT_FLOOR`` seconds, so a mutant that makes the suite
+hang is ended a few baseline runs in.  A survivor listed in
+``census_allow.json`` beside this file is equivalent: the entry names the
+file, the stripped source line and the mutation, and says why no test can
+tell the mutant apart.  Any other survivor is reported, and the exit status
+is 1.
 
 The kill matrix goes to stdout as JSON: for each mutant, its verdict and the
 sorted ids of the tests that failed on it.  Progress goes to stderr.
@@ -39,6 +42,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 import tokenize
 from pathlib import Path
 
@@ -46,7 +50,11 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 ALLOW = HERE / "census_allow.json"
 COPIED = ("src", "tests", "tools", "pyproject.toml")
-TIMEOUT = 300
+# A mutant run's limit in seconds: max(TIMEOUT_FLOOR, TIMEOUT_FACTOR * the
+# baseline run's wall time).  The factor leaves room for --jobs copies side
+# by side, which run slower than the baseline does alone.
+TIMEOUT_FACTOR = 5
+TIMEOUT_FLOOR = 60
 TWINS = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "==",
          "and": "or", "or": "and"}
 # The pytest run loads this module as a plugin (``-p census``); the plugin
@@ -104,8 +112,9 @@ def apply(m, text):
     return "".join(lines)
 
 
-def run_suite(workdir):
-    """Run tier-1 on one copy: (exit status or None on timeout, failed ids)."""
+def run_suite(workdir, timeout):
+    """Run tier-1 on one copy, for at most ``timeout`` seconds (None: no
+    limit): (exit status, or None when the limit ended it; failed ids)."""
     ids_file = workdir / ".census-failed"
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join([str(workdir / "src"), str(HERE)]),
@@ -116,7 +125,7 @@ def run_suite(workdir):
     proc = subprocess.Popen(cmd, cwd=workdir, env=env, start_new_session=True,
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     try:
-        status = proc.wait(TIMEOUT)
+        status = proc.wait(timeout)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.wait()
@@ -150,8 +159,11 @@ def _allowed(m, allow):
                (m.file, m.code, m.mutation) for e in allow)
 
 
-def census(files, runner=run_suite, jobs=1, allow=()):
-    """The kill matrix of every mutant of ``files`` (paths under the root)."""
+def census(files, runner, jobs=1, allow=()):
+    """The kill matrix of every mutant of ``files`` (paths under the root).
+
+    ``runner(copy, timeout)`` runs tier-1 on a copy, as ``run_suite`` does.
+    """
     files = [Path(f).resolve().relative_to(ROOT).as_posix() for f in files]
     sources = {f: (ROOT / f).read_text() for f in files}
     todo = [m for f in files for m in mutants(f, sources[f])]
@@ -165,9 +177,14 @@ def census(files, runner=run_suite, jobs=1, allow=()):
                     shutil.copytree(ROOT / name, copy / name, ignore=skip)
                 else:
                     shutil.copy2(ROOT / name, copy / name)
-        status, failed = runner(dirs[0])
+        start = time.monotonic()
+        status, failed = runner(dirs[0], None)
         if status != 0 or failed:
             raise RuntimeError(f"tier-1 fails on the unmutated copy: {failed}")
+        limit = max(TIMEOUT_FLOOR,
+                    TIMEOUT_FACTOR * (time.monotonic() - start))
+        print(f"baseline run: limit {limit:.0f} s per mutant",
+              file=sys.stderr, flush=True)
         copies = queue.Queue()
         for copy in dirs:
             copies.put(copy)
@@ -177,7 +194,7 @@ def census(files, runner=run_suite, jobs=1, allow=()):
             target = copy / m.file
             try:
                 target.write_text(apply(m, sources[m.file]))
-                status, failed = runner(copy)
+                status, failed = runner(copy, limit)
             finally:
                 target.write_text(sources[m.file])
                 copies.put(copy)
@@ -200,7 +217,7 @@ def main(argv=None):
     parser.add_argument("--jobs", type=int, default=1,
                         help="copies run side by side (default 1)")
     args = parser.parse_args(argv)
-    result = census(args.files, jobs=args.jobs,
+    result = census(args.files, run_suite, jobs=args.jobs,
                     allow=json.loads(ALLOW.read_text()))
     json.dump(result, sys.stdout, indent=1)
     print()

@@ -10,7 +10,6 @@ $TERNSIM_OUT (falling back to the working directory).
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
 import tempfile
@@ -37,12 +36,17 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, write) -> None:
+    """Call ``write(fh)`` on a temp file beside ``path``, then rename it onto
+    ``path`` with the mode ``open(path, "w")`` gives under the umask."""
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
+            write(fh)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None:
@@ -108,12 +112,8 @@ def cmd_simulate(args) -> int:
         wave = run_transient(circuit, stim, cfg)
         for fmt in formats:
             path = out_dir / f"{circuit.name}_{tag}.{fmt}"
-            buf = io.StringIO()
-            if fmt == "csv":
-                wave.to_csv(buf)
-            else:
-                wave.to_vcd(buf, bands)
-            _atomic_write(path, buf.getvalue())
+            _atomic_write(path, wave.to_csv if fmt == "csv" else
+                          lambda fh: wave.to_vcd(fh, bands))
             print(f"wrote {path}")
         for port in circuit.output_ports():
             t = analysis.measure_settling(wave, port.name, bands, stim)
@@ -142,8 +142,10 @@ def cmd_verify(args) -> int:
             report = analysis.verify(backend, decoder, network=network)
             print(report.summary())
             base = out_dir / f"verify_{decoder}_{backend}"
-            _atomic_write(base.with_suffix(".txt"), report.to_text() + "\n")
-            _atomic_write(base.with_suffix(".json"), report.to_json() + "\n")
+            for suffix, text in ((".txt", report.to_text()),
+                                 (".json", report.to_json())):
+                _atomic_write(base.with_suffix(suffix),
+                              lambda fh: fh.write(text + "\n"))
             ok &= report.passed
             solver_failed |= any(v.error for v in report.vectors)
     if solver_failed:
@@ -169,7 +171,7 @@ def cmd_compare(args) -> int:
     print(text)
     suffix = "json" if args.format == "json" else "txt"
     path = out_dir / f"resource_report.{suffix}"
-    _atomic_write(path, text + "\n")
+    _atomic_write(path, lambda fh: fh.write(text + "\n"))
     print(f"\nwrote {path}", file=sys.stderr)
     return EXIT_OK
 
@@ -180,7 +182,7 @@ def cmd_emit_netlist(args) -> int:
         sys.stdout.write(text)
     else:
         path = Path(args.out_file)
-        _atomic_write(path, text)
+        _atomic_write(path, lambda fh: fh.write(text))
         print(f"wrote {path}")
     return EXIT_OK
 

@@ -234,44 +234,48 @@ class Waveform:
         if not np.all(np.diff(stamps) > 0):
             raise ValueError(f"dt={self.dt!r} s puts two samples on one 1 fs "
                              "VCD timestamp")
-        marks = ("#%.0f\n\0" * stamps.size % tuple(stamps.tolist())).split("\0")
         fh.write("$timescale 1fs $end\n$scope module ternsim $end\n")
         for j, node in enumerate(self.probes):
             fh.write(f"$var real 64 r{j} V({node}) $end\n")
             fh.write(f"$var wire 2 w{j} L({node}) $end\n")
         fh.write("$upscope $end\n$enddefinitions $end\n")
-        width = len(self.probes)
-        volts = np.empty((len(self.times), width))
-        for j, series in enumerate(self.probes.values()):
-            volts[:, j] = series
-        # A sample's code depends only on its voltage, so a line is due
-        # exactly where the voltage differs from the sample before.
-        changed = np.ones(volts.shape, dtype=bool)
-        changed[1:] = volts[1:] != volts[:-1]
+        series = list(self.probes.values())
+        width = len(series)
         # An entry's text after its value, by code * width + probe.
         tails = [f" r{j}\nb{code} w{j}\n"
                  for code in _VCD_CODES for j in range(width)]
-        for lo in range(0, len(volts), _VCD_BLOCK):
-            block = volts[lo:lo + _VCD_BLOCK]
-            rows, cols = np.nonzero(changed[lo:lo + _VCD_BLOCK])
-            vals = block[rows, cols]
+        for lo in range(0, stamps.size, _VCD_BLOCK):
+            hi = min(lo + _VCD_BLOCK, stamps.size)
+            # The block's samples after the one before them, if any.  A
+            # sample's code depends only on its voltage, so a line is due
+            # exactly where the voltage differs from the sample before.
+            past = min(lo, 1)
+            volts = np.empty((hi - lo + past, width))
+            for j, s in enumerate(series):
+                volts[:, j] = s[lo - past:hi]
+            changed = np.ones((hi - lo, width), dtype=bool)
+            changed[1 - past:] = volts[1:] != volts[:-1]
+            rows, cols = np.nonzero(changed)
+            vals = volts[rows + past, cols]
             keys = bands.codes(vals) * width + cols
             texts = ("r%.9g\0" * len(vals) % tuple(vals.tolist())).split("\0")
             cells = [text + tails[key]
                      for text, key in zip(texts, keys.tolist())]
-            ends = np.searchsorted(rows, np.arange(1, len(block) + 1))
+            marks = "#%.0f\n\0" * (hi - lo) % tuple(stamps[lo:hi].tolist())
+            ends = np.searchsorted(rows, np.arange(hi - lo), side="right")
             out, start = [], 0
-            for mark, end in zip(marks[lo:lo + _VCD_BLOCK], ends.tolist()):
+            for mark, end in zip(marks.split("\0"), ends.tolist()):
                 out.append(mark)
                 out += cells[start:end]
                 start = end
             fh.write("".join(out))
 
 
-# to_csv and to_vcd format this many rows at a time.  Formatting a whole
-# 2001-step display run at once held about 10 MB of cell strings; a CSV
-# block holds 1.  A VCD entry is about three times as long as a CSV cell,
-# and 256-row VCD blocks raised transient_switching's peak RSS by 8%.
+# to_csv and to_vcd format this many rows at a time and write each block to
+# the handle they are given, so an export holds no full-run copy of the
+# probes, of its change mask or of its text.  A VCD entry is about three
+# times as long as a CSV cell, and 256-row VCD blocks raised
+# transient_switching's peak RSS by 8%.
 _CSV_BLOCK = 256
 _VCD_BLOCK = 64
 

@@ -1,6 +1,8 @@
 # ternsim is imported inside the fixtures and helpers, not here: a change
 # that breaks ``import ternsim`` then fails each test module's collection
 # under that module's id, instead of stopping pytest before any id exists.
+import tracemalloc
+
 import pytest
 
 
@@ -82,3 +84,13 @@ def sequence_3_run():
     from ternsim.engine import run_transient
     circuit = _circuit("display")
     return circuit, run_transient(circuit, switching(SEQUENCE_3))
+
+
+def traced_peak(call):
+    """The peak of the memory ``call()`` allocates, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

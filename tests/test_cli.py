@@ -10,11 +10,13 @@ from pathlib import Path
 import pytest
 
 import ternsim
-from ternsim import analysis
+from ternsim import analysis, cli, engine
 from ternsim.cli import main
 from ternsim.engine import (NonConvergence, NonFiniteIterate, NotRelaxed,
                             SingularSystem, TransientError, Waveform)
 from ternsim.netlist import builtin_network, elaborate, parse, serialize
+
+from conftest import traced_peak
 
 
 def run(capsys, *argv):
@@ -171,6 +173,30 @@ class TestSimulate:
         assert sorted(p.name for p in b.iterdir()) == names
         for name in names:
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_memory_tracks_the_waveform_not_the_file_text(
+            self, capsys, tmp_path, monkeypatch):
+        # From a 201- to a 1601-step run, simulate's peak grows by less than
+        # twice the waveform does: the exports stream into their files, where
+        # holding the CSV and VCD text would take about as much again.
+        waves = []
+
+        def recorded(*args):
+            waves.append(engine.run_transient(*args))
+            return waves[-1]
+
+        def simulate(t_stop):
+            assert run(capsys, "simulate", "--builtin", "d13", "--inputs",
+                       "2", "--t-stop", t_stop, "--formats", "csv,vcd",
+                       "--out", str(tmp_path))[0] == 0
+
+        monkeypatch.setattr(cli, "run_transient", recorded)
+        simulate("1e-9")  # imports and caches, untraced
+        peaks = [traced_peak(lambda: simulate(t)) for t in ("10e-9", "80e-9")]
+        sizes = [sum(a.nbytes for a in (w.times, *w.probes.values(),
+                                        *w.states.values()))
+                 for w in waves[1:]]
+        assert peaks[1] - peaks[0] < 2 * (sizes[1] - sizes[0])
 
     def test_netlist_file(self, capsys, tmp_path):
         # mid steps inside L0, from 0 to 0.15 V, at the last sample.
@@ -413,6 +439,22 @@ class TestOutputDir:
         assert code == 0
         assert (tmp_path / "envout" / "verify_d13_digital.txt").exists()
 
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_files_get_the_mode_open_gives(self, capsys, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            assert run(capsys, "compare", "--out", str(tmp_path))[0] == 0
+            assert run(capsys, "simulate", "--builtin", "d13", "--inputs",
+                       "2", "--t-stop", "1e-9", "--formats", "csv,vcd",
+                       "--out", str(tmp_path))[0] == 0
+            (tmp_path / "plain").open("w").close()
+        finally:
+            os.umask(old)
+        modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+        assert modes == dict.fromkeys(["plain", "resource_report.txt",
+                                       "d13_X2.csv", "d13_X2.vcd"],
+                                      0o666 & ~umask)
 
 class TestEmitNetlist:
     def test_stdout(self, capsys):

@@ -20,7 +20,7 @@ from ternsim.core import LEVELS, REGIONS, VoltageBands
 from ternsim.engine import SolverConfig, Stimulus, Waveform, run_transient
 from ternsim.netlist import builtin_network, elaborate
 
-from conftest import switching
+from conftest import switching, traced_peak
 
 L0, L1, L2 = LEVELS
 BANDS = VoltageBands.default(1.0)
@@ -265,3 +265,32 @@ def test_states_may_reach_0_and_1():
     w = Waveform(dt=1e-12, times=np.arange(3) * 1e-12, probes={},
                  states={"m": xs, "n": xs[::-1]})
     assert w.states["m"] is xs
+
+
+class CountingSink:
+    """A handle that counts the characters written to it and keeps none."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+def test_export_memory_does_not_grow_with_run_length():
+    # Both exports work a block of rows at a time: from N to 8N samples of
+    # 16 probes their peak grows by far less than the probes themselves do,
+    # and than their text does, so neither holds a copy of either.
+    rng = np.random.default_rng(3)
+    volts = rng.choice([0.0, 0.1, 0.5, 0.9, 1.0], (16, 2000))
+    short, long = (waveform(1e-12, n, **{f"p{j}": v[:n]
+                                         for j, v in enumerate(volts)})
+                   for n in (250, 2000))
+    grown = volts[:, 250:].nbytes
+    for export in (lambda w, fh: w.to_csv(fh),
+                   lambda w, fh: w.to_vcd(fh, BANDS)):
+        sinks = [CountingSink(), CountingSink()]
+        peaks = [traced_peak(lambda: export(w, sink))
+                 for w, sink in zip((short, long), sinks)]
+        assert sinks[1].chars - sinks[0].chars > grown
+        assert peaks[1] - peaks[0] < grown / 4
